@@ -38,9 +38,10 @@ from .bessel import abc_closed_form
 from .development import fold_apply, partial_sum_F
 from .exactpoly import rat_str, words
 from .hierarchy import (HierarchyState, a_coefficients, developed_checks,
-                        level_norms, radius_estimate, tensor_checks)
+                        developed_values, level_norms, radius_estimate,
+                        tensor_checks)
 from .montecarlo import SimConfig, estimate_expected_sig
-from .polefinder import SignChangeError, locate_pole
+from .polefinder import PoleCertificate, SignChangeError, locate_pole
 
 TENSOR_CAP = 16
 DEVELOPED_CAP = 200
@@ -134,7 +135,7 @@ def cmd_hierarchy(args) -> tuple:
         raise UsageError(f"--levels for mode {args.mode} must be in 0..{cap}")
     state = HierarchyState()
     n_max = args.levels
-    a_vals = a_coefficients(state, n_max)
+    a_vals = a_coefficients(n_max)
     checks = []
     failures = []
     for n in range(1, n_max + 1):
@@ -143,6 +144,11 @@ def cmd_hierarchy(args) -> tuple:
         for name, ok in res.items():
             if not ok:
                 failures.append(f"level {n}: {name}")
+    if args.mode == "developed":
+        # the bivariate oracle checks the radial production route
+        failures.extend(f"level {n}: bivariate C_n(0, 0) != radial a_n"
+                        for n in range(n_max + 1)
+                        if state.developed(n).c3.coeff(0, 0) != a_vals[n])
     odd_ok = all(a_vals[n] == 0 for n in range(1, n_max + 1, 2))
     if not odd_ok:
         failures.append("odd-level coefficients not all zero")
@@ -184,22 +190,18 @@ def cmd_develop(args) -> tuple:
     x, y = args.x, args.y
     if x * x + y * y > 1:
         raise UsageError("point must lie in the closed unit disk")
-    state = HierarchyState()
-    levels = [state.developed(n) for n in range(args.levels + 1)]
-    per_level = [lv.evaluate(x, y) for lv in levels]
-    psum = partial_sum_F(args.lam, (x, y), args.levels, levels)
-    failures = []
+    per_level = developed_values(args.levels, x, y)
+    psum = partial_sum_F(args.lam, per_level)
     checks = {}
     if y == 0:
         checks["axis_second_component_zero"] = all(v[1] == 0 for v in per_level)
     if x * x + y * y == 1:
         checks["boundary_partial_sum_is_e3"] = tuple(psum) == _E3
-    fold_ok = True
-    for n in range(min(args.levels, 6) + 1):
-        if fold_apply(state.tensor(n), _E3).evaluate(x, y) != per_level[n]:
-            fold_ok = False
-    checks["fold_route_matches"] = fold_ok
-    failures.extend(name for name, ok in checks.items() if not ok)
+    state = HierarchyState()  # tensor oracle only
+    checks["fold_route_matches"] = all(
+        fold_apply(state.tensor(n), _E3).evaluate(x, y) == per_level[n]
+        for n in range(min(args.levels, 6) + 1))
+    failures = [name for name, ok in checks.items() if not ok]
     payload = {
         "schema": "disksig.develop/1",
         "lambda": rat_str(args.lam),
@@ -267,8 +269,9 @@ def cmd_pole(args) -> tuple:
         raise UsageError("--width must be positive")
     prec = _check_precision(args.precision)
     certificate = locate_pole(args.width, precision=prec)
-    failures = certificate.verify()
-    return json.dumps(certificate.to_json(), indent=2) + "\n", failures
+    text = json.dumps(certificate.to_json(), indent=2) + "\n"
+    # replay the certificate from the bytes written, not the in-memory object
+    return text, PoleCertificate.from_json(json.loads(text)).verify()
 
 
 def cmd_compare(args) -> tuple:
@@ -285,8 +288,7 @@ def cmd_compare(args) -> tuple:
             "for the certificate)".format(
                 rat_str(args.lam), rat_str(certificate.bracket_lo),
                 rat_str(certificate.bracket_hi)))
-    state = HierarchyState()
-    a_vals = a_coefficients(state, args.levels)
+    a_vals = a_coefficients(args.levels)
     if args.lam == 0:
         # the ratio defining C has a removable singularity at lambda = 0
         # with limit 1, matching the series' constant term
@@ -330,8 +332,7 @@ def cmd_compare(args) -> tuple:
 def cmd_radius(args) -> tuple:
     if not 0 <= args.levels <= DEVELOPED_CAP:
         raise UsageError(f"--levels must be in 0..{DEVELOPED_CAP}")
-    state = HierarchyState()
-    a_vals = a_coefficients(state, args.levels)
+    a_vals = a_coefficients(args.levels)
     estimates = radius_estimate(a_vals)
     failures = []
     buf = io.StringIO()

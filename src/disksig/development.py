@@ -142,27 +142,23 @@ def fold_apply_naive(t: TensorPoly, v) -> Vec3Poly:
     return Vec3Poly(*acc)
 
 
-def partial_sum_F(lam, z, n_max: int, levels, prec: int | None = None):
+def partial_sum_F(lam, values, prec: int | None = None):
     """Partial sum of the development series, sum_{n <= N} lam^n V_n(z).
 
-    levels must hold Vec3Poly for indices 0..N.  With rational lam the
-    result is a triple of Rat, computed exactly.  With a RealBall lam the
-    evaluation runs in ball arithmetic at the given precision and the
+    values holds the exact triples V_0(z) .. V_N(z).  With rational lam
+    the result is a triple of Rat, computed exactly.  With a RealBall lam
+    the evaluation runs in ball arithmetic at the given precision and the
     result is a triple of RealBall enclosures.
     """
-    if len(levels) <= n_max:
-        raise ValueError(f"need levels 0..{n_max}, have {len(levels)}")
-    zx, zy = z
-    vals = [lv.evaluate(zx, zy) for lv in levels[: n_max + 1]]
     if isinstance(lam, (int, Fraction)):
         lam = as_rat(lam)
         acc = (Fraction(0), Fraction(0), Fraction(0))
-        for val in reversed(vals):  # Horner in lam
+        for val in reversed(values):  # Horner in lam
             acc = tuple(acc[k] * lam + val[k] for k in range(3))
         return acc
     if isinstance(lam, float):
         acc = (0.0, 0.0, 0.0)
-        for val in reversed(vals):
+        for val in reversed(values):
             acc = tuple(acc[k] * lam + float(val[k]) for k in range(3))
         return acc
     from .balls import RealBall
@@ -170,7 +166,7 @@ def partial_sum_F(lam, z, n_max: int, levels, prec: int | None = None):
     if isinstance(lam, RealBall):
         p = prec if prec is not None else 128
         acc = [RealBall.zero()] * 3
-        for val in reversed(vals):
+        for val in reversed(values):
             acc = [acc[k].mul(lam, p).add(RealBall.from_rational(val[k], p), p)
                    for k in range(3)]
         return tuple(acc)

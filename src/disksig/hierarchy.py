@@ -11,11 +11,14 @@ recursion, pushed through the hyperbolic development and applied to
 
     lap V_n = -2 sum_i M(e_i) d(V_{n-1})/dz_i  -  (sum_i M(e_i)^2) V_{n-2}
 
-with sum_i M(e_i)^2 = diag(1, 1, 2).  The tensor hierarchy costs 2^n
-entries per level and is kept for small n; the developed hierarchy costs
-three entries per level and goes deep.  Everything here is exact; the
-one non-exact path (a fixed-precision ball recursion for very deep
-levels) is separate and clearly labeled.
+with sum_i M(e_i)^2 = diag(1, 1, 2).  By rotation equivariance V_n
+reduces further to a radial pair (A_n, C_n) of univariate polynomials,
+solved diagonally; that radial recursion is the production route for
+a_n and V_n.  The tensor hierarchy (2^n entries per level) and the
+bivariate developed hierarchy (three polynomials per level) are kept as
+independent oracles at bounded depth.  Everything here is exact except
+radial_levels_ball, a fixed-precision ball variant of the radial
+recursion that is separate and clearly labeled.
 
 The elementary Dirichlet solver: a particular polynomial solution of
 lap u = f found monomial by monomial (the undetermined-coefficient
@@ -169,24 +172,38 @@ def developed_rhs(self: HierarchyState, n: int) -> tuple:
     return tuple(-2 * (t1[k] + t2[k]) - t3[k] for k in range(3))
 
 
-def phi_level(state: HierarchyState, n: int) -> TensorPoly:
-    """pi_n of the expected signature, as a TensorPoly."""
-    return state.tensor(n)
+def a_coefficients(n_max: int) -> list:
+    """The scalars a_n = C_n(0), the third component of V_n at the origin, n <= N."""
+    return [c.get(0, Fraction(0)) for c in radial_levels(n_max)[1]]
 
 
-def developed_level(state: HierarchyState, n: int) -> Vec3Poly:
-    """V_n, the level-n coefficient of the developed series."""
-    return state.developed(n)
+def developed_values(n_max: int, x, y) -> list:
+    """Exact triples V_n(x, y) for n <= N, from the radial route.
+
+    With r = |(x, y)|, V_n(x, y) = (x A_n(r)/r, y A_n(r)/r, C_n(r)).  Both
+    A_n/r and C_n are evaluated as polynomials in s = x^2 + y^2 (see the
+    parity note at the radial recursion below), so the result is exact at
+    rational points, the origin included.
+    """
+    x, y = as_rat(x), as_rat(y)
+    s = x * x + y * y
+    a_levels, c_levels = radial_levels(n_max)
+    out = []
+    for n, (a_n, c_n) in enumerate(zip(a_levels, c_levels)):
+        if any(m % 2 == 0 for m in a_n) or any(m % 2 for m in c_n):
+            raise ArithmeticError(f"level {n}: radial parity violated")
+        a_over_r = _horner_in_s(a_n, s)
+        out.append((x * a_over_r, y * a_over_r, _horner_in_s(c_n, s)))
+    return out
 
 
-def dev_coefficient(state: HierarchyState, n: int, z) -> tuple:
-    """V_n evaluated exactly at a rational point; a_n is [2] at z = (0,0)."""
-    return developed_level(state, n).evaluate(*z)
-
-
-def a_coefficients(state: HierarchyState, n_max: int) -> list:
-    """The scalars a_n = third component of V_n at the origin, n <= N."""
-    return [dev_coefficient(state, n, (0, 0))[2] for n in range(n_max + 1)]
+def _horner_in_s(coeffs: dict, s) -> Fraction:
+    """sum_m c_m s^(m // 2) for a coefficient map {m: c_m} of one parity."""
+    by_power = {m // 2: c for m, c in coeffs.items()}
+    acc = Fraction(0)
+    for k in range(max(by_power, default=-1), -1, -1):
+        acc = acc * s + by_power.get(k, 0)
+    return acc
 
 
 @dataclass(frozen=True)
@@ -275,9 +292,16 @@ def developed_checks(state: HierarchyState, n: int) -> dict:
 #
 # solved by polynomials in r with A_n(0) = A_n(1) = 0, C_n(1) = 0 (n >= 1).
 # On monomials the left sides act diagonally: r^m -> (m^2 - 1) r^m for A,
-# h_m r^m -> h_m/(m+1)^2 r^{m+1} for C.  This univariate recursion is an
-# independent route to the same A_n, C_n (cross-checked in tests) and is
-# what the fixed-precision ball fallback runs for very deep levels.
+# h_m r^m -> h_m/(m+1)^2 r^{m+1} for C.  This univariate recursion is the
+# production route to A_n, C_n; the bivariate developed hierarchy is an
+# independent oracle for the same polynomials (cross-checked in tests).
+#
+# Parity: A_n has only odd powers of r and C_n only even ones.  By
+# induction, if A_{n-2}, A_{n-1} are odd and C_{n-2}, C_{n-1} even, the
+# A-source -r^2 A_{n-2} - 2 r^2 C_{n-1}' is odd, the C-source
+# -2 r C_{n-2} - 2 r A_{n-1}' - 2 A_{n-1} is odd, so A_n (diagonal solve
+# plus an r^1 correction) is odd and C_n (one power up plus an r^0
+# correction) is even.  developed_values relies on this and checks it.
 
 def radial_levels(n_max: int):
     """Exact univariate (A_n, C_n) coefficient maps {power: Rat}, n <= N."""
@@ -336,7 +360,7 @@ def _radial_recursion(n_max, one, add, scale_int, div_int, neg):
 
 
 def radial_levels_ball(n_max: int, prec: int):
-    """Ball-arithmetic (A_n, C_n); non-exact, for n past the exact cap.
+    """Ball-arithmetic (A_n, C_n); non-exact, and unused by the CLI.
 
     Every coefficient is a RealBall enclosure of the exact coefficient at
     the requested working precision.

@@ -48,6 +48,8 @@ class SimConfig:
 
     def __post_init__(self):
         x, y = self.start
+        if not all(math.isfinite(v) for v in (x, y, self.h)):
+            raise ValueError("start point and step size must be finite")
         if x * x + y * y >= 1.0:
             raise ValueError("start point must lie in the open unit disk")
         if not self.h > 0:

@@ -7,7 +7,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from disksig.cli import main
+import disksig.cli as cli
+from disksig.cli import DEVELOPED_CAP, main
+from disksig.hierarchy import HierarchyState
 
 
 def run(tmp_path, *argv):
@@ -43,6 +45,18 @@ def test_hierarchy_developed_mode(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["a"][2] == "1/2"
     assert "norms" not in payload
+
+
+def test_hierarchy_developed_mode_checks_radial_route(tmp_path, monkeypatch,
+                                                     capsys):
+    radial = cli.a_coefficients
+    monkeypatch.setattr(cli, "a_coefficients",
+                        lambda n: [2 * v if k == 2 else v
+                                   for k, v in enumerate(radial(n))])
+    rc, out = run(tmp_path, "hierarchy", "--levels", "4", "--mode", "developed")
+    assert rc == 1
+    assert "level 2: bivariate C_n(0, 0) != radial a_n" in capsys.readouterr().err
+    assert json.loads(out.read_text())["a"][2] == "1/1"
 
 
 def test_hierarchy_cap_violation(tmp_path):
@@ -178,6 +192,28 @@ def test_radius_csv(tmp_path):
     assert float(data[0][1]) == pytest.approx(8 ** 0.5)
 
 
+def test_radius_at_developed_cap(tmp_path):
+    rc, out = run(tmp_path, "radius", "--levels", str(DEVELOPED_CAP))
+    assert rc == 0
+    _, rows = parse_csv(out)
+    _, *data = rows
+    assert len(data) == 99
+    assert 2.5 < float(data[-1][1]) < 3.0
+
+
+def test_series_subcommands_skip_bivariate_hierarchy(tmp_path, monkeypatch):
+    def refuse(self, n):
+        raise AssertionError("bivariate developed hierarchy called")
+
+    monkeypatch.setattr(HierarchyState, "developed", refuse)
+    for argv in (("develop", "--lambda", "1", "--x", "1/2", "--y", "1/3",
+                  "--levels", "12"),
+                 ("compare", "--lambda", "1", "--levels", "12"),
+                 ("radius", "--levels", "12")):
+        rc, _ = run(tmp_path, *argv)
+        assert rc == 0
+
+
 def test_radius_insufficient_data(tmp_path, capsys):
     rc, out = run(tmp_path, "radius", "--levels", "2")
     assert rc == 0
@@ -206,6 +242,11 @@ def test_mc_csv(tmp_path):
 def test_mc_rejects_bad_start(tmp_path):
     rc, out = run(tmp_path, "mc", "--x", "1.5", "--paths", "10")
     assert rc == 2
+    # NaN passes the disk test by comparing false; it must still be refused
+    rc, out = run(tmp_path, "mc", "--x", "nan", "--paths", "10")
+    assert rc == 2
+    assert not out.exists()
+    assert not (tmp_path / "out.manifest.json").exists()
 
 
 def test_precision_env_override(tmp_path, monkeypatch):

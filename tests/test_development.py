@@ -2,7 +2,6 @@
 
 from fractions import Fraction as F
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -82,35 +81,31 @@ def test_fold_against_explicit_sum(state):
     assert fold_apply(t, E3) == acc
 
 
+def values_at(state, z, n_max):
+    """Exact triples V_0(z) .. V_N(z) from the bivariate developed hierarchy."""
+    return [state.developed(n).evaluate(*z) for n in range(n_max + 1)]
+
+
 def test_partial_sum_trivial_cases(state):
-    levels = [state.developed(n) for n in range(3)]
-    assert partial_sum_F(F(7, 3), (F(1, 5), F(-1, 7)), 0, levels) == (0, 0, 1)
+    assert partial_sum_F(F(7, 3), values_at(state, (F(1, 5), F(-1, 7)), 0)) == (0, 0, 1)
     # on the circle every V_n with n >= 1 vanishes, so any partial sum is e3
-    assert partial_sum_F(F(2), (F(3, 5), F(4, 5)), 2, levels) == (0, 0, 1)
+    assert partial_sum_F(F(2), values_at(state, (F(3, 5), F(4, 5)), 2)) == (0, 0, 1)
     # N = 2 at the origin picks up a_2 = 1/2
-    assert partial_sum_F(1, (0, 0), 2, levels) == (0, 0, F(3, 2))
+    assert partial_sum_F(1, values_at(state, (0, 0), 2)) == (0, 0, F(3, 2))
 
 
 def test_partial_sum_axis_symmetry(state):
-    levels = [state.developed(n) for n in range(9)]
     for xq in (F(0), F(1, 3), F(-2, 5)):
-        val = partial_sum_F(F(1, 2), (xq, F(0)), 8, levels)
+        val = partial_sum_F(F(1, 2), values_at(state, (xq, F(0)), 8))
         assert val[1] == 0
 
 
 def test_partial_sum_ball_route_contains_exact(state):
-    levels = [state.developed(n) for n in range(13)]
+    values = values_at(state, (F(1, 4), F(1, 8)), 12)
     lam = F(3, 2)
-    z = (F(1, 4), F(1, 8))
-    exact = partial_sum_F(lam, z, 12, levels)
+    exact = partial_sum_F(lam, values)
     lam_ball = RealBall.from_rational(lam, 128)
-    balls = partial_sum_F(lam_ball, z, 12, levels, prec=128)
+    balls = partial_sum_F(lam_ball, values, prec=128)
     for k in range(3):
         assert balls[k].contains(exact[k])
         assert balls[k].rad_fraction() < F(1, 10 ** 20)
-
-
-def test_partial_sum_needs_enough_levels(state):
-    levels = [state.developed(n) for n in range(3)]
-    with pytest.raises(ValueError):
-        partial_sum_F(1, (0, 0), 5, levels)

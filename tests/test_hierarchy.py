@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from disksig.balls import RealBall
 from disksig.exactpoly import Poly2, boundary_trace, laplacian
-from disksig.hierarchy import (a_coefficients, dev_coefficient, level_norms,
+import disksig.hierarchy as hierarchy
+from disksig.hierarchy import (a_coefficients, developed_values, level_norms,
                                radial_levels, radial_levels_ball,
                                radius_estimate, solve_poisson_zero_bd,
                                developed_checks, tensor_checks)
@@ -65,8 +66,8 @@ def test_exactness_checks_small_levels(state):
                                               "boundary_ok": True}
 
 
-def test_a_coefficients_fixtures(state):
-    a_vals = a_coefficients(state, 8)
+def test_a_coefficients_fixtures():
+    a_vals = a_coefficients(8)
     assert a_vals[0] == 1
     assert a_vals[2] == F(1, 2)
     assert a_vals[4] == F(1, 16)
@@ -76,8 +77,8 @@ def test_a_coefficients_fixtures(state):
 
 
 def test_dev_coefficient_off_origin(state):
-    val = dev_coefficient(state, 2, (F(1, 2), F(0)))
-    assert val == (0, 0, F(3, 8))
+    assert state.developed(2).evaluate(F(1, 2), F(0)) == (0, 0, F(3, 8))
+    assert developed_values(2, F(1, 2), F(0))[2] == (0, 0, F(3, 8))
 
 
 def test_radial_reduction_matches_bivariate(state):
@@ -87,7 +88,22 @@ def test_radial_reduction_matches_bivariate(state):
         for r in (F(0), F(1, 3), F(3, 4), F(1)):
             a_val = sum((coef * r ** m for m, coef in a_list[n].items()), F(0))
             c_val = sum((coef * r ** m for m, coef in c_list[n].items()), F(0))
-            assert dev_coefficient(state, n, (r, F(0))) == (a_val, 0, c_val)
+            assert state.developed(n).evaluate(r, F(0)) == (a_val, 0, c_val)
+    # off the axis the production triples equal the bivariate oracle
+    for x, y in ((F(1, 2), F(1, 3)), (F(-3, 5), F(4, 5)), (F(0), F(2, 3)),
+                 (F(-1, 7), F(-5, 6)), (F(0), F(0))):
+        values = developed_values(16, x, y)
+        assert len(values) == 17
+        for n in range(17):
+            assert values[n] == state.developed(n).evaluate(x, y)
+
+
+def test_developed_values_rejects_broken_parity(monkeypatch):
+    a_list, c_list = radial_levels(4)
+    c_list[4] = {**c_list[4], 3: F(1)}  # an odd power in C_4
+    monkeypatch.setattr(hierarchy, "radial_levels", lambda n: (a_list, c_list))
+    with pytest.raises(ArithmeticError):
+        developed_values(4, F(1, 2), F(1, 3))
 
 
 def test_radial_ball_route_contains_exact():
@@ -128,7 +144,7 @@ def test_radius_estimate_error_paths():
     assert radius_estimate([F(1), F(0), F(2)]) == []  # too short
 
 
-def test_radius_estimates_drift_toward_bracket(state):
-    a_vals = a_coefficients(state, 24)
+def test_radius_estimates_drift_toward_bracket():
+    a_vals = a_coefficients(24)
     ests = radius_estimate(a_vals)
     assert 2.5 < ests[-1] < 3.0

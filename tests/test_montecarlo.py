@@ -23,6 +23,13 @@ def test_config_validation():
         SimConfig(level=0)
     with pytest.raises(ValueError):
         SimConfig(paths=0)
+    # non-finite inputs would slip past the disk and sign tests above
+    with pytest.raises(ValueError):
+        SimConfig(h=float("inf"))
+    with pytest.raises(ValueError):
+        SimConfig(start=(float("nan"), 0.0))
+    with pytest.raises(ValueError):
+        SimConfig(start=(0.0, float("-inf")))
 
 
 def test_paths_are_deterministic_and_distinct():

@@ -136,10 +136,6 @@ class RealBall:
         return cls(m, _ulp(m, prec))
 
     @classmethod
-    def from_float(cls, x: float) -> "RealBall":
-        return cls.from_rational(Fraction(x))  # floats are dyadic, exact
-
-    @classmethod
     def from_mid_rad(cls, mid_q, rad_q, prec: int = DEFAULT_PREC) -> "RealBall":
         mid_q, rad_q = Fraction(mid_q), Fraction(rad_q)
         if rad_q < 0:
@@ -184,14 +180,6 @@ class RealBall:
 
     def is_positive(self) -> bool:
         return self.lower() > 0
-
-    def mid_float(self) -> float:
-        from mpmath.libmp import to_float
-        return to_float(self.mid)
-
-    def rad_float(self) -> float:
-        from mpmath.libmp import to_float
-        return to_float(self.rad, rnd="u")
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -401,9 +389,6 @@ class ComplexBall:
 
     def contains(self, re_q, im_q) -> bool:
         return self.re.contains(re_q) and self.im.contains(im_q)
-
-    def mid_complex(self) -> complex:
-        return complex(self.re.mid_float(), self.im.mid_float())
 
     def __str__(self) -> str:
         return f"({self.re}) + ({self.im})*i"

@@ -55,12 +55,16 @@ def bessel_tail_bound(x, n: int) -> RealBall:
         xu = x.abs().upper() ** 2
     else:
         xu = as_rat(x) ** 2
-    cap = Fraction(4 * (n + 1) * (n + 1))
-    if xu >= cap:
+    if xu >= 4 * (n + 1) * (n + 1):
         raise ValueError(f"|x| >= 2(n+1) = {2 * (n + 1)}; tail bound invalid")
+    return RealBall.from_rational(_tail_bound(xu, n))
+
+
+def _tail_bound(xu: Fraction, n: int) -> Fraction:
+    """The tail bound as an exact rational, from |x|^2 <= xu < 4(n+1)^2."""
     first = (xu / 4) ** n / Fraction(factorial(n)) ** 2
-    geom = 1 / (1 - xu / cap)
-    return RealBall.from_rational(first * geom)
+    geom = 1 / (1 - xu / Fraction(4 * (n + 1) * (n + 1)))
+    return first * geom
 
 
 def _auto_terms(x: ComplexBall, prec: int) -> int:
@@ -70,12 +74,9 @@ def _auto_terms(x: ComplexBall, prec: int) -> int:
     n = 1
     while 4 * (n + 1) ** 2 <= xu2:
         n += 1
-    while True:
-        cap = Fraction(4 * (n + 1) * (n + 1))
-        bound = (xu2 / 4) ** n / Fraction(factorial(n)) ** 2 / (1 - xu2 / cap)
-        if bound < target:
-            return n
+    while _tail_bound(xu2, n) >= target:
         n += 1
+    return n
 
 
 def bessel_j(nu: int, x, n_terms: int | None = None,
@@ -142,16 +143,20 @@ def series_terms(lam, constants: Constants, prec: int | None = None) -> int:
     return _auto_terms(x, prec)
 
 
-def remark_product(lam, constants: Constants,
-                   prec: int | None = None) -> ComplexBall:
-    """Enclosure of conj(alpha) J0(lambda zeta) J1(lambda conj(zeta))."""
-    prec = prec or constants.prec
+def _remark_parts(lam, constants: Constants, prec: int) -> tuple:
+    """(lambda zeta, J1(lambda conj(zeta)), the remark product)."""
     lamc = _as_complex_ball(lam, prec)
     x0 = lamc.mul(constants.zeta, prec)
     x1 = lamc.mul(constants.zeta.conj(), prec)
     j0 = bessel_j(0, x0, prec=prec)
     j1 = bessel_j(1, x1, prec=prec)
-    return constants.alpha.conj().mul(j0, prec).mul(j1, prec)
+    return x0, j1, constants.alpha.conj().mul(j0, prec).mul(j1, prec)
+
+
+def remark_product(lam, constants: Constants,
+                   prec: int | None = None) -> ComplexBall:
+    """Enclosure of conj(alpha) J0(lambda zeta) J1(lambda conj(zeta))."""
+    return _remark_parts(lam, constants, prec or constants.prec)[2]
 
 
 def d_lambda(lam, constants: Constants, prec: int | None = None) -> RealBall:
@@ -212,14 +217,12 @@ def abc_closed_form(lam, r, constants: Constants,
     r_ball = _as_real_ball(r, prec)
     if r_ball.lower() < 0 or r_ball.upper() > 1:
         raise ValueError("r must lie in [0, 1]")
-    lamc = _as_complex_ball(lam, prec)
-    d = d_lambda(lam, constants, prec)
+    x0, j1_fix, product = _remark_parts(lam, constants, prec)
+    d = product.im
     if d.contains_zero():
         raise ValueError("pole proximity: d(lambda) enclosure contains zero; "
                          "raise precision or move lambda away from the pole")
-    x1 = lamc.mul(constants.zeta.conj(), prec)
-    xr = lamc.mul(constants.zeta, prec).mul_real(r_ball, prec)
-    j1_fix = bessel_j(1, x1, prec=prec)
+    xr = x0.mul_real(r_ball, prec)
     alpha_sq = constants.alpha.abs2(prec)
     a_num = j1_fix.mul(bessel_j(1, xr, prec=prec), prec).im
     a_val = a_num.mul(alpha_sq, prec).div(d, prec)

@@ -8,7 +8,9 @@ reproduces it bit for bit; only the manifest differs.
 
 Exit status is 0 only when the run's embedded verification checks all
 pass; failed checks are listed on standard error.  Usage errors
-(violated caps, malformed flags) exit with status 2 and write nothing.
+(violated caps, malformed flags) exit with status 2 and write nothing;
+runtime errors (an uncertifiable sign, an exhausted Monte Carlo block
+budget) exit with status 1 and write nothing.
 
 Rationals cross the boundary as "num/den" strings and balls as
 {"mid", "rad"} decimal strings, so no binary float ambiguity enters the
@@ -44,7 +46,10 @@ from .montecarlo import SimConfig, estimate_expected_sig
 from .polefinder import PoleCertificate, SignChangeError, locate_pole
 
 TENSOR_CAP = 16
-DEVELOPED_CAP = 200
+DEVELOPED_CAP = 200  # radial route: develop, compare, radius
+# the bivariate developed oracle grows ~n^2/4 terms per level: 60 levels
+# take about 16 s on a 2-vCPU VM, 200 would take hours
+DEVELOPED_ORACLE_CAP = 60
 _E3 = (Fraction(0), Fraction(0), Fraction(1))
 
 
@@ -130,7 +135,7 @@ def _write_manifest(subcommand: str, args: argparse.Namespace,
 
 
 def cmd_hierarchy(args) -> tuple:
-    cap = TENSOR_CAP if args.mode == "tensor" else DEVELOPED_CAP
+    cap = TENSOR_CAP if args.mode == "tensor" else DEVELOPED_ORACLE_CAP
     if not 0 <= args.levels <= cap:
         raise UsageError(f"--levels for mode {args.mode} must be in 0..{cap}")
     state = HierarchyState()
@@ -387,6 +392,19 @@ def cmd_mc(args) -> tuple:
                      repr(result.exit_time_stderr)])
     if not (result.exit_time_mean > 0 and math.isfinite(result.exit_time_stderr)):
         failures.append("exit-time statistics are not finite and positive")
+    # deviations from the levels known in closed form: from z the mean exit
+    # time is (1 - |z|^2)/2 and level 2 is (1 - |z|^2)/4 times the identity;
+    # informational, not a check, since --no-bridge is biased by design
+    q = 1.0 - (args.x * args.x + args.y * args.y)
+    report = [("exit_time", result.exit_time_mean, result.exit_time_stderr, q / 2)]
+    if config.level >= 2:
+        report += [(word, float(result.means[2][idx]), float(result.stderrs[2][idx]),
+                    q / 4 if word in ("11", "22") else 0.0)
+                   for idx, word in enumerate(words(2))]
+    for name, est, err, exact in report:
+        dev = abs(est - exact) / err if 0 < err < math.inf else math.nan
+        print(f"mc {name}: estimate {est:+.6f} stderr {err:.6f} "
+              f"exact {exact:+.6f} deviation {dev:.2f} SE", file=sys.stderr)
     return buf.getvalue(), failures
 
 
@@ -477,7 +495,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SignChangeError, ValueError, ZeroDivisionError) as exc:
+    except (SignChangeError, ValueError, ZeroDivisionError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _atomic_write(args.out, text)

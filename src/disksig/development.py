@@ -37,9 +37,6 @@ class Vec3Poly:
     def __add__(self, other: "Vec3Poly") -> "Vec3Poly":
         return Vec3Poly(self.c1 + other.c1, self.c2 + other.c2, self.c3 + other.c3)
 
-    def scale(self, v) -> "Vec3Poly":
-        return Vec3Poly(self.c1 * v, self.c2 * v, self.c3 * v)
-
     def evaluate(self, x, y):
         """Exact componentwise evaluation at a rational point."""
         return (self.c1.evaluate(x, y), self.c2.evaluate(x, y), self.c3.evaluate(x, y))
@@ -142,32 +139,14 @@ def fold_apply_naive(t: TensorPoly, v) -> Vec3Poly:
     return Vec3Poly(*acc)
 
 
-def partial_sum_F(lam, values, prec: int | None = None):
+def partial_sum_F(lam, values) -> tuple:
     """Partial sum of the development series, sum_{n <= N} lam^n V_n(z).
 
-    values holds the exact triples V_0(z) .. V_N(z).  With rational lam
-    the result is a triple of Rat, computed exactly.  With a RealBall lam
-    the evaluation runs in ball arithmetic at the given precision and the
-    result is a triple of RealBall enclosures.
+    values holds the exact triples V_0(z) .. V_N(z) and lam is rational,
+    so the result is a triple of Rat, computed exactly.
     """
-    if isinstance(lam, (int, Fraction)):
-        lam = as_rat(lam)
-        acc = (Fraction(0), Fraction(0), Fraction(0))
-        for val in reversed(values):  # Horner in lam
-            acc = tuple(acc[k] * lam + val[k] for k in range(3))
-        return acc
-    if isinstance(lam, float):
-        acc = (0.0, 0.0, 0.0)
-        for val in reversed(values):
-            acc = tuple(acc[k] * lam + float(val[k]) for k in range(3))
-        return acc
-    from .balls import RealBall
-
-    if isinstance(lam, RealBall):
-        p = prec if prec is not None else 128
-        acc = [RealBall.zero()] * 3
-        for val in reversed(values):
-            acc = [acc[k].mul(lam, p).add(RealBall.from_rational(val[k], p), p)
-                   for k in range(3)]
-        return tuple(acc)
-    raise TypeError(f"unsupported scalar for lam: {type(lam)!r}")
+    lam = as_rat(lam)
+    acc = (Fraction(0), Fraction(0), Fraction(0))
+    for val in reversed(values):  # Horner in lam
+        acc = tuple(acc[k] * lam + val[k] for k in range(3))
+    return acc

@@ -236,11 +236,6 @@ def _coerce(other):
     return NotImplemented
 
 
-def partials(p: Poly2):
-    """(dp/dx, dp/dy), exact formal derivatives."""
-    return p.partial_x(), p.partial_y()
-
-
 def laplacian(p: Poly2) -> Poly2:
     """d^2p/dx^2 + d^2p/dy^2, exact."""
     return p.partial_x().partial_x() + p.partial_y().partial_y()

@@ -301,37 +301,37 @@ class EstimateResult:
 
 
 def _run_cohort(config: SimConfig, index_lo: int, index_hi: int) -> SigAccumulator:
+    """Accumulate paths index_lo .. index_hi - 1, holding only live paths.
+
+    Every live path has run the same number of blocks, so the block index
+    gives each exit time; exited rows are dropped after each block, in
+    path order.
+    """
     p_count = index_hi - index_lo
     gens = [_path_generator(config.seed, i) for i in range(index_lo, index_hi)]
     pos = np.tile(np.asarray(config.start, dtype=np.float64), (p_count, 1))
-    blocks_done = np.zeros(p_count, dtype=np.int64)
     sig = [np.zeros((p_count, 2 ** n)) for n in range(1, config.level + 1)]
-    alive = np.arange(p_count)
     acc = SigAccumulator(config.level)
-    while alive.size:
-        a_count = alive.size
-        normals = np.empty((a_count, BLOCK, 2))
-        uniforms = np.empty((a_count, BLOCK))
-        for j, li in enumerate(alive):
-            gen = gens[li]
-            gen.standard_normal(out=normals[j])
-            gen.random(out=uniforms[j])
-        inc, exit_step, end_pos = _advance_block(
-            pos[alive], normals, uniforms, config.h, config.bridge_correction)
-        block_sig = _block_signature(inc, config.level)
-        current = [sig[n][alive] for n in range(config.level)]
-        combined = _chen_combine(current, block_sig)
-        for n in range(config.level):
-            sig[n][alive] = combined[n]
-        pos[alive] = end_pos
+    for block in range(_MAX_BLOCKS_PER_PATH):
+        normals = np.empty((len(gens), BLOCK, 2))
+        uniforms = np.empty((len(gens), BLOCK))
+        for gen, nrm, uni in zip(gens, normals, uniforms):
+            gen.standard_normal(out=nrm)
+            gen.random(out=uni)
+        inc, exit_step, pos = _advance_block(
+            pos, normals, uniforms, config.h, config.bridge_correction)
+        sig = _chen_combine(sig, _block_signature(inc, config.level))
         exited = exit_step >= 0
         if exited.any():
-            rows = alive[exited]
-            taus = (blocks_done[rows] * BLOCK + exit_step[exited] + 1) * config.h
-            acc.update([sig[n][rows] for n in range(config.level)], taus)
-        blocks_done[alive] += 1
-        alive = alive[~exited]
-    return acc
+            taus = (block * BLOCK + exit_step[exited] + 1) * config.h
+            acc.update([s[exited] for s in sig], taus)
+            live = ~exited
+            gens = [gen for gen, keep in zip(gens, live) if keep]
+            if not gens:
+                return acc
+            pos = pos[live]
+            sig = [s[live] for s in sig]
+    raise RuntimeError("path failed to exit within the block budget")
 
 
 def estimate_expected_sig(config: SimConfig) -> EstimateResult:

@@ -146,9 +146,10 @@ def locate_pole(target_width, precision: int = DEFAULT_PREC) -> PoleCertificate:
     """Bisect (5/2, 3) down to target_width with certified signs only.
 
     Midpoints with inconclusive sign are shifted by 1/16 of the bracket,
-    then the working precision is doubled (bounded retries).  The final
-    bracket is certified on both endpoints at the final precision and the
-    numerator is certified negative across it.
+    then the working precision is doubled (bounded retries); each doubling
+    re-certifies both current endpoints, so the final bracket's stored
+    d-values all come from the final precision.  The numerator is
+    certified negative across the final bracket.
     """
     width = as_rat(target_width)
     if width <= 0:
@@ -176,14 +177,12 @@ def locate_pole(target_width, precision: int = DEFAULT_PREC) -> PoleCertificate:
             escalations += 1
             precision *= 2
             constants = make_constants(precision)
+            d_lo, d_hi = verify_sign_change(lo, hi, precision, constants)
             sign, ball = _certified_d(mid, constants, precision)
         if sign < 0:
             lo, d_lo = mid, ball
         else:
             hi, d_hi = mid, ball
-    # re-certify both endpoints at the final precision so the stored balls
-    # share one precision story
-    d_lo, d_hi = verify_sign_change(lo, hi, precision, constants)
     num = verify_numerator_nonvanishing(lo, hi, precision=precision,
                                         constants=constants)
     return PoleCertificate(

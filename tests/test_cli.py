@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 import disksig.cli as cli
+import disksig.montecarlo as montecarlo
 from disksig.cli import DEVELOPED_CAP, main
 from disksig.hierarchy import HierarchyState
 
@@ -63,6 +64,14 @@ def test_hierarchy_cap_violation(tmp_path):
     rc, out = run(tmp_path, "hierarchy", "--levels", "17", "--mode", "tensor")
     assert rc == 2
     assert not out.exists()
+
+
+def test_hierarchy_developed_oracle_cap(tmp_path):
+    rc, out = run(tmp_path, "hierarchy", "--mode", "developed",
+                  "--levels", str(cli.DEVELOPED_ORACLE_CAP + 1))
+    assert rc == 2
+    assert not out.exists()
+    assert not (tmp_path / "out.manifest.json").exists()
 
 
 def test_hierarchy_dump_polys_round_trips(tmp_path):
@@ -237,6 +246,30 @@ def test_mc_csv(tmp_path):
     assert set("12") <= {w[0] for w in by_word if w and w != "exit_time"}
     assert float(by_word["exit_time"][1]) > 0
     assert len(data) == 1 + 2 + 4 + 1
+
+
+def test_mc_reports_deviation_from_exact_levels(tmp_path, capsys):
+    rc, out = run(tmp_path, "mc", "--paths", "300", "--h", "1e-3")
+    assert rc == 0
+    # per-path streams fix every byte; the deviation report must not move them
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "5a90c8d36a071995c3aa908fbbbfddafa8c46684336806f0817dbe77fa45b80f")
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "mc exit_time", "mc 11", "mc 12", "mc 21", "mc 22"]
+    assert "exact +0.500000" in lines[0]
+    assert "exact +0.250000" in lines[1] and "exact +0.000000" in lines[2]
+    assert all(line.endswith(" SE") for line in lines)
+
+
+def test_mc_exhausted_block_budget_is_a_clean_error(tmp_path, monkeypatch,
+                                                    capsys):
+    monkeypatch.setattr(montecarlo, "_MAX_BLOCKS_PER_PATH", 1)
+    rc, out = run(tmp_path, "mc", "--paths", "64", "--h", "1e-3")
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+    assert not (tmp_path / "out.manifest.json").exists()
 
 
 def test_mc_rejects_bad_start(tmp_path):

@@ -5,7 +5,6 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disksig.balls import RealBall
 from disksig.development import (Vec3Poly, fold_apply, fold_apply_naive,
                                  identity3, m_of_vector, m_word, mat_mul,
                                  mat_vec, partial_sum_F)
@@ -98,14 +97,3 @@ def test_partial_sum_axis_symmetry(state):
     for xq in (F(0), F(1, 3), F(-2, 5)):
         val = partial_sum_F(F(1, 2), values_at(state, (xq, F(0)), 8))
         assert val[1] == 0
-
-
-def test_partial_sum_ball_route_contains_exact(state):
-    values = values_at(state, (F(1, 4), F(1, 8)), 12)
-    lam = F(3, 2)
-    exact = partial_sum_F(lam, values)
-    lam_ball = RealBall.from_rational(lam, 128)
-    balls = partial_sum_F(lam_ball, values, prec=128)
-    for k in range(3):
-        assert balls[k].contains(exact[k])
-        assert balls[k].rad_fraction() < F(1, 10 ** 20)

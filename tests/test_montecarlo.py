@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import disksig.montecarlo as montecarlo
 from disksig.montecarlo import (BLOCK, SigAccumulator, SimConfig,
                                 _advance_block, _block_signature,
                                 _chen_combine, _path_generator, _run_cohort,
@@ -139,6 +140,13 @@ def test_cohort_engine_agrees_with_scalar_reference():
     for n in range(FAST.level):
         assert np.allclose(acc.mean[n], ref.mean[n], atol=1e-11)
         assert np.allclose(acc.m2[n], ref.m2[n], atol=1e-9)
+
+
+def test_cohort_raises_when_the_block_budget_runs_out(monkeypatch):
+    # from the origin with h = 1e-3 most paths outlive one 256-step block
+    monkeypatch.setattr(montecarlo, "_MAX_BLOCKS_PER_PATH", 1)
+    with pytest.raises(RuntimeError, match="block budget"):
+        _run_cohort(FAST, 0, FAST.paths)
 
 
 def test_accumulator_merge_is_associative_up_to_rounding():

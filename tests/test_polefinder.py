@@ -5,6 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
+import disksig.polefinder as polefinder
+from disksig.bessel import d_lambda, make_constants
 from disksig.polefinder import (InconclusiveSign, NoSignChange,
                                 PoleCertificate, locate_pole,
                                 verify_sign_change,
@@ -42,6 +44,34 @@ def test_locate_pole_coarse_bracket_stays_inside_lemma_interval():
     cert = locate_pole(F(1, 100))
     assert F(5, 2) < cert.bracket_lo < cert.bracket_hi < F(3)
     assert cert.verify() == []
+
+
+def test_escalation_recertifies_endpoints_at_final_precision(monkeypatch):
+    real = polefinder._certified_d
+    calls = []
+
+    def counted(lam, constants, precision):
+        calls.append(lam)
+        return real(lam, constants, precision)
+
+    monkeypatch.setattr(polefinder, "_certified_d", counted)
+    locate_pole(F(1, 100))
+    last = len(calls)
+    calls.clear()
+
+    def flaky(lam, constants, precision):
+        # the last midpoint and its nudge read inconclusive at 128 bits
+        sign, ball = counted(lam, constants, precision)
+        return (0, ball) if len(calls) in (last, last + 1) else (sign, ball)
+
+    monkeypatch.setattr(polefinder, "_certified_d", flaky)
+    cert = locate_pole(F(1, 100), precision=128)
+    assert cert.precision == 256
+    assert cert.verify() == []
+    constants = make_constants(256)
+    for lam, ball in ((cert.bracket_lo, cert.d_lo), (cert.bracket_hi, cert.d_hi)):
+        ref = d_lambda(lam, constants, 256)
+        assert (ball.mid, ball.rad) == (ref.mid, ref.rad)
 
 
 def test_certificate_json_round_trip():

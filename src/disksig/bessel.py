@@ -68,15 +68,30 @@ def _tail_bound(xu: Fraction, n: int) -> Fraction:
 
 
 def _auto_terms(x: ComplexBall, prec: int) -> int:
-    """Smallest n with tail bound below 2^(10 - prec)."""
-    target = Fraction(1, 2 ** (prec - 10))
+    """Smallest n with tail bound below 2^(10 - prec).
+
+    The scan starts at the first n >= 1 with 4(n+1)^2 > |x|^2 (where the
+    bound becomes valid) and tests every n in turn; from there the bound
+    decreases in n, so the first n below the target is the answer.  With
+    |x|^2 <= p/s, each test is the exact integer comparison
+        p^n 4(n+1)^2 s 2^(prec-10) < (4s)^n n!^2 (4(n+1)^2 s - p),
+    and p^n, (4s)^n n!^2 are carried from n to n+1 by one product each
+    instead of rebuilding the bound.
+    """
     xu2 = x.abs2().upper()
+    p, s = xu2.numerator, xu2.denominator
     n = 1
     while 4 * (n + 1) ** 2 <= xu2:
         n += 1
-    while _tail_bound(xu2, n) >= target:
+    num = p ** n
+    den = (4 * s) ** n * factorial(n) ** 2
+    while True:
+        m = 4 * (n + 1) ** 2 * s
+        if (num * m) << (prec - 10) < den * (m - p):
+            return n
         n += 1
-    return n
+        num *= p
+        den *= 4 * s * n * n
 
 
 def bessel_j(nu: int, x, n_terms: int | None = None,
@@ -162,6 +177,17 @@ def remark_product(lam, constants: Constants,
 def d_lambda(lam, constants: Constants, prec: int | None = None) -> RealBall:
     """d(lambda) = Im of the remark product; zeros of d are the poles."""
     return remark_product(lam, constants, prec).im
+
+
+def d_and_numerator(lam, constants: Constants,
+                    prec: int | None = None) -> tuple:
+    """(d_lambda, numerator_im) at lambda from one J1(lambda conj(zeta)).
+
+    Both balls equal the ones the two functions return separately.
+    """
+    prec = prec or constants.prec
+    _, j1, product = _remark_parts(lam, constants, prec)
+    return product.im, constants.alpha.conj().mul(j1, prec).im
 
 
 def d_lambda_determinant(lam, constants: Constants,

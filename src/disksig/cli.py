@@ -34,8 +34,8 @@ from fractions import Fraction
 
 from . import __version__
 from .balls import DEFAULT_PREC, RealBall
-from .bessel import (bessel_j, d_lambda, d_lambda_determinant,
-                     make_constants, numerator_im, series_terms)
+from .bessel import (bessel_j, d_and_numerator, d_lambda_determinant,
+                     make_constants, series_terms)
 from .bessel import abc_closed_form
 from .development import fold_apply, partial_sum_F
 from .exactpoly import rat_str, words
@@ -229,9 +229,8 @@ def cmd_bessel(args) -> tuple:
     if args.pairing is not None:
         constants = make_constants(prec)
         lam = args.pairing
-        d_direct = d_lambda(lam, constants, prec)
+        d_direct, num = d_and_numerator(lam, constants, prec)
         d_det = d_lambda_determinant(lam, constants, prec)
-        num = numerator_im(lam, constants, prec)
         two_route = _overlap(d_direct, d_det)
         if not two_route:
             failures.append("pairing two-route enclosures are disjoint")

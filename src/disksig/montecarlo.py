@@ -23,6 +23,22 @@ sqrt(h) term, leaving O(h) curvature bias far below noise.  The exit
 point is the radial projection of the exit-step position onto the
 circle, folded into that step's increment so signatures see a path
 ending exactly on the boundary.
+
+Block signatures: each block of BLOCK steps gets its own truncated
+signature, folded into the running one by Chen's identity.  Inside a
+block, the levels below the top level N are built step by step, as
+exclusive prefix sums, because the next level needs them; the top level
+is a contraction of those prefixes with the step powers over the step
+axis (batched matmuls), so no per-step array of width 2^N is ever made.
+Positions and exit decisions never read a signature, so exit steps,
+exit times and simulate_stopped_path are fixed bit for bit by (seed,
+path_index).  Lower levels are summed in step order; the matmul
+reassociates the top-level sums, so the last bits of top-level means
+depend on the kernel (signature_of_path stays the reference).
+
+Work is bounded: a path gets at most 2^27 steps, and SimConfig refuses
+any h below MIN_STEP, at which that budget would end paths before the
+EXIT_HORIZON that no Brownian path outlives in practice.
 """
 
 from __future__ import annotations
@@ -34,11 +50,26 @@ import numpy as np
 
 BLOCK = 256
 COHORT = 4096
-_MAX_BLOCKS_PER_PATH = 10_000_000
+_MAX_BLOCKS_PER_PATH = 2 ** 19  # per-path step budget: 2^27 steps
+# Brownian motion started anywhere in the disk is still inside at time t
+# with probability at most about 1.6 exp(-j^2 t / 2), j = 2.405 the first
+# zero of J0: about 1e-40 at t = 32.  Every accepted step size lets the
+# step budget reach this horizon, so the budget is met only by a fault,
+# and no accepted input costs a path more than 2^27 steps.
+EXIT_HORIZON = 32.0
+MIN_STEP = EXIT_HORIZON / (_MAX_BLOCKS_PER_PATH * BLOCK)  # about 2.4e-7
 
 
 @dataclass(frozen=True)
 class SimConfig:
+    """Parameters of one Monte Carlo estimate.
+
+    The step size h must lie in [MIN_STEP, inf): below MIN_STEP the
+    per-path step budget would end paths before EXIT_HORIZON, and the
+    expected work per path, (1 - |start|^2) / (2h) steps, is unbounded
+    as h goes to 0.
+    """
+
     start: tuple = (0.0, 0.0)
     h: float = 1e-4
     level: int = 2
@@ -54,6 +85,11 @@ class SimConfig:
             raise ValueError("start point must lie in the open unit disk")
         if not self.h > 0:
             raise ValueError("step size must be positive")
+        if self.h < MIN_STEP:
+            raise ValueError(
+                f"step size must be at least {MIN_STEP:.3g}, so that the "
+                f"per-path budget of {_MAX_BLOCKS_PER_PATH * BLOCK} steps "
+                f"reaches simulated time {EXIT_HORIZON:g}")
         if not 1 <= self.level <= 6:
             raise ValueError("signature level must be in 1..6")
         if self.paths < 1:
@@ -67,6 +103,13 @@ def _path_generator(seed: int, path_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _radius(p):
+    """Euclidean norm over the last axis (size 2), bit for bit the value
+    np.linalg.norm(p, axis=-1) returns, without its dispatch cost."""
+    x, y = p[..., 0], p[..., 1]
+    return np.sqrt(x * x + y * y)
+
+
 def _advance_block(pos, normals, uniforms, h: float, bridge: bool):
     """One block of steps for a batch of paths sharing nothing.
 
@@ -75,15 +118,16 @@ def _advance_block(pos, normals, uniforms, h: float, bridge: bool):
     int with -1 for survivors, end_pos (A, 2): on-circle for exited
     paths, last trajectory point for survivors).
     """
-    a_count, b_count = uniforms.shape
+    b_count = uniforms.shape[1]
     inc = normals * math.sqrt(h)
-    traj = pos[:, None, :] + np.cumsum(inc, axis=1)
-    rad = np.linalg.norm(traj, axis=2)
+    traj = np.cumsum(inc, axis=1)
+    traj += pos[:, None, :]
+    rad = _radius(traj)
     exit_mask = rad >= 1.0
     if bridge:
         d_curr = 1.0 - rad
         d_prev = np.empty_like(d_curr)
-        d_prev[:, 0] = 1.0 - np.linalg.norm(pos, axis=1)
+        d_prev[:, 0] = 1.0 - _radius(pos)
         d_prev[:, 1:] = d_curr[:, :-1]
         both_inside = (d_prev > 0.0) & (d_curr > 0.0)
         log_p = np.where(both_inside, -2.0 * d_prev * d_curr / h, -np.inf)
@@ -96,7 +140,7 @@ def _advance_block(pos, normals, uniforms, h: float, bridge: bool):
     if rows.size:
         kk = k[rows]
         pk = traj[rows, kk]
-        nrm = np.maximum(np.linalg.norm(pk, axis=1), 1e-300)
+        nrm = np.maximum(_radius(pk), 1e-300)
         proj = pk / nrm[:, None]
         prev = np.where((kk > 0)[:, None], traj[rows, np.maximum(kk - 1, 0)],
                         pos[rows])
@@ -133,43 +177,58 @@ def simulate_stopped_path(config: SimConfig, path_index: int) -> np.ndarray:
 
 
 def _excl_cumsum(x):
+    """Exclusive cumulative sum over the last (step) axis."""
     out = np.empty_like(x)
-    out[:, 0] = 0.0
-    np.cumsum(x[:, :-1], axis=1, out=out[:, 1:])
+    out[..., 0] = 0.0
+    np.cumsum(x[..., :-1], axis=-1, out=out[..., 1:])
     return out
 
 
-def _batch_kron(x, y):
-    a, b = x.shape[0], x.shape[1]
-    out = np.einsum("abi,abj->abij", x.reshape(a, b, -1), y.reshape(a, b, -1))
-    return out.reshape(a, b, -1)
+def _kron(x, y):
+    """Per-row, per-step kron of x (i, A, B) and y (j, A, B): (i*j, A, B)."""
+    return (x[:, None] * y[None, :]).reshape(-1, *x.shape[1:])
 
 
 def _block_signature(inc, level: int) -> list:
-    """Signature levels 1..level of each row's step sequence.
+    """Signature levels 1..level of each row of inc (A, B, 2), as (A, 2^n).
 
-    Per-step contributions via the concatenation update: appending a
-    chord with increment D sends level n to
+    Appending a chord with increment D sends level n to
         sum_{m=0..n} S_{n-m} (x) D^(x)m / m!,
-    so each step adds sum_{m>=1} prefix_{n-m} (x) D^m/m!, with prefix_j
-    the exclusive prefix signature, accumulated by one cumulative sum
-    per level.  All-zero padding steps contribute identity factors.
+    so step b contributes e_n[b] = sum_{m=1..n} P_{n-m}[b] (x) D_b^(x)m / m!,
+    with P_j the exclusive prefix signature (P_0 = 1).  Below the top
+    level N, e_n is built per step only to feed P_n, an exclusive
+    cumulative sum, and its step total.  The top level is a contraction
+    over the step axis and is never built per step:
+        S_N = (P_{N-1} + D^(x)(N-1)/N!)^T D + sum_{m=2..N-1} P_{N-m}^T D^(x)m/m!,
+    one batched matmul (A, 2^j, B) @ (A, B, 2^m) per term, whose result
+    reshaped is already in kron order.  Per-step tensors are held
+    component-major, (2^n, A, B), so each kron is a broadcast product of
+    whole contiguous (A, B) planes.  All-zero padding steps contribute
+    nothing.
     """
-    a_count, b_count = inc.shape[0], inc.shape[1]
-    pow_term = inc  # D^(x)m / m!, flattened
-    powers = [pow_term]
-    for m in range(2, level + 1):
-        pow_term = _batch_kron(pow_term, inc) / m
-        powers.append(pow_term)
-    prefixes: list = []  # exclusive prefix signature per level
+    a_count = inc.shape[0]
+    if level == 1:
+        return [inc.sum(axis=1)]
+    d = np.ascontiguousarray(inc.transpose(2, 0, 1))
+    powers = [d]  # D^(x)m / m! per step, m = 1 .. level - 1
+    for m in range(2, level):
+        powers.append(_kron(powers[-1], d) / m)
+    prefixes = [None]  # exclusive prefix signatures P_1 .. P_{N-1}
     totals = []
-    for n in range(1, level + 1):
+    for n in range(1, level):
         e_n = powers[n - 1].copy()
         for m in range(1, n):
-            e_n += _batch_kron(prefixes[n - m - 1], powers[m - 1])
-        totals.append(e_n.sum(axis=1))
-        if n < level:
-            prefixes.append(_excl_cumsum(e_n))
+            e_n += _kron(prefixes[n - m], powers[m - 1])
+        p_n = _excl_cumsum(e_n)
+        totals.append((p_n[..., -1] + e_n[..., -1]).T)
+        prefixes.append(p_n)
+    left = prefixes[level - 1] + powers[level - 2] / level
+    top = np.matmul(left.transpose(1, 0, 2), inc).reshape(a_count, -1)
+    for m in range(2, level):
+        term = np.matmul(prefixes[level - m].transpose(1, 0, 2),
+                         powers[m - 1].transpose(1, 2, 0))
+        top += term.reshape(a_count, -1)
+    totals.append(top)
     return totals
 
 

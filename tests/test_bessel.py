@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from disksig.balls import ComplexBall, RealBall, mpf_to_fraction
-from disksig.bessel import (abc_closed_form, bessel_j,
-                            bessel_tail_bound, d_lambda,
-                            d_lambda_determinant, make_constants,
+from disksig.bessel import (_auto_terms, _tail_bound, abc_closed_form,
+                            bessel_j, bessel_tail_bound, d_and_numerator,
+                            d_lambda, d_lambda_determinant, make_constants,
                             numerator_im, ode_residual, remark_product,
                             series_terms)
 
@@ -145,6 +145,42 @@ def test_numerator_interval_argument():
     lam = RealBall.from_interval(F(282, 100), F(283, 100))
     num = numerator_im(lam, CONSTS)
     assert num.is_negative()
+
+
+def _auto_terms_linear_scan(x, prec):
+    """The plain scan: rebuild the exact tail bound for n = n0, n0 + 1, ..."""
+    target = F(1, 2 ** (prec - 10))
+    xu2 = x.abs2().upper()
+    n = 1
+    while 4 * (n + 1) ** 2 <= xu2:
+        n += 1
+    while _tail_bound(xu2, n) >= target:
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("prec", [53, 128, 512, 1024])
+def test_auto_terms_matches_linear_scan(prec):
+    # |x| on a grid over [0, 40] (finer where the reference scan is cheap),
+    # which includes points where the geometric factor of the bound decides
+    step = F(1, 4) if prec <= 128 else F(1)
+    grid = [k * step for k in range(int(40 / step) + 1)]
+    points = [(mag, F(0)) for mag in grid]
+    # off the axes, tiny and non-dyadic moduli, and the pole region
+    for mag in (F(1, 10 ** 6), F(1, 3), F(7, 2), F(19, 3), F(25)):
+        points += [(F(3, 5) * mag, F(-4, 5) * mag), (F(0), mag)]
+    points.append((F(283, 100) * CONSTS.zeta.abs2().upper(), F(1, 7)))
+    for re_q, im_q in points:
+        x = ComplexBall.from_rationals(re_q, im_q, prec)
+        assert _auto_terms(x, prec) == _auto_terms_linear_scan(x, prec)
+
+
+def test_d_and_numerator_equal_the_separate_routes():
+    for lam in (F(5, 2), F(283, 100), F(3)):
+        d, num = d_and_numerator(lam, CONSTS)
+        for got, want in ((d, d_lambda(lam, CONSTS)),
+                          (num, numerator_im(lam, CONSTS))):
+            assert (got.mid, got.rad) == (want.mid, want.rad)
 
 
 def test_series_terms_grows_with_precision():

@@ -253,7 +253,21 @@ def test_mc_reports_deviation_from_exact_levels(tmp_path, capsys):
     assert rc == 0
     # per-path streams fix every byte; the deviation report must not move them
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "5a90c8d36a071995c3aa908fbbbfddafa8c46684336806f0817dbe77fa45b80f")
+        "2cb226b411a1a86d7d379b44e59e36b371ec70955751a52d6e2f7d7a4ab21457")
+    # values written by the earlier per-step kernel, which built the top
+    # signature level step by step: exits must match it bit for bit, the
+    # reassociated signature sums to 1e-12
+    text = out.read_text()
+    assert "\nexit_time,0.48936666666666667,0.022371715715729164\n" in text
+    assert "\n1,0.015345781918025945,0.040817870457212066\n" in text
+    _, rows = parse_csv(out)
+    by_word = {row[0]: (float(row[1]), float(row[2])) for row in rows[1:]}
+    for word, mean, err in (("11", 0.2491994795362688, 0.010474936644708551),
+                            ("12", -0.01163341329174235, 0.014817993398142045),
+                            ("21", -0.01188151053689204, 0.013836525179601634),
+                            ("22", 0.25080052046373114, 0.010474936644708553)):
+        assert by_word[word][0] == pytest.approx(mean, rel=0, abs=1e-12)
+        assert by_word[word][1] == pytest.approx(err, rel=0, abs=1e-12)
     lines = capsys.readouterr().err.splitlines()
     assert [line.split(":")[0] for line in lines] == [
         "mc exit_time", "mc 11", "mc 12", "mc 21", "mc 22"]
@@ -278,6 +292,15 @@ def test_mc_rejects_bad_start(tmp_path):
     # NaN passes the disk test by comparing false; it must still be refused
     rc, out = run(tmp_path, "mc", "--x", "nan", "--paths", "10")
     assert rc == 2
+    assert not out.exists()
+    assert not (tmp_path / "out.manifest.json").exists()
+
+
+def test_mc_rejects_step_below_minimum(tmp_path, capsys):
+    # at h = 1e-12 a path needs ~5e11 steps; refused before any work
+    rc, out = run(tmp_path, "mc", "--paths", "1", "--h", "1e-12")
+    assert rc == 2
+    assert "step size must be at least" in capsys.readouterr().err
     assert not out.exists()
     assert not (tmp_path / "out.manifest.json").exists()
 

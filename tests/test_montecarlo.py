@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import disksig.montecarlo as montecarlo
-from disksig.montecarlo import (BLOCK, SigAccumulator, SimConfig,
+from disksig.montecarlo import (BLOCK, MIN_STEP, SigAccumulator, SimConfig,
                                 _advance_block, _block_signature,
                                 _chen_combine, _path_generator, _run_cohort,
                                 estimate_expected_sig, signature_of_path,
@@ -31,6 +31,13 @@ def test_config_validation():
         SimConfig(start=(float("nan"), 0.0))
     with pytest.raises(ValueError):
         SimConfig(start=(0.0, float("-inf")))
+    # below MIN_STEP the step budget would not reach the exit horizon
+    with pytest.raises(ValueError, match="at least"):
+        SimConfig(h=1e-12)
+    with pytest.raises(ValueError, match="at least"):
+        SimConfig(h=MIN_STEP * (1 - 1e-12))
+    SimConfig(h=MIN_STEP)
+    SimConfig(h=1e-6)
 
 
 def test_paths_are_deterministic_and_distinct():
@@ -109,15 +116,34 @@ def test_chen_identity(seed, n_left, n_right):
         assert np.allclose(combined[n][0], whole[n], atol=1e-12)
 
 
+def _assert_block_matches_reference(inc, level):
+    levels = _block_signature(inc, level)
+    assert [x.shape for x in levels] == [(inc.shape[0], 2 ** n)
+                                         for n in range(1, level + 1)]
+    for row in range(inc.shape[0]):
+        want = signature_of_path(inc[row], level)
+        for n in range(level):
+            assert np.allclose(levels[n][row], want[n], rtol=0, atol=1e-12)
+
+
 def test_block_signature_matches_reference():
     rng = np.random.default_rng(11)
     inc = rng.standard_normal((5, 20, 2)) * 0.2
     inc[2, 13:] = 0.0  # zero-padded tail must act as identity steps
-    levels = _block_signature(inc, 4)
-    for row in range(5):
-        want = signature_of_path(inc[row], 4)
-        for n in range(4):
-            assert np.allclose(levels[n][row], want[n], atol=1e-12)
+    inc[4, 1:] = 0.0   # a single live step, then padding
+    for level in range(1, 7):
+        _assert_block_matches_reference(inc, level)
+        _assert_block_matches_reference(inc[:, :1], level)  # one-step block
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 3),
+       st.integers(1, 24), st.integers(0, 24))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_block_signature_random_blocks(seed, level, rows, steps, live):
+    rng = np.random.default_rng(seed)
+    inc = rng.standard_normal((rows, steps, 2)) * 0.3
+    inc[0, min(live, steps):] = 0.0
+    _assert_block_matches_reference(inc, level)
 
 
 def test_tensor_exp_factorials():

@@ -47,8 +47,8 @@ from .polefinder import PoleCertificate, SignChangeError, locate_pole
 
 TENSOR_CAP = 16
 DEVELOPED_CAP = 200  # radial route: develop, compare, radius
-# the bivariate developed oracle grows ~n^2/4 terms per level: 60 levels
-# take about 16 s on a 2-vCPU VM, 200 would take hours
+# the bivariate developed oracle grows ~n^2/4 terms per level and its cost
+# faster than n^4: 60 levels take about 2.5 s on a 2-vCPU VM, 120 about 30 s
 DEVELOPED_ORACLE_CAP = 60
 _E3 = (Fraction(0), Fraction(0), Fraction(1))
 

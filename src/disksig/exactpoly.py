@@ -11,13 +11,17 @@ not a numerical coincidence.  Three representations cooperate:
                 indexed by words over the alphabet {1, 2}
 
 boundary_trace restricts a Poly2 to the unit circle (x = cos theta,
-y = sin theta) by exact product-to-sum reduction; harmonic_extension is
-its one-sided inverse, sending cos(k theta) to Re((x+iy)^k) and
-sin(k theta) to Im((x+iy)^k).
+y = sin theta); harmonic_extension is its one-sided inverse, sending
+cos(k theta) to Re((x+iy)^k) and sin(k theta) to Im((x+iy)^k).  Both
+work in integers from shared tables (integer monomial traces, signed
+binomials) and build one Fraction per output coefficient.
+TrigPoly.mul_cos / mul_sin keep the rational product-to-sum step as a
+reference for the tables.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Rat = Fraction
@@ -361,53 +365,122 @@ class TrigPoly:
         return "TrigPoly(" + (" + ".join(bits) if bits else "0") + ")"
 
 
+# 2^(i+j) * trace(x^i y^j) has integer Fourier coefficients, since
+# 2 cos(t) and 2 sin(t) act on the basis by integer product-to-sum:
+#   2 cos(t) cos(kt) = cos((k+1)t) + cos((k-1)t)
+#   2 cos(t) sin(kt) = sin((k+1)t) + sin((k-1)t)
+#   2 sin(t) cos(kt) = sin((k+1)t) - sin((k-1)t)
+#   2 sin(t) sin(kt) = cos((k-1)t) - cos((k+1)t)
+# _MONO_TRACE maps (i, j) to that integer trace as two tuples of
+# (k, coefficient) pairs, cos then sin; it is shared by every call and
+# grows along the lattice path (i, j) -> (i, j-1) -> ... -> (0, 0).  Its
+# entries are never handed out, so no returned TrigPoly can alias them.
+_MONO_TRACE = {(0, 0): (((0, 1),), ())}
+
+
+def _times_two_trig(cos, sin, by_sin):
+    """Integer product-to-sum of (cos, sin) pairs with 2 cos(t) or 2 sin(t)."""
+    c, s = {}, {}
+    if by_sin:
+        for k, v in cos:
+            s[k + 1] = s.get(k + 1, 0) + v
+            s[k - 1] = s.get(k - 1, 0) - v
+        for k, v in sin:
+            c[k - 1] = c.get(k - 1, 0) + v
+            c[k + 1] = c.get(k + 1, 0) - v
+    else:
+        for k, v in cos:
+            c[k + 1] = c.get(k + 1, 0) + v
+            c[k - 1] = c.get(k - 1, 0) + v
+        for k, v in sin:
+            s[k + 1] = s.get(k + 1, 0) + v
+            s[k - 1] = s.get(k - 1, 0) + v
+    # fold negative frequencies: cos(-kt) = cos(kt), sin(-kt) = -sin(kt)
+    if -1 in c:
+        c[1] = c.get(1, 0) + c.pop(-1)
+    if -1 in s:
+        s[1] = s.get(1, 0) - s.pop(-1)
+    s.pop(0, None)
+    return (tuple(sorted((k, v) for k, v in c.items() if v)),
+            tuple(sorted((k, v) for k, v in s.items() if v)))
+
+
+def _mono_trace(i: int, j: int):
+    path = []
+    key = (i, j)
+    while key not in _MONO_TRACE:
+        path.append(key)
+        a, b = key
+        key = (a, b - 1) if b else (a - 1, 0)
+    for a, b in reversed(path):
+        _MONO_TRACE[(a, b)] = _times_two_trig(
+            *_MONO_TRACE[(a, b - 1) if b else (a - 1, 0)], by_sin=bool(b))
+    return _MONO_TRACE[(i, j)]
+
+
 def boundary_trace(p: Poly2) -> TrigPoly:
     """Exact restriction of p to the unit circle.
 
-    Substitutes x = cos theta, y = sin theta and reduces monomials to the
-    Fourier basis by repeated product-to-sum.  Traces of monomials are
-    memoized per call along the lattice path (i, j) -> (i-1, j) -> ...
+    Substitutes x = cos theta, y = sin theta.  Every coefficient of p is
+    scaled to the common denominator D * 2^N (D the lcm of p's
+    denominators, N its degree), so each monomial contributes an integer
+    multiple of its integer trace from _MONO_TRACE; the integer sums per
+    Fourier mode are divided by D * 2^N once, at the end.
     """
-    memo = {(0, 0): TrigPoly({0: Fraction(1)})}
-
-    def trace_mono(i: int, j: int) -> TrigPoly:
-        got = memo.get((i, j))
-        if got is not None:
-            return got
-        if i > 0:
-            t = trace_mono(i - 1, j).mul_cos()
-        else:
-            t = trace_mono(i, j - 1).mul_sin()
-        memo[(i, j)] = t
-        return t
-
     out = TrigPoly()
-    for (i, j), v in p.terms():
-        out = out + trace_mono(i, j).scale(v)
+    if not p._c:
+        return out
+    dens = math.lcm(*(v.denominator for v in p._c.values()))
+    deg = p.degree()
+    cos, sin = {}, {}
+    for (i, j), v in p._c.items():
+        scale = (v.numerator * (dens // v.denominator)) << (deg - i - j)
+        mono_cos, mono_sin = _mono_trace(i, j)
+        for k, m in mono_cos:
+            cos[k] = cos.get(k, 0) + scale * m
+        for k, m in mono_sin:
+            sin[k] = sin.get(k, 0) + scale * m
+    common = dens << deg
+    out.cos = {k: Fraction(v, common) for k, v in cos.items() if v}
+    out.sin = {k: Fraction(v, common) for k, v in sin.items() if v}
     return out
+
+
+# _HARMONIC[k] is the pair (Re, Im) of ((i, j), c) tuples with
+# Re((x+iy)^k) = sum c x^i y^j over the even j and Im((x+iy)^k) over the
+# odd j, c = (-1)^(j//2) * binom(k, j).  Shared by every call and never
+# handed out.
+_HARMONIC = {}
+
+
+def _harmonic_terms(k: int):
+    got = _HARMONIC.get(k)
+    if got is None:
+        terms = [((k - j, j), -math.comb(k, j) if j % 4 >= 2 else math.comb(k, j))
+                 for j in range(k + 1)]
+        got = _HARMONIC[k] = (tuple(terms[::2]), tuple(terms[1::2]))
+    return got
 
 
 def harmonic_extension(t: TrigPoly) -> Poly2:
     """The harmonic polynomial on the disk with boundary values t.
 
     cos(k theta) -> Re((x+iy)^k), sin(k theta) -> Im((x+iy)^k).
-    laplacian of the result is identically zero.
+    laplacian of the result is identically zero.  Re((x+iy)^k) and
+    Im((x+iy)^k) are homogeneous of degree k with even and odd powers of
+    y respectively, so no two modes of t share a monomial and each output
+    coefficient is one rational times an integer binomial term.
     """
-    kmax = max([0, *t.cos.keys(), *t.sin.keys()])
-    out = Poly2.zero()
-    re = Poly2.const(1)   # Re((x+iy)^k), k = 0
-    im = Poly2.zero()     # Im((x+iy)^k)
-    x = Poly2.monomial(1, 0)
-    y = Poly2.monomial(0, 1)
-    for k in range(kmax + 1):
-        ck = t.cos.get(k)
-        if ck:
-            out = out + re * ck
-        sk = t.sin.get(k)
-        if sk:
-            out = out + im * sk
-        re, im = re * x - im * y, re * y + im * x
-    return out
+    c = {}
+    for k, v in t.cos.items():
+        num, den = v.numerator, v.denominator
+        for key, b in _harmonic_terms(k)[0]:
+            c[key] = Fraction(num * b, den)
+    for k, v in t.sin.items():
+        num, den = v.numerator, v.denominator
+        for key, b in _harmonic_terms(k)[1]:
+            c[key] = Fraction(num * b, den)
+    return _raw(c)
 
 
 def words(n: int):

@@ -67,7 +67,8 @@ class SimConfig:
     The step size h must lie in [MIN_STEP, inf): below MIN_STEP the
     per-path step budget would end paths before EXIT_HORIZON, and the
     expected work per path, (1 - |start|^2) / (2h) steps, is unbounded
-    as h goes to 0.
+    as h goes to 0.  At least two paths are needed for a finite
+    standard error.
     """
 
     start: tuple = (0.0, 0.0)
@@ -92,8 +93,9 @@ class SimConfig:
                 f"reaches simulated time {EXIT_HORIZON:g}")
         if not 1 <= self.level <= 6:
             raise ValueError("signature level must be in 1..6")
-        if self.paths < 1:
-            raise ValueError("need at least one path")
+        if self.paths < 2:
+            raise ValueError("need at least two paths: one sample has no "
+                             "standard error")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
 

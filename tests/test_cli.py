@@ -87,6 +87,21 @@ def test_hierarchy_dump_polys_round_trips(tmp_path):
     assert t2.entry("11") == disk * F(1, 4)
 
 
+@pytest.mark.parametrize("mode, levels, digest", [
+    ("tensor", 8,
+     "338ddc8db32ef5d942a46eb9b32d08186aa2454962e1c8aa72ea954e2b0cb1e9"),
+    ("developed", 24,
+     "de58e72dbbac53f86764e0869d2f1c9f22b5286156228dbcb512f9d1e42571e4"),
+])
+def test_hierarchy_dump_polys_bytes_are_pinned(tmp_path, mode, levels, digest):
+    # every dumped rational of both oracle hierarchies, pinned to the bytes
+    # of the rational product-to-sum trace and Poly2-product extension
+    rc, out = run(tmp_path, "hierarchy", "--levels", str(levels),
+                  "--mode", mode, "--dump-polys")
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_develop_subcommand(tmp_path):
     rc, out = run(tmp_path, "develop", "--lambda", "1", "--levels", "2")
     assert rc == 0
@@ -301,6 +316,15 @@ def test_mc_rejects_step_below_minimum(tmp_path, capsys):
     rc, out = run(tmp_path, "mc", "--paths", "1", "--h", "1e-12")
     assert rc == 2
     assert "step size must be at least" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "out.manifest.json").exists()
+
+
+def test_mc_rejects_single_path(tmp_path, capsys):
+    # one path has no standard error; refused before any work
+    rc, out = run(tmp_path, "mc", "--paths", "1", "--h", "1e-3")
+    assert rc == 2
+    assert "at least two paths" in capsys.readouterr().err
     assert not out.exists()
     assert not (tmp_path / "out.manifest.json").exists()
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disksig.exactpoly import (Poly2, TensorPoly, boundary_trace,
+from disksig.exactpoly import (Poly2, TensorPoly, TrigPoly, boundary_trace,
                                harmonic_extension, laplacian, words,
                                word_index)
 
@@ -74,6 +74,91 @@ def test_harmonic_extension_matches_trace(p):
     ext = harmonic_extension(boundary_trace(p))
     assert laplacian(ext).is_zero()
     assert boundary_trace(ext - p).is_zero()
+
+
+# coefficients mixing small denominators with huge ones, so the
+# common denominator of one polynomial spans many orders of magnitude;
+# powers of two meet the 2^degree scale of the integer trace
+mixed_rationals = st.one_of(
+    rationals,
+    st.builds(F, st.integers(-10 ** 30, 10 ** 30),
+              st.integers(10 ** 12, 10 ** 30)),
+    st.builds(lambda n, e: F(n, 2 ** e), st.integers(-10 ** 6, 10 ** 6),
+              st.integers(0, 60)),
+    st.integers(-10 ** 6, 10 ** 6).map(F))
+
+
+def deep_poly_strategy(max_deg=24):
+    term = st.tuples(st.integers(0, max_deg), st.integers(0, max_deg),
+                     mixed_rationals).filter(lambda t: t[0] + t[1] <= max_deg)
+    return st.lists(term, max_size=12).map(
+        lambda ts: sum((Poly2.monomial(i, j, v) for i, j, v in ts),
+                       Poly2.zero()))
+
+
+def reference_trace(p):
+    """Term by term: x -> cos theta and y -> sin theta by the rational
+    product-to-sum steps of TrigPoly."""
+    out = TrigPoly()
+    for (i, j), v in p.terms():
+        t = TrigPoly({0: 1})
+        for _ in range(i):
+            t = t.mul_cos()
+        for _ in range(j):
+            t = t.mul_sin()
+        out = out + t.scale(v)
+    return out
+
+
+def reference_extension(t):
+    """Re((x+iy)^k) and Im((x+iy)^k) built by Poly2 products."""
+    kmax = max([0, *t.cos, *t.sin])
+    out = Poly2.zero()
+    re, im = Poly2.const(1), Poly2.zero()
+    x, y = Poly2.monomial(1, 0), Poly2.monomial(0, 1)
+    for k in range(kmax + 1):
+        out = out + re * t.cos.get(k, 0) + im * t.sin.get(k, 0)
+        re, im = re * x - im * y, re * y + im * x
+    return out
+
+
+@given(st.one_of(deep_poly_strategy(),
+                 mixed_rationals.map(Poly2.const),
+                 st.just(Poly2.zero())))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_boundary_trace_matches_product_to_sum(p):
+    assert boundary_trace(p) == reference_trace(p)
+
+
+trig_strategy = st.builds(
+    TrigPoly,
+    st.dictionaries(st.integers(0, 24), mixed_rationals, max_size=8),
+    st.dictionaries(st.integers(1, 24), mixed_rationals, max_size=8))
+
+
+@given(trig_strategy)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_harmonic_extension_matches_poly_products(t):
+    assert harmonic_extension(t) == reference_extension(t)
+
+
+def test_boundary_trace_results_do_not_alias_shared_tables():
+    x = Poly2.monomial(1, 0)
+    y = Poly2.monomial(0, 1)
+    for p in (Poly2.const(1), x * x * y, x * y * y + F(1, 3)):
+        want = reference_trace(p)
+        got = boundary_trace(p)
+        for k in list(got.cos):
+            got._add_cos(k, F(7))
+        got.cos[0] = F(-5)
+        for k in list(got.sin):
+            got.sin[k] *= 3
+        got.sin[99] = F(1)
+        assert boundary_trace(p) == want
+        ext = harmonic_extension(want)
+        want_ext = reference_extension(want)
+        ext._c.clear()
+        assert harmonic_extension(want) == want_ext
 
 
 def test_trig_product_identities():

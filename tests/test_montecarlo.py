@@ -24,6 +24,10 @@ def test_config_validation():
         SimConfig(level=0)
     with pytest.raises(ValueError):
         SimConfig(paths=0)
+    # one sample has no standard error, so every estimate would read inf
+    with pytest.raises(ValueError, match="at least two paths"):
+        SimConfig(paths=1)
+    SimConfig(paths=2)
     # non-finite inputs would slip past the disk and sign tests above
     with pytest.raises(ValueError):
         SimConfig(h=float("inf"))

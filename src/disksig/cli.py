@@ -50,6 +50,17 @@ DEVELOPED_CAP = 200  # radial route: develop, compare, radius
 # the bivariate developed oracle grows ~n^2/4 terms per level and its cost
 # faster than n^4: 60 levels take about 2.5 s on a 2-vCPU VM, 120 about 30 s
 DEVELOPED_ORACLE_CAP = 60
+# ball-layer caps, timed on a 2-vCPU VM: at MAX_PRECISION bits, `bessel
+# --pairing 141/50` takes about 3.4 s, `pole --width 1/1000` 2.7 s and
+# `compare --lambda 2 --levels 40` 3.6 s (each doubling costs about 4x,
+# and from about 14000 bits a ball's decimal digits exceed what Python
+# converts to a string); at MIN_POLE_WIDTH, `pole` takes about 3.6 s at
+# 128 bits and 5.9 s at MAX_PRECISION
+MAX_PRECISION = 8192
+MIN_POLE_WIDTH = Fraction(1, 10 ** 100)
+# a decimal rational's exponent beyond this many digits would make a
+# numerator or denominator Python does not parse from "num/den" either
+_MAX_DECIMAL_EXPONENT = 4300
 _E3 = (Fraction(0), Fraction(0), Fraction(1))
 
 
@@ -64,9 +75,12 @@ def _parse_rat(text: str) -> Fraction:
             return Fraction(text)
         from decimal import Decimal
 
-        return Fraction(Decimal(text))
+        value = Decimal(text)
+        if value.is_finite() and abs(value.as_tuple().exponent) > _MAX_DECIMAL_EXPONENT:
+            raise argparse.ArgumentTypeError(f"exponent out of range: {text!r}")
+        return Fraction(value)
     except (ValueError, ArithmeticError) as exc:
-        raise UsageError(f"not a rational: {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
 def _default_precision() -> int:
@@ -77,14 +91,14 @@ def _default_precision() -> int:
         prec = int(raw)
     except ValueError as exc:
         raise UsageError(f"DISKSIG_PREC must be an integer, got {raw!r}") from exc
-    if prec < 53:
-        raise UsageError("DISKSIG_PREC must be at least 53")
+    if not 53 <= prec <= MAX_PRECISION:
+        raise UsageError(f"DISKSIG_PREC must be in 53..{MAX_PRECISION}")
     return prec
 
 
 def _check_precision(prec: int) -> int:
-    if prec < 53:
-        raise UsageError("--precision must be at least 53")
+    if not 53 <= prec <= MAX_PRECISION:
+        raise UsageError(f"--precision must be in 53..{MAX_PRECISION}")
     return prec
 
 
@@ -271,6 +285,8 @@ def cmd_bessel(args) -> tuple:
 def cmd_pole(args) -> tuple:
     if args.width <= 0:
         raise UsageError("--width must be positive")
+    if args.width < MIN_POLE_WIDTH:
+        raise UsageError(f"--width must be at least {float(MIN_POLE_WIDTH):g}")
     prec = _check_precision(args.precision)
     certificate = locate_pole(args.width, precision=prec)
     text = json.dumps(certificate.to_json(), indent=2) + "\n"
@@ -488,7 +504,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     parser = _build_parser(default_prec)
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse printed a usage error or the help
+        return exc.code
     try:
         text, failures = _HANDLERS[args.cmd](args)
     except UsageError as exc:

@@ -87,13 +87,22 @@ class HierarchyState:
 
     tensor_levels[n] is a TensorPoly (2^n entries), developed_levels[n]
     a Vec3Poly.  Level n needs only n-1 and n-2, so extension is a
-    simple sequential sweep.  One writer at a time; reads between level
-    completions are safe.
+    simple sequential sweep.  The right-hand side of the newest solved
+    level of each hierarchy is held until take_rhs hands it to that
+    level's exactness check, so a level solved and then checked builds
+    it once.  One writer at a time; reads between level completions are
+    safe.
     """
 
     def __init__(self):
         self.tensor_levels: list[TensorPoly] = []
         self.developed_levels: list[Vec3Poly] = []
+        self._rhs: dict = {}  # hierarchy name -> (level, right-hand side)
+
+    def take_rhs(self, name: str, n: int):
+        """The held right-hand side of level n of `name`, once; else None."""
+        held = self._rhs.pop(name, None)
+        return held[1] if held is not None and held[0] == n else None
 
     # -- tensor hierarchy ------------------------------------------------
 
@@ -111,6 +120,7 @@ class HierarchyState:
         if n == 1:
             return TensorPoly.zeros(1)
         rhs = tensor_rhs(self, n)
+        self._rhs["tensor"] = (n, rhs)
         return TensorPoly(n, [solve_poisson_zero_bd(f) for f in rhs.entries])
 
     # -- developed hierarchy ----------------------------------------------
@@ -129,6 +139,7 @@ class HierarchyState:
         if n == 1:
             return Vec3Poly.zero()
         rhs = developed_rhs(self, n)
+        self._rhs["developed"] = (n, rhs)
         return Vec3Poly(*(solve_poisson_zero_bd(f) for f in rhs))
 
 
@@ -255,7 +266,9 @@ def tensor_checks(state: HierarchyState, n: int) -> dict:
     """Exact residual and boundary verification for tensor level n."""
     t = state.tensor(n)
     if n >= 2:
-        rhs = tensor_rhs(state, n)
+        rhs = state.take_rhs("tensor", n)
+        if rhs is None:  # not the newest solved level, or checked before
+            rhs = tensor_rhs(state, n)
         residual_ok = all((laplacian(t.entries[i]) - rhs.entries[i]).is_zero()
                           for i in range(1 << n))
     else:
@@ -271,7 +284,9 @@ def developed_checks(state: HierarchyState, n: int) -> dict:
     """Exact residual and boundary verification for developed level n."""
     v = state.developed(n)
     if n >= 2:
-        rhs = developed_rhs(state, n)
+        rhs = state.take_rhs("developed", n)
+        if rhs is None:  # not the newest solved level, or checked before
+            rhs = developed_rhs(state, n)
         residual_ok = all((laplacian(c) - r).is_zero() for c, r in zip(v, rhs))
     else:
         residual_ok = True

@@ -43,10 +43,30 @@ EXIT_HORIZON that no Brownian path outlives in practice.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass, field
 
-import numpy as np
+
+def _lazy_import(name: str):
+    """The module `name`, executed on first attribute access.
+
+    Only the Monte Carlo engine needs numpy; importing it lazily keeps it
+    out of the start-up of every other subcommand.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    loader.exec_module(module)
+    return module
+
+
+np = _lazy_import("numpy")
 
 BLOCK = 256
 COHORT = 4096

@@ -4,10 +4,16 @@ d(lambda) is continuous, certified negative at 2.5 and positive at 3, so
 it has a zero in between (intermediate value theorem); the closed form
 divides by d, and the series coefficients grow like the reciprocal of
 that zero.  This module brackets the zero by bisection on certified
-signs only: a midpoint whose d-enclosure straddles zero is first nudged
-by a sixteenth of the bracket, then retried at doubled precision.  The
-result is a PoleCertificate whose stored enclosures re-verify offline,
-with no Bessel evaluation needed.
+signs only.  A sign is a fact about d, not about the precision that
+certified it, so each midpoint sign is first tried at a cheap rung
+precision set by the midpoint's dyadic denominator (about log2 of the
+inverse bracket width, plus guard bits).  A rung enclosure that
+straddles zero falls back to the requested precision: the midpoint is
+re-evaluated there, nudged by a sixteenth of the bracket, then retried
+at doubled precision.  The enclosures stored in the PoleCertificate --
+d at both final endpoints, the numerator bound -- are all computed at
+the final requested precision, so the stored data re-verify offline,
+with no Bessel evaluation needed, and do not depend on the rungs.
 
 The companion check, verify_numerator_nonvanishing, certifies that the
 numerator of C at r = 0 stays away from zero across a bracket, by
@@ -20,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .balls import DEFAULT_PREC, RealBall
 from .bessel import (Constants, d_lambda, make_constants, numerator_im,
@@ -29,6 +36,11 @@ from .exactpoly import as_rat, rat_str
 BRACKET_LO = Fraction(5, 2)
 BRACKET_HI = Fraction(3)
 _MAX_ESCALATIONS = 6
+# rung precision of a midpoint: its denominator's bits plus a guard, at
+# least _RUNG_FLOOR, rounded up to a multiple of _RUNG_STEP
+_RUNG_FLOOR = 64
+_RUNG_GUARD = 32
+_RUNG_STEP = 32
 
 
 class SignChangeError(Exception):
@@ -136,8 +148,29 @@ class PoleCertificate:
         )
 
 
+# rungs are few (multiples of _RUNG_STEP below the requested precision),
+# so their constants are built once per process
+_rung_constants = lru_cache(maxsize=None)(make_constants)
+
+
+def _rung_precision(lam: Fraction) -> int:
+    bits = max(_RUNG_FLOOR, lam.denominator.bit_length() + _RUNG_GUARD)
+    return -(-bits // _RUNG_STEP) * _RUNG_STEP
+
+
 def _certified_d(lam: Fraction, constants: Constants, precision: int):
-    """(sign, ball) with sign certified nonzero, else sign 0."""
+    """(sign, ball) with sign certified nonzero, else sign 0.
+
+    The sign is tried first at lam's rung precision when that is below
+    `precision`; the ball is whichever enclosure decided, so it is at
+    `precision` only when the rung was skipped or straddled zero.
+    """
+    rung = _rung_precision(lam)
+    if rung < precision:
+        ball = d_lambda(lam, _rung_constants(rung), rung)
+        sign = _sign_of(ball)
+        if sign:
+            return sign, ball
     ball = d_lambda(lam, constants, precision)
     return _sign_of(ball), ball
 
@@ -145,11 +178,15 @@ def _certified_d(lam: Fraction, constants: Constants, precision: int):
 def locate_pole(target_width, precision: int = DEFAULT_PREC) -> PoleCertificate:
     """Bisect (5/2, 3) down to target_width with certified signs only.
 
-    Midpoints with inconclusive sign are shifted by 1/16 of the bracket,
-    then the working precision is doubled (bounded retries); each doubling
-    re-certifies both current endpoints, so the final bracket's stored
-    d-values all come from the final precision.  The numerator is
-    certified negative across the final bracket.
+    Each midpoint sign comes from _certified_d: the rung precision first,
+    then `precision`.  A midpoint inconclusive at `precision` is shifted
+    by 1/16 of the bracket, then the working precision is doubled
+    (bounded retries).  Only signs steer the bisection; once the bracket
+    is narrow enough, d at both endpoints is evaluated at the final
+    working precision and must be certified negative and positive, and
+    the numerator is certified negative across the bracket at that
+    precision.  Those enclosures, the final precision and the series
+    length are what the certificate stores.
     """
     width = as_rat(target_width)
     if width <= 0:
@@ -160,15 +197,12 @@ def locate_pole(target_width, precision: int = DEFAULT_PREC) -> PoleCertificate:
     constants = make_constants(precision)
     escalations = 0
     lo, hi = BRACKET_LO, BRACKET_HI
-    d_lo, d_hi = verify_sign_change(lo, hi, precision, constants)
-    if not (d_lo.is_negative() and d_hi.is_positive()):
-        raise NoSignChange("expected d < 0 at 5/2 and d > 0 at 3")
     while hi - lo > width:
         mid = (lo + hi) / 2
-        sign, ball = _certified_d(mid, constants, precision)
+        sign, _ = _certified_d(mid, constants, precision)
         if sign == 0:
             mid = mid + (hi - lo) / 16
-            sign, ball = _certified_d(mid, constants, precision)
+            sign, _ = _certified_d(mid, constants, precision)
         while sign == 0:
             if escalations >= _MAX_ESCALATIONS:
                 raise InconclusiveSign(
@@ -177,12 +211,14 @@ def locate_pole(target_width, precision: int = DEFAULT_PREC) -> PoleCertificate:
             escalations += 1
             precision *= 2
             constants = make_constants(precision)
-            d_lo, d_hi = verify_sign_change(lo, hi, precision, constants)
-            sign, ball = _certified_d(mid, constants, precision)
+            sign, _ = _certified_d(mid, constants, precision)
         if sign < 0:
-            lo, d_lo = mid, ball
+            lo = mid
         else:
-            hi, d_hi = mid, ball
+            hi = mid
+    d_lo, d_hi = verify_sign_change(lo, hi, precision, constants)
+    if not (d_lo.is_negative() and d_hi.is_positive()):
+        raise NoSignChange(f"expected d < 0 at {lo} and d > 0 at {hi}")
     num = verify_numerator_nonvanishing(lo, hi, precision=precision,
                                         constants=constants)
     return PoleCertificate(

@@ -3,6 +3,9 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -102,6 +105,29 @@ def test_hierarchy_dump_polys_bytes_are_pinned(tmp_path, mode, levels, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("mode, levels, name", [
+    ("developed", 32, "developed_rhs"),
+    ("tensor", 9, "tensor_rhs"),
+])
+def test_hierarchy_builds_each_right_hand_side_once(tmp_path, monkeypatch,
+                                                   mode, levels, name):
+    # levels 2..N are solved (31 of 32 developed, 8 of 9 tensor levels),
+    # and each level's check reuses the rhs its solve built
+    import disksig.hierarchy as hierarchy
+
+    real = getattr(hierarchy, name)
+    calls = []
+
+    def counted(state, n):
+        calls.append(n)
+        return real(state, n)
+
+    monkeypatch.setattr(hierarchy, name, counted)
+    rc, _ = run(tmp_path, "hierarchy", "--levels", str(levels), "--mode", mode)
+    assert rc == 0
+    assert calls == list(range(2, levels + 1))
+
+
 def test_develop_subcommand(tmp_path):
     rc, out = run(tmp_path, "develop", "--lambda", "1", "--levels", "2")
     assert rc == 0
@@ -164,6 +190,56 @@ def test_pole_rejects_zero_width(tmp_path):
     rc, out = run(tmp_path, "pole", "--width", "0")
     assert rc == 2
     assert not out.exists()
+
+
+def test_ball_layer_caps_admit_documented_inputs():
+    # README, tests and benchmark go down to width 1e-30 and up to 512 bits
+    assert cli.MIN_POLE_WIDTH <= F(1, 10 ** 30)
+    assert cli.MAX_PRECISION >= 512
+
+
+@pytest.mark.parametrize("argv", [
+    ("pole", "--width", "1e-101"),
+    ("pole", "--width", "1e-100000"),
+    ("pole", "--width", "1e-1000000000"),
+    ("pole", "--precision", str(cli.MAX_PRECISION + 1)),
+    ("pole", "--precision", "100000000"),
+    ("bessel", "--pairing", "3", "--precision", str(cli.MAX_PRECISION + 1)),
+    ("compare", "--lambda", "1", "--levels", "4",
+     "--precision", str(cli.MAX_PRECISION + 1)),
+    ("compare", "--lambda", "1e-1000000000", "--levels", "4"),
+    ("pole", "--width", "abc"),
+], ids=["width-below-cap", "width-1e-100000", "width-exponent-overflow",
+        "pole-precision", "pole-precision-1e8", "bessel-precision",
+        "compare-precision", "lambda-exponent-overflow", "width-malformed"])
+def test_ball_layer_inputs_out_of_range_write_nothing(tmp_path, capsys, argv):
+    rc, out = run(tmp_path, *argv)
+    assert rc == 2
+    assert "error: " in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "out.manifest.json").exists()
+
+
+def test_precision_env_above_cap_writes_nothing(tmp_path, monkeypatch):
+    monkeypatch.setenv("DISKSIG_PREC", str(cli.MAX_PRECISION + 1))
+    rc, out = run(tmp_path, "bessel", "--pairing", "3")
+    assert rc == 2
+    assert not out.exists()
+
+
+def test_subcommands_without_monte_carlo_do_not_load_numpy(tmp_path):
+    # numpy is imported on first use inside disksig.montecarlo
+    code = ("import sys\n"
+            "from disksig.cli import main\n"
+            f"assert main(['radius', '--levels', '4', '--out', {str(tmp_path / 'r')!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.')))\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def parse_csv(out):

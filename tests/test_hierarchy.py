@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from disksig.balls import RealBall
 from disksig.exactpoly import Poly2, boundary_trace, laplacian
 import disksig.hierarchy as hierarchy
-from disksig.hierarchy import (a_coefficients, developed_values, level_norms,
-                               radial_levels, radial_levels_ball,
+from disksig.hierarchy import (HierarchyState, a_coefficients, developed_values,
+                               level_norms, radial_levels, radial_levels_ball,
                                radius_estimate, solve_poisson_zero_bd,
                                developed_checks, tensor_checks)
 
@@ -64,6 +64,18 @@ def test_exactness_checks_small_levels(state):
                                            "boundary_ok": True}
         assert developed_checks(state, n) == {"residual_ok": True,
                                               "boundary_ok": True}
+
+
+def test_checks_out_of_order_use_their_own_right_hand_side():
+    # only the newest solved level's rhs is held, and only until checked
+    fresh = HierarchyState()
+    fresh.tensor(5)
+    fresh.developed(6)
+    ok = {"residual_ok": True, "boundary_ok": True}
+    for n in (3, 5, 2, 5):
+        assert tensor_checks(fresh, n) == ok
+    for n in (4, 6, 6, 2):
+        assert developed_checks(fresh, n) == ok
 
 
 def test_a_coefficients_fixtures():

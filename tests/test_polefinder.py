@@ -1,12 +1,15 @@
 """Certified sign changes, bisection brackets, and certificates."""
 
+import hashlib
 import json
 from fractions import Fraction as F
 
 import pytest
 
 import disksig.polefinder as polefinder
+from disksig.balls import RealBall
 from disksig.bessel import d_lambda, make_constants
+from disksig.cli import main
 from disksig.polefinder import (InconclusiveSign, NoSignChange,
                                 PoleCertificate, locate_pole,
                                 verify_sign_change,
@@ -118,3 +121,50 @@ def test_numerator_budget_exhaustion():
 def test_numerator_rejects_outside_bracket():
     with pytest.raises(ValueError):
         verify_numerator_nonvanishing(F(2), F(3))
+
+
+# sha256 of `disksig pole --width W --precision P` output, taken from the
+# bisection that certified every midpoint at the requested precision
+PINNED_CERTIFICATES = [
+    ("1/1000000", 128,
+     "30b6b7f65538cd68b0333e9e39c2c1bb57bd2128c6983cee1224369e0492e83c"),
+    ("1e-20", 512,
+     "c03121887b9f06d9a5830d089bb316c47ee9ccfe72f029836e1bca1872fb9ea1"),
+    ("1e-30", 128,
+     "5bd511f6debccfb6da1b478945dc732f0c7b959fe04cbd576d09d1478413eb6f"),
+]
+PINNED_IDS = ["1e-6@128", "1e-20@512", "1e-30@128"]
+
+
+def pole_digest(tmp_path, width, precision):
+    out = tmp_path / "cert.json"
+    rc = main(["pole", "--width", width, "--precision", str(precision),
+               "--out", str(out)])
+    assert rc == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("width, precision, digest", PINNED_CERTIFICATES,
+                         ids=PINNED_IDS)
+def test_pole_certificate_bytes_are_pinned(tmp_path, width, precision, digest):
+    assert pole_digest(tmp_path, width, precision) == digest
+
+
+@pytest.mark.parametrize("width, precision, digest", PINNED_CERTIFICATES,
+                         ids=PINNED_IDS)
+def test_straddling_rungs_fall_back_to_requested_precision(
+        tmp_path, monkeypatch, width, precision, digest):
+    # every evaluation below the requested precision is a rung; make each
+    # one inconclusive, so every sign comes from the fallback path
+    real = polefinder.d_lambda
+    rungs = []
+
+    def straddling(lam, constants, prec=None):
+        if prec < precision:
+            rungs.append(prec)
+            return RealBall.from_interval(-1, 1)
+        return real(lam, constants, prec)
+
+    monkeypatch.setattr(polefinder, "d_lambda", straddling)
+    assert pole_digest(tmp_path, width, precision) == digest
+    assert rungs

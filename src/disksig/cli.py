@@ -48,7 +48,7 @@ from .polefinder import PoleCertificate, SignChangeError, locate_pole
 TENSOR_CAP = 16
 DEVELOPED_CAP = 200  # radial route: develop, compare, radius
 # the bivariate developed oracle grows ~n^2/4 terms per level and its cost
-# faster than n^4: 60 levels take about 2.5 s on a 2-vCPU VM, 120 about 30 s
+# faster than n^3: 60 levels take about 0.5 s on a 2-vCPU VM, 120 about 5 s
 DEVELOPED_ORACLE_CAP = 60
 # ball-layer caps, timed on a 2-vCPU VM: at MAX_PRECISION bits, `bessel
 # --pairing 141/50` takes about 3.4 s, `pole --width 1/1000` 2.7 s and
@@ -58,6 +58,14 @@ DEVELOPED_ORACLE_CAP = 60
 # 128 bits and 5.9 s at MAX_PRECISION
 MAX_PRECISION = 8192
 MIN_POLE_WIDTH = Fraction(1, 10 ** 100)
+# `bessel` point caps, timed on a 2-vCPU VM: the auto-selected series
+# needs more than |z|/2 terms, so at |z| = MAX_BESSEL_ABS `bessel` takes
+# about 0.9 s at 128 bits and 4.0 s (4.7 s for --nu 1) at MAX_PRECISION;
+# --terms MAX_BESSEL_TERMS takes about 0.7 s at |z| = 1 (0.9 s at
+# MAX_PRECISION), and its cost grows faster than linearly: 4000 terms
+# took 5.8 s, 20000 over 100 s
+MAX_BESSEL_ABS = 1000
+MAX_BESSEL_TERMS = 1000
 # a decimal rational's exponent beyond this many digits would make a
 # numerator or denominator Python does not parse from "num/den" either
 _MAX_DECIMAL_EXPONENT = 4300
@@ -261,6 +269,10 @@ def cmd_bessel(args) -> tuple:
             "terms": series_terms(lam, constants, prec),
         }
         return json.dumps(payload, indent=2) + "\n", failures
+    if args.re * args.re + args.im * args.im > MAX_BESSEL_ABS ** 2:
+        raise UsageError(f"|--re + i --im| must be at most {MAX_BESSEL_ABS}")
+    if args.terms is not None and not 1 <= args.terms <= MAX_BESSEL_TERMS:
+        raise UsageError(f"--terms must be in 1..{MAX_BESSEL_TERMS}")
     from .balls import ComplexBall
 
     point = ComplexBall.from_rationals(args.re, args.im, prec)

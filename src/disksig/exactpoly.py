@@ -4,7 +4,9 @@ Everything in this module is exact: coefficients are rationals, operations
 are formal, and any identity a test asserts is an identity of polynomials,
 not a numerical coincidence.  Three representations cooperate:
 
-* Poly2      -- sparse polynomial in (x, y), exponent map (i, j) -> Rat
+* Poly2      -- sparse polynomial in (x, y): integer numerators
+                (i, j) -> int over one common denominator, in lowest
+                terms; Fractions appear only on output
 * TrigPoly   -- finite Fourier polynomial on the circle, maps k -> Rat
                 for cos(k theta) and sin(k theta)
 * TensorPoly -- a level-n tensor over R^2 whose 2^n entries are Poly2,
@@ -14,9 +16,11 @@ boundary_trace restricts a Poly2 to the unit circle (x = cos theta,
 y = sin theta); harmonic_extension is its one-sided inverse, sending
 cos(k theta) to Re((x+iy)^k) and sin(k theta) to Im((x+iy)^k).  Both
 work in integers from shared tables (integer monomial traces, signed
-binomials) and build one Fraction per output coefficient.
+binomials); boundary_trace builds one Fraction per output Fourier
+coefficient.  poisson_particular solves lap(u) = f for a particular
+polynomial u in one integer sweep over the y-degree rows of f.
 TrigPoly.mul_cos / mul_sin keep the rational product-to-sum step as a
-reference for the tables.
+reference for the tables.  Only this module reads Poly2's internals.
 """
 
 from __future__ import annotations
@@ -46,15 +50,20 @@ def rat_str(q: Fraction) -> str:
 class Poly2:
     """Sparse exact polynomial in x, y.
 
-    Internal map: (i, j) -> Fraction, no zero coefficients stored.
-    Instances are immutable by convention; all operations return new
-    objects and never mutate their inputs.
+    Internal form: integer numerators (i, j) -> int, none zero, over one
+    positive integer denominator, in lowest terms (the gcd of the
+    denominator and every numerator is 1; the zero polynomial has
+    denominator 1), so equal polynomials have equal internals.  Every
+    operation works on integers and reduces its result once; Fractions
+    are built only on output (coeff, terms, to_json).  Instances are
+    immutable by convention; all operations return new objects and never
+    mutate their inputs.
     """
 
-    __slots__ = ("_c",)
+    __slots__ = ("_c", "_d")
 
     def __init__(self, coeffs=None):
-        c = {}
+        acc = {}
         if coeffs:
             for (i, j), v in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
                 if i < 0 or j < 0:
@@ -62,18 +71,19 @@ class Poly2:
                 v = as_rat(v)
                 if v:
                     k = (int(i), int(j))
-                    w = c.get(k, _ZERO) + v
-                    if w:
-                        c[k] = w
-                    else:
-                        c.pop(k, None)
-        self._c = c
+                    acc[k] = acc.get(k, _ZERO) + v
+        acc = {k: v for k, v in acc.items() if v}
+        # over the lcm of reduced denominators the numerators share no
+        # factor with it, so the result is already in lowest terms
+        d = math.lcm(*(v.denominator for v in acc.values()))
+        self._c = {k: v.numerator * (d // v.denominator) for k, v in acc.items()}
+        self._d = d
 
     # -- constructors ------------------------------------------------
 
     @classmethod
     def zero(cls) -> "Poly2":
-        return cls()
+        return _raw({}, 1)
 
     @classmethod
     def const(cls, v) -> "Poly2":
@@ -87,10 +97,11 @@ class Poly2:
 
     def terms(self):
         """Iterate ((i, j), coeff) pairs in a fixed canonical order."""
-        return iter(sorted(self._c.items()))
+        d = self._d
+        return iter([(k, Fraction(v, d)) for k, v in sorted(self._c.items())])
 
     def coeff(self, i: int, j: int) -> Fraction:
-        return self._c.get((i, j), _ZERO)
+        return Fraction(self._c.get((i, j), 0), self._d)
 
     def is_zero(self) -> bool:
         return not self._c
@@ -103,13 +114,13 @@ class Poly2:
 
     def __eq__(self, other):
         if isinstance(other, Poly2):
-            return self._c == other._c
+            return self._d == other._d and self._c == other._c
         if isinstance(other, (int, Fraction)):
             return self == Poly2.const(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self._c.items()))
+        return hash((frozenset(self._c.items()), self._d))
 
     def __bool__(self):
         return bool(self._c)
@@ -128,49 +139,48 @@ class Poly2:
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        c = dict(self._c)
-        for k, v in other._c.items():
-            w = c.get(k, _ZERO) + v
-            if w:
-                c[k] = w
-            else:
-                c.pop(k, None)
-        return _raw(c)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _raw({k: -v for k, v in self._c.items()})
+        return _raw({k: -v for k, v in self._c.items()}, self._d)
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def _combine(self, other, sign: int):
+        """self + sign * other."""
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if not other._c:
+            return self
+        if not self._c:
+            return other if sign == 1 else -other
+        return _raw(*_sum_over_lcm(self._c, self._d, other._c, other._d, sign))
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             v = as_rat(other)
-            if not v:
+            if not v or not self._c:
                 return Poly2.zero()
-            return _raw({k: c * v for k, c in self._c.items()})
+            num, den = v.numerator, v.denominator
+            if num == den:
+                return self
+            return _reduced({k: c * num for k, c in self._c.items()},
+                            self._d * den)
         if isinstance(other, Poly2):
             c = {}
             for (i1, j1), v1 in self._c.items():
                 for (i2, j2), v2 in other._c.items():
                     k = (i1 + i2, j1 + j2)
-                    w = c.get(k, _ZERO) + v1 * v2
-                    if w:
-                        c[k] = w
-                    else:
-                        c.pop(k, None)
-            return _raw(c)
+                    c[k] = c.get(k, 0) + v1 * v2
+            return _reduced({k: v for k, v in c.items() if v},
+                            self._d * other._d)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -182,41 +192,53 @@ class Poly2:
     # -- calculus ------------------------------------------------------
 
     def partial_x(self) -> "Poly2":
-        return _raw({(i - 1, j): v * i for (i, j), v in self._c.items() if i})
+        return _reduced({(i - 1, j): v * i for (i, j), v in self._c.items() if i},
+                        self._d)
 
     def partial_y(self) -> "Poly2":
-        return _raw({(i, j - 1): v * j for (i, j), v in self._c.items() if j})
+        return _reduced({(i, j - 1): v * j for (i, j), v in self._c.items() if j},
+                        self._d)
 
     # -- evaluation and substitution ------------------------------------
 
     def evaluate(self, x, y):
-        """Exact evaluation; x, y may be Fraction or int (stays exact)."""
+        """Exact evaluation; x, y may be Fraction or int (stays exact).
+
+        With x = p/q and y = r/s, every term is brought to the common
+        denominator d q^I s^J (I, J the largest powers of x and y), so
+        the sum is one integer and one Fraction is built.
+        """
         x = as_rat(x)
         y = as_rat(y)
-        total = _ZERO
-        xp = {0: Fraction(1)}
-        yp = {0: Fraction(1)}
-        for (i, j), v in self._c.items():
-            if i not in xp:
-                xp[i] = x ** i
-            if j not in yp:
-                yp[j] = y ** j
-            total += v * xp[i] * yp[j]
-        return total
+        if not self._c:
+            return Fraction(0)
+        p, q = x.numerator, x.denominator
+        r, s = y.numerator, y.denominator
+        top_i = max(i for i, _ in self._c)
+        top_j = max(j for _, j in self._c)
+        xp = _power_pairs(p, q, top_i)
+        yp = _power_pairs(r, s, top_j)
+        total = sum(v * xp[i] * yp[j] for (i, j), v in self._c.items())
+        return Fraction(total, self._d * q ** top_i * s ** top_j)
 
     def rotate90(self) -> "Poly2":
         """p(x, y) -> p(-y, x), the quarter-turn substitution."""
         return _raw({(j, i): (v if i % 2 == 0 else -v)
-                     for (i, j), v in self._c.items()})
+                     for (i, j), v in self._c.items()}, self._d)
 
     def restrict_y0(self) -> "Poly2":
         """p(x, 0) as a polynomial in x alone (terms with j > 0 drop)."""
-        return _raw({(i, 0): v for (i, j), v in self._c.items() if j == 0})
+        return _reduced({k: v for k, v in self._c.items() if k[1] == 0}, self._d)
 
     # -- serialization ---------------------------------------------------
 
     def to_json(self):
-        return [[i, j, rat_str(v)] for (i, j), v in self.terms()]
+        d = self._d
+        out = []
+        for (i, j), v in sorted(self._c.items()):
+            g = math.gcd(v, d)
+            out.append([i, j, f"{v // g}/{d // g}"])
+        return out
 
     @classmethod
     def from_json(cls, data) -> "Poly2":
@@ -226,10 +248,54 @@ class Poly2:
 _ZERO = Fraction(0)
 
 
-def _raw(c: dict) -> Poly2:
+def _raw(c: dict, d: int) -> Poly2:
+    """Poly2 over numerators c and denominator d, already in lowest terms."""
     p = Poly2.__new__(Poly2)
     p._c = c
+    p._d = d
     return p
+
+
+def _lowest(c: dict, d: int) -> tuple:
+    """(c, d) divided by the gcd of d and every numerator; d = 1 if c is empty."""
+    if not c:
+        return c, 1
+    g = math.gcd(d, *c.values())
+    if g != 1:
+        c = {k: v // g for k, v in c.items()}
+        d //= g
+    return c, d
+
+
+def _reduced(c: dict, d: int) -> Poly2:
+    """Poly2 over nonzero numerators c and denominator d > 0, reduced once."""
+    return _raw(*_lowest(c, d))
+
+
+def _sum_over_lcm(c1: dict, d1: int, c2: dict, d2: int, sign: int = 1) -> tuple:
+    """c1/d1 + sign * c2/d2 as (numerators, denominator) over lcm(d1, d2),
+    zero numerators dropped, reduced once."""
+    g = math.gcd(d1, d2)
+    s1, s2 = d2 // g, sign * (d1 // g)
+    c = {k: v * s1 for k, v in c1.items()} if s1 != 1 else dict(c1)
+    for k, v in c2.items():
+        w = c.get(k, 0) + v * s2
+        if w:
+            c[k] = w
+        else:
+            del c[k]
+    return _lowest(c, d1 * s1)
+
+
+def _power_pairs(p: int, q: int, top: int) -> list:
+    """[p^k q^(top-k) for k = 0..top]: the k-th power of p/q over q^top."""
+    ps = [1]
+    for _ in range(top):
+        ps.append(ps[-1] * p)
+    qs = [1]
+    for _ in range(top):
+        qs.append(qs[-1] * q)
+    return [ps[k] * qs[top - k] for k in range(top + 1)]
 
 
 def _coerce(other):
@@ -241,8 +307,56 @@ def _coerce(other):
 
 
 def laplacian(p: Poly2) -> Poly2:
-    """d^2p/dx^2 + d^2p/dy^2, exact."""
-    return p.partial_x().partial_x() + p.partial_y().partial_y()
+    """d^2p/dx^2 + d^2p/dy^2, exact, in one pass over the numerators."""
+    c = {}
+    for (i, j), v in p._c.items():
+        if i >= 2:
+            k = (i - 2, j)
+            c[k] = c.get(k, 0) + v * i * (i - 1)
+        if j >= 2:
+            k = (i, j - 2)
+            c[k] = c.get(k, 0) + v * j * (j - 1)
+    return _reduced({k: v for k, v in c.items() if v}, p._d)
+
+
+def poisson_particular(f: Poly2) -> Poly2:
+    """A particular polynomial u with laplacian(u) == f, exactly.
+
+    A term c x^a y^b of f is absorbed by c x^(a+2) y^b / ((a+1)(a+2)),
+    whose Laplacian is c x^a y^b plus a correction
+    c b(b-1)/((a+1)(a+2)) x^(a+2) y^(b-2) two rows lower in y-degree.
+    One sweep over the y-degree rows, from the highest down, therefore
+    reaches each row after every correction into it and handles each
+    term once.  A row is a map a -> integer numerator over the row's own
+    denominator (f's, or its lcm with the incoming correction's, reduced);
+    each row's divisions by (a+1)(a+2) go to their lcm, and the rows of
+    u meet over one lcm at the end.
+    """
+    rows = {}
+    for (a, b), v in f._c.items():
+        rows.setdefault(b, {})[a] = v
+    carry = {}  # row b -> (numerators, denominator) of the correction into it
+    parts = []  # (b, numerators of row b of u, denominator)
+    for b in range(max(rows, default=-1), -1, -1):
+        row, den = rows.get(b, {}), f._d
+        if b in carry:
+            row, den = _sum_over_lcm(row, den, *carry.pop(b))
+        if not row:
+            continue
+        m = math.lcm(*((a + 1) * (a + 2) for a in row))
+        den *= m
+        part = {a + 2: v * (m // ((a + 1) * (a + 2))) for a, v in row.items()}
+        parts.append((b, part, den))
+        if b >= 2:
+            bb = b * (b - 1)
+            carry[b - 2] = ({a: -v * bb for a, v in part.items()}, den)
+    den = math.lcm(*(d for _, _, d in parts))
+    c = {}
+    for b, part, d in parts:
+        s = den // d
+        for a, v in part.items():
+            c[(a, b)] = v * s
+    return _reduced(c, den)
 
 
 class TrigPoly:
@@ -421,26 +535,25 @@ def _mono_trace(i: int, j: int):
 def boundary_trace(p: Poly2) -> TrigPoly:
     """Exact restriction of p to the unit circle.
 
-    Substitutes x = cos theta, y = sin theta.  Every coefficient of p is
-    scaled to the common denominator D * 2^N (D the lcm of p's
-    denominators, N its degree), so each monomial contributes an integer
-    multiple of its integer trace from _MONO_TRACE; the integer sums per
-    Fourier mode are divided by D * 2^N once, at the end.
+    Substitutes x = cos theta, y = sin theta.  Every numerator of p is
+    scaled from p's denominator D to D * 2^N (N its degree), so each
+    monomial contributes an integer multiple of its integer trace from
+    _MONO_TRACE; the integer sums per Fourier mode are divided by
+    D * 2^N once, at the end.
     """
     out = TrigPoly()
     if not p._c:
         return out
-    dens = math.lcm(*(v.denominator for v in p._c.values()))
     deg = p.degree()
     cos, sin = {}, {}
     for (i, j), v in p._c.items():
-        scale = (v.numerator * (dens // v.denominator)) << (deg - i - j)
+        scale = v << (deg - i - j)
         mono_cos, mono_sin = _mono_trace(i, j)
         for k, m in mono_cos:
             cos[k] = cos.get(k, 0) + scale * m
         for k, m in mono_sin:
             sin[k] = sin.get(k, 0) + scale * m
-    common = dens << deg
+    common = p._d << deg
     out.cos = {k: Fraction(v, common) for k, v in cos.items() if v}
     out.sin = {k: Fraction(v, common) for k, v in sin.items() if v}
     return out
@@ -469,18 +582,18 @@ def harmonic_extension(t: TrigPoly) -> Poly2:
     laplacian of the result is identically zero.  Re((x+iy)^k) and
     Im((x+iy)^k) are homogeneous of degree k with even and odd powers of
     y respectively, so no two modes of t share a monomial and each output
-    coefficient is one rational times an integer binomial term.
+    numerator is one integer binomial term times a mode's numerator,
+    scaled to the lcm of t's denominators.
     """
+    den = math.lcm(*(v.denominator for v in t.cos.values()),
+                   *(v.denominator for v in t.sin.values()))
     c = {}
-    for k, v in t.cos.items():
-        num, den = v.numerator, v.denominator
-        for key, b in _harmonic_terms(k)[0]:
-            c[key] = Fraction(num * b, den)
-    for k, v in t.sin.items():
-        num, den = v.numerator, v.denominator
-        for key, b in _harmonic_terms(k)[1]:
-            c[key] = Fraction(num * b, den)
-    return _raw(c)
+    for modes, part in ((t.cos, 0), (t.sin, 1)):
+        for k, v in modes.items():
+            num = v.numerator * (den // v.denominator)
+            for key, b in _harmonic_terms(k)[part]:
+                c[key] = num * b
+    return _reduced(c, den)
 
 
 def words(n: int):

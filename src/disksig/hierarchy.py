@@ -22,8 +22,9 @@ recursion that is separate and clearly labeled.
 
 The elementary Dirichlet solver: a particular polynomial solution of
 lap u = f found monomial by monomial (the undetermined-coefficient
-system is triangular when processed by descending degree), corrected by
-the harmonic extension of its boundary trace.
+system is triangular when processed by descending y-degree, see
+exactpoly.poisson_particular), corrected by the harmonic extension of
+its boundary trace.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from fractions import Fraction
 
 from .development import Vec3Poly, m_of_vector, mat_mul, mat_vec
 from .exactpoly import (Poly2, TensorPoly, as_rat, boundary_trace,
-                        harmonic_extension, laplacian)
+                        harmonic_extension, laplacian, poisson_particular)
 
 _M1 = m_of_vector((Fraction(1), Fraction(0)))
 _M2 = m_of_vector((Fraction(0), Fraction(1)))
@@ -48,37 +49,15 @@ assert _MSQ == ((1, 0, 0), (0, 1, 0), (0, 0, 2))
 def solve_poisson_zero_bd(f: Poly2) -> Poly2:
     """The unique u with lap(u) = f exactly and zero trace on the circle.
 
-    Particular solution: repeatedly pick the remaining term of f with the
-    highest y-degree (then highest x-degree), c x^a y^b, and absorb it with
-    the monomial c x^{a+2} y^b / ((a+1)(a+2)), whose Laplacian is
-    c x^a y^b plus a correction of strictly lower y-degree.  The sweep is
-    triangular and terminates.  Boundary correction: subtract the harmonic
+    Particular solution: exactpoly.poisson_particular, one integer sweep
+    over the y-degree rows of f from the highest down, each term
+    c x^a y^b absorbed by c x^{a+2} y^b / ((a+1)(a+2)) and its correction
+    passed two rows down.  Boundary correction: subtract the harmonic
     extension of the particular solution's trace.
     """
     if f.is_zero():
         return Poly2.zero()
-    residue = {k: v for k, v in f.terms()}
-    part = {}
-    guard = 0
-    limit = 4 * (f.degree() + 2) ** 2 * max(1, len(residue))
-    while residue:
-        guard += 1
-        if guard > limit:  # cannot happen; a failure here is a bug, not data
-            raise AssertionError("particular solve failed to terminate")
-        a, b = max(residue, key=lambda k: (k[1], k[0]))
-        c = residue.pop((a, b))
-        den = Fraction((a + 1) * (a + 2))
-        key = (a + 2, b)
-        part[key] = part.get(key, Fraction(0)) + c / den
-        if b >= 2:
-            # lap(x^{a+2} y^b) = (a+1)(a+2) x^a y^b + b(b-1) x^{a+2} y^{b-2}
-            k2 = (a + 2, b - 2)
-            w = residue.get(k2, Fraction(0)) - c * Fraction(b * (b - 1)) / den
-            if w:
-                residue[k2] = w
-            else:
-                residue.pop(k2, None)
-    u_p = Poly2(part)
+    u_p = poisson_particular(f)
     return u_p - harmonic_extension(boundary_trace(u_p))
 
 
@@ -269,8 +248,7 @@ def tensor_checks(state: HierarchyState, n: int) -> dict:
         rhs = state.take_rhs("tensor", n)
         if rhs is None:  # not the newest solved level, or checked before
             rhs = tensor_rhs(state, n)
-        residual_ok = all((laplacian(t.entries[i]) - rhs.entries[i]).is_zero()
-                          for i in range(1 << n))
+        residual_ok = all(laplacian(e) == f for e, f in zip(t.entries, rhs.entries))
     else:
         residual_ok = True  # levels 0 and 1 are definitions, not solves
     if n >= 1:
@@ -287,7 +265,7 @@ def developed_checks(state: HierarchyState, n: int) -> dict:
         rhs = state.take_rhs("developed", n)
         if rhs is None:  # not the newest solved level, or checked before
             rhs = developed_rhs(state, n)
-        residual_ok = all((laplacian(c) - r).is_zero() for c, r in zip(v, rhs))
+        residual_ok = all(laplacian(c) == r for c, r in zip(v, rhs))
     else:
         residual_ok = True
     if n >= 1:

@@ -178,6 +178,10 @@ def _certified_d(lam: Fraction, constants: Constants, precision: int):
 def locate_pole(target_width, precision: int = DEFAULT_PREC) -> PoleCertificate:
     """Bisect (5/2, 3) down to target_width with certified signs only.
 
+    Bisection goes on until the bracket is at most target_width wide and
+    strictly inside (5/2, 3), as verify() requires; so a target width of
+    1/4 or more still takes the steps that move both ends inward.
+
     Each midpoint sign comes from _certified_d: the rung precision first,
     then `precision`.  A midpoint inconclusive at `precision` is shifted
     by 1/16 of the bracket, then the working precision is doubled
@@ -197,7 +201,7 @@ def locate_pole(target_width, precision: int = DEFAULT_PREC) -> PoleCertificate:
     constants = make_constants(precision)
     escalations = 0
     lo, hi = BRACKET_LO, BRACKET_HI
-    while hi - lo > width:
+    while hi - lo > width or lo == BRACKET_LO or hi == BRACKET_HI:
         mid = (lo + hi) / 2
         sign, _ = _certified_d(mid, constants, precision)
         if sign == 0:

@@ -124,6 +124,7 @@ def test_7_ratio_estimates_sit_in_the_certified_range():
     assert estimates[-1] == pytest.approx(2.823887056253575, abs=1e-12)
 
 
+@pytest.mark.slow
 def test_8_monte_carlo_matches_exact_level2_and_exit_time():
     t0 = time.perf_counter()
     cases = [((0.0, 0.0), F(1, 4), F(1, 2)),

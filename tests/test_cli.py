@@ -186,6 +186,24 @@ def test_pole_rerun_is_bit_identical(tmp_path):
     assert manifest1["output_sha256"] == manifest2["output_sha256"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("--width", "1"),
+    ("--width", "1/4"),
+    ("--width", "1/3", "--precision", "64"),
+], ids=["width-1", "width-1/4", "width-1/3-at-64"])
+def test_pole_wide_widths_certify_strictly_inside(tmp_path, argv):
+    # a width of 1/4 or more is met after one bisection step, with one
+    # end of the bracket still on (5/2, 3); bisection goes on until both
+    # ends have moved inward
+    from disksig.polefinder import PoleCertificate
+
+    rc, out = run(tmp_path, "pole", *argv)
+    assert rc == 0
+    certificate = PoleCertificate.from_json(json.loads(out.read_text()))
+    assert certificate.verify() == []
+    assert F(5, 2) < certificate.bracket_lo < certificate.bracket_hi < 3
+
+
 def test_pole_rejects_zero_width(tmp_path):
     rc, out = run(tmp_path, "pole", "--width", "0")
     assert rc == 2
@@ -196,6 +214,14 @@ def test_ball_layer_caps_admit_documented_inputs():
     # README, tests and benchmark go down to width 1e-30 and up to 512 bits
     assert cli.MIN_POLE_WIDTH <= F(1, 10 ** 30)
     assert cli.MAX_PRECISION >= 512
+    # the README's `bessel --re 3/2`, and --terms as long as the series
+    # auto-selected there at the largest precision
+    from disksig.balls import ComplexBall
+    from disksig.bessel import _auto_terms
+
+    assert cli.MAX_BESSEL_ABS >= F(3, 2)
+    point = ComplexBall.from_rationals(F(3, 2), F(0), cli.MAX_PRECISION)
+    assert cli.MAX_BESSEL_TERMS >= _auto_terms(point, cli.MAX_PRECISION)
 
 
 @pytest.mark.parametrize("argv", [
@@ -209,9 +235,17 @@ def test_ball_layer_caps_admit_documented_inputs():
      "--precision", str(cli.MAX_PRECISION + 1)),
     ("compare", "--lambda", "1e-1000000000", "--levels", "4"),
     ("pole", "--width", "abc"),
+    ("bessel", "--re", str(cli.MAX_BESSEL_ABS + 1)),
+    ("bessel", "--re", "600", "--im", "801"),
+    ("bessel", "--im", "1e4300"),
+    ("bessel", "--terms", str(cli.MAX_BESSEL_TERMS + 1)),
+    ("bessel", "--terms", "200000"),
+    ("bessel", "--terms", "0"),
 ], ids=["width-below-cap", "width-1e-100000", "width-exponent-overflow",
         "pole-precision", "pole-precision-1e8", "bessel-precision",
-        "compare-precision", "lambda-exponent-overflow", "width-malformed"])
+        "compare-precision", "lambda-exponent-overflow", "width-malformed",
+        "bessel-abs", "bessel-abs-complex", "bessel-abs-1e4300",
+        "bessel-terms", "bessel-terms-200000", "bessel-terms-zero"])
 def test_ball_layer_inputs_out_of_range_write_nothing(tmp_path, capsys, argv):
     rc, out = run(tmp_path, *argv)
     assert rc == 2

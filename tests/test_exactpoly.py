@@ -1,5 +1,6 @@
 """Exact polynomial layer: ring ops, traces, harmonic extension, words."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from disksig.exactpoly import (Poly2, TensorPoly, TrigPoly, boundary_trace,
-                               harmonic_extension, laplacian, words,
-                               word_index)
+                               harmonic_extension, laplacian,
+                               poisson_particular, words, word_index)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
@@ -203,3 +204,154 @@ def test_tensor_poly_json_round_trip():
 def test_poly_json_round_trip():
     p = Poly2.monomial(2, 1, F(-7, 3)) + Poly2.const(F(1, 9))
     assert Poly2.from_json(p.to_json()) == p
+
+
+# -- the integer numerator form of Poly2 against a plain Fraction map ------
+
+def ref_of(p):
+    return dict(p.terms())
+
+
+def ref_clean(c):
+    return {k: v for k, v in c.items() if v}
+
+
+def ref_add(a, b, sign=1):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, F(0)) + sign * v
+    return ref_clean(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for (i1, j1), v1 in a.items():
+        for (i2, j2), v2 in b.items():
+            k = (i1 + i2, j1 + j2)
+            out[k] = out.get(k, F(0)) + v1 * v2
+    return ref_clean(out)
+
+
+def ref_evaluate(a, x, y):
+    return sum((v * x ** i * y ** j for (i, j), v in a.items()), F(0))
+
+
+def assert_lowest_terms(p):
+    """Canonical form: positive denominator, no zero numerator, gcd 1."""
+    assert p._d > 0
+    assert all(p._c.values())
+    assert math.gcd(p._d, *p._c.values()) == 1
+    if p.is_zero():
+        assert p._d == 1
+    assert p == Poly2(ref_of(p))
+    assert hash(p) == hash(Poly2(ref_of(p)))
+
+
+ref_maps = st.dictionaries(
+    st.tuples(st.integers(0, 12), st.integers(0, 12)), mixed_rationals,
+    max_size=10).map(ref_clean)
+
+
+@st.composite
+def ref_pairs(draw):
+    """Two maps where b repeats some of a's terms negated, so sums cancel."""
+    a = draw(ref_maps)
+    b = draw(ref_maps)
+    for k in draw(st.lists(st.sampled_from(sorted(a)), unique=True)) if a else []:
+        b[k] = -a[k]
+    return a, b
+
+
+scalars = st.one_of(mixed_rationals, st.just(F(0)), st.just(F(1)),
+                    st.integers(-5, 5))
+
+
+@given(ref_pairs(), scalars, mixed_rationals, mixed_rationals)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_poly2_ops_match_fraction_reference(pair, v, x, y):
+    a, b = pair
+    p, q = Poly2(a), Poly2(b)
+    assert ref_of(p) == a
+    results = {
+        "add": (p + q, ref_add(a, b)),
+        "sub": (p - q, ref_add(a, b, -1)),
+        "self-cancel": (p - p, {}),
+        "neg": (-p, {k: -c for k, c in a.items()}),
+        "mul": (p * q, ref_mul(a, b)),
+        "scale": (p * v, ref_clean({k: c * v for k, c in a.items()})),
+        "rscale": (v * p, ref_clean({k: c * v for k, c in a.items()})),
+        "partial_x": (p.partial_x(),
+                      {(i - 1, j): c * i for (i, j), c in a.items() if i}),
+        "partial_y": (p.partial_y(),
+                      {(i, j - 1): c * j for (i, j), c in a.items() if j}),
+        "rotate90": (p.rotate90(),
+                     {(j, i): c if i % 2 == 0 else -c for (i, j), c in a.items()}),
+        "restrict_y0": (p.restrict_y0(),
+                        {(i, 0): c for (i, j), c in a.items() if j == 0}),
+        "laplacian": (laplacian(p), ref_add(
+            {(i - 2, j): c * i * (i - 1) for (i, j), c in a.items() if i >= 2},
+            {(i, j - 2): c * j * (j - 1) for (i, j), c in a.items() if j >= 2})),
+    }
+    for name, (got, want) in results.items():
+        assert ref_of(got) == want, name
+        assert_lowest_terms(got)
+    if v:
+        assert ref_of(p / v) == {k: c / v for k, c in a.items()}
+    assert p.evaluate(x, y) == ref_evaluate(a, x, y)
+    for k in a:
+        assert p.coeff(*k) == a[k]
+    assert p.coeff(99, 99) == 0
+    assert p.to_json() == [[i, j, f"{c.numerator}/{c.denominator}"]
+                           for (i, j), c in sorted(a.items())]
+    assert Poly2.from_json(p.to_json()) == p
+
+
+def test_poly2_reduces_to_lowest_terms():
+    half = Poly2.monomial(1, 0, F(1, 2))
+    for p in (half + half, half * 2, Poly2.monomial(1, 1, F(1, 2)).partial_y(),
+              (half + Poly2.monomial(0, 1, F(1, 3))).restrict_y0() * F(4, 3),
+              half - half, Poly2({(0, 0): F(2 ** 70, 3 ** 40)}) * F(3 ** 40, 2 ** 70)):
+        assert_lowest_terms(p)
+    assert half + half == Poly2.monomial(1, 0)
+    assert (half - half) == Poly2.zero() == 0
+    assert Poly2.const(F(3, 2)) == F(3, 2)
+
+
+def reference_particular(f):
+    """The Fraction sweep by repeated max: always absorb the remaining
+    term of highest y-degree, then highest x-degree."""
+    residue = dict(f.terms())
+    part = {}
+    while residue:
+        a, b = max(residue, key=lambda k: (k[1], k[0]))
+        c = residue.pop((a, b))
+        den = F((a + 1) * (a + 2))
+        part[(a + 2, b)] = part.get((a + 2, b), F(0)) + c / den
+        if b >= 2:
+            k2 = (a + 2, b - 2)
+            w = residue.get(k2, F(0)) - c * F(b * (b - 1)) / den
+            if w:
+                residue[k2] = w
+            else:
+                residue.pop(k2, None)
+    return Poly2(part)
+
+
+@given(st.one_of(deep_poly_strategy(),
+                 mixed_rationals.map(Poly2.const),
+                 st.just(Poly2.zero())))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_poisson_particular_matches_fraction_sweep(f):
+    u = poisson_particular(f)
+    assert u == reference_particular(f)
+    assert laplacian(u) == f
+    assert_lowest_terms(u)
+
+
+def test_poisson_particular_on_cancelling_corrections():
+    # lap(x^2 y^2 / 2) = y^2 + x^2: the correction from y^2 cancels x^2's
+    # own term, so row 0 ends empty
+    f = Poly2.monomial(0, 2) + Poly2.monomial(2, 0)
+    u = poisson_particular(f)
+    assert u == reference_particular(f) == Poly2.monomial(2, 2, F(1, 2))
+    assert laplacian(u) == f

@@ -27,13 +27,15 @@ touch the closed negative real axis, where no continuous branch exists.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from mpmath.libmp import (from_int, from_man_exp, from_rational, fzero,
                           mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_mul,
                           mpf_neg, mpf_shift, mpf_sqrt, mpf_sub, to_str)
 
-DEFAULT_PREC = 128
+from . import DEFAULT_PREC
+
 RADPREC = 30  # radii are coarse by design; only their upper bound matters
 
 
@@ -53,6 +55,18 @@ def _ulp(res, prec):
     if res[1] == 0:
         return fzero  # exact zero result; unbounded exponents, no underflow
     return from_man_exp(1, res[2] + res[3] - prec)
+
+
+def _from_rational(p: int, q: int, prec: int, rnd: str):
+    """p/q (q > 0) correctly rounded, as mpmath's from_rational, with the
+    factors of 2 split off first: mpmath strips trailing zero bits a byte
+    at a time, which costs milliseconds per call on the huge powers of ten
+    in the exact tail bound of a tiny argument."""
+    if p == 0:
+        return fzero
+    tp = (p & -p).bit_length() - 1
+    tq = (q & -q).bit_length() - 1
+    return mpf_shift(from_rational(p >> tp, q >> tq, prec, rnd), tp - tq)
 
 
 def _rup_add(a, b):
@@ -83,23 +97,36 @@ def _dec_to_fraction(s: str) -> Fraction:
     return q * Fraction(10) ** exp10
 
 
+_LOG10_2 = math.log10(2)
+
+
+def _at_least_pow10(num: int, den: int, e: int) -> bool:
+    """Whether num/den >= 10^e, in integers."""
+    if e >= 0:
+        return num >= den * 10 ** e
+    return num * 10 ** -e >= den
+
+
 def _fraction_to_dec_up(q: Fraction, sig: int = 3) -> str:
     """Decimal string >= q with sig significant digits (q >= 0)."""
     if q < 0:
         raise ValueError("radius must be nonnegative")
     if q == 0:
         return "0"
-    e = 0
-    while q < 1:
-        q *= 10
+    num, den = q.numerator, q.denominator
+    # the decade e with 10^e <= q < 10^(e+1): q lies within a factor of 2
+    # of 2^(bit length difference), so this estimate is off by at most
+    # one, and exact integer comparisons with 10^e settle it
+    e = math.floor((num.bit_length() - den.bit_length()) * _LOG10_2)
+    while not _at_least_pow10(num, den, e):
         e -= 1
-    while q >= 10:
-        q /= 10
+    while _at_least_pow10(num, den, e + 1):
         e += 1
-    scaled = q * 10 ** (sig - 1)
-    n = scaled.numerator // scaled.denominator
-    if n * scaled.denominator < scaled.numerator:
-        n += 1
+    shift = sig - 1 - e  # n = ceil(q * 10^shift)
+    if shift >= 0:
+        n = -(-num * 10 ** shift // den)
+    else:
+        n = -(-num // (den * 10 ** -shift))
     if n >= 10 ** sig:  # carry out of the leading digit
         n //= 10
         e += 1
@@ -131,8 +158,8 @@ class RealBall:
         q = Fraction(q)
         den = q.denominator
         if den & (den - 1) == 0 and abs(q.numerator).bit_length() <= prec:
-            return cls(from_rational(q.numerator, den, prec, "n"), fzero)
-        m = from_rational(q.numerator, den, prec, "n")
+            return cls(_from_rational(q.numerator, den, prec, "n"), fzero)
+        m = _from_rational(q.numerator, den, prec, "n")
         return cls(m, _ulp(m, prec))
 
     @classmethod
@@ -144,7 +171,7 @@ class RealBall:
         slack = rad_q + abs(mid_q - mpf_to_fraction(base.mid))
         if slack == 0:
             return base
-        r = from_rational(slack.numerator, slack.denominator, RADPREC, "u")
+        r = _from_rational(slack.numerator, slack.denominator, RADPREC, "u")
         return cls(base.mid, _rup_add(base.rad, r))
 
     @classmethod
@@ -255,7 +282,7 @@ class RealBall:
             raise ValueError("negative inflation")
         if extra_q == 0:
             return self
-        e = from_rational(extra_q.numerator, extra_q.denominator, RADPREC, "u")
+        e = _from_rational(extra_q.numerator, extra_q.denominator, RADPREC, "u")
         return RealBall(self.mid, _rup_add(self.rad, e))
 
     # -- presentation --------------------------------------------------------
@@ -301,7 +328,7 @@ def _nonneg_part(b: RealBall, prec: int) -> RealBall:
     hi = b.upper()
     if hi < 0:
         raise ValueError("enclosure certifies a negative value")
-    half = from_rational(hi.numerator, 2 * hi.denominator, prec, "u")
+    half = _from_rational(hi.numerator, 2 * hi.denominator, prec, "u")
     return RealBall(half, half)
 
 

@@ -16,6 +16,12 @@ Rationals cross the boundary as "num/den" strings and balls as
 {"mid", "rad"} decimal strings, so no binary float ambiguity enters the
 serialized results.  The default working precision is 128 bits,
 overridable with the DISKSIG_PREC environment variable or --precision.
+
+The layers are imported lazily and each subcommand executes only those
+it calls: `radius`, `develop` and `hierarchy` run the exact layers
+(`exactpoly`, `development`, `hierarchy`) and never load mpmath; `pole`
+and `bessel` run the ball layers (`balls`, `bessel`, `polefinder`) and
+`compare` both; only `mc` runs `montecarlo`, loads numpy, and no mpmath.
 """
 
 from __future__ import annotations
@@ -32,18 +38,18 @@ import tempfile
 from datetime import datetime, timezone
 from fractions import Fraction
 
-from . import __version__
-from .balls import DEFAULT_PREC, RealBall
-from .bessel import (bessel_j, d_and_numerator, d_lambda_determinant,
-                     make_constants, series_terms)
-from .bessel import abc_closed_form
-from .development import fold_apply, partial_sum_F
-from .exactpoly import rat_str, words
-from .hierarchy import (HierarchyState, a_coefficients, developed_checks,
-                        developed_values, level_norms, radius_estimate,
-                        tensor_checks)
-from .montecarlo import SimConfig, estimate_expected_sig
-from .polefinder import PoleCertificate, SignChangeError, locate_pole
+from . import DEFAULT_PREC, DEFAULT_SEED, __version__
+from ._lazy import lazy_import
+
+# each layer runs its module code on first use, so a subcommand executes
+# only the layers it calls
+balls = lazy_import("disksig.balls")
+bessel = lazy_import("disksig.bessel")
+development = lazy_import("disksig.development")
+exactpoly = lazy_import("disksig.exactpoly")
+hierarchy = lazy_import("disksig.hierarchy")
+montecarlo = lazy_import("disksig.montecarlo")
+polefinder = lazy_import("disksig.polefinder")
 
 TENSOR_CAP = 16
 DEVELOPED_CAP = 200  # radial route: develop, compare, radius
@@ -66,6 +72,10 @@ MIN_POLE_WIDTH = Fraction(1, 10 ** 100)
 # took 5.8 s, 20000 over 100 s
 MAX_BESSEL_ABS = 1000
 MAX_BESSEL_TERMS = 1000
+# `bessel --pairing` cap, timed on a 2-vCPU VM: at |lambda| =
+# MAX_PAIRING_ABS it takes about 0.3 s at 128 bits and 5.1 s at
+# MAX_PRECISION; uncapped, lambda = 1000 took 2.6 s at 128 bits
+MAX_PAIRING_ABS = 30
 # a decimal rational's exponent beyond this many digits would make a
 # numerator or denominator Python does not parse from "num/den" either
 _MAX_DECIMAL_EXPONENT = 4300
@@ -133,7 +143,7 @@ def _atomic_write(path: str, text: str) -> None:
 
 def _manifest_value(value):
     if isinstance(value, Fraction):
-        return rat_str(value)
+        return exactpoly.rat_str(value)
     return value
 
 
@@ -160,13 +170,15 @@ def cmd_hierarchy(args) -> tuple:
     cap = TENSOR_CAP if args.mode == "tensor" else DEVELOPED_ORACLE_CAP
     if not 0 <= args.levels <= cap:
         raise UsageError(f"--levels for mode {args.mode} must be in 0..{cap}")
-    state = HierarchyState()
+    state = hierarchy.HierarchyState()
     n_max = args.levels
-    a_vals = a_coefficients(n_max)
+    a_vals = hierarchy.a_coefficients(n_max)
     checks = []
     failures = []
+    check = (hierarchy.tensor_checks if args.mode == "tensor"
+             else hierarchy.developed_checks)
     for n in range(1, n_max + 1):
-        res = (tensor_checks if args.mode == "tensor" else developed_checks)(state, n)
+        res = check(state, n)
         checks.append({"level": n, **res})
         for name, ok in res.items():
             if not ok:
@@ -183,19 +195,20 @@ def cmd_hierarchy(args) -> tuple:
         "schema": "disksig.hierarchy/1",
         "mode": args.mode,
         "levels": n_max,
-        "a": [rat_str(v) for v in a_vals],
+        "a": [exactpoly.rat_str(v) for v in a_vals],
         "checks": checks,
         "odd_levels_vanish": odd_ok,
     }
     if args.mode == "tensor":
         payload["norms"] = [
-            {"level": n, "l1": rat_str(norm.l1), "l2sq": rat_str(norm.l2sq)}
+            {"level": n, "l1": exactpoly.rat_str(norm.l1),
+             "l2sq": exactpoly.rat_str(norm.l2sq)}
             for n in range(n_max + 1)
-            for norm in (level_norms(state, n),)
+            for norm in (hierarchy.level_norms(state, n),)
         ]
         fold_ok = True
         for n in range(min(n_max, 8) + 1):
-            if fold_apply(state.tensor(n), _E3) != state.developed(n):
+            if development.fold_apply(state.tensor(n), _E3) != state.developed(n):
                 fold_ok = False
                 failures.append(f"level {n}: fold of tensor level != developed level")
         payload["fold_matches_developed"] = fold_ok
@@ -217,31 +230,31 @@ def cmd_develop(args) -> tuple:
     x, y = args.x, args.y
     if x * x + y * y > 1:
         raise UsageError("point must lie in the closed unit disk")
-    per_level = developed_values(args.levels, x, y)
-    psum = partial_sum_F(args.lam, per_level)
+    per_level = hierarchy.developed_values(args.levels, x, y)
+    psum = development.partial_sum_F(args.lam, per_level)
     checks = {}
     if y == 0:
         checks["axis_second_component_zero"] = all(v[1] == 0 for v in per_level)
     if x * x + y * y == 1:
         checks["boundary_partial_sum_is_e3"] = tuple(psum) == _E3
-    state = HierarchyState()  # tensor oracle only
+    state = hierarchy.HierarchyState()  # tensor oracle only
     checks["fold_route_matches"] = all(
-        fold_apply(state.tensor(n), _E3).evaluate(x, y) == per_level[n]
+        development.fold_apply(state.tensor(n), _E3).evaluate(x, y) == per_level[n]
         for n in range(min(args.levels, 6) + 1))
     failures = [name for name, ok in checks.items() if not ok]
     payload = {
         "schema": "disksig.develop/1",
-        "lambda": rat_str(args.lam),
-        "point": [rat_str(x), rat_str(y)],
+        "lambda": exactpoly.rat_str(args.lam),
+        "point": [exactpoly.rat_str(x), exactpoly.rat_str(y)],
         "levels": args.levels,
-        "partial_sum": [rat_str(v) for v in psum],
-        "per_level": [[rat_str(c) for c in v] for v in per_level],
+        "partial_sum": [exactpoly.rat_str(v) for v in psum],
+        "per_level": [[exactpoly.rat_str(c) for c in v] for v in per_level],
         "checks": checks,
     }
     return json.dumps(payload, indent=2) + "\n", failures
 
 
-def _overlap(a: RealBall, b: RealBall) -> bool:
+def _overlap(a: balls.RealBall, b: balls.RealBall) -> bool:
     return a.lower() <= b.upper() and b.lower() <= a.upper()
 
 
@@ -249,35 +262,35 @@ def cmd_bessel(args) -> tuple:
     prec = _check_precision(args.precision)
     failures = []
     if args.pairing is not None:
-        constants = make_constants(prec)
+        if abs(args.pairing) > MAX_PAIRING_ABS:
+            raise UsageError(f"|--pairing| must be at most {MAX_PAIRING_ABS}")
+        constants = bessel.make_constants(prec)
         lam = args.pairing
-        d_direct, num = d_and_numerator(lam, constants, prec)
-        d_det = d_lambda_determinant(lam, constants, prec)
+        d_direct, num = bessel.d_and_numerator(lam, constants, prec)
+        d_det = bessel.d_lambda_determinant(lam, constants, prec)
         two_route = _overlap(d_direct, d_det)
         if not two_route:
             failures.append("pairing two-route enclosures are disjoint")
         payload = {
             "schema": "disksig.bessel/1",
             "pairing": {
-                "lambda": rat_str(lam),
+                "lambda": exactpoly.rat_str(lam),
                 "d": d_direct.to_json(),
                 "d_determinant_route": d_det.to_json(),
                 "numerator": num.to_json(),
                 "two_route_overlap": two_route,
             },
             "precision": prec,
-            "terms": series_terms(lam, constants, prec),
+            "terms": bessel.series_terms(lam, constants, prec),
         }
         return json.dumps(payload, indent=2) + "\n", failures
     if args.re * args.re + args.im * args.im > MAX_BESSEL_ABS ** 2:
         raise UsageError(f"|--re + i --im| must be at most {MAX_BESSEL_ABS}")
     if args.terms is not None and not 1 <= args.terms <= MAX_BESSEL_TERMS:
         raise UsageError(f"--terms must be in 1..{MAX_BESSEL_TERMS}")
-    from .balls import ComplexBall
-
-    point = ComplexBall.from_rationals(args.re, args.im, prec)
-    value = bessel_j(args.nu, point, n_terms=args.terms, prec=prec)
-    mirrored = bessel_j(args.nu, point.conj(), n_terms=args.terms, prec=prec)
+    point = balls.ComplexBall.from_rationals(args.re, args.im, prec)
+    value = bessel.bessel_j(args.nu, point, n_terms=args.terms, prec=prec)
+    mirrored = bessel.bessel_j(args.nu, point.conj(), n_terms=args.terms, prec=prec)
     conj_ok = (_overlap(value.re, mirrored.re)
                and _overlap(value.im, mirrored.im.neg()))
     if not conj_ok:
@@ -285,7 +298,7 @@ def cmd_bessel(args) -> tuple:
     payload = {
         "schema": "disksig.bessel/1",
         "nu": args.nu,
-        "point": {"re": rat_str(args.re), "im": rat_str(args.im)},
+        "point": {"re": exactpoly.rat_str(args.re), "im": exactpoly.rat_str(args.im)},
         "value": value.to_json(),
         "conjugation_symmetry": conj_ok,
         "precision": prec,
@@ -300,10 +313,10 @@ def cmd_pole(args) -> tuple:
     if args.width < MIN_POLE_WIDTH:
         raise UsageError(f"--width must be at least {float(MIN_POLE_WIDTH):g}")
     prec = _check_precision(args.precision)
-    certificate = locate_pole(args.width, precision=prec)
+    certificate = polefinder.locate_pole(args.width, precision=prec)
     text = json.dumps(certificate.to_json(), indent=2) + "\n"
     # replay the certificate from the bytes written, not the in-memory object
-    return text, PoleCertificate.from_json(json.loads(text)).verify()
+    return text, polefinder.PoleCertificate.from_json(json.loads(text)).verify()
 
 
 def cmd_compare(args) -> tuple:
@@ -312,22 +325,23 @@ def cmd_compare(args) -> tuple:
     if not 0 <= args.levels <= DEVELOPED_CAP:
         raise UsageError(f"--levels must be in 0..{DEVELOPED_CAP}")
     prec = _check_precision(args.precision)
-    certificate = locate_pole(Fraction(1, 100), precision=prec)
+    certificate = polefinder.locate_pole(Fraction(1, 100), precision=prec)
     if args.lam >= certificate.bracket_lo:
         raise UsageError(
             "lambda {} is not below the certified pole bracket [{}, {}]; "
             "the series does not converge there (see the pole subcommand "
             "for the certificate)".format(
-                rat_str(args.lam), rat_str(certificate.bracket_lo),
-                rat_str(certificate.bracket_hi)))
-    a_vals = a_coefficients(args.levels)
+                exactpoly.rat_str(args.lam),
+                exactpoly.rat_str(certificate.bracket_lo),
+                exactpoly.rat_str(certificate.bracket_hi)))
+    a_vals = hierarchy.a_coefficients(args.levels)
     if args.lam == 0:
         # the ratio defining C has a removable singularity at lambda = 0
         # with limit 1, matching the series' constant term
-        closed = RealBall.from_int(1)
+        closed = balls.RealBall.from_int(1)
     else:
-        constants = make_constants(prec)
-        closed = abc_closed_form(args.lam, Fraction(0), constants, prec)[2]
+        constants = bessel.make_constants(prec)
+        closed = bessel.abc_closed_form(args.lam, Fraction(0), constants, prec)[2]
     lo_q, hi_q = closed.lower(), closed.upper()
     psum = Fraction(0)
     power = Fraction(1)
@@ -343,14 +357,14 @@ def cmd_compare(args) -> tuple:
         else:
             gap = Fraction(0)
         gaps.append(gap)
-        rows.append((k, rat_str(psum), repr(_float_upper(gap))))
+        rows.append((k, exactpoly.rat_str(psum), repr(_float_upper(gap))))
     failures = []
     if args.levels >= 8 and gaps[-1] > gaps[args.levels // 2]:
         failures.append("partial-sum gap failed to shrink over the second half")
     mid_str, rad_str = closed.decimal_parts()
     buf = io.StringIO()
     buf.write("# schema: disksig.compare/1\n")
-    buf.write(f"# lambda: {rat_str(args.lam)}\n")
+    buf.write(f"# lambda: {exactpoly.rat_str(args.lam)}\n")
     buf.write(f"# levels: {args.levels}\n")
     buf.write(f"# precision: {prec}\n")
     buf.write(f"# closed_form_mid: {mid_str}\n")
@@ -364,8 +378,8 @@ def cmd_compare(args) -> tuple:
 def cmd_radius(args) -> tuple:
     if not 0 <= args.levels <= DEVELOPED_CAP:
         raise UsageError(f"--levels must be in 0..{DEVELOPED_CAP}")
-    a_vals = a_coefficients(args.levels)
-    estimates = radius_estimate(a_vals)
+    a_vals = hierarchy.a_coefficients(args.levels)
+    estimates = hierarchy.radius_estimate(a_vals)
     failures = []
     buf = io.StringIO()
     buf.write("# schema: disksig.radius/1\n")
@@ -385,12 +399,13 @@ def cmd_radius(args) -> tuple:
 
 def cmd_mc(args) -> tuple:
     try:
-        config = SimConfig(start=(args.x, args.y), h=args.h, level=args.level,
-                           paths=args.paths, seed=args.seed,
-                           bridge_correction=not args.no_bridge)
+        config = montecarlo.SimConfig(start=(args.x, args.y), h=args.h,
+                                      level=args.level, paths=args.paths,
+                                      seed=args.seed,
+                                      bridge_correction=not args.no_bridge)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    result = estimate_expected_sig(config)
+    result = montecarlo.estimate_expected_sig(config)
     failures = []
     if result.count != config.paths:
         failures.append("accumulated path count does not match the request")
@@ -410,7 +425,7 @@ def cmd_mc(args) -> tuple:
     for n in range(config.level + 1):
         means = result.means[n]
         errs = result.stderrs[n]
-        for idx, word in enumerate(words(n)):
+        for idx, word in enumerate(exactpoly.words(n)):
             mean, err = float(means[idx]), float(errs[idx])
             writer.writerow([word, repr(mean), repr(err)])
             if not (math.isfinite(mean) and math.isfinite(err)):
@@ -427,7 +442,7 @@ def cmd_mc(args) -> tuple:
     if config.level >= 2:
         report += [(word, float(result.means[2][idx]), float(result.stderrs[2][idx]),
                     q / 4 if word in ("11", "22") else 0.0)
-                   for idx, word in enumerate(words(2))]
+                   for idx, word in enumerate(exactpoly.words(2))]
     for name, est, err, exact in report:
         dev = abs(est - exact) / err if 0 < err < math.inf else math.nan
         print(f"mc {name}: estimate {est:+.6f} stderr {err:.6f} "
@@ -490,7 +505,7 @@ def _build_parser(default_prec: int) -> argparse.ArgumentParser:
     p.add_argument("--h", type=float, default=1e-4, help="time step")
     p.add_argument("--level", type=int, default=2)
     p.add_argument("--paths", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=SimConfig().seed)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--no-bridge", action="store_true",
                    help="disable the Brownian-bridge exit test")
     p.add_argument("--out", required=True)
@@ -525,7 +540,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SignChangeError, ValueError, ZeroDivisionError, RuntimeError) as exc:
+    # evaluated only when a handler raised, so a run that succeeds never
+    # loads polefinder for this tuple
+    except (polefinder.SignChangeError, ValueError, ZeroDivisionError,
+            RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _atomic_write(args.out, text)

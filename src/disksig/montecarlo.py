@@ -43,30 +43,13 @@ EXIT_HORIZON that no Brownian path outlives in practice.
 
 from __future__ import annotations
 
-import importlib.util
 import math
-import sys
 from dataclasses import dataclass, field
 
+from . import DEFAULT_SEED
+from ._lazy import lazy_import
 
-def _lazy_import(name: str):
-    """The module `name`, executed on first attribute access.
-
-    Only the Monte Carlo engine needs numpy; importing it lazily keeps it
-    out of the start-up of every other subcommand.
-    """
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    loader = importlib.util.LazyLoader(spec.loader)
-    spec.loader = loader
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    loader.exec_module(module)
-    return module
-
-
-np = _lazy_import("numpy")
+np = lazy_import("numpy")  # only the Monte Carlo engine needs numpy
 
 BLOCK = 256
 COHORT = 4096
@@ -95,7 +78,7 @@ class SimConfig:
     h: float = 1e-4
     level: int = 2
     paths: int = 100_000
-    seed: int = 2026
+    seed: int = DEFAULT_SEED
     bridge_correction: bool = True
 
     def __post_init__(self):

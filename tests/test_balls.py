@@ -11,8 +11,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_rational
 
-from disksig.balls import ComplexBall, RealBall
+from disksig.balls import (ComplexBall, RealBall, _fraction_to_dec_up,
+                           _from_rational)
 
 mids = st.fractions(min_value=-100, max_value=100, max_denominator=10 ** 6)
 rads = st.fractions(min_value=0, max_value=2, max_denominator=10 ** 4)
@@ -183,3 +185,61 @@ def test_decimal_parts_enclose():
     # the printed pair must parse back to an enclosure of 1/3
     back = RealBall.from_json({"mid": mid_str, "rad": rad_str})
     assert back.contains(F(1, 3))
+
+
+def fraction_to_dec_up_by_scaling(q: F, sig: int = 3) -> str:
+    """Reference: find the decade by one Fraction product per power of ten."""
+    if q == 0:
+        return "0"
+    e = 0
+    while q < 1:
+        q *= 10
+        e -= 1
+    while q >= 10:
+        q /= 10
+        e += 1
+    scaled = q * 10 ** (sig - 1)
+    n = scaled.numerator // scaled.denominator
+    if n * scaled.denominator < scaled.numerator:
+        n += 1
+    if n >= 10 ** sig:  # carry out of the leading digit
+        n //= 10
+        e += 1
+    digits = str(n)
+    return f"{digits[0]}.{digits[1:]}e{e:+d}"
+
+
+@given(st.integers(1, 10 ** 40), st.integers(1, 10 ** 40),
+       st.integers(-400, 400), st.integers(1, 6))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_radius_printing_matches_decade_scaling(num, den, k, sig):
+    q = F(num, den) * F(10) ** k
+    assert _fraction_to_dec_up(q, sig) == fraction_to_dec_up_by_scaling(q, sig)
+
+
+def test_radius_printing_edge_cases():
+    tiny = F(1, 10 ** 60)
+    cases = [F(10) ** k for k in range(-40, 41)]
+    cases += [F(10) ** k - tiny for k in range(-20, 21)]  # just below a decade
+    cases += [F(10) ** k + tiny for k in range(-20, 21)]
+    cases += [F(9995, 10 ** k) for k in range(8)]  # digit carries at sig 3
+    cases += [F(1, 2 ** k) for k in range(0, 400, 7)]
+    cases += [F(2 ** k, 3) for k in range(0, 400, 7)]
+    for q in cases:
+        for sig in (1, 3, 5):
+            assert _fraction_to_dec_up(q, sig) == fraction_to_dec_up_by_scaling(q, sig)
+    assert _fraction_to_dec_up(F(0)) == "0"
+    assert _fraction_to_dec_up(F(9995, 10 ** 7)) == "1.00e-3"
+    with pytest.raises(ValueError):
+        _fraction_to_dec_up(F(-1, 3))
+
+
+@given(st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 30),
+       st.integers(0, 300), st.integers(0, 300),
+       st.sampled_from([30, 53, 128]), st.sampled_from(["n", "u", "d"]))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_from_rational_matches_mpmath(p, q, i, j, prec, rnd):
+    # powers of 2 and 10 give the long runs of trailing zero bits that
+    # the helper splits off before rounding
+    p, q = p * 10 ** i, q * 2 ** j
+    assert _from_rational(p, q, prec, rnd) == from_rational(p, q, prec, rnd)

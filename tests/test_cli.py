@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -53,8 +54,8 @@ def test_hierarchy_developed_mode(tmp_path):
 
 def test_hierarchy_developed_mode_checks_radial_route(tmp_path, monkeypatch,
                                                      capsys):
-    radial = cli.a_coefficients
-    monkeypatch.setattr(cli, "a_coefficients",
+    radial = cli.hierarchy.a_coefficients
+    monkeypatch.setattr(cli.hierarchy, "a_coefficients",
                         lambda n: [2 * v if k == 2 else v
                                    for k, v in enumerate(radial(n))])
     rc, out = run(tmp_path, "hierarchy", "--levels", "4", "--mode", "developed")
@@ -222,6 +223,9 @@ def test_ball_layer_caps_admit_documented_inputs():
     assert cli.MAX_BESSEL_ABS >= F(3, 2)
     point = ComplexBall.from_rationals(F(3, 2), F(0), cli.MAX_PRECISION)
     assert cli.MAX_BESSEL_TERMS >= _auto_terms(point, cli.MAX_PRECISION)
+    # the README's `bessel --pairing 141/50`, and the whole (5/2, 3) the
+    # pole search and the benchmark evaluate d on
+    assert cli.MAX_PAIRING_ABS >= 3
 
 
 @pytest.mark.parametrize("argv", [
@@ -241,11 +245,15 @@ def test_ball_layer_caps_admit_documented_inputs():
     ("bessel", "--terms", str(cli.MAX_BESSEL_TERMS + 1)),
     ("bessel", "--terms", "200000"),
     ("bessel", "--terms", "0"),
+    ("bessel", "--pairing", str(cli.MAX_PAIRING_ABS + 1)),
+    ("bessel", "--pairing", f"-{cli.MAX_PAIRING_ABS}.001"),
+    ("bessel", "--pairing", "1e4000"),
 ], ids=["width-below-cap", "width-1e-100000", "width-exponent-overflow",
         "pole-precision", "pole-precision-1e8", "bessel-precision",
         "compare-precision", "lambda-exponent-overflow", "width-malformed",
         "bessel-abs", "bessel-abs-complex", "bessel-abs-1e4300",
-        "bessel-terms", "bessel-terms-200000", "bessel-terms-zero"])
+        "bessel-terms", "bessel-terms-200000", "bessel-terms-zero",
+        "bessel-pairing", "bessel-pairing-negative", "bessel-pairing-1e4000"])
 def test_ball_layer_inputs_out_of_range_write_nothing(tmp_path, capsys, argv):
     rc, out = run(tmp_path, *argv)
     assert rc == 2
@@ -261,19 +269,69 @@ def test_precision_env_above_cap_writes_nothing(tmp_path, monkeypatch):
     assert not out.exists()
 
 
-def test_subcommands_without_monte_carlo_do_not_load_numpy(tmp_path):
-    # numpy is imported on first use inside disksig.montecarlo
-    code = ("import sys\n"
-            "from disksig.cli import main\n"
-            f"assert main(['radius', '--levels', '4', '--out', {str(tmp_path / 'r')!r}]) == 0\n"
-            "print(sorted(m for m in sys.modules if m.startswith('numpy.')))\n")
+# runs one subcommand in a fresh interpreter and prints its exit status
+# and the modules it executed; a lazily imported module that was never
+# used is still a LazyLoader placeholder, not a plain module
+_PROBE = """\
+import json, sys, types
+from disksig.cli import main
+status = main(json.loads(sys.argv[1]))
+print(json.dumps([status, sorted(name for name, module in sys.modules.items()
+                                 if type(module) is types.ModuleType)]))
+"""
+
+
+def run_fresh(tmp_path, *argv):
+    """(exit status, executed module names) of one subcommand run alone."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
+    argv = [*argv, "--out", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(argv)],
+                          env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    status, executed = json.loads(proc.stdout.splitlines()[-1])
+    return status, set(executed)
+
+
+LAYERS = {"balls", "bessel", "development", "exactpoly", "hierarchy",
+          "montecarlo", "polefinder"}
+EXACT = {"exactpoly", "development", "hierarchy"}
+BALL = {"exactpoly", "balls", "bessel"}
+
+
+@pytest.mark.parametrize("argv, layers, status", [
+    (("radius", "--levels", "4"), EXACT, 0),
+    (("develop", "--levels", "4", "--x", "1/2"), EXACT, 0),
+    (("hierarchy", "--levels", "4", "--mode", "developed"), EXACT, 0),
+    (("bessel", "--pairing", "141/50"), BALL, 0),
+    (("bessel", "--re", "3/2"), BALL, 0),
+    (("pole", "--width", "1/10"), BALL | {"polefinder"}, 0),
+    (("compare", "--lambda", "1", "--levels", "4"), EXACT | BALL | {"polefinder"}, 0),
+    (("mc", "--paths", "8", "--h", "1e-2"), {"exactpoly", "montecarlo"}, 0),
+    (("radius", "--levels", "99999"), set(), 2),
+], ids=["radius", "develop", "hierarchy", "bessel-pairing", "bessel-point",
+        "pole", "compare", "mc", "usage-error"])
+def test_subcommands_execute_only_their_layers(tmp_path, argv, layers, status):
+    rc, executed = run_fresh(tmp_path, *argv)
+    assert rc == status
+    assert {name for name in LAYERS if "disksig." + name in executed} == layers
+    # mpmath comes in only with the ball layer, numpy only on first use
+    # inside the Monte Carlo engine
+    assert ("mpmath" in executed) == ("balls" in layers)
+    assert ("numpy" in executed) == ("montecarlo" in layers)
+
+
+def test_bessel_at_a_tiny_point_prints_its_radius_quickly(tmp_path):
+    # the tail bound there is an exact rational near 1e-60000; its decade
+    # and its conversion to a ball radius cost no more than at |z| = 1
+    start = time.perf_counter()
+    rc, out = run(tmp_path, "bessel", "--re", "1e-1000", "--terms", "30")
+    elapsed = time.perf_counter() - start
+    assert rc == 0
+    assert json.loads(out.read_text())["conjugation_symmetry"] is True
+    # about 0.05 s; printing radii by repeated Fraction scaling took 9 s
+    assert elapsed < 0.5
 
 
 def parse_csv(out):

@@ -2,7 +2,8 @@
 
 Every subcommand writes one output file (JSON or CSV) plus a sidecar
 manifest `<out>.manifest.json` recording the subcommand, full parameter
-set, tool version, timestamp, and a digest of the output bytes.  The
+set, tool version, timestamp, a digest of the output bytes, and run
+stats (for `mc`, the number of worker processes).  The
 output file itself carries no timestamp, so re-running the same command
 reproduces it bit for bit; only the manifest differs.
 
@@ -76,9 +77,10 @@ MAX_BESSEL_TERMS = 1000
 # MAX_PAIRING_ABS it takes about 0.3 s at 128 bits and 5.1 s at
 # MAX_PRECISION; uncapped, lambda = 1000 took 2.6 s at 128 bits
 MAX_PAIRING_ABS = 30
-# a decimal rational's exponent beyond this many digits would make a
-# numerator or denominator Python does not parse from "num/den" either
-_MAX_DECIMAL_EXPONENT = 4300
+# Python parses no integer of more digits from "num/den" and prints none
+# of them, so a decimal whose numerator or denominator would pass this
+# many digits is refused as well
+_MAX_DIGITS = 4300
 _E3 = (Fraction(0), Fraction(0), Fraction(1))
 
 
@@ -94,9 +96,17 @@ def _parse_rat(text: str) -> Fraction:
         from decimal import Decimal
 
         value = Decimal(text)
-        if value.is_finite() and abs(value.as_tuple().exponent) > _MAX_DECIMAL_EXPONENT:
-            raise argparse.ArgumentTypeError(f"exponent out of range: {text!r}")
-        return Fraction(value)
+        if value.is_finite():
+            _, digits, exponent = value.as_tuple()
+            # beyond this the numerator or denominator passes _MAX_DIGITS
+            # digits anyway; refusing first never builds a huge integer
+            if abs(exponent) > _MAX_DIGITS + len(digits):
+                raise argparse.ArgumentTypeError(f"exponent out of range: {text!r}")
+        q = Fraction(value)
+        if max(abs(q.numerator), q.denominator) >= 10 ** _MAX_DIGITS:
+            raise argparse.ArgumentTypeError(
+                f"more than {_MAX_DIGITS} digits in numerator or denominator: {text!r}")
+        return q
     except (ValueError, ArithmeticError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
@@ -148,7 +158,7 @@ def _manifest_value(value):
 
 
 def _write_manifest(subcommand: str, args: argparse.Namespace,
-                    out_path: str, text: str) -> None:
+                    out_path: str, text: str, stats: dict) -> None:
     params = {key: _manifest_value(val) for key, val in sorted(vars(args).items())
               if key not in ("cmd", "out")}
     manifest = {
@@ -159,11 +169,12 @@ def _write_manifest(subcommand: str, args: argparse.Namespace,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "output": out_path,
         "output_sha256": hashlib.sha256(text.encode()).hexdigest(),
+        "stats": stats,
     }
     _atomic_write(out_path + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
-# -- subcommand bodies: each returns (output text, failed checks) ------
+# -- subcommand bodies: each returns (output text, failed checks, stats) -
 
 
 def cmd_hierarchy(args) -> tuple:
@@ -221,7 +232,7 @@ def cmd_hierarchy(args) -> tuple:
                 [comp.to_json() for comp in state.developed(n)]
                 for n in range(n_max + 1)
             ]
-    return json.dumps(payload, indent=2) + "\n", failures
+    return json.dumps(payload, indent=2) + "\n", failures, {}
 
 
 def cmd_develop(args) -> tuple:
@@ -251,7 +262,7 @@ def cmd_develop(args) -> tuple:
         "per_level": [[exactpoly.rat_str(c) for c in v] for v in per_level],
         "checks": checks,
     }
-    return json.dumps(payload, indent=2) + "\n", failures
+    return json.dumps(payload, indent=2) + "\n", failures, {}
 
 
 def _overlap(a: balls.RealBall, b: balls.RealBall) -> bool:
@@ -283,7 +294,7 @@ def cmd_bessel(args) -> tuple:
             "precision": prec,
             "terms": bessel.series_terms(lam, constants, prec),
         }
-        return json.dumps(payload, indent=2) + "\n", failures
+        return json.dumps(payload, indent=2) + "\n", failures, {}
     if args.re * args.re + args.im * args.im > MAX_BESSEL_ABS ** 2:
         raise UsageError(f"|--re + i --im| must be at most {MAX_BESSEL_ABS}")
     if args.terms is not None and not 1 <= args.terms <= MAX_BESSEL_TERMS:
@@ -304,7 +315,7 @@ def cmd_bessel(args) -> tuple:
         "precision": prec,
         "terms": args.terms,
     }
-    return json.dumps(payload, indent=2) + "\n", failures
+    return json.dumps(payload, indent=2) + "\n", failures, {}
 
 
 def cmd_pole(args) -> tuple:
@@ -316,7 +327,7 @@ def cmd_pole(args) -> tuple:
     certificate = polefinder.locate_pole(args.width, precision=prec)
     text = json.dumps(certificate.to_json(), indent=2) + "\n"
     # replay the certificate from the bytes written, not the in-memory object
-    return text, polefinder.PoleCertificate.from_json(json.loads(text)).verify()
+    return text, polefinder.PoleCertificate.from_json(json.loads(text)).verify(), {}
 
 
 def cmd_compare(args) -> tuple:
@@ -372,7 +383,7 @@ def cmd_compare(args) -> tuple:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["k", "partial_sum", "gap"])
     writer.writerows(rows)
-    return buf.getvalue(), failures
+    return buf.getvalue(), failures, {}
 
 
 def cmd_radius(args) -> tuple:
@@ -394,7 +405,7 @@ def cmd_radius(args) -> tuple:
         writer.writerow([k, repr(est)])
         if not (math.isfinite(est) and est > 0):
             failures.append(f"ratio estimate {k} is not a positive finite value")
-    return buf.getvalue(), failures
+    return buf.getvalue(), failures, {}
 
 
 def cmd_mc(args) -> tuple:
@@ -447,7 +458,7 @@ def cmd_mc(args) -> tuple:
         dev = abs(est - exact) / err if 0 < err < math.inf else math.nan
         print(f"mc {name}: estimate {est:+.6f} stderr {err:.6f} "
               f"exact {exact:+.6f} deviation {dev:.2f} SE", file=sys.stderr)
-    return buf.getvalue(), failures
+    return buf.getvalue(), failures, {"workers": result.workers}
 
 
 # -- argument parsing ---------------------------------------------------
@@ -536,7 +547,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse printed a usage error or the help
         return exc.code
     try:
-        text, failures = _HANDLERS[args.cmd](args)
+        text, failures, stats = _HANDLERS[args.cmd](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -547,7 +558,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _atomic_write(args.out, text)
-    _write_manifest(args.cmd, args, args.out, text)
+    _write_manifest(args.cmd, args, args.out, text, stats)
     if failures:
         for item in failures:
             print(f"check failed: {item}", file=sys.stderr)

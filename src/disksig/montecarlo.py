@@ -6,11 +6,11 @@ unit disk, compute truncated path signatures of the piecewise-linear
 interpolation by Chen concatenation, and average level by level.
 
 Reproducibility: each path owns a counter-based RNG stream keyed by
-(seed, path_index), so estimates do not depend on scheduling or cohort
-size; a path is bit-identical whether simulated alone or inside the
-vectorized engine, because both consume the stream in the same block
-pattern (normals of shape (block, 2), then block uniform deviates) and
-run the same array expressions.
+(seed, path_index), so estimates do not depend on scheduling, cohort
+size or CPU count; a path is bit-identical whether simulated alone or
+inside the vectorized engine, because both consume the stream in the
+same block pattern (normals of shape (block, 2), then block uniform
+deviates) and run the same array expressions.
 
 Boundary handling: a step landing outside the disk exits at that step;
 optionally (bridge_correction) a step staying inside still exits with
@@ -39,11 +39,30 @@ depend on the kernel (signature_of_path stays the reference).
 Work is bounded: a path gets at most 2^27 steps, and SimConfig refuses
 any h below MIN_STEP, at which that budget would end paths before the
 EXIT_HORIZON that no Brownian path outlives in practice.
+
+Parallel slices: paths run in cohorts of COHORT, and each cohort is cut
+into one contiguous slice of paths per CPU in the process's affinity
+mask (at least _MIN_SLICE paths each).  The first slice runs in this
+process and every other in a forked worker, which pickles back, per
+path in path order, its exit block, exit time and signature at exit.
+The fold concatenates the slices and updates the accumulator once per
+exit block, in block order, with rows in path order: exactly the
+batches one serial pass makes.  Every array operation on a row is
+independent of the other rows in its batch (ufuncs, sums and cumsums
+along the step axis, one matmul per row), so means, standard errors
+and exit times are bit-identical for any slice count; `taskset` limits
+the workers and changes no output byte.  Without os.fork or
+os.sched_getaffinity, or with a second Python thread running, the
+cohort runs serially as one slice.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass, field
 
 from . import DEFAULT_SEED
@@ -53,6 +72,7 @@ np = lazy_import("numpy")  # only the Monte Carlo engine needs numpy
 
 BLOCK = 256
 COHORT = 4096
+_MIN_SLICE = 64  # fewest paths worth a forked worker
 _MAX_BLOCKS_PER_PATH = 2 ** 19  # per-path step budget: 2^27 steps
 # Brownian motion started anywhere in the disk is still inside at time t
 # with probability at most about 1.6 exp(-j^2 t / 2), j = 2.405 the first
@@ -362,21 +382,42 @@ class EstimateResult:
     stderrs: list = field(repr=False)
     exit_time_mean: float
     exit_time_stderr: float
+    workers: int = 1  # processes the first, largest cohort ran on
 
 
-def _run_cohort(config: SimConfig, index_lo: int, index_hi: int) -> SigAccumulator:
-    """Accumulate paths index_lo .. index_hi - 1, holding only live paths.
+def _worker_count(paths: int) -> int:
+    """Slices to cut a cohort of `paths` into: one per usable CPU, with at
+    least _MIN_SLICE paths each; 1 where the process cannot fork safely."""
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):  # a fork copies no other thread
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), paths // _MIN_SLICE))
 
-    Every live path has run the same number of blocks, so the block index
-    gives each exit time; exited rows are dropped after each block, in
-    path order.
+
+def _run_slice(config: SimConfig, index_lo: int, index_hi: int,
+               parent_pid=None) -> tuple:
+    """Simulate paths index_lo .. index_hi - 1, holding only live paths.
+
+    Returns (exit block, exit time, signature levels at exit), each per
+    path in path order.  Every live path has run the same number of
+    blocks, so the block index gives each exit time; exited rows are
+    dropped after each block.  A forked worker passes its parent's pid
+    and ends at the next block once that parent is gone.
     """
     p_count = index_hi - index_lo
     gens = [_path_generator(config.seed, i) for i in range(index_lo, index_hi)]
     pos = np.tile(np.asarray(config.start, dtype=np.float64), (p_count, 1))
     sig = [np.zeros((p_count, 2 ** n)) for n in range(1, config.level + 1)]
-    acc = SigAccumulator(config.level)
-    for block in range(_MAX_BLOCKS_PER_PATH):
+    rows = np.arange(p_count)  # slice position of each live path
+    exit_block = np.empty(p_count, dtype=np.int64)
+    taus = np.empty(p_count)
+    at_exit = [np.empty_like(s) for s in sig]
+    block = 0
+    while gens:
+        if block == _MAX_BLOCKS_PER_PATH:
+            raise RuntimeError("path failed to exit within the block budget")
+        if parent_pid is not None and os.getppid() != parent_pid:
+            os._exit(1)
         normals = np.empty((len(gens), BLOCK, 2))
         uniforms = np.empty((len(gens), BLOCK))
         for gen, nrm, uni in zip(gens, normals, uniforms):
@@ -387,15 +428,98 @@ def _run_cohort(config: SimConfig, index_lo: int, index_hi: int) -> SigAccumulat
         sig = _chen_combine(sig, _block_signature(inc, config.level))
         exited = exit_step >= 0
         if exited.any():
-            taus = (block * BLOCK + exit_step[exited] + 1) * config.h
-            acc.update([s[exited] for s in sig], taus)
+            done = rows[exited]
+            exit_block[done] = block
+            taus[done] = (block * BLOCK + exit_step[exited] + 1) * config.h
+            for out, s in zip(at_exit, sig):
+                out[done] = s[exited]
             live = ~exited
             gens = [gen for gen, keep in zip(gens, live) if keep]
-            if not gens:
-                return acc
+            rows = rows[live]
             pos = pos[live]
             sig = [s[live] for s in sig]
-    raise RuntimeError("path failed to exit within the block budget")
+        block += 1
+    return exit_block, taus, at_exit
+
+
+def _fork_slice(config: SimConfig, index_lo: int, index_hi: int,
+                inherited: list) -> tuple:
+    """Run _run_slice in a forked worker; returns (pid, read end of the
+    pipe that brings back the pickled (exception, result) pair).
+
+    The worker ends in os._exit: it never returns into its caller,
+    flushes no stdio buffer of the parent and runs no atexit handler.
+    It first closes `inherited`, the earlier workers' pipes.
+    """
+    parent_pid = os.getpid()
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_fd)
+        return pid, os.fdopen(read_fd, "rb")
+    status = 1
+    try:
+        os.close(read_fd)
+        for pipe in inherited:
+            pipe.close()
+        try:
+            outcome = (None, _run_slice(config, index_lo, index_hi, parent_pid))
+        except Exception as exc:  # re-raised in the parent
+            outcome = (exc, None)
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _fold(level: int, slices: list) -> SigAccumulator:
+    """Accumulate the slices, in path order, in the batches of one serial
+    pass: one update per exit block, in block order, rows in path order."""
+    exit_block = np.concatenate([s[0] for s in slices])
+    taus = np.concatenate([s[1] for s in slices])
+    at_exit = [np.concatenate(levels) for levels in zip(*(s[2] for s in slices))]
+    order = np.argsort(exit_block, kind="stable")
+    _, starts = np.unique(exit_block[order], return_index=True)
+    acc = SigAccumulator(level)
+    for batch in np.split(order, starts[1:]):
+        acc.update([s[batch] for s in at_exit], taus[batch])
+    return acc
+
+
+def _run_cohort(config: SimConfig, index_lo: int, index_hi: int) -> SigAccumulator:
+    """Accumulate paths index_lo .. index_hi - 1 over _worker_count slices.
+
+    The first slice runs here, the others in forked workers, collected in
+    path order.  If anything ends this early, every worker not yet
+    collected is killed and reaped.
+    """
+    k = _worker_count(index_hi - index_lo)
+    bounds = [index_lo + (index_hi - index_lo) * j // k for j in range(k + 1)]
+    workers = []  # (pid, result pipe) of each worker not yet reaped
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            workers.append(_fork_slice(config, lo, hi,
+                                       [pipe for _, pipe in workers]))
+        slices = [_run_slice(config, bounds[0], bounds[1])]
+        while workers:
+            pid, pipe = workers[0]
+            payload = pipe.read()
+            pipe.close()
+            del workers[0]
+            os.waitpid(pid, 0)
+            if not payload:
+                raise RuntimeError("a Monte Carlo worker ended without a result")
+            error, result = pickle.loads(payload)
+            if error is not None:
+                raise error
+            slices.append(result)
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return _fold(config.level, slices)
 
 
 def estimate_expected_sig(config: SimConfig) -> EstimateResult:
@@ -410,4 +534,5 @@ def estimate_expected_sig(config: SimConfig) -> EstimateResult:
                                for n in range(1, config.level + 1)]
     return EstimateResult(config=config, count=acc.count, means=means,
                           stderrs=stderrs, exit_time_mean=acc.tau_mean,
-                          exit_time_stderr=acc.tau_stderr())
+                          exit_time_stderr=acc.tau_stderr(),
+                          workers=_worker_count(min(config.paths, COHORT)))

@@ -248,18 +248,30 @@ def test_ball_layer_caps_admit_documented_inputs():
     ("bessel", "--pairing", str(cli.MAX_PAIRING_ABS + 1)),
     ("bessel", "--pairing", f"-{cli.MAX_PAIRING_ABS}.001"),
     ("bessel", "--pairing", "1e4000"),
+    # a denominator or numerator of 4301 digits, which Python neither
+    # parses from "num/den" nor prints
+    ("bessel", "--nu", "0", "--re", "1e-4300", "--im", "0"),
+    ("pole", "--width", "1e4300"),
 ], ids=["width-below-cap", "width-1e-100000", "width-exponent-overflow",
         "pole-precision", "pole-precision-1e8", "bessel-precision",
         "compare-precision", "lambda-exponent-overflow", "width-malformed",
         "bessel-abs", "bessel-abs-complex", "bessel-abs-1e4300",
         "bessel-terms", "bessel-terms-200000", "bessel-terms-zero",
-        "bessel-pairing", "bessel-pairing-negative", "bessel-pairing-1e4000"])
+        "bessel-pairing", "bessel-pairing-negative", "bessel-pairing-1e4000",
+        "bessel-re-1e-4300", "width-1e4300"])
 def test_ball_layer_inputs_out_of_range_write_nothing(tmp_path, capsys, argv):
     rc, out = run(tmp_path, *argv)
     assert rc == 2
     assert "error: " in capsys.readouterr().err
     assert not out.exists()
     assert not (tmp_path / "out.manifest.json").exists()
+
+
+def test_decimal_at_the_digit_limit_is_accepted(tmp_path):
+    # 10^4299 has 4300 digits, the most Python parses and prints
+    rc, out = run(tmp_path, "bessel", "--nu", "0", "--re", "1e-4299", "--im", "0")
+    assert rc == 0
+    assert json.loads(out.read_text())["point"]["re"] == "1/1" + "0" * 4299
 
 
 def test_precision_env_above_cap_writes_nothing(tmp_path, monkeypatch):
@@ -467,6 +479,68 @@ def test_mc_exhausted_block_budget_is_a_clean_error(tmp_path, monkeypatch,
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
     assert not (tmp_path / "out.manifest.json").exists()
+
+
+def test_mc_worker_error_is_a_clean_error(tmp_path, budget_one_in_workers,
+                                         capsys):
+    rc, out = run(tmp_path, "mc", "--paths", "64", "--h", "1e-3")
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: path failed to exit within the block budget\n")
+    assert not out.exists()
+    assert not (tmp_path / "out.manifest.json").exists()
+
+
+def test_mc_manifest_records_the_worker_count(tmp_path, monkeypatch):
+    outputs = []
+    for workers in (1, 3):
+        monkeypatch.setattr(montecarlo, "_worker_count",
+                            lambda paths, k=workers: k)
+        rc, out = run(tmp_path, "mc", "--paths", "300", "--h", "1e-3")
+        assert rc == 0
+        assert read_manifest(out)["stats"] == {"workers": workers}
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def _running(pid):
+    """Whether pid names a process that has not ended (zombies have)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return False
+    return state not in ("Z", "X")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_mc_workers_end_when_their_parent_is_killed(tmp_path):
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one usable CPU: mc forks no worker")
+    if not os.path.exists(f"/proc/self/task/{os.getpid()}/children"):
+        pytest.skip("the kernel lists no child processes")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "disksig", "mc", "--paths", "20000",
+         "--out", str(tmp_path / "out")],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    workers = []
+    try:
+        deadline = time.monotonic() + 60
+        while not workers:
+            assert proc.poll() is None, "mc ended before it forked a worker"
+            assert time.monotonic() < deadline, "mc forked no worker in 60 s"
+            time.sleep(0.01)
+            with open(f"/proc/{proc.pid}/task/{proc.pid}/children") as handle:
+                workers = [int(pid) for pid in handle.read().split()]
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+    deadline = time.monotonic() + 2
+    while any(_running(pid) for pid in workers):
+        assert time.monotonic() < deadline, "a worker outlived its parent by 2 s"
+        time.sleep(0.01)
 
 
 def test_mc_rejects_bad_start(tmp_path):

@@ -1,16 +1,19 @@
 """Stopped-path simulation, blockwise signatures, and the estimator."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import disksig.montecarlo as montecarlo
-from disksig.montecarlo import (BLOCK, MIN_STEP, SigAccumulator, SimConfig,
-                                _advance_block, _block_signature,
+from disksig.montecarlo import (BLOCK, COHORT, MIN_STEP, SigAccumulator,
+                                SimConfig, _advance_block, _block_signature,
                                 _chen_combine, _path_generator, _run_cohort,
-                                estimate_expected_sig, signature_of_path,
-                                simulate_stopped_path, tensor_exp)
+                                _run_slice, estimate_expected_sig,
+                                signature_of_path, simulate_stopped_path,
+                                tensor_exp)
 
 FAST = SimConfig(paths=64, h=1e-3, level=3)
 
@@ -243,3 +246,77 @@ def test_start_near_boundary_exits_fast():
     res = estimate_expected_sig(cfg)
     want = (1 - 0.999 ** 2) / 2
     assert abs(res.exit_time_mean - want) < 4 * res.exit_time_stderr
+
+
+# slice counts: serial, one worker, two workers, and more workers than
+# CPUs; none of 2, 3 and 7 divides 151, 97 or the second cohort's 101 paths
+SLICE_COUNTS = (1, 2, 3, 7)
+SLICED = {
+    **{f"level{n}": SimConfig(paths=151, h=1e-3, level=n) for n in range(1, 7)},
+    "no-bridge": SimConfig(paths=151, h=1e-3, level=3, bridge_correction=False),
+    "two-cohorts": SimConfig(paths=COHORT + 101, h=2e-2, level=2),
+    # from near the circle the first of three slices ends in block 0
+    "slice-exits-in-block-0": SimConfig(start=(0.99, 0.0), paths=97, h=1e-4,
+                                        level=4, seed=0),
+}
+
+
+def _bits(result):
+    """Every output number of an estimate, as exact bytes."""
+    return ([m.tobytes() for m in result.means],
+            [e.tobytes() for e in result.stderrs],
+            result.count, repr(result.exit_time_mean),
+            repr(result.exit_time_stderr))
+
+
+@pytest.mark.parametrize("name", SLICED)
+def test_estimates_are_bit_identical_for_every_slice_count(monkeypatch, name):
+    cfg = SLICED[name]
+    outputs = []
+    for k in SLICE_COUNTS:
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda paths, k=k: k)
+        outputs.append(_bits(estimate_expected_sig(cfg)))
+    assert all(out == outputs[0] for out in outputs[1:])
+
+
+def test_a_slice_can_end_in_its_first_block():
+    cfg = SLICED["slice-exits-in-block-0"]
+    exit_block, _, _ = _run_slice(cfg, 0, cfg.paths)
+    assert (exit_block[:cfg.paths // 3] == 0).all()
+    assert exit_block.max() > 0
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                    reason="no affinity mask: cohorts run serially")
+def test_cohorts_use_every_usable_cpu():
+    # the test process runs no second thread, so the default forks
+    usable = len(os.sched_getaffinity(0))
+    assert montecarlo._worker_count(COHORT) == min(
+        usable, COHORT // montecarlo._MIN_SLICE)
+    assert montecarlo._worker_count(63) == 1
+    assert estimate_expected_sig(FAST).workers == montecarlo._worker_count(64)
+
+
+def test_worker_error_reaches_the_parent(budget_one_in_workers):
+    # the in-process slice finishes; the forked one runs out of blocks
+    with pytest.raises(RuntimeError, match="block budget") as info:
+        _run_cohort(FAST, 0, FAST.paths)
+    assert type(info.value) is RuntimeError
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_parent_leaving_early_kills_its_workers(monkeypatch, error):
+    # the in-process slice fails at once while the workers are still
+    # running; the autouse fixture fails the test if one is left behind
+    parent = os.getpid()
+    run_slice = montecarlo._run_slice
+
+    def fail_in_parent(config, index_lo, index_hi, *args):
+        if os.getpid() == parent:
+            raise error("in-process slice failed")
+        return run_slice(config, index_lo, index_hi, *args)
+
+    monkeypatch.setattr(montecarlo, "_run_slice", fail_in_parent)
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda paths: 3)
+    with pytest.raises(error, match="in-process slice failed"):
+        _run_cohort(SimConfig(paths=3000), 0, 3000)

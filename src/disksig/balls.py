@@ -77,26 +77,6 @@ def _rup_mul(a, b):
     return mpf_mul(a, b, RADPREC, "u")
 
 
-def _dec_to_fraction(s: str) -> Fraction:
-    """Exact value of a plain or scientific decimal literal."""
-    s = s.strip()
-    exp10 = 0
-    for marker in ("e", "E"):
-        if marker in s:
-            base, _, tail = s.partition(marker)
-            s, exp10 = base, int(tail)
-            break
-    if "." in s:
-        whole, _, frac = s.partition(".")
-        sign = -1 if whole.startswith("-") else 1
-        whole = whole.lstrip("+-") or "0"
-        q = Fraction(int(whole) * 10 ** len(frac) + int(frac or "0"),
-                     10 ** len(frac)) * sign
-    else:
-        q = Fraction(int(s))
-    return q * Fraction(10) ** exp10
-
-
 _LOG10_2 = math.log10(2)
 
 
@@ -296,7 +276,7 @@ class RealBall:
         if dps is None:
             dps = max(5, int(self.mid[3] * 0.30103) + 3)
         mid_str = to_str(self.mid, dps)
-        printed = _dec_to_fraction(mid_str)
+        printed = Fraction(mid_str)
         slack = abs(self.mid_fraction() - printed) + self.rad_fraction()
         return mid_str, _fraction_to_dec_up(slack)
 
@@ -313,8 +293,7 @@ class RealBall:
 
     @classmethod
     def from_json(cls, obj: dict, prec: int = DEFAULT_PREC) -> "RealBall":
-        return cls.from_mid_rad(_dec_to_fraction(obj["mid"]),
-                                _dec_to_fraction(obj["rad"]), prec)
+        return cls.from_mid_rad(Fraction(obj["mid"]), Fraction(obj["rad"]), prec)
 
 
 def _nonneg_part(b: RealBall, prec: int) -> RealBall:

@@ -9,9 +9,10 @@ reproduces it bit for bit; only the manifest differs.
 
 Exit status is 0 only when the run's embedded verification checks all
 pass; failed checks are listed on standard error.  Usage errors
-(violated caps, malformed flags) exit with status 2 and write nothing;
-runtime errors (an uncertifiable sign, an exhausted Monte Carlo block
-budget) exit with status 1 and write nothing.
+(violated caps, malformed flags, an exact output past Python's 4300
+digits) exit with status 2 and write nothing; runtime errors (an
+uncertifiable sign, an exhausted Monte Carlo block budget, an unwritable
+--out) exit with status 1 and write nothing.
 
 Rationals cross the boundary as "num/den" strings and balls as
 {"mid", "rad"} decimal strings, so no binary float ambiguity enters the
@@ -78,14 +79,30 @@ MAX_BESSEL_TERMS = 1000
 # MAX_PRECISION; uncapped, lambda = 1000 took 2.6 s at 128 bits
 MAX_PAIRING_ABS = 30
 # Python parses no integer of more digits from "num/den" and prints none
-# of them, so a decimal whose numerator or denominator would pass this
-# many digits is refused as well
+# of them, so a decimal input whose numerator or denominator would pass
+# this many digits is refused, and so is a request whose exact output would
 _MAX_DIGITS = 4300
 _E3 = (Fraction(0), Fraction(0), Fraction(1))
 
 
 class UsageError(Exception):
     """Violated precondition of a subcommand; nothing is written."""
+
+
+def _too_many_digits(q: Fraction) -> bool:
+    n = max(abs(q.numerator), q.denominator)
+    # 2^(3k) < 10^k, so the power of ten is built only for a huge n
+    return n.bit_length() > 3 * _MAX_DIGITS and n >= 10 ** _MAX_DIGITS
+
+
+def _rat_str(q: Fraction) -> str:
+    """"num/den" of an exact output, refusing one Python cannot print."""
+    if _too_many_digits(q):
+        raise UsageError(
+            f"an exact output would have more than {_MAX_DIGITS} digits in its "
+            "numerator or denominator; ask for fewer levels or smaller "
+            "denominators")
+    return exactpoly.rat_str(q)
 
 
 def _parse_rat(text: str) -> Fraction:
@@ -103,7 +120,7 @@ def _parse_rat(text: str) -> Fraction:
             if abs(exponent) > _MAX_DIGITS + len(digits):
                 raise argparse.ArgumentTypeError(f"exponent out of range: {text!r}")
         q = Fraction(value)
-        if max(abs(q.numerator), q.denominator) >= 10 ** _MAX_DIGITS:
+        if _too_many_digits(q):
             raise argparse.ArgumentTypeError(
                 f"more than {_MAX_DIGITS} digits in numerator or denominator: {text!r}")
         return q
@@ -153,12 +170,12 @@ def _atomic_write(path: str, text: str) -> None:
 
 def _manifest_value(value):
     if isinstance(value, Fraction):
-        return exactpoly.rat_str(value)
+        return _rat_str(value)
     return value
 
 
-def _write_manifest(subcommand: str, args: argparse.Namespace,
-                    out_path: str, text: str, stats: dict) -> None:
+def _manifest_text(subcommand: str, args: argparse.Namespace,
+                   out_path: str, text: str, stats: dict) -> str:
     params = {key: _manifest_value(val) for key, val in sorted(vars(args).items())
               if key not in ("cmd", "out")}
     manifest = {
@@ -171,7 +188,7 @@ def _write_manifest(subcommand: str, args: argparse.Namespace,
         "output_sha256": hashlib.sha256(text.encode()).hexdigest(),
         "stats": stats,
     }
-    _atomic_write(out_path + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
+    return json.dumps(manifest, indent=2) + "\n"
 
 
 # -- subcommand bodies: each returns (output text, failed checks, stats) -
@@ -206,14 +223,14 @@ def cmd_hierarchy(args) -> tuple:
         "schema": "disksig.hierarchy/1",
         "mode": args.mode,
         "levels": n_max,
-        "a": [exactpoly.rat_str(v) for v in a_vals],
+        "a": [_rat_str(v) for v in a_vals],
         "checks": checks,
         "odd_levels_vanish": odd_ok,
     }
     if args.mode == "tensor":
         payload["norms"] = [
-            {"level": n, "l1": exactpoly.rat_str(norm.l1),
-             "l2sq": exactpoly.rat_str(norm.l2sq)}
+            {"level": n, "l1": _rat_str(norm.l1),
+             "l2sq": _rat_str(norm.l2sq)}
             for n in range(n_max + 1)
             for norm in (hierarchy.level_norms(state, n),)
         ]
@@ -255,11 +272,11 @@ def cmd_develop(args) -> tuple:
     failures = [name for name, ok in checks.items() if not ok]
     payload = {
         "schema": "disksig.develop/1",
-        "lambda": exactpoly.rat_str(args.lam),
-        "point": [exactpoly.rat_str(x), exactpoly.rat_str(y)],
+        "lambda": _rat_str(args.lam),
+        "point": [_rat_str(x), _rat_str(y)],
         "levels": args.levels,
-        "partial_sum": [exactpoly.rat_str(v) for v in psum],
-        "per_level": [[exactpoly.rat_str(c) for c in v] for v in per_level],
+        "partial_sum": [_rat_str(v) for v in psum],
+        "per_level": [[_rat_str(c) for c in v] for v in per_level],
         "checks": checks,
     }
     return json.dumps(payload, indent=2) + "\n", failures, {}
@@ -285,7 +302,7 @@ def cmd_bessel(args) -> tuple:
         payload = {
             "schema": "disksig.bessel/1",
             "pairing": {
-                "lambda": exactpoly.rat_str(lam),
+                "lambda": _rat_str(lam),
                 "d": d_direct.to_json(),
                 "d_determinant_route": d_det.to_json(),
                 "numerator": num.to_json(),
@@ -309,7 +326,7 @@ def cmd_bessel(args) -> tuple:
     payload = {
         "schema": "disksig.bessel/1",
         "nu": args.nu,
-        "point": {"re": exactpoly.rat_str(args.re), "im": exactpoly.rat_str(args.im)},
+        "point": {"re": _rat_str(args.re), "im": _rat_str(args.im)},
         "value": value.to_json(),
         "conjugation_symmetry": conj_ok,
         "precision": prec,
@@ -342,9 +359,9 @@ def cmd_compare(args) -> tuple:
             "lambda {} is not below the certified pole bracket [{}, {}]; "
             "the series does not converge there (see the pole subcommand "
             "for the certificate)".format(
-                exactpoly.rat_str(args.lam),
-                exactpoly.rat_str(certificate.bracket_lo),
-                exactpoly.rat_str(certificate.bracket_hi)))
+                _rat_str(args.lam),
+                _rat_str(certificate.bracket_lo),
+                _rat_str(certificate.bracket_hi)))
     a_vals = hierarchy.a_coefficients(args.levels)
     if args.lam == 0:
         # the ratio defining C has a removable singularity at lambda = 0
@@ -368,14 +385,14 @@ def cmd_compare(args) -> tuple:
         else:
             gap = Fraction(0)
         gaps.append(gap)
-        rows.append((k, exactpoly.rat_str(psum), repr(_float_upper(gap))))
+        rows.append((k, _rat_str(psum), repr(_float_upper(gap))))
     failures = []
     if args.levels >= 8 and gaps[-1] > gaps[args.levels // 2]:
         failures.append("partial-sum gap failed to shrink over the second half")
     mid_str, rad_str = closed.decimal_parts()
     buf = io.StringIO()
     buf.write("# schema: disksig.compare/1\n")
-    buf.write(f"# lambda: {exactpoly.rat_str(args.lam)}\n")
+    buf.write(f"# lambda: {_rat_str(args.lam)}\n")
     buf.write(f"# levels: {args.levels}\n")
     buf.write(f"# precision: {prec}\n")
     buf.write(f"# closed_form_mid: {mid_str}\n")
@@ -557,8 +574,17 @@ def main(argv=None) -> int:
             RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _atomic_write(args.out, text)
-    _write_manifest(args.cmd, args, args.out, text, stats)
+    manifest = _manifest_text(args.cmd, args, args.out, text, stats)
+    written = []
+    try:
+        for path, body in ((args.out, text), (args.out + ".manifest.json", manifest)):
+            _atomic_write(path, body)
+            written.append(path)
+    except OSError as exc:
+        for done in written:
+            os.unlink(done)
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     if failures:
         for item in failures:
             print(f"check failed: {item}", file=sys.stderr)

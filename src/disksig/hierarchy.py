@@ -16,9 +16,8 @@ reduces further to a radial pair (A_n, C_n) of univariate polynomials,
 solved diagonally; that radial recursion is the production route for
 a_n and V_n.  The tensor hierarchy (2^n entries per level) and the
 bivariate developed hierarchy (three polynomials per level) are kept as
-independent oracles at bounded depth.  Everything here is exact except
-radial_levels_ball, a fixed-precision ball variant of the radial
-recursion that is separate and clearly labeled.
+independent oracles at bounded depth.  Everything here is exact;
+radial_levels_ball only encloses the exact radial levels in balls.
 
 The elementary Dirichlet solver: a particular polynomial solution of
 lap u = f found monomial by monomial (the undetermined-coefficient
@@ -297,81 +296,36 @@ def developed_checks(state: HierarchyState, n: int) -> dict:
 # correction) is even.  developed_values relies on this and checks it.
 
 def radial_levels(n_max: int):
-    """Exact univariate (A_n, C_n) coefficient maps {power: Rat}, n <= N."""
-    return _radial_recursion(
-        n_max,
-        one=Fraction(1),
-        add=lambda a, b: a + b,
-        scale_int=lambda a, k: a * k,
-        div_int=lambda a, k: a / k,
-        neg=lambda a: -a,
-    )
-
-
-def _radial_recursion(n_max, one, add, scale_int, div_int, neg):
-    zero_poly: dict = {}
-    a_levels = [dict(), dict()]
-    c_levels = [{0: one}, dict()]
+    """Exact univariate (A_n, C_n) coefficient maps {power: Fraction}, n <= N."""
+    a_levels: list = [{}, {}]
+    c_levels: list = [{0: Fraction(1)}, {}]
     for n in range(2, n_max + 1):
         # g = -r^2 A_{n-2} - 2 r^2 C_{n-1}'
-        g: dict = {}
-        for m, c in a_levels[n - 2].items():
-            g[m + 2] = neg(c)
+        g = {m + 2: -c for m, c in a_levels[n - 2].items()}
         for m, c in c_levels[n - 1].items():
             if m:
-                key = m + 1
-                term = neg(scale_int(c, 2 * m))
-                g[key] = add(g[key], term) if key in g else term
-        a_n: dict = {}
-        for m, c in g.items():
-            a_n[m] = div_int(c, m * m - 1)  # m >= 2 always, never singular
+                g[m + 1] = g.get(m + 1, 0) - 2 * m * c
+        a_n = {m: c / (m * m - 1) for m, c in g.items()}  # m >= 2, never singular
         if a_n:
-            at_one = None
-            for c in a_n.values():
-                at_one = c if at_one is None else add(at_one, c)
-            corr = neg(at_one)
-            a_n[1] = add(a_n[1], corr) if 1 in a_n else corr
+            a_n[1] = a_n.get(1, 0) - sum(a_n.values())
         # h = -2 r C_{n-2} - 2 r A_{n-1}' - 2 A_{n-1}
-        h: dict = {}
-        for m, c in c_levels[n - 2].items():
-            h[m + 1] = neg(scale_int(c, 2))
+        h = {m + 1: -2 * c for m, c in c_levels[n - 2].items()}
         for m, c in a_levels[n - 1].items():
-            term = neg(scale_int(c, 2 * (m + 1)))
-            h[m] = add(h[m], term) if m in h else term
-        c_n: dict = {}
-        for m, c in h.items():
-            c_n[m + 1] = div_int(c, (m + 1) * (m + 1))
+            h[m] = h.get(m, 0) - 2 * (m + 1) * c
+        c_n = {m + 1: c / ((m + 1) * (m + 1)) for m, c in h.items()}
         if c_n:
-            at_one = None
-            for c in c_n.values():
-                at_one = c if at_one is None else add(at_one, c)
-            corr = neg(at_one)
-            c_n[0] = add(c_n[0], corr) if 0 in c_n else corr
-        a_levels.append(a_n or dict(zero_poly))
-        c_levels.append(c_n or dict(zero_poly))
+            c_n[0] = c_n.get(0, 0) - sum(c_n.values())
+        a_levels.append(a_n)
+        c_levels.append(c_n)
     return a_levels[: n_max + 1], c_levels[: n_max + 1]
 
 
 def radial_levels_ball(n_max: int, prec: int):
-    """Ball-arithmetic (A_n, C_n); non-exact, and unused by the CLI.
+    """RealBall enclosures, at `prec` bits, of the exact (A_n, C_n) maps.
 
-    Every coefficient is a RealBall enclosure of the exact coefficient at
-    the requested working precision.
+    Unused by the CLI; kept under this name for the benchmark's tracer.
     """
     from .balls import RealBall
 
-    int_balls: dict = {}
-
-    def ball_of_int(k: int) -> RealBall:
-        if k not in int_balls:
-            int_balls[k] = RealBall.from_int(k)
-        return int_balls[k]
-
-    return _radial_recursion(
-        n_max,
-        one=RealBall.from_int(1),
-        add=lambda a, b: a.add(b, prec),
-        scale_int=lambda a, k: a.mul(ball_of_int(k), prec),
-        div_int=lambda a, k: a.div(ball_of_int(k), prec),
-        neg=lambda a: a.neg(),
-    )
+    return tuple([{m: RealBall.from_rational(q, prec) for m, q in level.items()}
+                  for level in levels] for levels in radial_levels(n_max))

@@ -4,16 +4,16 @@ d(lambda) is continuous, certified negative at 2.5 and positive at 3, so
 it has a zero in between (intermediate value theorem); the closed form
 divides by d, and the series coefficients grow like the reciprocal of
 that zero.  This module brackets the zero by bisection on certified
-signs only.  A sign is a fact about d, not about the precision that
-certified it, so each midpoint sign is first tried at a cheap rung
-precision set by the midpoint's dyadic denominator (about log2 of the
-inverse bracket width, plus guard bits).  A rung enclosure that
-straddles zero falls back to the requested precision: the midpoint is
-re-evaluated there, nudged by a sixteenth of the bracket, then retried
-at doubled precision.  The enclosures stored in the PoleCertificate --
-d at both final endpoints, the numerator bound -- are all computed at
-the final requested precision, so the stored data re-verify offline,
-with no Bessel evaluation needed, and do not depend on the rungs.
+signs only, with one precision rule per job.  A sign is a fact about d,
+not about the precision that certified it, so each midpoint sign is
+certified at a rung precision set by the midpoint's dyadic denominator
+(about log2 of the inverse bracket width, plus guard bits), doubled
+while the enclosure straddles zero; the bracket therefore depends on the
+target width alone.  The enclosures stored in the PoleCertificate -- d
+at both final endpoints, the numerator bound -- are computed at the
+requested precision, doubled while an endpoint enclosure straddles
+zero, so the stored data re-verify offline, with no Bessel evaluation
+needed, and do not depend on the rungs.
 
 The companion check, verify_numerator_nonvanishing, certifies that the
 numerator of C at r = 0 stays away from zero across a bracket, by
@@ -148,8 +148,8 @@ class PoleCertificate:
         )
 
 
-# rungs are few (multiples of _RUNG_STEP below the requested precision),
-# so their constants are built once per process
+# rungs are few (multiples of _RUNG_STEP and their doublings), so their
+# constants are built once per process
 _rung_constants = lru_cache(maxsize=None)(make_constants)
 
 
@@ -158,21 +158,20 @@ def _rung_precision(lam: Fraction) -> int:
     return -(-bits // _RUNG_STEP) * _RUNG_STEP
 
 
-def _certified_d(lam: Fraction, constants: Constants, precision: int):
-    """(sign, ball) with sign certified nonzero, else sign 0.
+def _sign(mid: Fraction) -> int:
+    """Certified sign of d(mid), -1 or 1.
 
-    The sign is tried first at lam's rung precision when that is below
-    `precision`; the ball is whichever enclosure decided, so it is at
-    `precision` only when the rung was skipped or straddled zero.
+    d is evaluated at mid's rung precision, doubled while the enclosure
+    straddles zero, at most _MAX_ESCALATIONS times.
     """
-    rung = _rung_precision(lam)
-    if rung < precision:
-        ball = d_lambda(lam, _rung_constants(rung), rung)
-        sign = _sign_of(ball)
+    prec = _rung_precision(mid)
+    for _ in range(_MAX_ESCALATIONS + 1):
+        sign = _sign_of(d_lambda(mid, _rung_constants(prec), prec))
         if sign:
-            return sign, ball
-    ball = d_lambda(lam, constants, precision)
-    return _sign_of(ball), ball
+            return sign
+        prec *= 2
+    raise InconclusiveSign(
+        f"d enclosure at midpoint {mid} straddles zero up to {prec // 2} bits")
 
 
 def locate_pole(target_width, precision: int = DEFAULT_PREC) -> PoleCertificate:
@@ -182,13 +181,12 @@ def locate_pole(target_width, precision: int = DEFAULT_PREC) -> PoleCertificate:
     strictly inside (5/2, 3), as verify() requires; so a target width of
     1/4 or more still takes the steps that move both ends inward.
 
-    Each midpoint sign comes from _certified_d: the rung precision first,
-    then `precision`.  A midpoint inconclusive at `precision` is shifted
-    by 1/16 of the bracket, then the working precision is doubled
-    (bounded retries).  Only signs steer the bisection; once the bracket
-    is narrow enough, d at both endpoints is evaluated at the final
-    working precision and must be certified negative and positive, and
-    the numerator is certified negative across the bracket at that
+    Each midpoint sign comes from _sign alone, so the bracket depends on
+    target_width and not on `precision`.  Once the bracket is narrow
+    enough, d at both endpoints is evaluated at `precision`, doubled
+    while either enclosure straddles zero (at most _MAX_ESCALATIONS
+    times); the endpoints must be certified negative and positive, and
+    the numerator is certified negative across the bracket at that final
     precision.  Those enclosures, the final precision and the series
     length are what the certificate stores.
     """
@@ -198,29 +196,22 @@ def locate_pole(target_width, precision: int = DEFAULT_PREC) -> PoleCertificate:
     precision = int(precision)
     if precision < 53:
         raise ValueError("precision below 53 bits is not supported")
-    constants = make_constants(precision)
-    escalations = 0
     lo, hi = BRACKET_LO, BRACKET_HI
     while hi - lo > width or lo == BRACKET_LO or hi == BRACKET_HI:
         mid = (lo + hi) / 2
-        sign, _ = _certified_d(mid, constants, precision)
-        if sign == 0:
-            mid = mid + (hi - lo) / 16
-            sign, _ = _certified_d(mid, constants, precision)
-        while sign == 0:
-            if escalations >= _MAX_ESCALATIONS:
-                raise InconclusiveSign(
-                    "precision ceiling reached while certifying a midpoint "
-                    f"sign (reached {precision} bits)")
-            escalations += 1
-            precision *= 2
-            constants = make_constants(precision)
-            sign, _ = _certified_d(mid, constants, precision)
-        if sign < 0:
+        if _sign(mid) < 0:
             lo = mid
         else:
             hi = mid
-    d_lo, d_hi = verify_sign_change(lo, hi, precision, constants)
+    for escalation in range(_MAX_ESCALATIONS + 1):
+        constants = make_constants(precision)
+        try:
+            d_lo, d_hi = verify_sign_change(lo, hi, precision, constants)
+            break
+        except InconclusiveSign:
+            if escalation == _MAX_ESCALATIONS:
+                raise
+            precision *= 2
     if not (d_lo.is_negative() and d_hi.is_positive()):
         raise NoSignChange(f"expected d < 0 at {lo} and d > 0 at {hi}")
     num = verify_numerator_nonvanishing(lo, hi, precision=precision,

@@ -185,6 +185,11 @@ def test_decimal_parts_enclose():
     # the printed pair must parse back to an enclosure of 1/3
     back = RealBall.from_json({"mid": mid_str, "rad": rad_str})
     assert back.contains(F(1, 3))
+    # every decimal form a reader may hand back, with its exact value
+    for text, value in (("1.", F(1)), (".5", F(1, 2)), ("-.5", F(-1, 2)),
+                        ("+3.25E-7", F(325, 10 ** 9))):
+        ball = RealBall.from_json({"mid": text, "rad": "0"})
+        assert ball.contains(value) and ball.rad_fraction() < F(1, 2 ** 100)
 
 
 def fraction_to_dec_up_by_scaling(q: F, sig: int = 3) -> str:

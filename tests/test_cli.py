@@ -274,6 +274,33 @@ def test_decimal_at_the_digit_limit_is_accepted(tmp_path):
     assert json.loads(out.read_text())["point"]["re"] == "1/1" + "0" * 4299
 
 
+@pytest.mark.parametrize("argv", [
+    ("compare", "--lambda", f"1/{10 ** 40 + 1}", "--levels", "110"),
+    ("develop", f"--x=1/{3 ** 60}", "--levels", "200"),
+], ids=["compare", "develop"])
+def test_exact_output_past_the_digit_limit_is_a_usage_error(tmp_path, capsys, argv):
+    rc, _ = run(tmp_path, *argv)
+    assert rc == 2
+    assert f"more than {cli._MAX_DIGITS} digits" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, out, blocker", [
+    (("hierarchy", "--levels", "2"), "missing/x.json", None),
+    (("radius", "--levels", "4"), "adir", "adir"),
+    (("radius", "--levels", "4"), "r.csv", "r.csv.manifest.json"),
+], ids=["missing-directory", "out-is-a-directory", "manifest-is-a-directory"])
+def test_unwritable_out_is_a_clean_error(tmp_path, capsys, argv, out, blocker):
+    if blocker:
+        (tmp_path / blocker).mkdir()
+    rc = main([*argv, "--out", str(tmp_path / out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and "Traceback" not in err
+    # no output, manifest or .disksig-* temp file is left behind
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ([blocker] if blocker else [])
+
+
 def test_precision_env_above_cap_writes_nothing(tmp_path, monkeypatch):
     monkeypatch.setenv("DISKSIG_PREC", str(cli.MAX_PRECISION + 1))
     rc, out = run(tmp_path, "bessel", "--pairing", "3")

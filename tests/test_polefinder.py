@@ -3,6 +3,7 @@
 import hashlib
 import json
 from fractions import Fraction as F
+from itertools import groupby
 
 import pytest
 
@@ -10,6 +11,7 @@ import disksig.polefinder as polefinder
 from disksig.balls import RealBall
 from disksig.bessel import d_lambda, make_constants
 from disksig.cli import main
+from disksig.exactpoly import as_rat
 from disksig.polefinder import (InconclusiveSign, NoSignChange,
                                 PoleCertificate, locate_pole,
                                 verify_sign_change,
@@ -50,31 +52,71 @@ def test_locate_pole_coarse_bracket_stays_inside_lemma_interval():
 
 
 def test_escalation_recertifies_endpoints_at_final_precision(monkeypatch):
-    real = polefinder._certified_d
-    calls = []
+    ref = locate_pole(F(1, 100))
+    lo, hi = ref.bracket_lo, ref.bracket_hi
+    real = polefinder.d_lambda
 
-    def counted(lam, constants, precision):
-        calls.append(lam)
-        return real(lam, constants, precision)
+    def flaky(lam, constants, prec=None):
+        # both stored endpoints read inconclusive at 128 bits
+        if prec == 128 and lam in (lo, hi):
+            return RealBall.from_interval(-1, 1)
+        return real(lam, constants, prec)
 
-    monkeypatch.setattr(polefinder, "_certified_d", counted)
-    locate_pole(F(1, 100))
-    last = len(calls)
-    calls.clear()
-
-    def flaky(lam, constants, precision):
-        # the last midpoint and its nudge read inconclusive at 128 bits
-        sign, ball = counted(lam, constants, precision)
-        return (0, ball) if len(calls) in (last, last + 1) else (sign, ball)
-
-    monkeypatch.setattr(polefinder, "_certified_d", flaky)
+    monkeypatch.setattr(polefinder, "d_lambda", flaky)
     cert = locate_pole(F(1, 100), precision=128)
+    assert (cert.bracket_lo, cert.bracket_hi) == (lo, hi)
     assert cert.precision == 256
     assert cert.verify() == []
     constants = make_constants(256)
     for lam, ball in ((cert.bracket_lo, cert.d_lo), (cert.bracket_hi, cert.d_hi)):
         ref = d_lambda(lam, constants, 256)
         assert (ball.mid, ball.rad) == (ref.mid, ref.rad)
+
+
+def test_sign_that_never_certifies_is_inconclusive(monkeypatch):
+    precs = []
+
+    def straddling(lam, constants, prec=None):
+        precs.append(prec)
+        return RealBall.from_interval(-1, 1)
+
+    monkeypatch.setattr(polefinder, "d_lambda", straddling)
+    with pytest.raises(InconclusiveSign):
+        locate_pole(F(1, 100))
+    # the first midpoint's rung, doubled _MAX_ESCALATIONS times
+    assert precs == [64 << k for k in range(polefinder._MAX_ESCALATIONS + 1)]
+
+
+def test_bracket_depends_on_width_alone():
+    ref = locate_pole(F(1, 10 ** 20), precision=512)
+    for precision in (53, 64, 80):
+        cert = locate_pole(F(1, 10 ** 20), precision=precision)
+        assert (cert.bracket_lo, cert.bracket_hi) == (ref.bracket_lo, ref.bracket_hi)
+        assert cert.verify() == []
+
+
+# precision of every d evaluation in locate_pole at the two benchmark
+# inputs, as runs of (precision, count): the midpoint rungs in bisection
+# order, then both stored endpoints at the requested precision
+D_EVALUATIONS = [
+    ("1/1000000", 128, [(64, 19), (128, 2)]),
+    ("1e-20", 512, [(64, 30), (96, 32), (128, 4), (512, 2)]),
+]
+
+
+@pytest.mark.parametrize("width, precision, runs", D_EVALUATIONS,
+                         ids=["1e-6@128", "1e-20@512"])
+def test_d_evaluations_are_pinned(monkeypatch, width, precision, runs):
+    real = polefinder.d_lambda
+    precs = []
+
+    def recorded(lam, constants, prec=None):
+        precs.append(prec)
+        return real(lam, constants, prec)
+
+    monkeypatch.setattr(polefinder, "d_lambda", recorded)
+    locate_pole(as_rat(width), precision=precision)
+    assert [(p, len(list(g))) for p, g in groupby(precs)] == runs
 
 
 def test_certificate_json_round_trip():
@@ -152,10 +194,11 @@ def test_pole_certificate_bytes_are_pinned(tmp_path, width, precision, digest):
 
 @pytest.mark.parametrize("width, precision, digest", PINNED_CERTIFICATES,
                          ids=PINNED_IDS)
-def test_straddling_rungs_fall_back_to_requested_precision(
+def test_straddling_rungs_double_to_the_same_certificate(
         tmp_path, monkeypatch, width, precision, digest):
-    # every evaluation below the requested precision is a rung; make each
-    # one inconclusive, so every sign comes from the fallback path
+    # make every evaluation below the requested precision inconclusive, so
+    # each midpoint's rung is doubled up to at least that precision; the
+    # signs are the same facts, so the certificate bytes do not change
     real = polefinder.d_lambda
     rungs = []
 

@@ -60,7 +60,7 @@ DEVELOPED_CAP = 200  # radial route: develop, compare, radius
 DEVELOPED_ORACLE_CAP = 60
 # ball-layer caps, timed on a 2-vCPU VM: at MAX_PRECISION bits, `bessel
 # --pairing 141/50` takes about 3.4 s, `pole --width 1/1000` 2.7 s and
-# `compare --lambda 2 --levels 40` 3.6 s (each doubling costs about 4x,
+# `compare --lambda 2 --levels 40` 1.0 s (each doubling costs about 4x,
 # and from about 14000 bits a ball's decimal digits exceed what Python
 # converts to a string); at MIN_POLE_WIDTH, `pole` takes about 3.6 s at
 # 128 bits and 5.9 s at MAX_PRECISION
@@ -353,7 +353,8 @@ def cmd_compare(args) -> tuple:
     if not 0 <= args.levels <= DEVELOPED_CAP:
         raise UsageError(f"--levels must be in 0..{DEVELOPED_CAP}")
     prec = _check_precision(args.precision)
-    certificate = polefinder.locate_pole(Fraction(1, 100), precision=prec)
+    # the bracket depends on the width alone: certify it at the default precision
+    certificate = polefinder.locate_pole(Fraction(1, 100))
     if args.lam >= certificate.bracket_lo:
         raise UsageError(
             "lambda {} is not below the certified pole bracket [{}, {}]; "

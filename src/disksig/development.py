@@ -114,12 +114,7 @@ def fold_apply(t: TensorPoly, v) -> Vec3Poly:
             b = work[i + 1]
             nxt.append((a[2], b[2], a[0] + b[1]))
         work = nxt
-    c1, c2, c3 = work[0]
-    return Vec3Poly(_as_poly(c1), _as_poly(c2), _as_poly(c3))
-
-
-def _as_poly(c) -> Poly2:
-    return c if isinstance(c, Poly2) else Poly2.const(c)
+    return Vec3Poly(*work[0])
 
 
 def fold_apply_naive(t: TensorPoly, v) -> Vec3Poly:

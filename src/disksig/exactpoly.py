@@ -221,11 +221,6 @@ class Poly2:
         total = sum(v * xp[i] * yp[j] for (i, j), v in self._c.items())
         return Fraction(total, self._d * q ** top_i * s ** top_j)
 
-    def rotate90(self) -> "Poly2":
-        """p(x, y) -> p(-y, x), the quarter-turn substitution."""
-        return _raw({(j, i): (v if i % 2 == 0 else -v)
-                     for (i, j), v in self._c.items()}, self._d)
-
     def restrict_y0(self) -> "Poly2":
         """p(x, 0) as a polynomial in x alone (terms with j > 0 drop)."""
         return _reduced({k: v for k, v in self._c.items() if k[1] == 0}, self._d)
@@ -462,16 +457,6 @@ class TrigPoly:
             out._add_cos(k - 1, v / 2)
             out._add_cos(k + 1, -v / 2)
         return out
-
-    def evaluate(self, theta: float) -> float:
-        """Float evaluation, for numeric spot checks only."""
-        import math
-        total = 0.0
-        for k, v in self.cos.items():
-            total += float(v) * math.cos(k * theta)
-        for k, v in self.sin.items():
-            total += float(v) * math.sin(k * theta)
-        return total
 
     def __repr__(self):
         bits = [f"{v}*cos({k}t)" if k else f"{v}" for k, v in sorted(self.cos.items())]

@@ -16,8 +16,11 @@ reduces further to a radial pair (A_n, C_n) of univariate polynomials,
 solved diagonally; that radial recursion is the production route for
 a_n and V_n.  The tensor hierarchy (2^n entries per level) and the
 bivariate developed hierarchy (three polynomials per level) are kept as
-independent oracles at bounded depth.  Everything here is exact;
-radial_levels_ball only encloses the exact radial levels in balls.
+independent oracles at bounded depth; each level records, when it is
+solved, whether every component's Laplacian equals its right-hand side
+exactly, and the checks read that verdict next to a zero boundary
+trace.  Everything here is exact; radial_levels_ball only encloses the
+exact radial levels in balls.
 
 The elementary Dirichlet solver: a particular polynomial solution of
 lap u = f found monomial by monomial (the undetermined-coefficient
@@ -32,12 +35,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .development import Vec3Poly, m_of_vector, mat_mul, mat_vec
+from .development import _M1, _M2, Vec3Poly, mat_mul, mat_vec
 from .exactpoly import (Poly2, TensorPoly, as_rat, boundary_trace,
                         harmonic_extension, laplacian, poisson_particular)
-
-_M1 = m_of_vector((Fraction(1), Fraction(0)))
-_M2 = m_of_vector((Fraction(0), Fraction(1)))
 
 # sum_i M(e_i)^2, derived by direct multiplication rather than hardcoded
 _MSQ = tuple(tuple(mat_mul(_M1, _M1)[i][j] + mat_mul(_M2, _M2)[i][j]
@@ -64,61 +64,45 @@ class HierarchyState:
     """Computed levels of both hierarchies, extended on demand.
 
     tensor_levels[n] is a TensorPoly (2^n entries), developed_levels[n]
-    a Vec3Poly.  Level n needs only n-1 and n-2, so extension is a
-    simple sequential sweep.  The right-hand side of the newest solved
-    level of each hierarchy is held until take_rhs hands it to that
-    level's exactness check, so a level solved and then checked builds
-    it once.  One writer at a time; reads between level completions are
-    safe.
+    a Vec3Poly.  Levels 0 and 1 are definitions; level n >= 2 needs only
+    n-1 and n-2, so extension is a simple sequential sweep that solves
+    each component of the level's right-hand side and records, in
+    residual_ok[name][n], whether every solved component's Laplacian
+    equals its right-hand side exactly.  One writer at a time; reads
+    between level completions are safe.
     """
 
     def __init__(self):
-        self.tensor_levels: list[TensorPoly] = []
-        self.developed_levels: list[Vec3Poly] = []
-        self._rhs: dict = {}  # hierarchy name -> (level, right-hand side)
-
-    def take_rhs(self, name: str, n: int):
-        """The held right-hand side of level n of `name`, once; else None."""
-        held = self._rhs.pop(name, None)
-        return held[1] if held is not None and held[0] == n else None
-
-    # -- tensor hierarchy ------------------------------------------------
+        self.tensor_levels: list[TensorPoly] = [
+            TensorPoly(0, [Poly2.const(1)]), TensorPoly.zeros(1)]
+        self.developed_levels: list[Vec3Poly] = [
+            Vec3Poly(Poly2.zero(), Poly2.zero(), Poly2.const(1)), Vec3Poly.zero()]
+        self.residual_ok = {"tensor": [True, True], "developed": [True, True]}
 
     def tensor(self, n: int) -> TensorPoly:
         if n < 0:
             raise ValueError("negative level")
         while len(self.tensor_levels) <= n:
-            self.tensor_levels.append(self._next_tensor())
+            m = len(self.tensor_levels)
+            entries = self._solve("tensor", tensor_rhs(self, m).entries)
+            self.tensor_levels.append(TensorPoly(m, entries))
         return self.tensor_levels[n]
-
-    def _next_tensor(self) -> TensorPoly:
-        n = len(self.tensor_levels)
-        if n == 0:
-            return TensorPoly(0, [Poly2.const(1)])
-        if n == 1:
-            return TensorPoly.zeros(1)
-        rhs = tensor_rhs(self, n)
-        self._rhs["tensor"] = (n, rhs)
-        return TensorPoly(n, [solve_poisson_zero_bd(f) for f in rhs.entries])
-
-    # -- developed hierarchy ----------------------------------------------
 
     def developed(self, n: int) -> Vec3Poly:
         if n < 0:
             raise ValueError("negative level")
         while len(self.developed_levels) <= n:
-            self.developed_levels.append(self._next_developed())
+            m = len(self.developed_levels)
+            self.developed_levels.append(
+                Vec3Poly(*self._solve("developed", developed_rhs(self, m))))
         return self.developed_levels[n]
 
-    def _next_developed(self) -> Vec3Poly:
-        n = len(self.developed_levels)
-        if n == 0:
-            return Vec3Poly(Poly2.zero(), Poly2.zero(), Poly2.const(1))
-        if n == 1:
-            return Vec3Poly.zero()
-        rhs = developed_rhs(self, n)
-        self._rhs["developed"] = (n, rhs)
-        return Vec3Poly(*(solve_poisson_zero_bd(f) for f in rhs))
+    def _solve(self, name: str, rhs) -> list:
+        """Solve each component of rhs; record the exact residual verdict."""
+        solved = [solve_poisson_zero_bd(f) for f in rhs]
+        self.residual_ok[name].append(
+            all(laplacian(u) == f for u, f in zip(solved, rhs)))
+        return solved
 
 
 def tensor_rhs(self: HierarchyState, n: int) -> TensorPoly:
@@ -242,36 +226,20 @@ def radius_estimate(coeffs) -> list:
 
 def tensor_checks(state: HierarchyState, n: int) -> dict:
     """Exact residual and boundary verification for tensor level n."""
-    t = state.tensor(n)
-    if n >= 2:
-        rhs = state.take_rhs("tensor", n)
-        if rhs is None:  # not the newest solved level, or checked before
-            rhs = tensor_rhs(state, n)
-        residual_ok = all(laplacian(e) == f for e, f in zip(t.entries, rhs.entries))
-    else:
-        residual_ok = True  # levels 0 and 1 are definitions, not solves
-    if n >= 1:
-        boundary_ok = all(boundary_trace(e).is_zero() for e in t.entries)
-    else:
-        boundary_ok = boundary_trace(t.entries[0]) == boundary_trace(Poly2.const(1))
-    return {"residual_ok": residual_ok, "boundary_ok": boundary_ok}
+    return _checks(state.residual_ok["tensor"], state.tensor(n).entries, n)
 
 
 def developed_checks(state: HierarchyState, n: int) -> dict:
     """Exact residual and boundary verification for developed level n."""
-    v = state.developed(n)
-    if n >= 2:
-        rhs = state.take_rhs("developed", n)
-        if rhs is None:  # not the newest solved level, or checked before
-            rhs = developed_rhs(state, n)
-        residual_ok = all(laplacian(c) == r for c, r in zip(v, rhs))
-    else:
-        residual_ok = True
-    if n >= 1:
-        boundary_ok = all(boundary_trace(c).is_zero() for c in v)
-    else:
-        boundary_ok = True
-    return {"residual_ok": residual_ok, "boundary_ok": boundary_ok}
+    return _checks(state.residual_ok["developed"], state.developed(n), n)
+
+
+def _checks(residual_ok: list, components, n: int) -> dict:
+    """Level n's recorded residual verdict, and a zero trace on the circle
+    for every component when n >= 1 (level 0 is the definition pi_0 = 1)."""
+    return {"residual_ok": residual_ok[n],
+            "boundary_ok": n == 0 or all(boundary_trace(c).is_zero()
+                                         for c in components)}
 
 
 # -- radial form of the developed recursion ---------------------------------

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from disksig.exactpoly import Poly2
 from disksig.hierarchy import HierarchyState
 
 
@@ -63,3 +64,39 @@ def budget_one_in_workers(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "_run_slice", run_slice_in_worker)
     monkeypatch.setattr(montecarlo, "_worker_count", lambda paths: 2)
+
+
+_X, _Y = Poly2.monomial(1, 0), Poly2.monomial(0, 1)
+# what each wrong term leaves intact: x is harmonic, so the residual still
+# holds but the trace is cos t; (1 - x^2 - y^2) x vanishes on the circle,
+# but its Laplacian is -8x
+_WRONG_TERM = {"boundary_ok": _X,
+               "residual_ok": (Poly2.const(1) - _X * _X - _Y * _Y) * _X}
+
+
+@pytest.fixture
+def wrong_level(monkeypatch):
+    """wrong_level(mode, n, check): every component solved for level n of
+    the `mode` hierarchy ("tensor" or "developed") comes out with a term
+    added that only `check` ("residual_ok" or "boundary_ok") can see;
+    every other level of both hierarchies is solved as before."""
+    import disksig.hierarchy as hierarchy
+
+    def corrupt(mode, level, check):
+        building = []  # (rhs name, level) of each right-hand side built
+        for name in ("tensor_rhs", "developed_rhs"):
+            def rhs(state, n, name=name, real=getattr(hierarchy, name)):
+                building.append((name, n))
+                return real(state, n)
+
+            monkeypatch.setattr(hierarchy, name, rhs)
+        solve = hierarchy.solve_poisson_zero_bd
+
+        def wrong_solve(f):
+            if building[-1] == (f"{mode}_rhs", level):
+                return solve(f) + _WRONG_TERM[check]
+            return solve(f)
+
+        monkeypatch.setattr(hierarchy, "solve_poisson_zero_bd", wrong_solve)
+
+    return corrupt

@@ -113,7 +113,8 @@ def test_hierarchy_dump_polys_bytes_are_pinned(tmp_path, mode, levels, digest):
 def test_hierarchy_builds_each_right_hand_side_once(tmp_path, monkeypatch,
                                                    mode, levels, name):
     # levels 2..N are solved (31 of 32 developed, 8 of 9 tensor levels),
-    # and each level's check reuses the rhs its solve built
+    # and each level's check reads the residual verdict its solve recorded
+    # instead of building the rhs again
     import disksig.hierarchy as hierarchy
 
     real = getattr(hierarchy, name)
@@ -127,6 +128,20 @@ def test_hierarchy_builds_each_right_hand_side_once(tmp_path, monkeypatch,
     rc, _ = run(tmp_path, "hierarchy", "--levels", str(levels), "--mode", mode)
     assert rc == 0
     assert calls == list(range(2, levels + 1))
+
+
+@pytest.mark.parametrize("broken", ["residual_ok", "boundary_ok"])
+@pytest.mark.parametrize("mode", ["tensor", "developed"])
+def test_hierarchy_exits_1_on_a_wrong_level(tmp_path, capsys, wrong_level,
+                                           mode, broken):
+    wrong_level(mode, 3, broken)
+    rc, out = run(tmp_path, "hierarchy", "--levels", "5", "--mode", mode)
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.endswith("_ok")] == [
+        f"check failed: level 3: {broken}"]
+    checks = json.loads(out.read_text())["checks"]
+    assert [c["level"] for c in checks if not c[broken]] == [3]
 
 
 def test_develop_subcommand(tmp_path):
@@ -410,6 +425,18 @@ def test_compare_refuses_lambda_at_pole(tmp_path):
     rc, out = run(tmp_path, "compare", "--lambda", "29/10", "--levels", "10")
     assert rc == 2
     assert not out.exists()
+
+
+def test_compare_guard_does_not_depend_on_precision(tmp_path, capsys):
+    errors = []
+    for prec in ("53", "2048"):
+        rc, out = run(tmp_path, "compare", "--lambda", "29/10", "--levels",
+                      "4", "--precision", prec)
+        assert rc == 2
+        assert not out.exists()
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert "bracket [361/128, 181/64]" in errors[0]
 
 
 def test_radius_csv(tmp_path):

@@ -45,15 +45,6 @@ def test_laplacian_kills_harmonic_polynomials():
     assert laplacian(x * x) == Poly2.const(2)
 
 
-def test_rotate90_is_algebra_map():
-    x = Poly2.monomial(1, 0)
-    y = Poly2.monomial(0, 1)
-    p = x * x + 2 * x * y - y
-    # (x, y) -> (-y, x)
-    assert p.rotate90() == y * y - 2 * y * x - x
-    assert (p * p).rotate90() == p.rotate90() * p.rotate90()
-
-
 def test_restrict_y0_drops_y_terms():
     x = Poly2.monomial(1, 0)
     y = Poly2.monomial(0, 1)
@@ -171,15 +162,6 @@ def test_trig_product_identities():
     assert c2 + s2 == one
 
 
-def test_trig_evaluate_matches_float():
-    import math
-
-    t = boundary_trace(Poly2.monomial(2, 1))  # x^2 y on the circle
-    for theta in (0.3, 1.2, 4.0):
-        want = math.cos(theta) ** 2 * math.sin(theta)
-        assert t.evaluate(theta) == pytest.approx(want, abs=1e-12)
-
-
 def test_words_enumeration_round_trips():
     for n in range(5):
         ws = words(n)
@@ -284,8 +266,6 @@ def test_poly2_ops_match_fraction_reference(pair, v, x, y):
                       {(i - 1, j): c * i for (i, j), c in a.items() if i}),
         "partial_y": (p.partial_y(),
                       {(i, j - 1): c * j for (i, j), c in a.items() if j}),
-        "rotate90": (p.rotate90(),
-                     {(j, i): c if i % 2 == 0 else -c for (i, j), c in a.items()}),
         "restrict_y0": (p.restrict_y0(),
                         {(i, 0): c for (i, j), c in a.items() if j == 0}),
         "laplacian": (laplacian(p), ref_add(

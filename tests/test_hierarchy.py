@@ -67,7 +67,8 @@ def test_exactness_checks_small_levels(state):
 
 
 def test_checks_out_of_order_use_their_own_right_hand_side():
-    # only the newest solved level's rhs is held, and only until checked
+    # each level's residual verdict is recorded when it is solved, so
+    # checks may run in any order and more than once
     fresh = HierarchyState()
     fresh.tensor(5)
     fresh.developed(6)
@@ -76,6 +77,19 @@ def test_checks_out_of_order_use_their_own_right_hand_side():
         assert tensor_checks(fresh, n) == ok
     for n in (4, 6, 6, 2):
         assert developed_checks(fresh, n) == ok
+
+
+@pytest.mark.parametrize("broken", ["residual_ok", "boundary_ok"])
+@pytest.mark.parametrize("mode, checks", [("tensor", tensor_checks),
+                                          ("developed", developed_checks)])
+def test_checks_flag_a_wrong_level(wrong_level, mode, checks, broken):
+    wrong_level(mode, 3, broken)
+    fresh = HierarchyState()
+    for n in range(1, 6):
+        want = {"residual_ok": True, "boundary_ok": True}
+        if n == 3:
+            want[broken] = False
+        assert checks(fresh, n) == want, n
 
 
 def test_a_coefficients_fixtures():

@@ -35,7 +35,6 @@ _EXPORTS = {
     "estimate_expected_sig": "montecarlo",
     "PoleCertificate": "polefinder",
     "locate_pole": "polefinder",
-    "verify_sign_change": "polefinder",
 }
 
 __all__ = [*_EXPORTS, "__version__"]

@@ -404,8 +404,3 @@ class ComplexBall:
 
     def to_json(self) -> dict:
         return {"re": self.re.to_json(), "im": self.im.to_json()}
-
-    @classmethod
-    def from_json(cls, obj: dict, prec: int = DEFAULT_PREC) -> "ComplexBall":
-        return cls(RealBall.from_json(obj["re"], prec),
-                   RealBall.from_json(obj["im"], prec))

@@ -39,22 +39,17 @@ def _as_complex_ball(x, prec: int) -> ComplexBall:
     return ComplexBall.from_real(_as_real_ball(x, prec))
 
 
-def bessel_tail_bound(x, n: int) -> RealBall:
+def bessel_tail_bound(x: ComplexBall, n: int) -> RealBall:
     """Upper bound for the series tail of J0 or J1 truncated before term n.
 
     Both tails are dominated by the geometric bound
         (1 - |x|^2/(2n+2)^2)^(-1) * |x/2|^(2n) / n!^2,
-    computed here in exact rationals from an upper bound of |x|.
-    Requires |x| < 2(n+1).
+    computed here in exact rationals from an upper bound of |x|, where x
+    is a complex ball.  Requires |x| < 2(n+1).
     """
     if n < 0:
         raise ValueError("negative term index")
-    if isinstance(x, ComplexBall):
-        xu = x.abs2().upper()  # |x|^2 upper bound, exact rational
-    elif isinstance(x, RealBall):
-        xu = x.abs().upper() ** 2
-    else:
-        xu = as_rat(x) ** 2
+    xu = x.abs2().upper()  # |x|^2 upper bound, exact rational
     if xu >= 4 * (n + 1) * (n + 1):
         raise ValueError(f"|x| >= 2(n+1) = {2 * (n + 1)}; tail bound invalid")
     return RealBall.from_rational(_tail_bound(xu, n))
@@ -159,19 +154,28 @@ def series_terms(lam, constants: Constants, prec: int | None = None) -> int:
 
 
 def _remark_parts(lam, constants: Constants, prec: int) -> tuple:
-    """(lambda zeta, J1(lambda conj(zeta)), the remark product)."""
+    """(x0, x1, J1(x1), the remark product) at lambda.
+
+    x0 = lambda zeta and x1 = lambda conj(zeta); this is the only
+    evaluation of J0(x0) and J1(x1).
+    """
     lamc = _as_complex_ball(lam, prec)
     x0 = lamc.mul(constants.zeta, prec)
     x1 = lamc.mul(constants.zeta.conj(), prec)
     j0 = bessel_j(0, x0, prec=prec)
     j1 = bessel_j(1, x1, prec=prec)
-    return x0, j1, constants.alpha.conj().mul(j0, prec).mul(j1, prec)
+    return x0, x1, j1, constants.alpha.conj().mul(j0, prec).mul(j1, prec)
+
+
+def _numerator(j1: ComplexBall, constants: Constants, prec: int) -> RealBall:
+    """Im(conj(alpha) j1) for j1 = J1(lambda conj(zeta))."""
+    return constants.alpha.conj().mul(j1, prec).im
 
 
 def remark_product(lam, constants: Constants,
                    prec: int | None = None) -> ComplexBall:
     """Enclosure of conj(alpha) J0(lambda zeta) J1(lambda conj(zeta))."""
-    return _remark_parts(lam, constants, prec or constants.prec)[2]
+    return _remark_parts(lam, constants, prec or constants.prec)[3]
 
 
 def d_lambda(lam, constants: Constants, prec: int | None = None) -> RealBall:
@@ -179,36 +183,23 @@ def d_lambda(lam, constants: Constants, prec: int | None = None) -> RealBall:
     return remark_product(lam, constants, prec).im
 
 
-def d_and_numerator(lam, constants: Constants,
-                    prec: int | None = None) -> tuple:
-    """(d_lambda, numerator_im) at lambda from one J1(lambda conj(zeta)).
+def pairing(lam, constants: Constants, prec: int | None = None) -> tuple:
+    """(d, d by the determinant route, numerator) at lambda.
 
-    Both balls equal the ones the two functions return separately.
+    d and the numerator are the balls d_lambda and numerator_im return.
+    The determinant route is Wronskian-style,
+        2i d = conj(alpha) J0(lz) J1(lz~) - alpha J1(lz) J0(lz~),
+    whose first term is the remark product itself; the second term's two
+    factors are evaluated from their own series rather than by
+    conjugating the first, so its ball must intersect d's.
     """
     prec = prec or constants.prec
-    _, j1, product = _remark_parts(lam, constants, prec)
-    return product.im, constants.alpha.conj().mul(j1, prec).im
-
-
-def d_lambda_determinant(lam, constants: Constants,
-                         prec: int | None = None) -> RealBall:
-    """d(lambda) by the Wronskian-style route, an independent evaluation.
-
-    2i d = conj(alpha) J0(lz) J1(lz~) - alpha J1(lz) J0(lz~), with both
-    factors on the second term evaluated from their own series rather
-    than by conjugating the first.  Must intersect d_lambda's output.
-    """
-    prec = prec or constants.prec
-    lamc = _as_complex_ball(lam, prec)
-    x0 = lamc.mul(constants.zeta, prec)
-    x1 = lamc.mul(constants.zeta.conj(), prec)
-    w1 = constants.alpha.conj().mul(bessel_j(0, x0, prec=prec), prec)
-    w1 = w1.mul(bessel_j(1, x1, prec=prec), prec)
-    w2 = constants.alpha.mul(bessel_j(1, x0, prec=prec), prec)
-    w2 = w2.mul(bessel_j(0, x1, prec=prec), prec)
-    diff = w1.sub(w2, prec)
+    x0, x1, j1, product = _remark_parts(lam, constants, prec)
+    second = constants.alpha.mul(bessel_j(1, x0, prec=prec), prec)
+    second = second.mul(bessel_j(0, x1, prec=prec), prec)
     # (a + bi)/(2i) has real part b/2; for real lambda, a's ball straddles 0
-    return diff.im.mul_2exp(-1)
+    d_det = product.sub(second, prec).im.mul_2exp(-1)
+    return product.im, d_det, _numerator(j1, constants, prec)
 
 
 def numerator_im(lam, constants: Constants,
@@ -219,10 +210,8 @@ def numerator_im(lam, constants: Constants,
     the numerator over a whole bracket.
     """
     prec = prec or constants.prec
-    lamc = _as_complex_ball(lam, prec)
-    x1 = lamc.mul(constants.zeta.conj(), prec)
-    j1 = bessel_j(1, x1, prec=prec)
-    return constants.alpha.conj().mul(j1, prec).im
+    x1 = _as_complex_ball(lam, prec).mul(constants.zeta.conj(), prec)
+    return _numerator(bessel_j(1, x1, prec=prec), constants, prec)
 
 
 def abc_closed_form(lam, r, constants: Constants,
@@ -243,7 +232,7 @@ def abc_closed_form(lam, r, constants: Constants,
     r_ball = _as_real_ball(r, prec)
     if r_ball.lower() < 0 or r_ball.upper() > 1:
         raise ValueError("r must lie in [0, 1]")
-    x0, j1_fix, product = _remark_parts(lam, constants, prec)
+    x0, _, j1_fix, product = _remark_parts(lam, constants, prec)
     d = product.im
     if d.contains_zero():
         raise ValueError("pole proximity: d(lambda) enclosure contains zero; "

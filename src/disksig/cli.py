@@ -17,7 +17,7 @@ uncertifiable sign, an exhausted Monte Carlo block budget, an unwritable
 Rationals cross the boundary as "num/den" strings and balls as
 {"mid", "rad"} decimal strings, so no binary float ambiguity enters the
 serialized results.  The default working precision is 128 bits,
-overridable with the DISKSIG_PREC environment variable or --precision.
+overridable with --precision.
 
 The layers are imported lazily and each subcommand executes only those
 it calls: `radius`, `develop` and `hierarchy` run the exact layers
@@ -126,19 +126,6 @@ def _parse_rat(text: str) -> Fraction:
         return q
     except (ValueError, ArithmeticError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
-
-
-def _default_precision() -> int:
-    raw = os.environ.get("DISKSIG_PREC")
-    if raw is None:
-        return DEFAULT_PREC
-    try:
-        prec = int(raw)
-    except ValueError as exc:
-        raise UsageError(f"DISKSIG_PREC must be an integer, got {raw!r}") from exc
-    if not 53 <= prec <= MAX_PRECISION:
-        raise UsageError(f"DISKSIG_PREC must be in 53..{MAX_PRECISION}")
-    return prec
 
 
 def _check_precision(prec: int) -> int:
@@ -294,8 +281,7 @@ def cmd_bessel(args) -> tuple:
             raise UsageError(f"|--pairing| must be at most {MAX_PAIRING_ABS}")
         constants = bessel.make_constants(prec)
         lam = args.pairing
-        d_direct, num = bessel.d_and_numerator(lam, constants, prec)
-        d_det = bessel.d_lambda_determinant(lam, constants, prec)
+        d_direct, d_det, num = bessel.pairing(lam, constants, prec)
         two_route = _overlap(d_direct, d_det)
         if not two_route:
             failures.append("pairing two-route enclosures are disjoint")
@@ -482,7 +468,7 @@ def cmd_mc(args) -> tuple:
 # -- argument parsing ---------------------------------------------------
 
 
-def _build_parser(default_prec: int) -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="disksig",
         description="Expected signature of Brownian motion stopped at the "
@@ -510,18 +496,18 @@ def _build_parser(default_prec: int) -> argparse.ArgumentParser:
     p.add_argument("--terms", type=int, default=None)
     p.add_argument("--pairing", type=_parse_rat, default=None, metavar="LAMBDA",
                    help="evaluate the pairing d at this rational lambda instead")
-    p.add_argument("--precision", type=int, default=default_prec)
+    p.add_argument("--precision", type=int, default=DEFAULT_PREC)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("pole", help="certified bracket for the first pole")
     p.add_argument("--width", type=_parse_rat, default=Fraction(1, 1000))
-    p.add_argument("--precision", type=int, default=default_prec)
+    p.add_argument("--precision", type=int, default=DEFAULT_PREC)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("compare", help="exact partial sums against the closed form")
     p.add_argument("--lambda", dest="lam", type=_parse_rat, required=True)
     p.add_argument("--levels", type=int, required=True)
-    p.add_argument("--precision", type=int, default=default_prec)
+    p.add_argument("--precision", type=int, default=DEFAULT_PREC)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("radius", help="ratio diagnostics for the convergence radius")
@@ -554,12 +540,7 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    try:
-        default_prec = _default_precision()
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    parser = _build_parser(default_prec)
+    parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse printed a usage error or the help

@@ -13,7 +13,8 @@ target width alone.  The enclosures stored in the PoleCertificate -- d
 at both final endpoints, the numerator bound -- are computed at the
 requested precision, doubled while an endpoint enclosure straddles
 zero, so the stored data re-verify offline, with no Bessel evaluation
-needed, and do not depend on the rungs.
+needed, and do not depend on the rungs.  One loop, _certified, does the
+doubling for midpoints and endpoints alike.
 
 The companion check, verify_numerator_nonvanishing, certifies that the
 numerator of C at r = 0 stays away from zero across a bracket, by
@@ -53,42 +54,6 @@ class NoSignChange(SignChangeError):
 
 class InconclusiveSign(SignChangeError):
     """An enclosure straddles zero; raising precision may resolve it."""
-
-
-def _sign_of(ball: RealBall) -> int:
-    if ball.is_negative():
-        return -1
-    if ball.is_positive():
-        return 1
-    return 0
-
-
-def verify_sign_change(lo, hi, precision: int = DEFAULT_PREC,
-                       constants: Constants | None = None) -> tuple:
-    """Certified d-enclosures at both endpoints, requiring opposite signs.
-
-    Returns (d(lo), d(hi)) when the signs are certified and opposite.
-    Never reports a wrong sign: an enclosure straddling zero raises
-    InconclusiveSign (retry with more precision), equal certified signs
-    raise NoSignChange.
-    """
-    lo, hi = as_rat(lo), as_rat(hi)
-    if not 0 <= lo < hi:
-        raise ValueError("need 0 <= lo < hi")
-    constants = constants or make_constants(precision)
-    d_lo = d_lambda(lo, constants, precision)
-    d_hi = d_lambda(hi, constants, precision)
-    s_lo, s_hi = _sign_of(d_lo), _sign_of(d_hi)
-    if s_lo == 0 or s_hi == 0:
-        raise InconclusiveSign(
-            f"d enclosure straddles zero at an endpoint of [{lo}, {hi}] "
-            f"(precision {precision}); raise precision and retry")
-    if s_lo == s_hi:
-        word = "negative" if s_lo < 0 else "positive"
-        raise NoSignChange(
-            f"d is certified {word} at both endpoints of [{lo}, {hi}]; "
-            "no sign change on this bracket")
-    return d_lo, d_hi
 
 
 @dataclass(frozen=True)
@@ -158,20 +123,23 @@ def _rung_precision(lam: Fraction) -> int:
     return -(-bits // _RUNG_STEP) * _RUNG_STEP
 
 
-def _sign(mid: Fraction) -> int:
-    """Certified sign of d(mid), -1 or 1.
+def _certified(lams, prec: int, constants_at) -> tuple:
+    """(d at every lambda in lams, the precision, its Constants).
 
-    d is evaluated at mid's rung precision, doubled while the enclosure
-    straddles zero, at most _MAX_ESCALATIONS times.
+    d is evaluated at prec with constants_at(prec), and prec is doubled
+    while any enclosure contains zero, at most _MAX_ESCALATIONS times;
+    so every returned enclosure has a certified sign, and all of them
+    are at the one precision returned.
     """
-    prec = _rung_precision(mid)
     for _ in range(_MAX_ESCALATIONS + 1):
-        sign = _sign_of(d_lambda(mid, _rung_constants(prec), prec))
-        if sign:
-            return sign
+        constants = constants_at(prec)
+        enclosures = [d_lambda(lam, constants, prec) for lam in lams]
+        if not any(d.contains_zero() for d in enclosures):
+            return enclosures, prec, constants
         prec *= 2
     raise InconclusiveSign(
-        f"d enclosure at midpoint {mid} straddles zero up to {prec // 2} bits")
+        f"d enclosure at {', '.join(map(str, lams))} straddles zero up to "
+        f"{prec // 2} bits")
 
 
 def locate_pole(target_width, precision: int = DEFAULT_PREC) -> PoleCertificate:
@@ -181,14 +149,14 @@ def locate_pole(target_width, precision: int = DEFAULT_PREC) -> PoleCertificate:
     strictly inside (5/2, 3), as verify() requires; so a target width of
     1/4 or more still takes the steps that move both ends inward.
 
-    Each midpoint sign comes from _sign alone, so the bracket depends on
-    target_width and not on `precision`.  Once the bracket is narrow
-    enough, d at both endpoints is evaluated at `precision`, doubled
-    while either enclosure straddles zero (at most _MAX_ESCALATIONS
-    times); the endpoints must be certified negative and positive, and
-    the numerator is certified negative across the bracket at that final
-    precision.  Those enclosures, the final precision and the series
-    length are what the certificate stores.
+    Each midpoint sign is certified from the midpoint's rung precision
+    on, so the bracket depends on target_width and not on `precision`.
+    Once the bracket is narrow enough, d at both endpoints is certified
+    from `precision` on, both at one final precision; the endpoints must
+    be certified negative and positive, and the numerator is certified
+    negative across the bracket at that final precision.  Those
+    enclosures, the final precision and the series length are what the
+    certificate stores.
     """
     width = as_rat(target_width)
     if width <= 0:
@@ -199,19 +167,13 @@ def locate_pole(target_width, precision: int = DEFAULT_PREC) -> PoleCertificate:
     lo, hi = BRACKET_LO, BRACKET_HI
     while hi - lo > width or lo == BRACKET_LO or hi == BRACKET_HI:
         mid = (lo + hi) / 2
-        if _sign(mid) < 0:
+        (d_mid,), _, _ = _certified([mid], _rung_precision(mid), _rung_constants)
+        if d_mid.is_negative():
             lo = mid
         else:
             hi = mid
-    for escalation in range(_MAX_ESCALATIONS + 1):
-        constants = make_constants(precision)
-        try:
-            d_lo, d_hi = verify_sign_change(lo, hi, precision, constants)
-            break
-        except InconclusiveSign:
-            if escalation == _MAX_ESCALATIONS:
-                raise
-            precision *= 2
+    (d_lo, d_hi), precision, constants = _certified((lo, hi), precision,
+                                                    make_constants)
     if not (d_lo.is_negative() and d_hi.is_positive()):
         raise NoSignChange(f"expected d < 0 at {lo} and d > 0 at {hi}")
     num = verify_numerator_nonvanishing(lo, hi, precision=precision,
@@ -238,12 +200,6 @@ def verify_numerator_nonvanishing(lo, hi, max_subdivisions: int = 64,
         raise ValueError("bracket must lie inside [5/2, 3]")
     target = as_rat(target)
     constants = constants or make_constants(precision)
-    if lo == hi:
-        enc = numerator_im(lo, constants, precision)
-        if enc.upper() >= target:
-            raise InconclusiveSign(
-                f"numerator enclosure at {lo} not below {target}")
-        return enc
     pending = [(lo, hi)]
     certified: list = []
     splits = 0

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from disksig.balls import ComplexBall, RealBall, mpf_to_fraction
 from disksig.bessel import (_auto_terms, _tail_bound, abc_closed_form,
-                            bessel_j, bessel_tail_bound, d_and_numerator,
-                            d_lambda, d_lambda_determinant, make_constants,
-                            numerator_im, ode_residual, remark_product,
-                            series_terms)
+                            bessel_j, bessel_tail_bound, d_lambda,
+                            make_constants, numerator_im, ode_residual,
+                            pairing, remark_product, series_terms)
 
 CONSTS = make_constants(128)
 
@@ -136,7 +135,7 @@ def test_pairing_signs_at_bracket_endpoints():
 @pytest.mark.parametrize("lam", [F(1, 2), F(3, 2), F(5, 2), F(141, 50), F(3)])
 def test_pairing_two_routes_overlap(lam):
     a = d_lambda(lam, CONSTS)
-    b = d_lambda_determinant(lam, CONSTS)
+    b = pairing(lam, CONSTS)[1]
     assert a.lower() <= b.upper() and b.lower() <= a.upper()
     assert a.rad_fraction() < F(1, 10 ** 30)
 
@@ -177,7 +176,7 @@ def test_auto_terms_matches_linear_scan(prec):
 
 def test_d_and_numerator_equal_the_separate_routes():
     for lam in (F(5, 2), F(283, 100), F(3)):
-        d, num = d_and_numerator(lam, CONSTS)
+        d, _, num = pairing(lam, CONSTS)
         for got, want in ((d, d_lambda(lam, CONSTS)),
                           (num, numerator_im(lam, CONSTS))):
             assert (got.mid, got.rad) == (want.mid, want.rad)

@@ -178,6 +178,43 @@ def test_bessel_pairing_mode(tmp_path):
     assert F(pairing["d"]["mid"]) < 0
 
 
+# sha256 of `disksig bessel --pairing LAMBDA --precision P` output, taken
+# while d, its determinant route and the numerator came from separate
+# evaluations of the same series
+PINNED_PAIRINGS = [
+    ("141/50", 128,
+     "5477cd3a710cee06d7ceb6d8fe7058537b13456386710cc2c9e2bb8ad960c4f6"),
+    ("27/10", 512,
+     "01919a1acf28bef7749526ce5aa88807e4ef4f3fe7dc659840c409f917e52041"),
+]
+
+
+@pytest.mark.parametrize("lam, precision, digest", PINNED_PAIRINGS,
+                         ids=["2.82@128", "2.7@512"])
+def test_bessel_pairing_bytes_are_pinned(tmp_path, lam, precision, digest):
+    rc, out = run(tmp_path, "bessel", "--pairing", lam,
+                  "--precision", str(precision))
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_bessel_pairing_evaluates_each_series_once(tmp_path, monkeypatch):
+    # J0 and J1 at lambda zeta and at lambda conj(zeta): four series, none
+    # of them evaluated twice
+    real = cli.bessel.bessel_j
+    calls = []
+
+    def recorded(nu, x, n_terms=None, prec=128):
+        calls.append((nu, x.re.mid, x.re.rad, x.im.mid, x.im.rad))
+        return real(nu, x, n_terms=n_terms, prec=prec)
+
+    monkeypatch.setattr(cli.bessel, "bessel_j", recorded)
+    rc, _ = run(tmp_path, "bessel", "--pairing", "141/50")
+    assert rc == 0
+    assert len(calls) == 4
+    assert len(set(calls)) == 4
+
+
 def test_pole_certificate_output(tmp_path):
     rc, out = run(tmp_path, "pole", "--width", "1/10000")
     assert rc == 0
@@ -314,13 +351,6 @@ def test_unwritable_out_is_a_clean_error(tmp_path, capsys, argv, out, blocker):
     assert err.startswith("error: cannot write ") and "Traceback" not in err
     # no output, manifest or .disksig-* temp file is left behind
     assert sorted(p.name for p in tmp_path.rglob("*")) == ([blocker] if blocker else [])
-
-
-def test_precision_env_above_cap_writes_nothing(tmp_path, monkeypatch):
-    monkeypatch.setenv("DISKSIG_PREC", str(cli.MAX_PRECISION + 1))
-    rc, out = run(tmp_path, "bessel", "--pairing", "3")
-    assert rc == 2
-    assert not out.exists()
 
 
 # runs one subcommand in a fresh interpreter and prints its exit status
@@ -623,16 +653,3 @@ def test_mc_rejects_single_path(tmp_path, capsys):
     assert "at least two paths" in capsys.readouterr().err
     assert not out.exists()
     assert not (tmp_path / "out.manifest.json").exists()
-
-
-def test_precision_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("DISKSIG_PREC", "64")
-    rc, out = run(tmp_path, "bessel", "--pairing", "3")
-    assert rc == 0
-    assert json.loads(out.read_text())["precision"] == 64
-
-
-def test_bad_precision_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("DISKSIG_PREC", "not-a-number")
-    rc, out = run(tmp_path, "pole")
-    assert rc == 2

@@ -14,26 +14,7 @@ from disksig.cli import main
 from disksig.exactpoly import as_rat
 from disksig.polefinder import (InconclusiveSign, NoSignChange,
                                 PoleCertificate, locate_pole,
-                                verify_sign_change,
                                 verify_numerator_nonvanishing)
-
-
-def test_sign_change_on_the_coarse_bracket():
-    d_lo, d_hi = verify_sign_change(F(5, 2), F(3))
-    assert d_lo.is_negative()
-    assert d_hi.is_positive()
-
-
-def test_sign_change_rejected_where_none_exists():
-    with pytest.raises(NoSignChange):
-        verify_sign_change(F(1, 10), F(2, 10))
-
-
-def test_sign_change_input_validation():
-    with pytest.raises(ValueError):
-        verify_sign_change(F(3), F(5, 2))
-    with pytest.raises(ValueError):
-        verify_sign_change(F(-1), F(3))
 
 
 def test_locate_pole_narrow_bracket():
@@ -51,14 +32,18 @@ def test_locate_pole_coarse_bracket_stays_inside_lemma_interval():
     assert cert.verify() == []
 
 
-def test_escalation_recertifies_endpoints_at_final_precision(monkeypatch):
+@pytest.mark.parametrize("straddling", ["both", "lo", "hi"])
+def test_escalation_recertifies_endpoints_at_final_precision(monkeypatch,
+                                                             straddling):
     ref = locate_pole(F(1, 100))
     lo, hi = ref.bracket_lo, ref.bracket_hi
+    inconclusive = {"both": (lo, hi), "lo": (lo,), "hi": (hi,)}[straddling]
     real = polefinder.d_lambda
 
     def flaky(lam, constants, prec=None):
-        # both stored endpoints read inconclusive at 128 bits
-        if prec == 128 and lam in (lo, hi):
+        # the chosen stored endpoints read inconclusive at 128 bits; both
+        # endpoints must then be stored at the one doubled precision
+        if prec == 128 and lam in inconclusive:
             return RealBall.from_interval(-1, 1)
         return real(lam, constants, prec)
 
@@ -71,6 +56,24 @@ def test_escalation_recertifies_endpoints_at_final_precision(monkeypatch):
     for lam, ball in ((cert.bracket_lo, cert.d_lo), (cert.bracket_hi, cert.d_hi)):
         ref = d_lambda(lam, constants, 256)
         assert (ball.mid, ball.rad) == (ref.mid, ref.rad)
+
+
+def test_stored_endpoints_must_bracket_the_zero(tmp_path, monkeypatch):
+    # the midpoint rungs (64 bits at width 1/100) see the true d; every
+    # evaluation at the stored precision reads d > 0
+    real = polefinder.d_lambda
+
+    def positive(lam, constants, prec=None):
+        if prec >= 128:
+            return RealBall.from_interval(1, 2)
+        return real(lam, constants, prec)
+
+    monkeypatch.setattr(polefinder, "d_lambda", positive)
+    with pytest.raises(NoSignChange):
+        locate_pole(F(1, 100))
+    out = tmp_path / "cert.json"
+    assert main(["pole", "--width", "1/100", "--out", str(out)]) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sign_that_never_certifies_is_inconclusive(monkeypatch):

@@ -245,53 +245,3 @@ def abc_closed_form(lam, r, constants: Constants,
     c_num = c_num.mul(bessel_j(0, xr, prec=prec), prec).im
     c_val = c_num.div(d, prec)
     return a_val, RealBall.zero(), c_val
-
-
-def ode_residual(lam, r, h, constants: Constants,
-                 prec: int | None = None) -> tuple:
-    """Magnitudes of central-difference residuals of the radial system.
-
-    The closed-form triple must satisfy
-        r^2 A'' + r A' - A + l^2 r^2 A + 2 l r^2 C' = 0
-        B = 0
-        r C'' + C' + 2 l^2 r C + 2 l r A' + 2 l A = 0
-    Derivatives are replaced by second-order central differences with
-    rational step h, so the returned balls enclose the discrete residual
-    (O(h^2) away from zero) rigorously.  Requires r +/- 2h inside (0, 1)
-    and lambda off the pole.
-    """
-    prec = prec or constants.prec
-    r_q = as_rat(r)
-    h_q = as_rat(h)
-    if h_q <= 0:
-        raise ValueError("step must be positive")
-    if not (0 < r_q - 2 * h_q and r_q + 2 * h_q < 1):
-        raise ValueError("need r +/- 2h inside (0, 1)")
-    lam_b = _as_real_ball(lam, prec)
-    a_m, _, c_m = abc_closed_form(lam, r_q - h_q, constants, prec)
-    a_0, b_0, c_0 = abc_closed_form(lam, r_q, constants, prec)
-    a_p, _, c_p = abc_closed_form(lam, r_q + h_q, constants, prec)
-
-    def ball(q):
-        return RealBall.from_rational(q, prec)
-
-    inv_2h = ball(1 / (2 * h_q))
-    inv_h2 = ball(1 / (h_q * h_q))
-    a_d1 = a_p.sub(a_m, prec).mul(inv_2h, prec)
-    a_d2 = a_p.sub(a_0.mul_2exp(1), prec).add(a_m, prec).mul(inv_h2, prec)
-    c_d1 = c_p.sub(c_m, prec).mul(inv_2h, prec)
-    c_d2 = c_p.sub(c_0.mul_2exp(1), prec).add(c_m, prec).mul(inv_h2, prec)
-    r_b = ball(r_q)
-    r2_b = ball(r_q * r_q)
-    lam2 = lam_b.sqr(prec)
-    res1 = (r2_b.mul(a_d2, prec)
-            .add(r_b.mul(a_d1, prec), prec)
-            .sub(a_0, prec)
-            .add(lam2.mul(r2_b, prec).mul(a_0, prec), prec)
-            .add(lam_b.mul(r2_b, prec).mul(c_d1, prec).mul_2exp(1), prec))
-    res3 = (r_b.mul(c_d2, prec)
-            .add(c_d1, prec)
-            .add(lam2.mul(r_b, prec).mul(c_0, prec).mul_2exp(1), prec)
-            .add(lam_b.mul(r_b, prec).mul(a_d1, prec).mul_2exp(1), prec)
-            .add(lam_b.mul(a_0, prec).mul_2exp(1), prec))
-    return res1.abs(), b_0.abs(), res3.abs()

@@ -147,6 +147,10 @@ def _atomic_write(path: str, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".disksig-")
     try:
         with os.fdopen(fd, "w") as handle:
+            # mkstemp creates the file 0600; give it the mode open() would
+            umask = os.umask(0o077)
+            os.umask(umask)
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -2,25 +2,25 @@
 
 Everything in this module is exact: coefficients are rationals, operations
 are formal, and any identity a test asserts is an identity of polynomials,
-not a numerical coincidence.  Three representations cooperate:
+not a numerical coincidence.  Two representations cooperate:
 
 * Poly2      -- sparse polynomial in (x, y): integer numerators
                 (i, j) -> int over one common denominator, in lowest
                 terms; Fractions appear only on output
-* TrigPoly   -- finite Fourier polynomial on the circle, maps k -> Rat
-                for cos(k theta) and sin(k theta)
 * TensorPoly -- a level-n tensor over R^2 whose 2^n entries are Poly2,
                 indexed by words over the alphabet {1, 2}
 
-boundary_trace restricts a Poly2 to the unit circle (x = cos theta,
-y = sin theta); harmonic_extension is its one-sided inverse, sending
-cos(k theta) to Re((x+iy)^k) and sin(k theta) to Im((x+iy)^k).  Both
-work in integers from shared tables (integer monomial traces, signed
-binomials); boundary_trace builds one Fraction per output Fourier
-coefficient.  poisson_particular solves lap(u) = f for a particular
-polynomial u in one integer sweep over the y-degree rows of f.
-TrigPoly.mul_cos / mul_sin keep the rational product-to-sum step as a
-reference for the tables.  Only this module reads Poly2's internals.
+A finite Fourier polynomial on the circle is a plain pair (cos, sin) of
+maps k -> nonzero Fraction, the coefficients of cos(k theta) (k >= 0) and
+sin(k theta) (k >= 1).  boundary_trace restricts a Poly2 to the unit
+circle (x = cos theta, y = sin theta) and returns such a pair;
+harmonic_extension is its one-sided inverse, sending cos(k theta) to
+Re((x+iy)^k) and sin(k theta) to Im((x+iy)^k).  Both work in integers
+from shared tables (integer monomial traces, signed binomials);
+boundary_trace builds one Fraction per output Fourier coefficient.
+poisson_particular solves lap(u) = f for a particular polynomial u in one
+integer sweep over the y-degree rows of f.  Only this module reads
+Poly2's internals.
 """
 
 from __future__ import annotations
@@ -221,10 +221,6 @@ class Poly2:
         total = sum(v * xp[i] * yp[j] for (i, j), v in self._c.items())
         return Fraction(total, self._d * q ** top_i * s ** top_j)
 
-    def restrict_y0(self) -> "Poly2":
-        """p(x, 0) as a polynomial in x alone (terms with j > 0 drop)."""
-        return _reduced({k: v for k, v in self._c.items() if k[1] == 0}, self._d)
-
     # -- serialization ---------------------------------------------------
 
     def to_json(self):
@@ -354,116 +350,6 @@ def poisson_particular(f: Poly2) -> Poly2:
     return _reduced(c, den)
 
 
-class TrigPoly:
-    """Finite Fourier polynomial c_0 + sum c_k cos(k t) + s_k sin(k t).
-
-    cos map keys k >= 0, sin map keys k >= 1, no stored zeros.
-    """
-
-    __slots__ = ("cos", "sin")
-
-    def __init__(self, cos=None, sin=None):
-        self.cos = {}
-        self.sin = {}
-        if cos:
-            for k, v in cos.items():
-                self._add_cos(int(k), as_rat(v))
-        if sin:
-            for k, v in sin.items():
-                self._add_sin(int(k), as_rat(v))
-
-    def _add_cos(self, k: int, v: Fraction):
-        if k < 0:
-            k = -k  # cos(-k t) = cos(k t)
-        w = self.cos.get(k, _ZERO) + v
-        if w:
-            self.cos[k] = w
-        else:
-            self.cos.pop(k, None)
-
-    def _add_sin(self, k: int, v: Fraction):
-        if k == 0:
-            return  # sin(0) = 0, never stored
-        if k < 0:
-            k, v = -k, -v  # sin(-k t) = -sin(k t)
-        w = self.sin.get(k, _ZERO) + v
-        if w:
-            self.sin[k] = w
-        else:
-            self.sin.pop(k, None)
-
-    @classmethod
-    def zero(cls) -> "TrigPoly":
-        return cls()
-
-    def is_zero(self) -> bool:
-        return not self.cos and not self.sin
-
-    def __eq__(self, other):
-        if not isinstance(other, TrigPoly):
-            return NotImplemented
-        return self.cos == other.cos and self.sin == other.sin
-
-    def __hash__(self):
-        return hash((frozenset(self.cos.items()), frozenset(self.sin.items())))
-
-    def __add__(self, other):
-        if not isinstance(other, TrigPoly):
-            return NotImplemented
-        out = TrigPoly()
-        out.cos = dict(self.cos)
-        out.sin = dict(self.sin)
-        for k, v in other.cos.items():
-            out._add_cos(k, v)
-        for k, v in other.sin.items():
-            out._add_sin(k, v)
-        return out
-
-    def __neg__(self):
-        out = TrigPoly()
-        out.cos = {k: -v for k, v in self.cos.items()}
-        out.sin = {k: -v for k, v in self.sin.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, v) -> "TrigPoly":
-        v = as_rat(v)
-        out = TrigPoly()
-        if v:
-            out.cos = {k: c * v for k, c in self.cos.items()}
-            out.sin = {k: c * v for k, c in self.sin.items()}
-        return out
-
-    def mul_cos(self) -> "TrigPoly":
-        """Multiply by cos(theta), product-to-sum over Rat."""
-        out = TrigPoly()
-        for k, v in self.cos.items():
-            out._add_cos(k + 1, v / 2)
-            out._add_cos(k - 1, v / 2)
-        for k, v in self.sin.items():
-            out._add_sin(k + 1, v / 2)
-            out._add_sin(k - 1, v / 2)
-        return out
-
-    def mul_sin(self) -> "TrigPoly":
-        """Multiply by sin(theta), product-to-sum over Rat."""
-        out = TrigPoly()
-        for k, v in self.cos.items():
-            out._add_sin(k + 1, v / 2)
-            out._add_sin(k - 1, -v / 2)
-        for k, v in self.sin.items():
-            out._add_cos(k - 1, v / 2)
-            out._add_cos(k + 1, -v / 2)
-        return out
-
-    def __repr__(self):
-        bits = [f"{v}*cos({k}t)" if k else f"{v}" for k, v in sorted(self.cos.items())]
-        bits += [f"{v}*sin({k}t)" for k, v in sorted(self.sin.items())]
-        return "TrigPoly(" + (" + ".join(bits) if bits else "0") + ")"
-
-
 # 2^(i+j) * trace(x^i y^j) has integer Fourier coefficients, since
 # 2 cos(t) and 2 sin(t) act on the basis by integer product-to-sum:
 #   2 cos(t) cos(kt) = cos((k+1)t) + cos((k-1)t)
@@ -473,7 +359,7 @@ class TrigPoly:
 # _MONO_TRACE maps (i, j) to that integer trace as two tuples of
 # (k, coefficient) pairs, cos then sin; it is shared by every call and
 # grows along the lattice path (i, j) -> (i, j-1) -> ... -> (0, 0).  Its
-# entries are never handed out, so no returned TrigPoly can alias them.
+# entries are never handed out, so no returned trace can alias them.
 _MONO_TRACE = {(0, 0): (((0, 1),), ())}
 
 
@@ -517,18 +403,19 @@ def _mono_trace(i: int, j: int):
     return _MONO_TRACE[(i, j)]
 
 
-def boundary_trace(p: Poly2) -> TrigPoly:
-    """Exact restriction of p to the unit circle.
+def boundary_trace(p: Poly2) -> tuple:
+    """Exact restriction of p to the unit circle, as maps (cos, sin).
 
-    Substitutes x = cos theta, y = sin theta.  Every numerator of p is
+    Substitutes x = cos theta, y = sin theta; cos[k] and sin[k] are the
+    nonzero coefficients of cos(k theta) and sin(k theta), so the zero
+    polynomial gives ({}, {}).  Every numerator of p is
     scaled from p's denominator D to D * 2^N (N its degree), so each
     monomial contributes an integer multiple of its integer trace from
     _MONO_TRACE; the integer sums per Fourier mode are divided by
     D * 2^N once, at the end.
     """
-    out = TrigPoly()
     if not p._c:
-        return out
+        return {}, {}
     deg = p.degree()
     cos, sin = {}, {}
     for (i, j), v in p._c.items():
@@ -539,9 +426,8 @@ def boundary_trace(p: Poly2) -> TrigPoly:
         for k, m in mono_sin:
             sin[k] = sin.get(k, 0) + scale * m
     common = p._d << deg
-    out.cos = {k: Fraction(v, common) for k, v in cos.items() if v}
-    out.sin = {k: Fraction(v, common) for k, v in sin.items() if v}
-    return out
+    return ({k: Fraction(v, common) for k, v in cos.items() if v},
+            {k: Fraction(v, common) for k, v in sin.items() if v})
 
 
 # _HARMONIC[k] is the pair (Re, Im) of ((i, j), c) tuples with
@@ -560,8 +446,8 @@ def _harmonic_terms(k: int):
     return got
 
 
-def harmonic_extension(t: TrigPoly) -> Poly2:
-    """The harmonic polynomial on the disk with boundary values t.
+def harmonic_extension(t: tuple) -> Poly2:
+    """The harmonic polynomial on the disk with boundary values t = (cos, sin).
 
     cos(k theta) -> Re((x+iy)^k), sin(k theta) -> Im((x+iy)^k).
     laplacian of the result is identically zero.  Re((x+iy)^k) and
@@ -570,10 +456,9 @@ def harmonic_extension(t: TrigPoly) -> Poly2:
     numerator is one integer binomial term times a mode's numerator,
     scaled to the lcm of t's denominators.
     """
-    den = math.lcm(*(v.denominator for v in t.cos.values()),
-                   *(v.denominator for v in t.sin.values()))
+    den = math.lcm(*(v.denominator for modes in t for v in modes.values()))
     c = {}
-    for modes, part in ((t.cos, 0), (t.sin, 1)):
+    for part, modes in enumerate(t):
         for k, v in modes.items():
             num = v.numerator * (den // v.denominator)
             for key, b in _harmonic_terms(k)[part]:

@@ -238,7 +238,7 @@ def _checks(residual_ok: list, components, n: int) -> dict:
     """Level n's recorded residual verdict, and a zero trace on the circle
     for every component when n >= 1 (level 0 is the definition pi_0 = 1)."""
     return {"residual_ok": residual_ok[n],
-            "boundary_ok": n == 0 or all(boundary_trace(c).is_zero()
+            "boundary_ok": n == 0 or all(boundary_trace(c) == ({}, {})
                                          for c in components)}
 
 

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from disksig.balls import ComplexBall, RealBall, mpf_to_fraction
 from disksig.bessel import (_auto_terms, _tail_bound, abc_closed_form,
                             bessel_j, bessel_tail_bound, d_lambda,
-                            make_constants, numerator_im, ode_residual,
-                            pairing, remark_product, series_terms)
+                            make_constants, numerator_im, pairing,
+                            remark_product, series_terms)
+from disksig.hierarchy import radial_levels
 
 CONSTS = make_constants(128)
 
@@ -208,8 +209,13 @@ def test_closed_form_rejects_bad_radius_and_pole():
 
 @pytest.mark.parametrize("lam,r", [(F(1), F(1, 2)), (F(1, 2), F(3, 4)),
                                    (F(2), F(1, 4))])
-def test_ode_residuals_vanish_to_difference_order(lam, r):
-    h = F(1, 10 ** 4)
-    res = ode_residual(lam, r, h, CONSTS)
-    for component in res:
-        assert component.upper() < F(1, 10 ** 5)
+def test_closed_form_matches_radial_series_inside_the_disk(lam, r):
+    """A and C enclose the sums over n <= 80 of lam^n A_n(r) and
+    lam^n C_n(r) from the exact radial hierarchy, up to the truncation,
+    about (lam/2.82)^80 <= 1e-12 at these points."""
+    a_levels, c_levels = radial_levels(80)
+    a_val, _, c_val = abc_closed_form(lam, r, CONSTS)
+    for ball, levels in ((a_val, a_levels), (c_val, c_levels)):
+        series = sum(lam ** n * sum(c * r ** m for m, c in level.items())
+                     for n, level in enumerate(levels))
+        assert ball.lower() - F(1, 10 ** 10) <= series <= ball.upper() + F(1, 10 ** 10)

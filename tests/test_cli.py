@@ -353,6 +353,17 @@ def test_unwritable_out_is_a_clean_error(tmp_path, capsys, argv, out, blocker):
     assert sorted(p.name for p in tmp_path.rglob("*")) == ([blocker] if blocker else [])
 
 
+def test_output_and_manifest_get_the_umask_mode(tmp_path):
+    old = os.umask(0o022)
+    try:
+        rc, out = run(tmp_path, "radius", "--levels", "4")
+    finally:
+        os.umask(old)
+    assert rc == 0
+    for path in (out, tmp_path / "out.manifest.json"):
+        assert os.stat(path).st_mode & 0o777 == 0o644
+
+
 # runs one subcommand in a fresh interpreter and prints its exit status
 # and the modules it executed; a lazily imported module that was never
 # used is still a LazyLoader placeholder, not a plain module

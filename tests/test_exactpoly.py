@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disksig.exactpoly import (Poly2, TensorPoly, TrigPoly, boundary_trace,
+from disksig.exactpoly import (Poly2, TensorPoly, boundary_trace,
                                harmonic_extension, laplacian,
                                poisson_particular, words, word_index)
 
@@ -45,18 +45,12 @@ def test_laplacian_kills_harmonic_polynomials():
     assert laplacian(x * x) == Poly2.const(2)
 
 
-def test_restrict_y0_drops_y_terms():
-    x = Poly2.monomial(1, 0)
-    y = Poly2.monomial(0, 1)
-    p = x * x + x * y + y * y
-    assert p.restrict_y0() == x * x
-
-
 def test_boundary_trace_of_radius_squared_is_one():
     x = Poly2.monomial(1, 0)
     y = Poly2.monomial(0, 1)
     t = boundary_trace(x * x + y * y)
-    assert t == boundary_trace(Poly2.const(1))
+    assert t == boundary_trace(Poly2.const(1)) == ({0: F(1)}, {})
+    assert boundary_trace(Poly2.zero()) == ({}, {})
 
 
 @given(poly_strategy(max_terms=4, max_deg=3))
@@ -65,7 +59,7 @@ def test_harmonic_extension_matches_trace(p):
     """The extension of a trace is harmonic and agrees on the circle."""
     ext = harmonic_extension(boundary_trace(p))
     assert laplacian(ext).is_zero()
-    assert boundary_trace(ext - p).is_zero()
+    assert boundary_trace(ext - p) == ({}, {})
 
 
 # coefficients mixing small denominators with huge ones, so the
@@ -88,28 +82,38 @@ def deep_poly_strategy(max_deg=24):
                        Poly2.zero()))
 
 
-def reference_trace(p):
-    """Term by term: x -> cos theta and y -> sin theta by the rational
-    product-to-sum steps of TrigPoly."""
-    out = TrigPoly()
-    for (i, j), v in p.terms():
-        t = TrigPoly({0: 1})
-        for _ in range(i):
-            t = t.mul_cos()
-        for _ in range(j):
-            t = t.mul_sin()
-        out = out + t.scale(v)
-    return out
+def assert_exact_trace(p, trace):
+    """trace is p on the unit circle, exactly.
+
+    Its keys lie in range, so trace minus the true trace is a Fourier
+    polynomial of degree <= N = deg p, which vanishes at 2N+1 distinct
+    angles only if it is zero.  Those angles are the rational points
+    ((1-s^2)/(1+s^2), 2s/(1+s^2)), s = 0..2N: there cos(k theta) and
+    sin(k theta) are the parts of ((1-s^2) + 2si)^k over (1+s^2)^k.
+    """
+    cos, sin = trace
+    n = max(p.degree(), 0)
+    assert all(0 <= k <= n and v for k, v in cos.items())
+    assert all(1 <= k <= n and v for k, v in sin.items())
+    for s in range(2 * n + 1):
+        m = 1 + s * s
+        re, im = 1, 0  # ((1-s^2) + 2si)^k
+        value = F(0)
+        for k in range(n + 1):
+            value += (cos.get(k, 0) * re + sin.get(k, 0) * im) / F(m) ** k
+            re, im = re * (1 - s * s) - im * 2 * s, re * 2 * s + im * (1 - s * s)
+        assert value == p.evaluate(F(1 - s * s, m), F(2 * s, m))
 
 
 def reference_extension(t):
     """Re((x+iy)^k) and Im((x+iy)^k) built by Poly2 products."""
-    kmax = max([0, *t.cos, *t.sin])
+    cos, sin = t
+    kmax = max([0, *cos, *sin])
     out = Poly2.zero()
     re, im = Poly2.const(1), Poly2.zero()
     x, y = Poly2.monomial(1, 0), Poly2.monomial(0, 1)
     for k in range(kmax + 1):
-        out = out + re * t.cos.get(k, 0) + im * t.sin.get(k, 0)
+        out = out + re * cos.get(k, 0) + im * sin.get(k, 0)
         re, im = re * x - im * y, re * y + im * x
     return out
 
@@ -119,47 +123,46 @@ def reference_extension(t):
                  st.just(Poly2.zero())))
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_boundary_trace_matches_product_to_sum(p):
-    assert boundary_trace(p) == reference_trace(p)
+    """The integer product-to-sum tables give p's exact values on the circle."""
+    assert_exact_trace(p, boundary_trace(p))
 
 
-trig_strategy = st.builds(
-    TrigPoly,
-    st.dictionaries(st.integers(0, 24), mixed_rationals, max_size=8),
-    st.dictionaries(st.integers(1, 24), mixed_rationals, max_size=8))
+def nonzero(modes):
+    return {k: v for k, v in modes.items() if v}
+
+
+trig_strategy = st.tuples(
+    st.dictionaries(st.integers(0, 24), mixed_rationals, max_size=8).map(nonzero),
+    st.dictionaries(st.integers(1, 24), mixed_rationals, max_size=8).map(nonzero))
 
 
 @given(trig_strategy)
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_harmonic_extension_matches_poly_products(t):
-    assert harmonic_extension(t) == reference_extension(t)
+    ext = harmonic_extension(t)
+    assert ext == reference_extension(t)
+    assert boundary_trace(ext) == t
 
 
 def test_boundary_trace_results_do_not_alias_shared_tables():
     x = Poly2.monomial(1, 0)
     y = Poly2.monomial(0, 1)
     for p in (Poly2.const(1), x * x * y, x * y * y + F(1, 3)):
-        want = reference_trace(p)
-        got = boundary_trace(p)
-        for k in list(got.cos):
-            got._add_cos(k, F(7))
-        got.cos[0] = F(-5)
-        for k in list(got.sin):
-            got.sin[k] *= 3
-        got.sin[99] = F(1)
+        want = boundary_trace(p)
+        assert_exact_trace(p, want)
+        want = tuple(dict(modes) for modes in want)
+        cos, sin = boundary_trace(p)
+        for k in cos:
+            cos[k] += 7
+        cos[0] = F(-5)
+        for k in sin:
+            sin[k] *= 3
+        sin[99] = F(1)
         assert boundary_trace(p) == want
         ext = harmonic_extension(want)
         want_ext = reference_extension(want)
         ext._c.clear()
         assert harmonic_extension(want) == want_ext
-
-
-def test_trig_product_identities():
-    # cos^2 = (1 + cos 2t)/2 encoded exactly
-    one = boundary_trace(Poly2.const(1))
-    c = one.mul_cos()
-    c2 = c.mul_cos()
-    s2 = one.mul_sin().mul_sin()
-    assert c2 + s2 == one
 
 
 def test_words_enumeration_round_trips():
@@ -266,8 +269,6 @@ def test_poly2_ops_match_fraction_reference(pair, v, x, y):
                       {(i - 1, j): c * i for (i, j), c in a.items() if i}),
         "partial_y": (p.partial_y(),
                       {(i, j - 1): c * j for (i, j), c in a.items() if j}),
-        "restrict_y0": (p.restrict_y0(),
-                        {(i, 0): c for (i, j), c in a.items() if j == 0}),
         "laplacian": (laplacian(p), ref_add(
             {(i - 2, j): c * i * (i - 1) for (i, j), c in a.items() if i >= 2},
             {(i, j - 2): c * j * (j - 1) for (i, j), c in a.items() if j >= 2})),
@@ -289,7 +290,7 @@ def test_poly2_ops_match_fraction_reference(pair, v, x, y):
 def test_poly2_reduces_to_lowest_terms():
     half = Poly2.monomial(1, 0, F(1, 2))
     for p in (half + half, half * 2, Poly2.monomial(1, 1, F(1, 2)).partial_y(),
-              (half + Poly2.monomial(0, 1, F(1, 3))).restrict_y0() * F(4, 3),
+              (half + Poly2.monomial(0, 1, F(1, 3))).partial_x() * F(4, 3),
               half - half, Poly2({(0, 0): F(2 ** 70, 3 ** 40)}) * F(3 ** 40, 2 ** 70)):
         assert_lowest_terms(p)
     assert half + half == Poly2.monomial(1, 0)

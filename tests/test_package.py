@@ -1,6 +1,7 @@
 """Package surface: lazily resolved public names, and the module layout
 the benchmark's tracer relies on."""
 
+import ast
 import json
 import os
 import subprocess
@@ -23,6 +24,43 @@ def test_public_names_resolve_to_their_modules():
     namespace = {}
     exec("from disksig import *", namespace)
     assert set(disksig.__all__) <= set(namespace)
+
+
+def unused_imports(source: str) -> list:
+    """Names a module imports and never reads; a name listed in the
+    module's __all__ counts as read, since it is re-exported."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            used |= {c.value for c in ast.walk(node.value)
+                     if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    package = os.path.dirname(disksig.__file__)
+    found = {}
+    for filename in sorted(os.listdir(package)):
+        if filename.endswith(".py"):
+            with open(os.path.join(package, filename)) as handle:
+                unused = unused_imports(handle.read())
+            if unused:
+                found[filename] = unused
+    assert found == {}
+    assert unused_imports("import os\nimport sys as system\nfrom a import b, c\n"
+                          "print(os, c)\n") == [(2, "system"), (3, "b")]
 
 
 def test_unknown_attribute_raises_attribute_error():

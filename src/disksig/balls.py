@@ -203,10 +203,6 @@ class RealBall:
     def neg(self) -> "RealBall":
         return RealBall(mpf_neg(self.mid), self.rad)
 
-    def abs(self) -> "RealBall":
-        # | |x| - |m| | <= |x - m| <= r, so the same radius is sound
-        return RealBall(mpf_abs(self.mid), self.rad)
-
     def mul(self, other: "RealBall", prec: int = DEFAULT_PREC) -> "RealBall":
         m = mpf_mul(self.mid, other.mid, prec, "n")
         am, bm = mpf_abs(self.mid), mpf_abs(other.mid)
@@ -321,10 +317,6 @@ class ComplexBall:
         self.im = im
 
     @classmethod
-    def zero(cls) -> "ComplexBall":
-        return cls(RealBall.zero(), RealBall.zero())
-
-    @classmethod
     def from_real(cls, rb: RealBall) -> "ComplexBall":
         return cls(rb, RealBall.zero())
 
@@ -338,9 +330,6 @@ class ComplexBall:
 
     def sub(self, other: "ComplexBall", prec: int = DEFAULT_PREC) -> "ComplexBall":
         return ComplexBall(self.re.sub(other.re, prec), self.im.sub(other.im, prec))
-
-    def neg(self) -> "ComplexBall":
-        return ComplexBall(self.re.neg(), self.im.neg())
 
     def conj(self) -> "ComplexBall":
         return ComplexBall(self.re, self.im.neg())
@@ -366,13 +355,6 @@ class ComplexBall:
 
     def abs_ball(self, prec: int = DEFAULT_PREC) -> RealBall:
         return self.abs2(prec).sqrt(prec)
-
-    def div(self, other: "ComplexBall", prec: int = DEFAULT_PREC) -> "ComplexBall":
-        den = other.abs2(prec)
-        if den.contains_zero():
-            raise ZeroDivisionError("divisor box contains zero")
-        num = self.mul(other.conj(), prec)
-        return ComplexBall(num.re.div(den, prec), num.im.div(den, prec))
 
     def sqrt(self, prec: int = DEFAULT_PREC) -> "ComplexBall":
         """Principal square root; the box must avoid the closed negative axis.

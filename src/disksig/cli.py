@@ -249,7 +249,12 @@ def cmd_develop(args) -> tuple:
     x, y = args.x, args.y
     if x * x + y * y > 1:
         raise UsageError("point must lie in the closed unit disk")
-    per_level = hierarchy.developed_values(args.levels, x, y)
+    # each level is formatted as soon as it is evaluated, so a value past
+    # _MAX_DIGITS is refused before any later level or the partial sum
+    per_level, per_level_text = [], []
+    for value in hierarchy.developed_values(args.levels, x, y):
+        per_level_text.append([_rat_str(c) for c in value])
+        per_level.append(value)
     psum = development.partial_sum_F(args.lam, per_level)
     checks = {}
     if y == 0:
@@ -267,7 +272,7 @@ def cmd_develop(args) -> tuple:
         "point": [_rat_str(x), _rat_str(y)],
         "levels": args.levels,
         "partial_sum": [_rat_str(v) for v in psum],
-        "per_level": [[_rat_str(c) for c in v] for v in per_level],
+        "per_level": per_level_text,
         "checks": checks,
     }
     return json.dumps(payload, indent=2) + "\n", failures, {}
@@ -307,6 +312,13 @@ def cmd_bessel(args) -> tuple:
     if args.terms is not None and not 1 <= args.terms <= MAX_BESSEL_TERMS:
         raise UsageError(f"--terms must be in 1..{MAX_BESSEL_TERMS}")
     point = balls.ComplexBall.from_rationals(args.re, args.im, prec)
+    if args.terms is not None:
+        try:  # the series' own tail check, so the two cannot disagree
+            bessel.bessel_tail_bound(point, args.terms)
+        except ValueError as exc:
+            raise UsageError(
+                f"--terms {args.terms} is too few for this point: the tail "
+                f"bound needs |x| < 2(terms + 1) = {2 * (args.terms + 1)}") from exc
     value = bessel.bessel_j(args.nu, point, n_terms=args.terms, prec=prec)
     mirrored = bessel.bessel_j(args.nu, point.conj(), n_terms=args.terms, prec=prec)
     conj_ok = (_overlap(value.re, mirrored.re)

@@ -11,8 +11,10 @@ M(v1) ... M(vk), then linearly to whole tensors.  The quantity of
 interest downstream is M(pi_n) applied to the vector (0, 0, 1).
 
 fold_apply contracts a TensorPoly against a fixed vector by a right
-fold over suffixes, so the 3x3 word products are never materialized:
-cost is linear in the number of entries.
+fold over suffixes, so no word matrix M(e_{i1}) ... M(e_{in}) is ever
+formed: cost is linear in the number of entries.  The 3x3 products
+mat_mul and mat_vec serve the developed hierarchy's right-hand side,
+and partial_sum_F sums given per-level values exactly.
 """
 
 from __future__ import annotations
@@ -69,26 +71,8 @@ def mat_vec(a, v) -> tuple:
     return tuple(a[i][0] * v[0] + a[i][1] * v[1] + a[i][2] * v[2] for i in range(3))
 
 
-def identity3(one=Fraction(1)) -> tuple:
-    zero = one - one
-    return ((one, zero, zero), (zero, one, zero), (zero, zero, one))
-
-
 _M1 = m_of_vector((Fraction(1), Fraction(0)))
 _M2 = m_of_vector((Fraction(0), Fraction(1)))
-
-
-def m_word(w: str) -> tuple:
-    """Ordered product M(e_{i1}) ... M(e_{in}); empty word gives identity."""
-    out = identity3()
-    for ch in w:
-        if ch == "1":
-            out = mat_mul(out, _M1)
-        elif ch == "2":
-            out = mat_mul(out, _M2)
-        else:
-            raise ValueError(f"bad word letter {ch!r}")
-    return out
 
 
 def fold_apply(t: TensorPoly, v) -> Vec3Poly:
@@ -115,23 +99,6 @@ def fold_apply(t: TensorPoly, v) -> Vec3Poly:
             nxt.append((a[2], b[2], a[0] + b[1]))
         work = nxt
     return Vec3Poly(*work[0])
-
-
-def fold_apply_naive(t: TensorPoly, v) -> Vec3Poly:
-    """Reference implementation: sum of T_w * m_word(w) * v over all words.
-
-    Exponential in the level; used to validate fold_apply on small tensors.
-    """
-    from .exactpoly import words
-
-    acc = [Poly2.zero()] * 3
-    for w in words(t.level):
-        e = t.entry(w)
-        if e.is_zero():
-            continue
-        mv = mat_vec(m_word(w), v)
-        acc = [acc[k] + e * mv[k] for k in range(3)]
-    return Vec3Poly(*acc)
 
 
 def partial_sum_F(lam, values) -> tuple:

@@ -32,6 +32,7 @@ its boundary trace.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -150,24 +151,23 @@ def a_coefficients(n_max: int) -> list:
     return [c.get(0, Fraction(0)) for c in radial_levels(n_max)[1]]
 
 
-def developed_values(n_max: int, x, y) -> list:
-    """Exact triples V_n(x, y) for n <= N, from the radial route.
+def developed_values(n_max: int, x, y) -> Iterator[tuple]:
+    """Exact triples V_n(x, y) for n = 0 .. N, from the radial route.
 
     With r = |(x, y)|, V_n(x, y) = (x A_n(r)/r, y A_n(r)/r, C_n(r)).  Both
     A_n/r and C_n are evaluated as polynomials in s = x^2 + y^2 (see the
     parity note at the radial recursion below), so the result is exact at
-    rational points, the origin included.
+    rational points, the origin included.  The triples are yielded one
+    level at a time, so a caller that stops early evaluates no later level.
     """
     x, y = as_rat(x), as_rat(y)
     s = x * x + y * y
     a_levels, c_levels = radial_levels(n_max)
-    out = []
     for n, (a_n, c_n) in enumerate(zip(a_levels, c_levels)):
         if any(m % 2 == 0 for m in a_n) or any(m % 2 for m in c_n):
             raise ArithmeticError(f"level {n}: radial parity violated")
         a_over_r = _horner_in_s(a_n, s)
-        out.append((x * a_over_r, y * a_over_r, _horner_in_s(c_n, s)))
-    return out
+        yield x * a_over_r, y * a_over_r, _horner_in_s(c_n, s)
 
 
 def _horner_in_s(coeffs: dict, s) -> Fraction:

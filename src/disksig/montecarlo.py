@@ -7,10 +7,11 @@ interpolation by Chen concatenation, and average level by level.
 
 Reproducibility: each path owns a counter-based RNG stream keyed by
 (seed, path_index), so estimates do not depend on scheduling, cohort
-size or CPU count; a path is bit-identical whether simulated alone or
-inside the vectorized engine, because both consume the stream in the
-same block pattern (normals of shape (block, 2), then block uniform
-deviates) and run the same array expressions.
+size or CPU count.  Every path consumes its stream in one block pattern
+(normals of shape (block, 2), then block uniform deviates) through
+_advance_block, whose rows are independent, so a path is bit-identical
+whether it is stepped alone or in a batch; the tests' reference
+simulator steps single paths this way and checks the engine with them.
 
 Boundary handling: a step landing outside the disk exits at that step;
 optionally (bridge_correction) a step staying inside still exits with
@@ -31,10 +32,11 @@ exclusive prefix sums, because the next level needs them; the top level
 is a contraction of those prefixes with the step powers over the step
 axis (batched matmuls), so no per-step array of width 2^N is ever made.
 Positions and exit decisions never read a signature, so exit steps,
-exit times and simulate_stopped_path are fixed bit for bit by (seed,
+exit times and each path's increments are fixed bit for bit by (seed,
 path_index).  Lower levels are summed in step order; the matmul
 reassociates the top-level sums, so the last bits of top-level means
-depend on the kernel (signature_of_path stays the reference).
+depend on the kernel, and the tests check them against a reference
+signature built by one Chen product per chord.
 
 Work is bounded: a path gets at most 2^27 steps, and SimConfig refuses
 any h below MIN_STEP, at which that budget would end paths before the
@@ -176,31 +178,6 @@ def _advance_block(pos, normals, uniforms, h: float, bridge: bool):
     return inc, exit_step, end_pos
 
 
-def simulate_stopped_path(config: SimConfig, path_index: int) -> np.ndarray:
-    """Increments of one stopped path, (n_steps, 2); the reference engine.
-
-    Runs the identical block routine as the vectorized estimator with a
-    batch of one, so the returned path is bit-identical to the one the
-    estimator consumes for this (seed, path_index).
-    """
-    gen = _path_generator(config.seed, path_index)
-    pos = np.array([config.start], dtype=np.float64)
-    chunks = []
-    for _ in range(_MAX_BLOCKS_PER_PATH):
-        normals = np.empty((1, BLOCK, 2))
-        uniforms = np.empty((1, BLOCK))
-        gen.standard_normal(out=normals[0])
-        gen.random(out=uniforms[0])
-        inc, exit_step, end_pos = _advance_block(
-            pos, normals, uniforms, config.h, config.bridge_correction)
-        if exit_step[0] >= 0:
-            chunks.append(inc[0, : exit_step[0] + 1])
-            return np.concatenate(chunks, axis=0)
-        chunks.append(inc[0])
-        pos = end_pos
-    raise RuntimeError("path failed to exit within the block budget")
-
-
 def _excl_cumsum(x):
     """Exclusive cumulative sum over the last (step) axis."""
     out = np.empty_like(x)
@@ -269,39 +246,6 @@ def _chen_combine(s_levels: list, t_levels: list) -> list:
             acc = acc + np.einsum("pa,pb->pab", a, b).reshape(a.shape[0], -1)
         out.append(acc)
     return out
-
-
-def tensor_exp(delta, level: int) -> list:
-    """Truncated tensor exponential of a single increment, levels 1..N."""
-    delta = np.asarray(delta, dtype=np.float64)
-    out = [delta]
-    term = delta
-    for m in range(2, level + 1):
-        term = np.kron(term, delta) / m
-        out.append(term)
-    return out
-
-
-def signature_of_path(increments, level: int) -> list:
-    """Reference signature of a piecewise-linear path, levels 1..level.
-
-    Plain per-chord Chen products; quadratic in path length, used as the
-    ground truth against the blockwise engine.
-    """
-    if level < 1:
-        raise ValueError("level must be at least 1")
-    increments = np.asarray(increments, dtype=np.float64)
-    sig = [np.zeros(2 ** n) for n in range(1, level + 1)]
-    for delta in increments:
-        exp_levels = tensor_exp(delta, level)
-        new = []
-        for n in range(1, level + 1):
-            acc = sig[n - 1] + exp_levels[n - 1]
-            for i in range(1, n):
-                acc = acc + np.kron(sig[i - 1], exp_levels[n - i - 1])
-            new.append(acc)
-        sig = new
-    return sig
 
 
 class SigAccumulator:

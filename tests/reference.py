@@ -1,0 +1,113 @@
+"""Independent references the tests compare the production routes with.
+
+Nothing in `disksig` calls these.  Each is the plain, slow form of a
+computation the package does another way:
+
+- simulate_stopped_path runs one path through the estimator's own block
+  routine, so its increments are bit for bit the ones the vectorized
+  engine consumes for that (seed, path_index);
+- signature_of_path builds a path signature by one Chen product per
+  chord (tensor_exp), against the blockwise engine;
+- fold_apply_naive sums T_w M(w) v over every word with explicit 3x3
+  word matrices (m_word), against development.fold_apply.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+
+from disksig.development import Vec3Poly, _M1, _M2, mat_mul, mat_vec
+from disksig.exactpoly import Poly2, TensorPoly, words
+from disksig.montecarlo import (BLOCK, _MAX_BLOCKS_PER_PATH, SimConfig,
+                                _advance_block, _path_generator)
+
+
+def simulate_stopped_path(config: SimConfig, path_index: int) -> np.ndarray:
+    """Increments of one stopped path, (n_steps, 2); the reference engine.
+
+    Runs the identical block routine as the vectorized estimator with a
+    batch of one, so the returned path is bit-identical to the one the
+    estimator consumes for this (seed, path_index).
+    """
+    gen = _path_generator(config.seed, path_index)
+    pos = np.array([config.start], dtype=np.float64)
+    chunks = []
+    for _ in range(_MAX_BLOCKS_PER_PATH):
+        normals = np.empty((1, BLOCK, 2))
+        uniforms = np.empty((1, BLOCK))
+        gen.standard_normal(out=normals[0])
+        gen.random(out=uniforms[0])
+        inc, exit_step, end_pos = _advance_block(
+            pos, normals, uniforms, config.h, config.bridge_correction)
+        if exit_step[0] >= 0:
+            chunks.append(inc[0, : exit_step[0] + 1])
+            return np.concatenate(chunks, axis=0)
+        chunks.append(inc[0])
+        pos = end_pos
+    raise RuntimeError("path failed to exit within the block budget")
+
+
+def tensor_exp(delta, level: int) -> list:
+    """Truncated tensor exponential of a single increment, levels 1..N."""
+    delta = np.asarray(delta, dtype=np.float64)
+    out = [delta]
+    term = delta
+    for m in range(2, level + 1):
+        term = np.kron(term, delta) / m
+        out.append(term)
+    return out
+
+
+def signature_of_path(increments, level: int) -> list:
+    """Reference signature of a piecewise-linear path, levels 1..level.
+
+    Plain per-chord Chen products; quadratic in path length, used as the
+    ground truth against the blockwise engine.
+    """
+    if level < 1:
+        raise ValueError("level must be at least 1")
+    increments = np.asarray(increments, dtype=np.float64)
+    sig = [np.zeros(2 ** n) for n in range(1, level + 1)]
+    for delta in increments:
+        exp_levels = tensor_exp(delta, level)
+        new = []
+        for n in range(1, level + 1):
+            acc = sig[n - 1] + exp_levels[n - 1]
+            for i in range(1, n):
+                acc = acc + np.kron(sig[i - 1], exp_levels[n - i - 1])
+            new.append(acc)
+        sig = new
+    return sig
+
+
+def identity3(one=Fraction(1)) -> tuple:
+    zero = one - one
+    return ((one, zero, zero), (zero, one, zero), (zero, zero, one))
+
+
+def m_word(w: str) -> tuple:
+    """Ordered product M(e_{i1}) ... M(e_{in}); empty word gives identity."""
+    out = identity3()
+    for ch in w:
+        if ch == "1":
+            out = mat_mul(out, _M1)
+        elif ch == "2":
+            out = mat_mul(out, _M2)
+        else:
+            raise ValueError(f"bad word letter {ch!r}")
+    return out
+
+
+def fold_apply_naive(t: TensorPoly, v) -> Vec3Poly:
+    """Reference implementation: sum of T_w * m_word(w) * v over all words.
+
+    Exponential in the level; used to validate fold_apply on small tensors.
+    """
+    acc = [Poly2.zero()] * 3
+    for w in words(t.level):
+        e = t.entry(w)
+        if e.is_zero():
+            continue
+        mv = mat_vec(m_word(w), v)
+        acc = [acc[k] + e * mv[k] for k in range(3)]
+    return Vec3Poly(*acc)

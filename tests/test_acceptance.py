@@ -25,10 +25,10 @@ from disksig.exactpoly import Poly2, TensorPoly
 from disksig.hierarchy import (HierarchyState, a_coefficients,
                                developed_checks, radius_estimate,
                                tensor_checks)
-from disksig.montecarlo import (SimConfig, _chen_combine,
-                                estimate_expected_sig, signature_of_path)
+from disksig.montecarlo import SimConfig, _chen_combine, estimate_expected_sig
 from disksig.polefinder import (PoleCertificate, locate_pole,
                                 verify_numerator_nonvanishing)
+from reference import fold_apply_naive, signature_of_path
 
 E3 = (F(0), F(0), F(1))
 
@@ -161,8 +161,6 @@ def test_9a_chen_identity(seed, n_left, n_right):
 @given(st.integers(0, 6), st.randoms(use_true_random=False))
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_9b_fold_equals_brute_force(level, rng):
-    from disksig.development import fold_apply_naive
-
     t = TensorPoly.zeros(level)
     for idx in range(2 ** level):
         if rng.random() < 0.5:

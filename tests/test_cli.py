@@ -297,6 +297,7 @@ def test_ball_layer_caps_admit_documented_inputs():
     ("bessel", "--terms", str(cli.MAX_BESSEL_TERMS + 1)),
     ("bessel", "--terms", "200000"),
     ("bessel", "--terms", "0"),
+    ("bessel", "--re", "100", "--terms", "5"),
     ("bessel", "--pairing", str(cli.MAX_PAIRING_ABS + 1)),
     ("bessel", "--pairing", f"-{cli.MAX_PAIRING_ABS}.001"),
     ("bessel", "--pairing", "1e4000"),
@@ -309,6 +310,7 @@ def test_ball_layer_caps_admit_documented_inputs():
         "compare-precision", "lambda-exponent-overflow", "width-malformed",
         "bessel-abs", "bessel-abs-complex", "bessel-abs-1e4300",
         "bessel-terms", "bessel-terms-200000", "bessel-terms-zero",
+        "bessel-terms-too-few",
         "bessel-pairing", "bessel-pairing-negative", "bessel-pairing-1e4000",
         "bessel-re-1e-4300", "width-1e4300"])
 def test_ball_layer_inputs_out_of_range_write_nothing(tmp_path, capsys, argv):
@@ -329,9 +331,14 @@ def test_decimal_at_the_digit_limit_is_accepted(tmp_path):
 @pytest.mark.parametrize("argv", [
     ("compare", "--lambda", f"1/{10 ** 40 + 1}", "--levels", "110"),
     ("develop", f"--x=1/{3 ** 60}", "--levels", "200"),
-], ids=["compare", "develop"])
+    # level 22 already passes the limit: develop refuses there, before it
+    # evaluates the later levels and their partial sum (about 40 s)
+    ("develop", f"--x=1/{10 ** 400}", "--levels", "200"),
+], ids=["compare", "develop", "develop-early-level"])
 def test_exact_output_past_the_digit_limit_is_a_usage_error(tmp_path, capsys, argv):
+    t0 = time.perf_counter()
     rc, _ = run(tmp_path, *argv)
+    assert time.perf_counter() - t0 < 5.0
     assert rc == 2
     assert f"more than {cli._MAX_DIGITS} digits" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []

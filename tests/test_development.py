@@ -5,10 +5,10 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disksig.development import (Vec3Poly, fold_apply, fold_apply_naive,
-                                 identity3, m_of_vector, m_word, mat_mul,
+from disksig.development import (Vec3Poly, fold_apply, m_of_vector, mat_mul,
                                  mat_vec, partial_sum_F)
 from disksig.exactpoly import Poly2, TensorPoly, words
+from reference import fold_apply_naive, identity3, m_word
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 E3 = (F(0), F(0), F(1))

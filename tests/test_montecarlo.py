@@ -11,9 +11,8 @@ import disksig.montecarlo as montecarlo
 from disksig.montecarlo import (BLOCK, COHORT, MIN_STEP, SigAccumulator,
                                 SimConfig, _advance_block, _block_signature,
                                 _chen_combine, _path_generator, _run_cohort,
-                                _run_slice, estimate_expected_sig,
-                                signature_of_path, simulate_stopped_path,
-                                tensor_exp)
+                                _run_slice, estimate_expected_sig)
+from reference import signature_of_path, simulate_stopped_path, tensor_exp
 
 FAST = SimConfig(paths=64, h=1e-3, level=3)
 

@@ -2,6 +2,7 @@
 the benchmark's tracer relies on."""
 
 import ast
+import importlib.util
 import json
 import os
 import subprocess
@@ -61,6 +62,51 @@ def test_no_module_imports_a_name_it_never_uses():
     assert found == {}
     assert unused_imports("import os\nimport sys as system\nfrom a import b, c\n"
                           "print(os, c)\n") == [(2, "system"), (3, "b")]
+
+
+def unreached_functions(sources: dict, reached: set) -> list:
+    """"file: name" of each module-level function in `sources` (filename
+    -> source) that no code in `sources` names outside the function's own
+    body and that is not in `reached`; dunder names are exempt."""
+    defined = []
+    named = set()
+    for filename, source in sources.items():
+        for top in ast.parse(source).body:
+            own = None
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                own = top.name
+                defined.append((filename, own))
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name) else
+                        node.attr if isinstance(node, ast.Attribute) else None)
+                if name is not None and name != own:
+                    named.add(name)
+    return [f"{filename}: {name}" for filename, name in defined
+            if name not in named and name not in reached
+            and not (name.startswith("__") and name.endswith("__"))]
+
+
+def test_every_function_in_src_has_a_caller_outside_the_tests():
+    """Code only the tests reach belongs in the tests (see tests/reference.py):
+    every module-level function is named in the package itself, is a public
+    export, or is one the benchmark's tracer wraps by name."""
+    package = os.path.dirname(disksig.__file__)
+    sources = {}
+    for filename in sorted(os.listdir(package)):
+        if filename.endswith(".py"):
+            with open(os.path.join(package, filename)) as handle:
+                sources[filename] = handle.read()
+    spec = importlib.util.spec_from_file_location(
+        "spans", os.path.join(ROOT, "perfbench", "spans.py"))
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    traced = {attr for _, attr, _ in spans.FUNCTION_SPANS}
+    assert unreached_functions(sources, set(disksig._EXPORTS) | traced) == []
+    assert unreached_functions(
+        {"a.py": "def f():\n    return f()\ndef g():\n    return 1\n"
+                 "def __h__():\n    pass\nx = g()\n",
+         "b.py": "import a\ny = a.k()\ndef k():\n    pass\ndef m():\n    pass\n"},
+        {"m"}) == ["a.py: f"]
 
 
 def test_unknown_attribute_raises_attribute_error():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import groupby
 
@@ -131,12 +132,31 @@ def test_certificate_json_round_trip():
     assert back.bracket_hi == cert.bracket_hi
 
 
-def test_certificate_tampering_is_detected():
+# each tampering breaks one invariant of PoleCertificate.verify() alone
+TAMPERINGS = {
+    "bracket-outside": (
+        lambda c: {"bracket_lo": c.bracket_lo - 1, "bracket_hi": c.bracket_hi - 1},
+        "bracket not strictly inside (5/2, 3)"),
+    "bracket-too-wide": (
+        lambda c: {"target_width": (c.bracket_hi - c.bracket_lo) / 2},
+        "bracket wider than target"),
+    "d-lo-not-negative": (
+        lambda c: {"d_lo": c.d_hi},
+        "d at lower endpoint not certified negative"),
+    "d-hi-not-positive": (
+        lambda c: {"d_hi": c.d_lo},
+        "d at upper endpoint not certified positive"),
+    "numerator-not-negative": (
+        lambda c: {"numerator_bound": c.numerator_bound.neg()},
+        "numerator bound not certified negative"),
+}
+
+
+@pytest.mark.parametrize("tamper, failure", TAMPERINGS.values(), ids=list(TAMPERINGS))
+def test_certificate_tampering_is_detected(tamper, failure):
     cert = locate_pole(F(1, 1000))
-    obj = cert.to_json()
-    obj["bracket"] = ["1/2", "3/4"]  # outside the proven lemma interval
-    broken = PoleCertificate.from_json(obj)
-    assert broken.verify() != []
+    obj = replace(cert, **tamper(cert)).to_json()
+    assert PoleCertificate.from_json(obj).verify() == [failure]
 
 
 def test_locate_pole_input_validation():

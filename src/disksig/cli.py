@@ -3,7 +3,9 @@
 Every subcommand writes one output file (JSON or CSV) plus a sidecar
 manifest `<out>.manifest.json` recording the subcommand, full parameter
 set, tool version, timestamp, a digest of the output bytes, and run
-stats (for `mc`, the number of worker processes).  The
+stats (for `mc`, the number of worker processes; for `pole`, the
+search: exact midpoint signs, the most series terms one needed, d
+evaluations per precision and numerator pieces).  The
 output file itself carries no timestamp, so re-running the same command
 reproduces it bit for bit; only the manifest differs.
 
@@ -59,11 +61,11 @@ DEVELOPED_CAP = 200  # radial route: develop, compare, radius
 # faster than n^3: 60 levels take about 0.5 s on a 2-vCPU VM, 120 about 5 s
 DEVELOPED_ORACLE_CAP = 60
 # ball-layer caps, timed on a 2-vCPU VM: at MAX_PRECISION bits, `bessel
-# --pairing 141/50` takes about 3.4 s, `pole --width 1/1000` 2.7 s and
-# `compare --lambda 2 --levels 40` 1.0 s (each doubling costs about 4x,
+# --pairing 141/50` takes about 1.9 s, `pole --width 1/1000` 2.1 s and
+# `compare --lambda 2 --levels 40` 0.9 s (each doubling costs about 4x,
 # and from about 14000 bits a ball's decimal digits exceed what Python
-# converts to a string); at MIN_POLE_WIDTH, `pole` takes about 3.6 s at
-# 128 bits and 5.9 s at MAX_PRECISION
+# converts to a string); at MIN_POLE_WIDTH, `pole` takes about 0.5 s at
+# 128 bits and 2.4 s at MAX_PRECISION
 MAX_PRECISION = 8192
 MIN_POLE_WIDTH = Fraction(1, 10 ** 100)
 # `bessel` point caps, timed on a 2-vCPU VM: the auto-selected series
@@ -81,7 +83,13 @@ MAX_PAIRING_ABS = 30
 # Python parses no integer of more digits from "num/den" and prints none
 # of them, so a decimal input whose numerator or denominator would pass
 # this many digits is refused, and so is a request whose exact output would
+# have more
 _MAX_DIGITS = 4300
+_DIGITS_ERROR = (
+    f"an exact output would have more than {_MAX_DIGITS} digits in its "
+    "numerator or denominator; ask for fewer levels or smaller denominators")
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
+                 67, 71, 73, 79, 83, 89, 97)
 _E3 = (Fraction(0), Fraction(0), Fraction(1))
 
 
@@ -98,11 +106,58 @@ def _too_many_digits(q: Fraction) -> bool:
 def _rat_str(q: Fraction) -> str:
     """"num/den" of an exact output, refusing one Python cannot print."""
     if _too_many_digits(q):
-        raise UsageError(
-            f"an exact output would have more than {_MAX_DIGITS} digits in its "
-            "numerator or denominator; ask for fewer levels or smaller "
-            "denominators")
+        raise UsageError(_DIGITS_ERROR)
     return exactpoly.rat_str(q)
+
+
+def _valuation(n: int, prime: int) -> int:
+    """Exponent of prime in the nonzero integer n."""
+    v = 0
+    while n % prime == 0:
+        n //= prime
+        v += 1
+    return v
+
+
+def _partial_sum_too_long(lam: Fraction, values) -> bool:
+    """Whether some component of sum_n lam^n V_n provably has a
+    denominator of more than _MAX_DIGITS digits, decided without the sum.
+
+    For a prime l dividing lam's denominator q, the term lam^n V_n has
+    l-adic valuation v_l(V_n) - n v_l(q) (lam's numerator is coprime to
+    q); when one term alone has the smallest, that is the valuation of
+    the sum, so l to minus it divides the sum's denominator.  This is
+    tried for each prime below 100.  The rest g of q has larger primes
+    only; when g is coprime to every term's denominator and to the top
+    nonzero term's numerator, each prime of g has valuation >= 0 in
+    every V_n and 0 in the top one, V_N, so term N alone is smallest and
+    g^N divides the denominator.  The factors found are coprime, so
+    their product divides it too.  On the boundary every V_n with n >= 1
+    is 0 and nothing is found, whatever lam is.
+    """
+    q = lam.denominator
+    primes = [(p, _valuation(q, p)) for p in _SMALL_PRIMES if q % p == 0]
+    rest = q
+    for p, e in primes:
+        rest //= p ** e
+    for k in range(3):
+        terms = [(n, value[k]) for n, value in enumerate(values) if value[k]]
+        if not terms:
+            continue
+        bound = 1
+        for p, e in primes:
+            vals = [_valuation(c.numerator, p) - _valuation(c.denominator, p) - n * e
+                    for n, c in terms]
+            low = min(vals)
+            if low < 0 and vals.count(low) == 1:
+                bound *= p ** -low
+        top, c_top = terms[-1]
+        if (rest > 1 and math.gcd(rest, c_top.numerator) == 1
+                and all(math.gcd(rest, c.denominator) == 1 for _, c in terms)):
+            bound *= rest ** top
+        if _too_many_digits(Fraction(bound)):
+            return True
+    return False
 
 
 def _parse_rat(text: str) -> Fraction:
@@ -255,6 +310,9 @@ def cmd_develop(args) -> tuple:
     for value in hierarchy.developed_values(args.levels, x, y):
         per_level_text.append([_rat_str(c) for c in value])
         per_level.append(value)
+    # a partial sum past _MAX_DIGITS is refused before it is summed
+    if _partial_sum_too_long(args.lam, per_level):
+        raise UsageError(_DIGITS_ERROR)
     psum = development.partial_sum_F(args.lam, per_level)
     checks = {}
     if y == 0:
@@ -346,7 +404,8 @@ def cmd_pole(args) -> tuple:
     certificate = polefinder.locate_pole(args.width, precision=prec)
     text = json.dumps(certificate.to_json(), indent=2) + "\n"
     # replay the certificate from the bytes written, not the in-memory object
-    return text, polefinder.PoleCertificate.from_json(json.loads(text)).verify(), {}
+    failures = polefinder.PoleCertificate.from_json(json.loads(text)).verify()
+    return text, failures, certificate.search
 
 
 def cmd_compare(args) -> tuple:

@@ -9,17 +9,22 @@ computation the package does another way:
 - signature_of_path builds a path signature by one Chen product per
   chord (tensor_exp), against the blockwise engine;
 - fold_apply_naive sums T_w M(w) v over every word with explicit 3x3
-  word matrices (m_word), against development.fold_apply.
+  word matrices (m_word), against development.fold_apply;
+- ball_bisection brackets the pole on ball signs of d at every midpoint,
+  against the exact signs of polefinder.locate_pole.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
+from disksig.bessel import d_lambda, make_constants
 from disksig.development import Vec3Poly, _M1, _M2, mat_mul, mat_vec
 from disksig.exactpoly import Poly2, TensorPoly, words
 from disksig.montecarlo import (BLOCK, _MAX_BLOCKS_PER_PATH, SimConfig,
                                 _advance_block, _path_generator)
+from disksig.polefinder import BRACKET_HI, BRACKET_LO
 
 
 def simulate_stopped_path(config: SimConfig, path_index: int) -> np.ndarray:
@@ -111,3 +116,31 @@ def fold_apply_naive(t: TensorPoly, v) -> Vec3Poly:
         mv = mat_vec(m_word(w), v)
         acc = [acc[k] + e * mv[k] for k in range(3)]
     return Vec3Poly(*acc)
+
+
+def ball_bisection(width: Fraction) -> tuple:
+    """(lo, hi) bisected from (5/2, 3) on ball enclosures of d alone.
+
+    Bisects as locate_pole does, until the bracket is at most width wide
+    and strictly inside (5/2, 3), but takes each midpoint's sign from
+    d_lambda: at a precision set by the midpoint's dyadic denominator
+    (its bits plus 32 guard bits, at least 64, rounded up to a multiple
+    of 32), doubled while the enclosure straddles zero, at most six times.
+    """
+    constants = lru_cache(maxsize=None)(make_constants)
+    lo, hi = BRACKET_LO, BRACKET_HI
+    while hi - lo > width or lo == BRACKET_LO or hi == BRACKET_HI:
+        mid = (lo + hi) / 2
+        prec = -(-max(64, mid.denominator.bit_length() + 32) // 32) * 32
+        for _ in range(7):
+            d = d_lambda(mid, constants(prec), prec)
+            if not d.contains_zero():
+                break
+            prec *= 2
+        else:
+            raise ArithmeticError(f"d at {mid} straddles zero up to {prec // 2} bits")
+        if d.is_negative():
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi

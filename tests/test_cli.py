@@ -334,7 +334,13 @@ def test_decimal_at_the_digit_limit_is_accepted(tmp_path):
     # level 22 already passes the limit: develop refuses there, before it
     # evaluates the later levels and their partial sum (about 40 s)
     ("develop", f"--x=1/{10 ** 400}", "--levels", "200"),
-], ids=["compare", "develop", "develop-early-level"])
+    # every level fits, but the partial sum's denominator is a multiple
+    # of 2^N or of (10^2000 + 1)^N (N the top level), so it is refused
+    # before the sum is formed (about 20 s)
+    ("develop", f"--lambda=1/{10 ** 4000}", "--x=1/2", "--levels", "200"),
+    ("develop", f"--lambda=1/{10 ** 2000 + 1}", "--x=1/2", "--levels", "200"),
+], ids=["compare", "develop", "develop-early-level", "develop-lambda",
+        "develop-lambda-coprime"])
 def test_exact_output_past_the_digit_limit_is_a_usage_error(tmp_path, capsys, argv):
     t0 = time.perf_counter()
     rc, _ = run(tmp_path, *argv)
@@ -342,6 +348,15 @@ def test_exact_output_past_the_digit_limit_is_a_usage_error(tmp_path, capsys, ar
     assert rc == 2
     assert f"more than {cli._MAX_DIGITS} digits" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_develop_on_the_boundary_accepts_any_lambda(tmp_path):
+    # every V_n with n >= 1 vanishes on the circle, so no denominator of
+    # lambda makes the partial sum long
+    rc, out = run(tmp_path, "develop", f"--lambda=1/{10 ** 4000}", "--x=1",
+                  "--levels", "200")
+    assert rc == 0
+    assert json.loads(out.read_text())["partial_sum"] == ["0/1", "0/1", "1/1"]
 
 
 @pytest.mark.parametrize("argv, out, blocker", [

@@ -5,6 +5,7 @@ import json
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import groupby
+from math import factorial
 
 import pytest
 
@@ -16,6 +17,7 @@ from disksig.exactpoly import as_rat
 from disksig.polefinder import (InconclusiveSign, NoSignChange,
                                 PoleCertificate, locate_pole,
                                 verify_numerator_nonvanishing)
+from reference import ball_bisection
 
 
 def test_locate_pole_narrow_bracket():
@@ -60,14 +62,12 @@ def test_escalation_recertifies_endpoints_at_final_precision(monkeypatch,
 
 
 def test_stored_endpoints_must_bracket_the_zero(tmp_path, monkeypatch):
-    # the midpoint rungs (64 bits at width 1/100) see the true d; every
-    # evaluation at the stored precision reads d > 0
-    real = polefinder.d_lambda
+    # the exact midpoint signs pick the true bracket; every ball
+    # evaluation of d at its endpoints reads d > 0, so the ball route
+    # disagrees with the exact one at the lower endpoint
 
     def positive(lam, constants, prec=None):
-        if prec >= 128:
-            return RealBall.from_interval(1, 2)
-        return real(lam, constants, prec)
+        return RealBall.from_interval(1, 2)
 
     monkeypatch.setattr(polefinder, "d_lambda", positive)
     with pytest.raises(NoSignChange):
@@ -87,8 +87,22 @@ def test_sign_that_never_certifies_is_inconclusive(monkeypatch):
     monkeypatch.setattr(polefinder, "d_lambda", straddling)
     with pytest.raises(InconclusiveSign):
         locate_pole(F(1, 100))
-    # the first midpoint's rung, doubled _MAX_ESCALATIONS times
-    assert precs == [64 << k for k in range(polefinder._MAX_ESCALATIONS + 1)]
+    # both stored endpoints at the requested precision, doubled
+    # _MAX_ESCALATIONS times
+    assert precs == [128 << k for k in range(polefinder._MAX_ESCALATIONS + 1)
+                     for _ in range(2)]
+
+
+def test_series_term_cap_is_inconclusive(monkeypatch):
+    # 8 terms do not certify E at the first midpoint, 11/4, and the cap
+    # forbids doubling
+    def never(lam, constants, prec=None):
+        raise AssertionError("no ball evaluation before the bracket is found")
+
+    monkeypatch.setattr(polefinder, "_MAX_TERMS", 8)
+    monkeypatch.setattr(polefinder, "d_lambda", never)
+    with pytest.raises(InconclusiveSign, match="8 series terms"):
+        locate_pole(F(1, 100))
 
 
 def test_bracket_depends_on_width_alone():
@@ -100,27 +114,85 @@ def test_bracket_depends_on_width_alone():
 
 
 # precision of every d evaluation in locate_pole at the two benchmark
-# inputs, as runs of (precision, count): the midpoint rungs in bisection
-# order, then both stored endpoints at the requested precision
+# inputs, as runs of (precision, count): both stored endpoints at the
+# requested precision; and the number of exact midpoint signs before them
 D_EVALUATIONS = [
-    ("1/1000000", 128, [(64, 19), (128, 2)]),
-    ("1e-20", 512, [(64, 30), (96, 32), (128, 4), (512, 2)]),
+    ("1/1000000", 128, [(128, 2)], 19),
+    ("1e-20", 512, [(512, 2)], 66),
 ]
 
 
-@pytest.mark.parametrize("width, precision, runs", D_EVALUATIONS,
+@pytest.mark.parametrize("width, precision, runs, signs", D_EVALUATIONS,
                          ids=["1e-6@128", "1e-20@512"])
-def test_d_evaluations_are_pinned(monkeypatch, width, precision, runs):
-    real = polefinder.d_lambda
-    precs = []
+def test_d_evaluations_are_pinned(monkeypatch, width, precision, runs, signs):
+    real_d, real_sign = polefinder.d_lambda, polefinder._series_sign
+    precs, mus = [], []
 
-    def recorded(lam, constants, prec=None):
+    def recorded_d(lam, constants, prec=None):
         precs.append(prec)
-        return real(lam, constants, prec)
+        return real_d(lam, constants, prec)
 
-    monkeypatch.setattr(polefinder, "d_lambda", recorded)
+    def recorded_sign(mu):
+        mus.append(mu)
+        return real_sign(mu)
+
+    monkeypatch.setattr(polefinder, "d_lambda", recorded_d)
+    monkeypatch.setattr(polefinder, "_series_sign", recorded_sign)
     locate_pole(as_rat(width), precision=precision)
     assert [(p, len(list(g))) for p, g in groupby(precs)] == runs
+    assert len(mus) == signs
+
+
+def test_search_is_recorded_but_not_certified(tmp_path):
+    search = {"exact_signs": 19, "max_terms": 16,
+              "d_evaluations": {"128": 2}, "numerator_pieces": 1}
+    cert = locate_pole(F(1, 10 ** 6), precision=128)
+    assert cert.search == search
+    out = tmp_path / "cert.json"
+    assert main(["pole", "--width", "1e-6", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "cert.json.manifest.json").read_text())
+    assert manifest["stats"] == search
+    # the search is not part of the certificate's bytes or its equality
+    bare = replace(cert, search=None)
+    assert bare == cert
+    assert bare.to_json() == cert.to_json()
+    assert PoleCertificate.from_json(cert.to_json()).search is None
+
+
+@pytest.mark.parametrize("width", [F(1, 100), F(1, 10 ** 6), F(1, 10 ** 20),
+                                   F(1, 10 ** 30)],
+                         ids=["1/100", "1e-6", "1e-20", "1e-30"])
+def test_exact_signs_pick_the_ball_route_bracket(width):
+    # both routes certify true signs of d at the same dyadic midpoints
+    cert = locate_pole(width)
+    assert (cert.bracket_lo, cert.bracket_hi) == ball_bisection(width)
+
+
+def test_series_coefficients():
+    numerators, den = polefinder._series_coefficients(4)
+    assert [F(c, den) for c in numerators] == [F(-1, 8), F(1, 64), F(-1, 1536),
+                                               F(5, 73728)]
+    # the bound the tail of E rests on: |D_m| m! (m+1)! <= (3/2)^m
+    numerators, den = polefinder._series_coefficients(201)
+    for m, c in enumerate(numerators):
+        assert abs(F(c, den)) * factorial(m) * factorial(m + 1) <= F(3, 2) ** m
+
+
+@pytest.mark.parametrize("lam", [F(1, 3), F(5, 2), F(14, 5), F(3)],
+                         ids=["1/3", "5/2", "14/5", "3"])
+def test_series_partial_sum_and_tail_enclose_d(lam):
+    # d(lambda) = sqrt(7) lambda E(lambda^2): the partial sum of E plus or
+    # minus its tail bound, scaled, meets the ball enclosure of d
+    n, prec, mu = 40, 256, lam * lam
+    assert 3 * mu <= (n + 1) * (n + 2)
+    numerators, den = polefinder._series_coefficients(n)
+    partial = sum(F(c, den) * mu ** m for m, c in enumerate(numerators))
+    tail = 2 * (F(3, 2) * mu) ** n / (factorial(n) * factorial(n + 1))
+    series = RealBall.from_interval(partial - tail, partial + tail, prec)
+    scale = RealBall.from_int(7).sqrt(prec).mul(RealBall.from_rational(lam, prec), prec)
+    enclosure = scale.mul(series, prec)
+    d = d_lambda(lam, make_constants(prec), prec)
+    assert enclosure.lower() <= d.upper() and d.lower() <= enclosure.upper()
 
 
 def test_certificate_json_round_trip():
@@ -217,20 +289,18 @@ def test_pole_certificate_bytes_are_pinned(tmp_path, width, precision, digest):
 
 @pytest.mark.parametrize("width, precision, digest", PINNED_CERTIFICATES,
                          ids=PINNED_IDS)
-def test_straddling_rungs_double_to_the_same_certificate(
-        tmp_path, monkeypatch, width, precision, digest):
-    # make every evaluation below the requested precision inconclusive, so
-    # each midpoint's rung is doubled up to at least that precision; the
-    # signs are the same facts, so the certificate bytes do not change
+def test_midpoints_never_evaluate_balls(tmp_path, monkeypatch, width,
+                                        precision, digest):
+    # d may be evaluated only at the two endpoints the exact signs pick;
+    # the certificate bytes are the pinned ones
+    ref = locate_pole(as_rat(width), precision=precision)
+    endpoints = {ref.bracket_lo, ref.bracket_hi}
     real = polefinder.d_lambda
-    rungs = []
 
-    def straddling(lam, constants, prec=None):
-        if prec < precision:
-            rungs.append(prec)
-            return RealBall.from_interval(-1, 1)
+    def endpoints_only(lam, constants, prec=None):
+        if lam not in endpoints:
+            raise AssertionError(f"d evaluated at {lam}")
         return real(lam, constants, prec)
 
-    monkeypatch.setattr(polefinder, "d_lambda", straddling)
+    monkeypatch.setattr(polefinder, "d_lambda", endpoints_only)
     assert pole_digest(tmp_path, width, precision) == digest
-    assert rungs

@@ -34,6 +34,7 @@ import argparse
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -487,6 +488,12 @@ def cmd_radius(args) -> tuple:
     return buf.getvalue(), failures, {}
 
 
+def _words(n: int) -> list:
+    """The words of length n over {1, 2} in lexicographic order, which is
+    exactpoly.words(n) without loading the exact layer."""
+    return ["".join(word) for word in itertools.product("12", repeat=n)]
+
+
 def cmd_mc(args) -> tuple:
     try:
         config = montecarlo.SimConfig(start=(args.x, args.y), h=args.h,
@@ -515,7 +522,7 @@ def cmd_mc(args) -> tuple:
     for n in range(config.level + 1):
         means = result.means[n]
         errs = result.stderrs[n]
-        for idx, word in enumerate(exactpoly.words(n)):
+        for idx, word in enumerate(_words(n)):
             mean, err = float(means[idx]), float(errs[idx])
             writer.writerow([word, repr(mean), repr(err)])
             if not (math.isfinite(mean) and math.isfinite(err)):
@@ -532,7 +539,7 @@ def cmd_mc(args) -> tuple:
     if config.level >= 2:
         report += [(word, float(result.means[2][idx]), float(result.stderrs[2][idx]),
                     q / 4 if word in ("11", "22") else 0.0)
-                   for idx, word in enumerate(exactpoly.words(2))]
+                   for idx, word in enumerate(_words(2))]
     for name, est, err, exact in report:
         dev = abs(est - exact) / err if 0 < err < math.inf else math.nan
         print(f"mc {name}: estimate {est:+.6f} stderr {err:.6f} "

@@ -20,7 +20,11 @@ crossed the local tangent line mid-step.  Without the bridge test, the
 discretely monitored barrier sits ~0.58 sqrt(h) too far out, which at
 the default step size already biases the mean exit time by more than
 three standard errors at 1e5 paths; the bridge test removes the
-sqrt(h) term, leaving O(h) curvature bias far below noise.  The exit
+sqrt(h) term, leaving O(h) curvature bias far below noise.  The
+uniform deviates are multiples of 2^-53 and exp(-40) < 2^-53, so the
+exponential is evaluated only at the steps with -2 d_prev d_curr / h
+above -40 or a uniform of exactly 0; no other step can exit by the
+bridge, so the decisions are those of the full test.  The exit
 point is the radial projection of the exit-step position onto the
 circle, folded into that step's increment so signatures see a path
 ending exactly on the boundary.
@@ -31,6 +35,12 @@ block, the levels below the top level N are built step by step, as
 exclusive prefix sums, because the next level needs them; the top level
 is a contraction of those prefixes with the step powers over the step
 axis (batched matmuls), so no per-step array of width 2^N is ever made.
+A block runs over the live paths in tiles of rows, in row order, sized
+by _TILE_BYTES so that the widest per-step tensor of a tile, 2^(N-1)
+components by BLOCK steps, takes about 512 KiB (256 rows at level 1, 8
+at level 6): the step tensors of one tile exist at a time, so a slice's
+memory beyond them is its rows' running signatures, positions and
+generators, under 2 KiB per path at level 6.
 Positions and exit decisions never read a signature, so exit steps,
 exit times and each path's increments are fixed bit for bit by (seed,
 path_index).  Lower levels are summed in step order; the matmul
@@ -52,10 +62,10 @@ exit block, in block order, with rows in path order: exactly the
 batches one serial pass makes.  Every array operation on a row is
 independent of the other rows in its batch (ufuncs, sums and cumsums
 along the step axis, one matmul per row), so means, standard errors
-and exit times are bit-identical for any slice count; `taskset` limits
-the workers and changes no output byte.  Without os.fork or
-os.sched_getaffinity, or with a second Python thread running, the
-cohort runs serially as one slice.
+and exit times are bit-identical for any slice count and any tile
+size; `taskset` limits the workers and changes no output byte.
+Without os.fork or os.sched_getaffinity, or with a second Python thread
+running, the cohort runs serially as one slice.
 """
 
 from __future__ import annotations
@@ -75,6 +85,7 @@ np = lazy_import("numpy")  # only the Monte Carlo engine needs numpy
 BLOCK = 256
 COHORT = 4096
 _MIN_SLICE = 64  # fewest paths worth a forked worker
+_TILE_BYTES = 2 ** 19  # size of a tile's widest per-step tensor
 _MAX_BLOCKS_PER_PATH = 2 ** 19  # per-path step budget: 2^27 steps
 # Brownian motion started anywhere in the disk is still inside at time t
 # with probability at most about 1.6 exp(-j^2 t / 2), j = 2.405 the first
@@ -140,7 +151,9 @@ def _radius(p):
 def _advance_block(pos, normals, uniforms, h: float, bridge: bool):
     """One block of steps for a batch of paths sharing nothing.
 
-    pos: (A, 2) current positions (inside the disk).  Returns
+    pos: (A, 2) current positions (inside the disk); uniforms: draws of
+    Generator.random(), multiples of 2^-53, which the bridge test relies
+    on.  Neither input array is written.  Returns
     (increments (A, B, 2) with exit adjustment applied, exit_step (A,)
     int with -1 for survivors, end_pos (A, 2): on-circle for exited
     paths, last trajectory point for survivors).
@@ -156,9 +169,13 @@ def _advance_block(pos, normals, uniforms, h: float, bridge: bool):
         d_prev = np.empty_like(d_curr)
         d_prev[:, 0] = 1.0 - _radius(pos)
         d_prev[:, 1:] = d_curr[:, :-1]
-        both_inside = (d_prev > 0.0) & (d_curr > 0.0)
-        log_p = np.where(both_inside, -2.0 * d_prev * d_curr / h, -np.inf)
-        exit_mask |= uniforms < np.exp(log_p)
+        # uniforms are multiples of 2^-53 > exp(-40), so a step with
+        # log p <= -40 exits by the bridge only on a uniform of exactly 0;
+        # the steps tested are inside, where exit_mask is still False
+        log_p = -2.0 * d_prev * d_curr / h
+        test = ((d_prev > 0.0) & (d_curr > 0.0)
+                & ((log_p > -40.0) | (uniforms == 0.0)))
+        exit_mask[test] = uniforms[test] < np.exp(log_p[test])
     has_exit = exit_mask.any(axis=1)
     k = exit_mask.argmax(axis=1)
     exit_step = np.where(has_exit, k, -1)
@@ -338,52 +355,67 @@ def _worker_count(paths: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), paths // _MIN_SLICE))
 
 
+def _tile_rows(level: int) -> int:
+    """Rows per tile at `level`: about _TILE_BYTES per step tensor of the
+    widest prefix level, 2^(level - 1) components by BLOCK steps."""
+    return max(8, _TILE_BYTES // (8 * BLOCK * 2 ** (level - 1)))
+
+
 def _run_slice(config: SimConfig, index_lo: int, index_hi: int,
                parent_pid=None) -> tuple:
     """Simulate paths index_lo .. index_hi - 1, holding only live paths.
 
     Returns (exit block, exit time, signature levels at exit), each per
     path in path order.  Every live path has run the same number of
-    blocks, so the block index gives each exit time; exited rows are
-    dropped after each block.  A forked worker passes its parent's pid
-    and ends at the next block once that parent is gone.
+    blocks, so the block index gives each exit time; exited paths leave
+    the live rows after each block.  Each block runs over the live rows in
+    tiles of _tile_rows(level), in row order, so the per-step tensors
+    of only one tile exist at a time.  A forked worker passes its
+    parent's pid and ends at the next block once that parent is gone.
     """
     p_count = index_hi - index_lo
+    tile = _tile_rows(config.level)
     gens = [_path_generator(config.seed, i) for i in range(index_lo, index_hi)]
     pos = np.tile(np.asarray(config.start, dtype=np.float64), (p_count, 1))
+    # a row's signature stops changing when its path exits: at exit it is
+    # the signature returned
     sig = [np.zeros((p_count, 2 ** n)) for n in range(1, config.level + 1)]
     rows = np.arange(p_count)  # slice position of each live path
     exit_block = np.empty(p_count, dtype=np.int64)
     taus = np.empty(p_count)
-    at_exit = [np.empty_like(s) for s in sig]
+    normals = np.empty((min(tile, p_count), BLOCK, 2))
+    uniforms = np.empty((min(tile, p_count), BLOCK))
     block = 0
     while gens:
         if block == _MAX_BLOCKS_PER_PATH:
             raise RuntimeError("path failed to exit within the block budget")
         if parent_pid is not None and os.getppid() != parent_pid:
             os._exit(1)
-        normals = np.empty((len(gens), BLOCK, 2))
-        uniforms = np.empty((len(gens), BLOCK))
-        for gen, nrm, uni in zip(gens, normals, uniforms):
-            gen.standard_normal(out=nrm)
-            gen.random(out=uni)
-        inc, exit_step, pos = _advance_block(
-            pos, normals, uniforms, config.h, config.bridge_correction)
-        sig = _chen_combine(sig, _block_signature(inc, config.level))
+        exit_step = np.empty(len(gens), dtype=np.int64)
+        for lo in range(0, len(gens), tile):
+            hi = min(lo + tile, len(gens))
+            nrm, uni = normals[:hi - lo], uniforms[:hi - lo]
+            for gen, n_row, u_row in zip(gens[lo:hi], nrm, uni):
+                gen.standard_normal(out=n_row)
+                gen.random(out=u_row)
+            inc, exit_step[lo:hi], pos[lo:hi] = _advance_block(
+                pos[lo:hi], nrm, uni, config.h, config.bridge_correction)
+            here = rows[lo:hi]
+            combined = _chen_combine([s[here] for s in sig],
+                                     _block_signature(inc, config.level))
+            for s, c in zip(sig, combined):
+                s[here] = c
         exited = exit_step >= 0
         if exited.any():
             done = rows[exited]
             exit_block[done] = block
             taus[done] = (block * BLOCK + exit_step[exited] + 1) * config.h
-            for out, s in zip(at_exit, sig):
-                out[done] = s[exited]
             live = ~exited
             gens = [gen for gen, keep in zip(gens, live) if keep]
             rows = rows[live]
             pos = pos[live]
-            sig = [s[live] for s in sig]
         block += 1
-    return exit_block, taus, at_exit
+    return exit_block, taus, sig
 
 
 def _fork_slice(config: SimConfig, index_lo: int, index_hi: int,

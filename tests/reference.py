@@ -6,6 +6,8 @@ computation the package does another way:
 - simulate_stopped_path runs one path through the estimator's own block
   routine, so its increments are bit for bit the ones the vectorized
   engine consumes for that (seed, path_index);
+- bridge_exit_steps takes the Brownian-bridge exit test over every step
+  of a block, exp included, against the shortcut in _advance_block;
 - signature_of_path builds a path signature by one Chen product per
   chord (tensor_exp), against the blockwise engine;
 - fold_apply_naive sums T_w M(w) v over every word with explicit 3x3
@@ -14,6 +16,7 @@ computation the package does another way:
   against the exact signs of polefinder.locate_pole.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -50,6 +53,24 @@ def simulate_stopped_path(config: SimConfig, path_index: int) -> np.ndarray:
         chunks.append(inc[0])
         pos = end_pos
     raise RuntimeError("path failed to exit within the block budget")
+
+
+def bridge_exit_steps(pos, normals, uniforms, h: float) -> np.ndarray:
+    """First exit step of each row of a block with the bridge test, or -1.
+
+    Evaluates exp(-2 d_prev d_curr / h) at every step, including the
+    steps where no uniform deviate of Generator.random() can fall below it.
+    """
+    traj = np.cumsum(normals * math.sqrt(h), axis=1) + pos[:, None, :]
+    rad = np.sqrt(traj[..., 0] * traj[..., 0] + traj[..., 1] * traj[..., 1])
+    d_curr = 1.0 - rad
+    d_prev = np.empty_like(d_curr)
+    d_prev[:, 0] = 1.0 - np.sqrt(pos[:, 0] * pos[:, 0] + pos[:, 1] * pos[:, 1])
+    d_prev[:, 1:] = d_curr[:, :-1]
+    both_inside = (d_prev > 0.0) & (d_curr > 0.0)
+    log_p = np.where(both_inside, -2.0 * d_prev * d_curr / h, -np.inf)
+    exit_mask = (rad >= 1.0) | (uniforms < np.exp(log_p))
+    return np.where(exit_mask.any(axis=1), exit_mask.argmax(axis=1), -1)
 
 
 def tensor_exp(delta, level: int) -> list:

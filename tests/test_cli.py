@@ -12,6 +12,7 @@ from fractions import Fraction as F
 import pytest
 
 import disksig.cli as cli
+import disksig.exactpoly as exactpoly
 import disksig.montecarlo as montecarlo
 from disksig.cli import DEVELOPED_CAP, main
 from disksig.hierarchy import HierarchyState
@@ -425,7 +426,7 @@ BALL = {"exactpoly", "balls", "bessel"}
     (("bessel", "--re", "3/2"), BALL, 0),
     (("pole", "--width", "1/10"), BALL | {"polefinder"}, 0),
     (("compare", "--lambda", "1", "--levels", "4"), EXACT | BALL | {"polefinder"}, 0),
-    (("mc", "--paths", "8", "--h", "1e-2"), {"exactpoly", "montecarlo"}, 0),
+    (("mc", "--paths", "8", "--h", "1e-2"), {"montecarlo"}, 0),
     (("radius", "--levels", "99999"), set(), 2),
 ], ids=["radius", "develop", "hierarchy", "bessel-pairing", "bessel-point",
         "pole", "compare", "mc", "usage-error"])
@@ -558,6 +559,11 @@ def test_mc_csv(tmp_path):
     assert set("12") <= {w[0] for w in by_word if w and w != "exit_time"}
     assert float(by_word["exit_time"][1]) > 0
     assert len(data) == 1 + 2 + 4 + 1
+
+
+def test_mc_word_labels_are_the_exact_layer_words():
+    for n in range(7):
+        assert cli._words(n) == exactpoly.words(n)
 
 
 def test_mc_reports_deviation_from_exact_levels(tmp_path, capsys):

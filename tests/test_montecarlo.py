@@ -1,6 +1,7 @@
 """Stopped-path simulation, blockwise signatures, and the estimator."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from disksig.montecarlo import (BLOCK, COHORT, MIN_STEP, SigAccumulator,
                                 SimConfig, _advance_block, _block_signature,
                                 _chen_combine, _path_generator, _run_cohort,
                                 _run_slice, estimate_expected_sig)
-from reference import signature_of_path, simulate_stopped_path, tensor_exp
+from reference import (bridge_exit_steps, signature_of_path,
+                       simulate_stopped_path, tensor_exp)
 
 FAST = SimConfig(paths=64, h=1e-3, level=3)
 
@@ -80,6 +82,99 @@ def test_batched_blocks_equal_single_path_blocks():
         assert np.array_equal(inc_b[j], inc_1[0])
         assert step_b[j] == step_1[0]
         assert np.array_equal(end_b[j], end_1[0])
+
+
+def _lattice(*k):
+    """Uniform deviates as Generator.random() draws them: k * 2^-53."""
+    return np.array(k, dtype=np.float64) * 2.0 ** -53
+
+
+def _assert_bridge_matches_reference(pos, normals, uniforms, h):
+    _, exit_step, _ = _advance_block(pos, normals, uniforms, h, True)
+    assert np.array_equal(exit_step, bridge_exit_steps(pos, normals, uniforms, h))
+
+
+def test_bridge_shortcut_equals_the_full_bridge_test():
+    # drawn blocks from the centre and from near the circle
+    for start, h in (((0.0, 0.0), 1e-3), ((0.999, 0.0), 1e-6), ((0.9, 0.3), 1e-4)):
+        normals = np.empty((32, BLOCK, 2))
+        uniforms = np.empty((32, BLOCK))
+        for j in range(32):
+            gen = _path_generator(7, j)
+            gen.standard_normal(out=normals[j])
+            gen.random(out=uniforms[j])
+        pos = np.tile(start, (32, 1))
+        _assert_bridge_matches_reference(pos, normals, uniforms, h)
+
+    # paths that stand still at distance d from the circle, so every step
+    # has log p = -2 d^2 / h: one row per (log p, uniform pattern)
+    h = 1e-2
+    x = 1.0 - np.sqrt(np.array([30.0, 36.0, 36.7, 39.98, 40.0, 45.0, 200.0]) * h / 2)
+    # the stand-still points around log p = -40, one ulp apart
+    near = x[4] + np.arange(-40, 41) * np.spacing(x[4])
+    log_p = -2.0 * (1.0 - near) * (1.0 - near) / h
+    above, below = near[log_p > -40.0][-1], near[log_p <= -40.0][0]
+    assert -2.0 * (1.0 - below) * (1.0 - below) / h < -40.0
+    x = np.concatenate([x, [above, below]])
+    patterns = [_lattice(2 ** 52, 2 ** 30, 5, 3, 2, 1, 0, 0),
+                _lattice(7, 5, 3, 2, 1, 1, 1, 1),
+                _lattice(0, 1, 1, 1, 1, 1, 1, 1)]
+    pos = np.array([[v, 0.0] for v in x for _ in patterns])
+    uniforms = np.array([u for _ in x for u in patterns])
+    normals = np.zeros((len(pos), 8, 2))
+    _assert_bridge_matches_reference(pos, normals, uniforms, h)
+
+    # d_prev <= 0 at step 0 (starts on or outside the circle), and a step
+    # landing exactly on it (d_curr = 0); every uniform is 0 or tiny
+    pos = np.array([[1.0, 0.0], [0.0, -1.0], [1.25, 0.0], [0.5, 0.0]])
+    normals = np.zeros((4, 4, 2))
+    normals[:3, :, 0] = -0.1  # inward: inside from the second step on
+    normals[3, 0] = (1.0, 0.0)  # 0.5 + sqrt(0.25) = 1.0 exactly
+    for uniforms in (np.zeros((4, 4)), np.tile(_lattice(0, 1, 0, 1), (4, 1))):
+        _assert_bridge_matches_reference(pos, normals, uniforms, 0.25)
+
+    # a huge step size: exp(log p) rounds to 1 inside, paths leave far
+    # outside, and neither raises a warning (warnings are errors here)
+    rng = np.random.default_rng(2)
+    normals = rng.standard_normal((8, 16, 2))
+    normals[:4] *= 1e-152  # steps of about 1e-2
+    uniforms = np.tile(_lattice(2 ** 53 - 1, 1, 0, *range(13)), (8, 1))
+    _assert_bridge_matches_reference(np.zeros((8, 2)), normals, uniforms, 1e300)
+
+
+def test_tile_rows_per_level():
+    assert [montecarlo._tile_rows(n) for n in range(1, 7)] == [
+        256, 128, 64, 32, 16, 8]
+
+
+@pytest.mark.parametrize("level", [2, 6])
+def test_a_partial_last_tile_changes_no_path(level):
+    # tile + 1 rows: the second tile of the first block holds one row
+    cfg = SimConfig(paths=2, h=1e-3, level=level)
+    rows = montecarlo._tile_rows(level) + 1
+    exit_block, taus, at_exit = _run_slice(cfg, 0, rows)
+    for i in range(rows):
+        one_block, one_tau, one_sig = _run_slice(cfg, i, i + 1)
+        assert exit_block[i] == one_block[0]
+        assert taus[i] == one_tau[0]
+        for s, t in zip(at_exit, one_sig):
+            assert s[i].tobytes() == t[0].tobytes()
+
+
+def test_slice_memory_does_not_grow_with_its_rows():
+    # numpy reports its buffers to tracemalloc.  Holding every live row's
+    # step tensors made the peak grow about 16x from 64 to 1024 rows.
+    cfg = SimConfig(paths=2, h=1e-2, level=6)
+    _run_slice(cfg, 0, 16)  # numpy's one-time allocations on first use
+    peaks = []
+    for rows in (64, 1024):
+        tracemalloc.start()
+        try:
+            _run_slice(cfg, 0, rows)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 def test_single_increment_signature():

@@ -26,6 +26,8 @@ it calls: `radius`, `develop` and `hierarchy` run the exact layers
 (`exactpoly`, `development`, `hierarchy`) and never load mpmath; `pole`
 and `bessel` run the ball layers (`balls`, `bessel`, `polefinder`) and
 `compare` both; only `mc` runs `montecarlo`, loads numpy, and no mpmath.
+`mc` calls montecarlo.estimate_expected_sig as a library user does; the
+engine fixes its own malloc thresholds.
 """
 
 from __future__ import annotations
@@ -415,16 +417,14 @@ def cmd_compare(args) -> tuple:
     if not 0 <= args.levels <= DEVELOPED_CAP:
         raise UsageError(f"--levels must be in 0..{DEVELOPED_CAP}")
     prec = _check_precision(args.precision)
-    # the bracket depends on the width alone: certify it at the default precision
-    certificate = polefinder.locate_pole(Fraction(1, 100))
-    if args.lam >= certificate.bracket_lo:
+    # exact signs of d prove a zero in (lo, hi), whatever the precision
+    lo, hi, _, _ = polefinder.exact_bracket(Fraction(1, 100))
+    if args.lam >= lo:
         raise UsageError(
             "lambda {} is not below the certified pole bracket [{}, {}]; "
             "the series does not converge there (see the pole subcommand "
             "for the certificate)".format(
-                _rat_str(args.lam),
-                _rat_str(certificate.bracket_lo),
-                _rat_str(certificate.bracket_hi)))
+                _rat_str(args.lam), _rat_str(lo), _rat_str(hi)))
     a_vals = hierarchy.a_coefficients(args.levels)
     if args.lam == 0:
         # the ratio defining C has a removable singularity at lambda = 0
@@ -441,12 +441,7 @@ def cmd_compare(args) -> tuple:
     for k in range(args.levels + 1):
         psum += power * a_vals[k]
         power *= args.lam
-        if psum < lo_q:
-            gap = lo_q - psum
-        elif psum > hi_q:
-            gap = psum - hi_q
-        else:
-            gap = Fraction(0)
+        gap = max(lo_q - psum, psum - hi_q, Fraction(0))  # distance to the ball
         gaps.append(gap)
         rows.append((k, _rat_str(psum), repr(_float_upper(gap))))
     failures = []
@@ -494,34 +489,6 @@ def _words(n: int) -> list:
     return ["".join(word) for word in itertools.product("12", repeat=n)]
 
 
-def _retain_freed_memory() -> None:
-    """Keep freed heap memory in this process for reuse.
-
-    glibc's malloc serves a block over its mmap threshold (128 KiB at
-    start, raised only by freeing a larger mapped block) with a fresh
-    mapping and returns the heap top over its trim threshold to the
-    system.  The Monte Carlo row tiles allocate and free temporaries of
-    256 and 512 KiB a few megabytes at a time, so each tile faulted its
-    pages in afresh: 370000 faults for one 4096-path slice at level 2,
-    about a third of its run time.  Fixed thresholds of 4 and 16 MiB
-    keep those temporaries in the heap; only freed memory is kept, so
-    the peak moves by about 1 MB.  Forked workers inherit the setting.
-    Other C libraries ignore the call or lack it; off Linux it is skipped.
-    """
-    if not sys.platform.startswith("linux"):
-        return
-    import ctypes  # here: at module level it would add 2 ms to every start
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except AttributeError:  # a C library without mallopt
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    m_trim_threshold, m_mmap_threshold = -1, -3  # from glibc's malloc.h
-    mallopt(m_mmap_threshold, 4 << 20)
-    mallopt(m_trim_threshold, 16 << 20)
-
-
 def cmd_mc(args) -> tuple:
     try:
         config = montecarlo.SimConfig(start=(args.x, args.y), h=args.h,
@@ -530,22 +497,14 @@ def cmd_mc(args) -> tuple:
                                       bridge_correction=not args.no_bridge)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    _retain_freed_memory()
     result = montecarlo.estimate_expected_sig(config)
     failures = []
     if result.count != config.paths:
         failures.append("accumulated path count does not match the request")
-    config_echo = {
-        "start": [args.x, args.y],
-        "h": config.h,
-        "level": config.level,
-        "paths": config.paths,
-        "seed": config.seed,
-        "bridge_correction": config.bridge_correction,
-    }
+    from dataclasses import asdict  # loaded with montecarlo already
     buf = io.StringIO()
     buf.write("# schema: disksig.mc/1\n")
-    buf.write(f"# config: {json.dumps(config_echo)}\n")
+    buf.write(f"# config: {json.dumps(asdict(config))}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["word", "mean", "stderr"])
     for n in range(config.level + 1):

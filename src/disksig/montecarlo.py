@@ -21,10 +21,8 @@ discretely monitored barrier sits ~0.58 sqrt(h) too far out, which at
 the default step size already biases the mean exit time by more than
 three standard errors at 1e5 paths; the bridge test removes the
 sqrt(h) term, leaving O(h) curvature bias far below noise.  The
-uniform deviates are multiples of 2^-53 and exp(-40) < 2^-53, so the
-exponential is evaluated only at the steps with -2 d_prev d_curr / h
-above -40 or a uniform of exactly 0; no other step can exit by the
-bridge, so the decisions are those of the full test.  The exit
+exponential is evaluated only where a uniform deviate can fall below it
+(_advance_block), so the decisions are those of the full test.  The exit
 point is the radial projection of the exit-step position onto the
 circle, folded into that step's increment so signatures see a path
 ending exactly on the boundary.
@@ -40,7 +38,9 @@ by _TILE_BYTES so that the widest per-step tensor of a tile, 2^(N-1)
 components by BLOCK steps, takes about 512 KiB (256 rows at level 1, 8
 at level 6): the step tensors of one tile exist at a time, so a slice's
 memory beyond them is its rows' running signatures, positions and
-generators, under 2 KiB per path at level 6.
+generators, under 2 KiB per path at level 6.  estimate_expected_sig
+fixes glibc's malloc thresholds above every tile temporary
+(_retain_freed_memory), so each tile reuses the memory the last one freed.
 Positions and exit decisions never read a signature, so exit steps,
 exit times and each path's increments are fixed bit for bit by (seed,
 path_index).  Lower levels are summed in step order; the matmul
@@ -50,7 +50,8 @@ signature built by one Chen product per chord.
 
 Work is bounded: a path gets at most 2^27 steps, and SimConfig refuses
 any h below MIN_STEP, at which that budget would end paths before the
-EXIT_HORIZON that no Brownian path outlives in practice.
+EXIT_HORIZON that no Brownian path outlives in practice, or above
+MAX_STEP, one step of that whole horizon.
 
 Parallel slices: paths run in cohorts of COHORT, and each cohort is cut
 into one contiguous slice of paths per CPU in the process's affinity
@@ -74,8 +75,10 @@ import math
 import os
 import pickle
 import signal
+import sys
 import threading
 from dataclasses import dataclass, field
+from functools import cache
 
 from . import DEFAULT_SEED
 from ._lazy import lazy_import
@@ -86,6 +89,10 @@ BLOCK = 256
 COHORT = 4096
 _MIN_SLICE = 64  # fewest paths worth a forked worker
 _TILE_BYTES = 2 ** 19  # size of a tile's widest per-step tensor
+# glibc malloc thresholds (_retain_freed_memory): the largest tile
+# temporary, level 1's increments, takes 2 * _TILE_BYTES
+_MMAP_THRESHOLD = 8 * _TILE_BYTES  # 4 MiB
+_TRIM_THRESHOLD = 32 * _TILE_BYTES  # 16 MiB
 _MAX_BLOCKS_PER_PATH = 2 ** 19  # per-path step budget: 2^27 steps
 # Brownian motion started anywhere in the disk is still inside at time t
 # with probability at most about 1.6 exp(-j^2 t / 2), j = 2.405 the first
@@ -94,17 +101,19 @@ _MAX_BLOCKS_PER_PATH = 2 ** 19  # per-path step budget: 2^27 steps
 # and no accepted input costs a path more than 2^27 steps.
 EXIT_HORIZON = 32.0
 MIN_STEP = EXIT_HORIZON / (_MAX_BLOCKS_PER_PATH * BLOCK)  # about 2.4e-7
+MAX_STEP = EXIT_HORIZON  # a longer step only rescales a first-step exit
 
 
 @dataclass(frozen=True)
 class SimConfig:
     """Parameters of one Monte Carlo estimate.
 
-    The step size h must lie in [MIN_STEP, inf): below MIN_STEP the
-    per-path step budget would end paths before EXIT_HORIZON, and the
+    The step size h must lie in [MIN_STEP, MAX_STEP]: below MIN_STEP
+    the per-path step budget would end paths before EXIT_HORIZON, and the
     expected work per path, (1 - |start|^2) / (2h) steps, is unbounded
-    as h goes to 0.  At least two paths are needed for a finite
-    standard error.
+    as h goes to 0; one step of MAX_STEP already spans EXIT_HORIZON, and
+    from about 1e306 positions overflow.  At least two paths are needed
+    for a finite standard error.
     """
 
     start: tuple = (0.0, 0.0)
@@ -127,6 +136,8 @@ class SimConfig:
                 f"step size must be at least {MIN_STEP:.3g}, so that the "
                 f"per-path budget of {_MAX_BLOCKS_PER_PATH * BLOCK} steps "
                 f"reaches simulated time {EXIT_HORIZON:g}")
+        if self.h > MAX_STEP:
+            raise ValueError(f"step size must be at most {MAX_STEP:g}")
         if not 1 <= self.level <= 6:
             raise ValueError("signature level must be in 1..6")
         if self.paths < 2:
@@ -355,6 +366,26 @@ def _worker_count(paths: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), paths // _MIN_SLICE))
 
 
+@cache
+def _retain_freed_memory() -> None:
+    """Fix glibc's malloc thresholds for the calling process, once.
+
+    With glibc's defaults, a freed block over the mmap threshold (128 KiB
+    at start) or a heap top over the trim threshold goes back to the
+    system, so each row tile faulted its temporaries (up to 2 *
+    _TILE_BYTES) in afresh: 370000 faults for a 4096-path level-2 slice,
+    a third of its time.  The fixed thresholds keep freed memory for the
+    next tile (the peak moves by about 1 MB); forked workers inherit
+    them.  Skipped off Linux and where the C library has no mallopt.
+    """
+    if sys.platform.startswith("linux"):
+        import ctypes  # here: at module level it would add 2 ms to every start
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+        if mallopt is not None:
+            mallopt(-3, _MMAP_THRESHOLD)  # M_MMAP_THRESHOLD in glibc's malloc.h
+            mallopt(-1, _TRIM_THRESHOLD)  # M_TRIM_THRESHOLD
+
+
 def _tile_rows(level: int) -> int:
     """Rows per tile at `level`: about _TILE_BYTES per step tensor of the
     widest prefix level, 2^(level - 1) components by BLOCK steps."""
@@ -463,8 +494,9 @@ def _fold(level: int, slices: list) -> SigAccumulator:
     return acc
 
 
-def _run_cohort(config: SimConfig, index_lo: int, index_hi: int) -> SigAccumulator:
-    """Accumulate paths index_lo .. index_hi - 1 over _worker_count slices.
+def _run_cohort(config: SimConfig, index_lo: int, index_hi: int) -> tuple:
+    """(accumulator of paths index_lo .. index_hi - 1, slice count): the
+    paths run over _worker_count slices.
 
     The first slice runs here, the others in forked workers, collected in
     path order.  If anything ends this early, every worker not yet
@@ -495,15 +527,19 @@ def _run_cohort(config: SimConfig, index_lo: int, index_hi: int) -> SigAccumulat
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return _fold(config.level, slices)
+    return _fold(config.level, slices), k
 
 
 def estimate_expected_sig(config: SimConfig) -> EstimateResult:
-    """Deterministic vectorized estimate of expected-signature levels."""
+    """Deterministic vectorized estimate of expected-signature levels; the
+    first call fixes glibc's malloc thresholds for the calling process."""
+    _retain_freed_memory()
     acc = SigAccumulator(config.level)
+    workers = []  # slice count of each cohort
     for lo in range(0, config.paths, COHORT):
-        hi = min(lo + COHORT, config.paths)
-        acc = acc.merge(_run_cohort(config, lo, hi))
+        cohort, k = _run_cohort(config, lo, min(lo + COHORT, config.paths))
+        acc = acc.merge(cohort)
+        workers.append(k)
     means = [np.ones(1)] + [acc.mean[n - 1].copy()
                             for n in range(1, config.level + 1)]
     stderrs = [np.zeros(1)] + [acc.stderr(n)
@@ -511,4 +547,4 @@ def estimate_expected_sig(config: SimConfig) -> EstimateResult:
     return EstimateResult(config=config, count=acc.count, means=means,
                           stderrs=stderrs, exit_time_mean=acc.tau_mean,
                           exit_time_stderr=acc.tau_stderr(),
-                          workers=_worker_count(min(config.paths, COHORT)))
+                          workers=workers[0])

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import factorial
 
 from .balls import DEFAULT_PREC, RealBall
@@ -202,49 +202,36 @@ def _series_sign(mu: Fraction) -> tuple:
 
 
 def _certified(lams, prec: int) -> tuple:
-    """(d at every lambda in lams, the precision, its Constants).
+    """(d at each lambda in lams, the precisions tried, the last's Constants).
 
     d is evaluated at prec and prec is doubled while any enclosure
     contains zero, at most _MAX_ESCALATIONS times; so every returned
-    enclosure has a certified sign, and all of them are at the one
-    precision returned.
+    enclosure has a certified sign, and all of them are at the last
+    precision tried.
     """
-    for _ in range(_MAX_ESCALATIONS + 1):
+    tried = [prec << k for k in range(_MAX_ESCALATIONS + 1)]
+    for k, prec in enumerate(tried):
         constants = make_constants(prec)
         enclosures = [d_lambda(lam, constants, prec) for lam in lams]
         if not any(d.contains_zero() for d in enclosures):
-            return enclosures, prec, constants
-        prec *= 2
+            return enclosures, tried[:k + 1], constants
     raise InconclusiveSign(
         f"d enclosure at {', '.join(map(str, lams))} straddles zero up to "
-        f"{prec // 2} bits")
+        f"{prec} bits")
 
 
-def locate_pole(target_width, precision: int = DEFAULT_PREC) -> PoleCertificate:
-    """Bisect (5/2, 3) down to target_width on exact signs of d.
+def exact_bracket(target_width) -> tuple:
+    """(lo, hi, exact signs taken, most series terms one needed) of (5/2, 3)
+    bisected on exact signs of d, each the sign of E(mid^2) (_series_sign).
 
     Bisection goes on until the bracket is at most target_width wide and
     strictly inside (5/2, 3), as verify() requires; so a target width of
-    1/4 or more still takes the steps that move both ends inward.
-
-    Each midpoint's sign is the exact sign of E(mid^2) (_series_sign),
-    so the bracket depends on target_width alone.  Once the bracket is
-    narrow enough, d at both endpoints is certified on balls from
-    `precision` on, both at one final precision; the endpoints must be
-    certified negative and positive (NoSignChange if the ball route
-    disagrees with the exact one), and the numerator is certified
-    negative across the bracket at that final precision.  Those
-    enclosures, the final precision and the series length are what the
-    certificate stores; `search` records the exact signs, the most
-    series terms one needed, the d evaluations per precision and the
-    numerator pieces.
+    1/4 or more still takes the steps that move both ends inward.  The
+    signs prove d(lo) < 0 < d(hi); the bracket depends on the width alone.
     """
     width = as_rat(target_width)
     if width <= 0:
         raise ValueError("target width must be positive")
-    precision = int(precision)
-    if precision < 53:
-        raise ValueError("precision below 53 bits is not supported")
     lo, hi = BRACKET_LO, BRACKET_HI
     signs, max_terms = 0, 0
     while hi - lo > width or lo == BRACKET_LO or hi == BRACKET_HI:
@@ -256,14 +243,34 @@ def locate_pole(target_width, precision: int = DEFAULT_PREC) -> PoleCertificate:
             lo = mid
         else:
             hi = mid
-    (d_lo, d_hi), final, constants = _certified((lo, hi), precision)
+    return lo, hi, signs, max_terms
+
+
+def locate_pole(target_width, precision: int = DEFAULT_PREC) -> PoleCertificate:
+    """Certificate for the bracket exact_bracket(target_width).
+
+    d at both endpoints is certified on balls from `precision` on, both
+    at one final precision; the endpoints must be certified negative and
+    positive (NoSignChange if the ball route disagrees with the exact
+    one), and the numerator is certified negative across the bracket at
+    that final precision.  Those
+    enclosures, the final precision and the series length are what the
+    certificate stores; `search` records the exact signs, the most
+    series terms one needed, the d evaluations per precision and the
+    numerator pieces.
+    """
+    width = as_rat(target_width)
+    precision = int(precision)
+    if precision < 53:
+        raise ValueError("precision below 53 bits is not supported")
+    lo, hi, signs, max_terms = exact_bracket(width)
+    (d_lo, d_hi), tried, constants = _certified((lo, hi), precision)
     if not (d_lo.is_negative() and d_hi.is_positive()):
         raise NoSignChange(f"expected d < 0 at {lo} and d > 0 at {hi}")
+    final = tried[-1]
     pieces: list = []
     num = verify_numerator_nonvanishing(lo, hi, precision=final,
                                         constants=constants, pieces=pieces)
-    # _certified evaluated both endpoints at each precision it tried
-    tried = [precision << k for k in range((final // precision).bit_length())]
     return PoleCertificate(
         bracket_lo=lo, bracket_hi=hi, d_lo=d_lo, d_hi=d_hi,
         numerator_bound=num, precision=final,
@@ -312,7 +319,4 @@ def verify_numerator_nonvanishing(lo, hi, max_subdivisions: int = 64,
         m = (a + b) / 2
         pending.append((a, m))
         pending.append((m, b))
-    hull = certified[0]
-    for enc in certified[1:]:
-        hull = hull.hull(enc, precision)
-    return hull
+    return reduce(lambda hull, enc: hull.hull(enc, precision), certified)

@@ -685,6 +685,16 @@ def test_mc_rejects_step_below_minimum(tmp_path, capsys):
     assert not (tmp_path / "out.manifest.json").exists()
 
 
+def test_mc_rejects_step_above_maximum(tmp_path, capsys):
+    # at h = 1e300 the Welford squares overflowed; refused before any work
+    rc, out = run(tmp_path, "mc", "--paths", "10", "--level", "1",
+                  "--h", "1e300")
+    assert rc == 2
+    assert "step size must be at most" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "out.manifest.json").exists()
+
+
 def test_mc_rejects_single_path(tmp_path, capsys):
     # one path has no standard error; refused before any work
     rc, out = run(tmp_path, "mc", "--paths", "1", "--h", "1e-3")

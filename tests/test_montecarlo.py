@@ -1,6 +1,9 @@
 """Stopped-path simulation, blockwise signatures, and the estimator."""
 
+import math
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import disksig.montecarlo as montecarlo
-from disksig.montecarlo import (BLOCK, COHORT, MIN_STEP, SigAccumulator,
-                                SimConfig, _advance_block, _block_signature,
-                                _chen_combine, _path_generator, _run_cohort,
-                                _run_slice, estimate_expected_sig)
+from disksig.montecarlo import (BLOCK, COHORT, EXIT_HORIZON, MIN_STEP,
+                                SigAccumulator, SimConfig, _advance_block,
+                                _block_signature, _chen_combine,
+                                _path_generator, _run_cohort, _run_slice,
+                                estimate_expected_sig)
 from reference import (bridge_exit_steps, signature_of_path,
                        simulate_stopped_path, tensor_exp)
 
@@ -46,6 +50,12 @@ def test_config_validation():
         SimConfig(h=MIN_STEP * (1 - 1e-12))
     SimConfig(h=MIN_STEP)
     SimConfig(h=1e-6)
+    # one step of EXIT_HORIZON already spans the time no path outlives
+    SimConfig(h=EXIT_HORIZON)
+    with pytest.raises(ValueError, match="at most"):
+        SimConfig(h=math.nextafter(EXIT_HORIZON, math.inf))
+    with pytest.raises(ValueError, match="at most"):
+        SimConfig(h=1e300)
 
 
 def test_paths_are_deterministic_and_distinct():
@@ -177,6 +187,43 @@ def test_slice_memory_does_not_grow_with_its_rows():
     assert peaks[1] <= 1.5 * peaks[0]
 
 
+def test_mmap_threshold_exceeds_every_tile_temporary():
+    # a temporary above glibc's mmap threshold gets a fresh mapping, whose
+    # pages every tile would fault in again
+    for level in range(1, 7):
+        rows = montecarlo._tile_rows(level)
+        inc = rows * BLOCK * 2 * 8  # float64 increments (rows, BLOCK, 2)
+        widest = 2 ** (level - 1) * rows * BLOCK * 8  # top prefix level
+        assert montecarlo._MMAP_THRESHOLD > max(inc, widest)
+
+
+_FAULTS = """
+import resource
+import disksig.montecarlo as montecarlo
+from disksig.montecarlo import SimConfig, estimate_expected_sig
+montecarlo._worker_count = lambda paths: 1
+estimate_expected_sig(SimConfig(level=4, paths=64, h=1e-2))  # numpy's first use
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+estimate_expected_sig(SimConfig(level=4, paths=1024, h=1e-3))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="glibc malloc thresholds are set on Linux only")
+def test_library_estimate_reuses_freed_tile_memory():
+    # a fresh interpreter, since the thresholds are fixed once per process;
+    # with glibc's defaults every tile faulted its temporaries in afresh,
+    # 47000-59000 minor faults for this estimate against about 220
+    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", _FAULTS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 5000
+
+
 def test_single_increment_signature():
     sig = signature_of_path(np.array([[0.3, -0.7]]), 2)
     assert np.allclose(sig[0], [0.3, -0.7])
@@ -255,7 +302,7 @@ def test_tensor_exp_factorials():
 
 
 def test_cohort_engine_agrees_with_scalar_reference():
-    acc = _run_cohort(FAST, 0, FAST.paths)
+    acc, _ = _run_cohort(FAST, 0, FAST.paths)
     ref = SigAccumulator(FAST.level)
     for idx in range(FAST.paths):
         inc = simulate_stopped_path(FAST, idx)
@@ -389,6 +436,14 @@ def test_cohorts_use_every_usable_cpu():
         usable, COHORT // montecarlo._MIN_SLICE)
     assert montecarlo._worker_count(63) == 1
     assert estimate_expected_sig(FAST).workers == montecarlo._worker_count(64)
+
+
+def test_worker_count_is_asked_once_per_cohort(monkeypatch):
+    asked = []
+    monkeypatch.setattr(montecarlo, "_worker_count",
+                        lambda paths: asked.append(paths) or 2)
+    assert estimate_expected_sig(FAST).workers == 2
+    assert asked == [FAST.paths]
 
 
 def test_worker_error_reaches_the_parent(budget_one_in_workers):

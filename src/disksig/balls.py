@@ -18,7 +18,9 @@ The floats themselves are mpmath's raw mpf tuples (sign, man, exp, bc),
 used only through the correctly rounded primitives add, sub, mul, div,
 sqrt and the exact ones neg, abs, shift.  All containment logic, radius
 bookkeeping, comparisons, and serialization live here and are exact
-(endpoint queries return Fractions, not floats).
+(endpoint queries return Fractions, not floats); a printed radius is
+rounded up to decimal by exactseries._fraction_to_dec_up, which the
+exact enclosures print with too.
 
 ComplexBall is a rectangle: independent real and imaginary RealBalls.
 Complex square roots are principal-branch and refuse rectangles that
@@ -27,7 +29,6 @@ touch the closed negative real axis, where no continuous branch exists.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from mpmath.libmp import (from_int, from_man_exp, from_rational, fzero,
@@ -35,6 +36,7 @@ from mpmath.libmp import (from_int, from_man_exp, from_rational, fzero,
                           mpf_neg, mpf_shift, mpf_sqrt, mpf_sub, to_str)
 
 from . import DEFAULT_PREC
+from .exactseries import _fraction_to_dec_up
 
 RADPREC = 30  # radii are coarse by design; only their upper bound matters
 
@@ -75,43 +77,6 @@ def _rup_add(a, b):
 
 def _rup_mul(a, b):
     return mpf_mul(a, b, RADPREC, "u")
-
-
-_LOG10_2 = math.log10(2)
-
-
-def _at_least_pow10(num: int, den: int, e: int) -> bool:
-    """Whether num/den >= 10^e, in integers."""
-    if e >= 0:
-        return num >= den * 10 ** e
-    return num * 10 ** -e >= den
-
-
-def _fraction_to_dec_up(q: Fraction, sig: int = 3) -> str:
-    """Decimal string >= q with sig significant digits (q >= 0)."""
-    if q < 0:
-        raise ValueError("radius must be nonnegative")
-    if q == 0:
-        return "0"
-    num, den = q.numerator, q.denominator
-    # the decade e with 10^e <= q < 10^(e+1): q lies within a factor of 2
-    # of 2^(bit length difference), so this estimate is off by at most
-    # one, and exact integer comparisons with 10^e settle it
-    e = math.floor((num.bit_length() - den.bit_length()) * _LOG10_2)
-    while not _at_least_pow10(num, den, e):
-        e -= 1
-    while _at_least_pow10(num, den, e + 1):
-        e += 1
-    shift = sig - 1 - e  # n = ceil(q * 10^shift)
-    if shift >= 0:
-        n = -(-num * 10 ** shift // den)
-    else:
-        n = -(-num // (den * 10 ** -shift))
-    if n >= 10 ** sig:  # carry out of the leading digit
-        n //= 10
-        e += 1
-    digits = str(n)
-    return f"{digits[0]}.{digits[1:]}e{e:+d}"
 
 
 class RealBall:

@@ -23,9 +23,12 @@ overridable with --precision.
 
 The layers are imported lazily and each subcommand executes only those
 it calls: `radius`, `develop` and `hierarchy` run the exact layers
-(`exactpoly`, `development`, `hierarchy`) and never load mpmath; `pole`
-and `bessel` run the ball layers (`balls`, `bessel`, `polefinder`) and
-`compare` both; only `mc` runs `montecarlo`, loads numpy, and no mpmath.
+(`exactpoly`, `development`, `hierarchy`) and never load mpmath;
+`compare` runs those plus `exactseries`, whose exact rational series
+enclose the closed form, and no mpmath either; `bessel` and `pole` run
+the ball layers (`balls`, `bessel`, and `polefinder` for `pole`, with
+`exactseries` beneath them), the only ones that load mpmath; only `mc`
+runs `montecarlo`, loads numpy, and no mpmath.
 `mc` calls montecarlo.estimate_expected_sig as a library user does; the
 engine fixes its own malloc thresholds.
 """
@@ -41,7 +44,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -54,6 +56,7 @@ balls = lazy_import("disksig.balls")
 bessel = lazy_import("disksig.bessel")
 development = lazy_import("disksig.development")
 exactpoly = lazy_import("disksig.exactpoly")
+exactseries = lazy_import("disksig.exactseries")
 hierarchy = lazy_import("disksig.hierarchy")
 montecarlo = lazy_import("disksig.montecarlo")
 polefinder = lazy_import("disksig.polefinder")
@@ -63,12 +66,13 @@ DEVELOPED_CAP = 200  # radial route: develop, compare, radius
 # the bivariate developed oracle grows ~n^2/4 terms per level and its cost
 # faster than n^3: 60 levels take about 0.5 s on a 2-vCPU VM, 120 about 5 s
 DEVELOPED_ORACLE_CAP = 60
-# ball-layer caps, timed on a 2-vCPU VM: at MAX_PRECISION bits, `bessel
+# --precision caps, timed on a 2-vCPU VM: at MAX_PRECISION bits, `bessel
 # --pairing 141/50` takes about 1.9 s, `pole --width 1/1000` 2.1 s and
-# `compare --lambda 2 --levels 40` 0.9 s (each doubling costs about 4x,
-# and from about 14000 bits a ball's decimal digits exceed what Python
-# converts to a string); at MIN_POLE_WIDTH, `pole` takes about 0.5 s at
-# 128 bits and 2.4 s at MAX_PRECISION
+# `compare --lambda 2 --levels 40` 0.4 s (0.55 s at lambda 1/3; its exact
+# series take 470 to 670 terms there below the pole); each doubling costs
+# the ball layers about 4x, and from about 14000 bits a midpoint's decimal
+# digits exceed what Python converts to a string; at MIN_POLE_WIDTH,
+# `pole` takes about 0.5 s at 128 bits and 2.4 s at MAX_PRECISION
 MAX_PRECISION = 8192
 MIN_POLE_WIDTH = Fraction(1, 10 ** 100)
 # `bessel` point caps, timed on a 2-vCPU VM: the auto-selected series
@@ -202,13 +206,17 @@ def _float_upper(q: Fraction) -> float:
 
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".disksig-")
+    while True:
+        tmp = os.path.join(directory,
+                           f".disksig-{os.getpid()}-{os.urandom(8).hex()}")
+        try:
+            # 0o666 less the umask, the mode open() would give the file
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w") as handle:
-            # mkstemp creates the file 0600; give it the mode open() would
-            umask = os.umask(0o077)
-            os.umask(umask)
-            os.fchmod(handle.fileno(), 0o666 & ~umask)
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -418,7 +426,7 @@ def cmd_compare(args) -> tuple:
         raise UsageError(f"--levels must be in 0..{DEVELOPED_CAP}")
     prec = _check_precision(args.precision)
     # exact signs of d prove a zero in (lo, hi), whatever the precision
-    lo, hi, _, _ = polefinder.exact_bracket(Fraction(1, 100))
+    lo, hi, _, _ = exactseries.exact_bracket(Fraction(1, 100))
     if args.lam >= lo:
         raise UsageError(
             "lambda {} is not below the certified pole bracket [{}, {}]; "
@@ -426,14 +434,7 @@ def cmd_compare(args) -> tuple:
             "for the certificate)".format(
                 _rat_str(args.lam), _rat_str(lo), _rat_str(hi)))
     a_vals = hierarchy.a_coefficients(args.levels)
-    if args.lam == 0:
-        # the ratio defining C has a removable singularity at lambda = 0
-        # with limit 1, matching the series' constant term
-        closed = balls.RealBall.from_int(1)
-    else:
-        constants = bessel.make_constants(prec)
-        closed = bessel.abc_closed_form(args.lam, Fraction(0), constants, prec)[2]
-    lo_q, hi_q = closed.lower(), closed.upper()
+    lo_q, hi_q = exactseries.enclose_center(args.lam, prec)
     psum = Fraction(0)
     power = Fraction(1)
     rows = []
@@ -447,7 +448,10 @@ def cmd_compare(args) -> tuple:
     failures = []
     if args.levels >= 8 and gaps[-1] > gaps[args.levels // 2]:
         failures.append("partial-sum gap failed to shrink over the second half")
-    mid_str, rad_str = closed.decimal_parts()
+    # as many significant digits as RealBall.decimal_parts gives a
+    # midpoint of this precision
+    mid_str, rad_str = exactseries.decimal_parts(
+        lo_q, hi_q, max(5, int(prec * 0.30103) + 3))
     buf = io.StringIO()
     buf.write("# schema: disksig.compare/1\n")
     buf.write(f"# lambda: {_rat_str(args.lam)}\n")
@@ -529,9 +533,13 @@ def cmd_mc(args) -> tuple:
                     q / 4 if word in ("11", "22") else 0.0)
                    for idx, word in enumerate(_words(2))]
     for name, est, err, exact in report:
-        dev = abs(est - exact) / err if 0 < err < math.inf else math.nan
+        if err == 0:  # every path alike, e.g. all stopped at their first step
+            deviation = "n/a (zero standard error)"
+        else:
+            dev = abs(est - exact) / err if err < math.inf else math.nan
+            deviation = f"{dev:.2f} SE"
         print(f"mc {name}: estimate {est:+.6f} stderr {err:.6f} "
-              f"exact {exact:+.6f} deviation {dev:.2f} SE", file=sys.stderr)
+              f"exact {exact:+.6f} deviation {deviation}", file=sys.stderr)
     return buf.getvalue(), failures, {"workers": result.workers}
 
 
@@ -621,8 +629,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     # evaluated only when a handler raised, so a run that succeeds never
-    # loads polefinder for this tuple
-    except (polefinder.SignChangeError, ValueError, ZeroDivisionError,
+    # loads exactseries for this tuple
+    except (exactseries.SignChangeError, ValueError, ZeroDivisionError,
             RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,0 +1,362 @@
+"""The closed form at the centre as a quotient of rational power series.
+
+With w = zeta^2 = (-1 + i sqrt 7)/2, so w^2 = -w - 2 and conj(w) =
+-1 - w, the ascending series of J0 and J1 (DLMF 10.2.2) turn every
+quantity of the paper's explicit solution at r = 0 into sqrt(7) lambda
+times a power series in mu = lambda^2 with rational coefficients:
+
+    d(lambda)   = sqrt(7) lambda E(mu),   E(mu) = sum_m D_m mu^m,
+    N_C(lambda) = sqrt(7) lambda G(mu),   G(mu) = sum_k G_k mu^k,
+
+where N_C = Im(conj(alpha) J1(lambda conj(zeta))) is the numerator of C
+at r = 0.  So C(lambda, 0) = G(mu)/E(mu) needs no ball and no sqrt 7;
+E(mu) A(mu) = G(mu) with A(mu) = sum_m a_(2m) mu^m, the hierarchy's
+scalars.  Both series' coefficients are stored as integer numerators
+over one common denominator L.
+
+This module uses integers and Fractions only.  It holds
+
+- the exact sign of E at a dyadic point (_series_sign) and the pole
+  bracket bisected on those signs (exact_bracket), which polefinder
+  certifies on balls;
+- enclose, an interval Horner evaluation of such a series on a dyadic
+  interval plus its tail bound, and enclose_center, the enclosure of
+  C(lambda, 0) that `disksig compare` prints;
+- the decimal printing of exact enclosures, shared with balls.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from functools import lru_cache
+from itertools import islice
+from math import factorial
+
+from .exactpoly import as_rat
+
+BRACKET_LO = Fraction(5, 2)
+BRACKET_HI = Fraction(3)
+# term counts of the exact sign route: the first try, doubled while the
+# tail bound is not below the partial sum, up to the cap.  At 256 terms
+# the tail near the pole is below 1e-700, so only a midpoint that close
+# to a zero of E could reach the cap.
+_FIRST_TERMS = 8
+_MAX_TERMS = 256
+# cap of the doubling in enclose_center: at the largest precision the
+# command line admits (8192 bits) the first count is at most about 670
+# terms for lambda below the pole
+_MAX_CENTER_TERMS = 2048
+# guard bits of enclose_center beyond the requested relative width
+_GUARD_BITS = 64
+
+
+class SignChangeError(Exception):
+    """Base for sign-certification failures."""
+
+
+class NoSignChange(SignChangeError):
+    """Both endpoint signs certified and equal; no zero is implied."""
+
+
+class InconclusiveSign(SignChangeError):
+    """No sign certified: an enclosure straddles zero (raising precision
+    may resolve it), or a series reached its term cap."""
+
+
+def _scales(n: int) -> tuple:
+    """(L, [L / (8 4^m m! (m+1)!) for m < n]) with L = 8 4^(n-1) (n-1)! n!,
+    which every 8 4^m m! (m+1)! with m < n divides."""
+    denominator = 8 * 4 ** (n - 1) * factorial(n - 1) * factorial(n)
+    scales, scale = [], denominator // 8
+    for m in range(n):
+        scales.append(scale)
+        scale //= 4 * (m + 1) * (m + 2)
+    return denominator, scales
+
+
+@lru_cache(maxsize=None)
+def _series_coefficients(n: int) -> tuple:
+    """(integer numerators of D_0 .. D_{n-1}, their common denominator L).
+
+    J0(l zeta) = sum_j (-1)^j w^j l^(2j) / (4^j j!^2),
+    J1(l conj(zeta)) = (l conj(zeta)/2)
+                       sum_k (-1)^k conj(w)^k l^(2k) / (4^k k! (k+1)!),
+    and conj(alpha) conj(zeta) = conj(w) (conj(w)/2 + 1) = (conj(w) - 2)/2.
+    The Cauchy product of the two series collects, at mu^m = l^(2m),
+        P_m = sum_k C(m, k) C(m+1, k) w^k conj(w)^(m-k) = a_m + b_m w
+    (a_m, b_m integers) over 4^m m! (m+1)!; and Im((conj(w) - 2)/2
+    (a + b w)) = -sqrt(7) (a + 2 b)/4.  So d(l) = sqrt(7) l E(l^2) with
+        D_m = (-1)^m (-a_m - 2 b_m) / (8 4^m m! (m+1)!).
+    Since w conj(w) = 2, w^k conj(w)^(m-k) is 2^(m-k) w^(2k-m) or
+    2^k conj(w)^(m-2k), so only the values of -a - 2b at powers of w
+    and conj(w) are needed.
+
+    Bound: |a + 2b| = (4/sqrt 7) |Im((conj(w) - 2)/2 P_m)|, |conj(w) - 2|
+    = 2 sqrt 2, |w| = sqrt 2 and sum_k C(m, k) C(m+1, k) = C(2m+1, m) <=
+    4^m give |D_m| <= (sqrt 2)^m / (sqrt 14 m! (m+1)!) <= (3/2)^m /
+    (m! (m+1)!), the bound enclose's tail rests on.
+    """
+    f_w, f_wbar = [], []  # -a - 2b at w^j and at conj(w)^j
+    a, b, abar, bbar = 1, 0, 1, 0
+    for _ in range(n):
+        f_w.append(-a - 2 * b)
+        f_wbar.append(-abar - 2 * bbar)
+        a, b = -2 * b, a - b  # times w
+        abar, bbar = 2 * bbar - abar, -abar  # times conj(w) = -1 - w
+    denominator, scales = _scales(n)
+    numerators = []
+    for m in range(n):
+        binom, minus_a_2b = 1, 0  # binom = C(m, k) C(m+1, k)
+        for k in range(m + 1):
+            j = 2 * k - m
+            minus_a_2b += binom * (f_w[j] << (m - k) if j >= 0
+                                   else f_wbar[-j] << k)
+            binom = binom * (m - k) * (m + 1 - k) // ((k + 1) * (k + 1))
+        numerators.append((-minus_a_2b if m % 2 else minus_a_2b) * scales[m])
+    return tuple(numerators), denominator
+
+
+def _numerator_coefficients(n: int) -> tuple:
+    """(integer numerators of G_0 .. G_{n-1}, the denominator L of E's).
+
+    At r = 0, J0(0) = 1 and N_C = Im(conj(alpha) J1(l conj(zeta))) =
+    (l/4) sum_k (-1)^k Im((conj(w) - 2) conj(w)^k) mu^k / (4^k k! (k+1)!);
+    with (conj(w) - 2) conj(w)^k = x_k + y_k w, Im = y_k sqrt(7)/2, so
+        G_k = (-1)^k y_k / (8 4^k k! (k+1)!).
+    |y_k| = (2/sqrt 7) |Im(...)| <= (4 sqrt 2/sqrt 7) (sqrt 2)^k, so
+    |G_k| <= (3/2)^k / (k! (k+1)!), the bound E's coefficients meet.
+    """
+    denominator, scales = _scales(n)
+    numerators = []
+    x, y = -3, -1  # conj(w) - 2 = -3 - w
+    for k in range(n):
+        numerators.append((-y if k % 2 else y) * scales[k])
+        x, y = 2 * y - x, -x  # times conj(w)
+    return tuple(numerators), denominator
+
+
+def _series_sign(mu: Fraction) -> tuple:
+    """(sign of E(mu), terms used) for a dyadic mu = p / 2^s > 0.
+
+    With E's first n coefficients numerator_m / L, the partial sum is
+    U / (L 2^(s(n-1))) with U = sum_m numerator_m p^m 2^(s(n-1-m)), one
+    integer multiply-add per term by Horner.  It has the sign of E when
+    its modulus beats the tail bound of enclose,
+        |U| / (L q^(n-1)) > 2 (3 p / (2 q))^n / (n! (n+1)!),  q = 2^s,
+    which for L = 8 4^(n-1) (n-1)! n! is |U| q n (n+1) > 4 (6 p)^n.
+    n starts at _FIRST_TERMS and doubles until that holds; past
+    _MAX_TERMS the sign is InconclusiveSign.
+    """
+    p, q = mu.numerator, mu.denominator
+    if p <= 0 or q & (q - 1):
+        raise ValueError(f"{mu} is not a positive dyadic rational")
+    s = q.bit_length() - 1
+    n = _FIRST_TERMS
+    while n <= _MAX_TERMS:
+        if 3 * p <= (n + 1) * (n + 2) * q:  # the tail bound holds from n on
+            u, shift = 0, 0
+            for numerator in reversed(_series_coefficients(n)[0]):
+                u = u * p + (numerator << shift)
+                shift += s
+            if abs(u) * q * n * (n + 1) > 4 * (6 * p) ** n:
+                return (1 if u > 0 else -1), n
+        n *= 2
+    raise InconclusiveSign(
+        f"E({mu}) not certified by {_MAX_TERMS} series terms")
+
+
+def exact_bracket(target_width) -> tuple:
+    """(lo, hi, exact signs taken, most series terms one needed) of (5/2, 3)
+    bisected on exact signs of d, each the sign of E(mid^2) (_series_sign).
+
+    Bisection goes on until the bracket is at most target_width wide and
+    strictly inside (5/2, 3), as PoleCertificate.verify() requires; so a
+    target width of 1/4 or more still takes the steps that move both ends
+    inward.  The signs prove d(lo) < 0 < d(hi); the bracket depends on
+    the width alone.
+    """
+    width = as_rat(target_width)
+    if width <= 0:
+        raise ValueError("target width must be positive")
+    lo, hi = BRACKET_LO, BRACKET_HI
+    signs, max_terms = 0, 0
+    while hi - lo > width or lo == BRACKET_LO or hi == BRACKET_HI:
+        mid = (lo + hi) / 2
+        sign, terms = _series_sign(mid * mid)  # d = sqrt(7) mid E(mid^2)
+        signs += 1
+        max_terms = max(max_terms, terms)
+        if sign < 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi, signs, max_terms
+
+
+def _tail_bounds(p: int, s: int, bits: int):
+    """ceil(2^bits T_n) for n = 0, 1, 2, ..., upper bounds of
+        T_n = 2 (3 mu/2)^n / (n! (n+1)!)  at mu = p / 2^s.
+
+    For a series whose coefficients meet |c_m| <= (3/2)^m / (m! (m+1)!),
+    the ratios of those bounds from term n on are 3 mu / (2 (m+1) (m+2))
+    <= 1/2 once 3 mu <= (n+1)(n+2), so the tail from term n on is at most
+    twice the bound on term n, which is T_n.  Each step multiplies by
+    that ratio and rounds up.
+    """
+    t, n = 2 << bits, 0
+    while True:
+        yield t
+        n += 1
+        t = -((-t * 3 * p >> (s + 1)) // (n * (n + 1)))  # two ceilings
+
+
+def enclose(coefficients: tuple, p_lo: int, p_hi: int, s: int,
+            bits: int) -> tuple:
+    """(lo, hi) with lo <= sum_m c_m mu^m <= hi for every mu in
+    [p_lo / 2^s, p_hi / 2^s], 0 <= p_lo <= p_hi.
+
+    coefficients is (numerators, L) with c_m = numerators[m] / L for
+    m < n = len(numerators), every c_m with m >= 0 meeting |c_m| <=
+    (3/2)^m / (m! (m+1)!) (E and G do); requires 3 mu <= (n+1)(n+2).
+    The partial sum is an interval Horner evaluation on the integer
+    numerators, in fixed point with `bits` fractional bits: since mu >= 0,
+    each product takes the end of mu that moves that end of the interval
+    outward and is rounded outward.  The tail beyond the n terms adds
+    T_n (_tail_bounds) on both sides.
+    """
+    numerators, denominator = coefficients
+    n = len(numerators)
+    if not 0 <= p_lo <= p_hi:
+        raise ValueError("enclose needs 0 <= p_lo <= p_hi")
+    if 3 * p_hi > (n + 1) * (n + 2) << s:
+        raise ValueError(
+            f"the tail bound of {n} terms needs 3 mu <= {(n + 1) * (n + 2)}")
+    lo = hi = 0
+    for numerator in reversed(numerators):
+        c = numerator << bits
+        lo = (lo * (p_lo if lo >= 0 else p_hi) >> s) + c
+        hi = -(-hi * (p_hi if hi >= 0 else p_lo) >> s) + c
+    tail = next(islice(_tail_bounds(p_hi, s, bits), n, None)) * denominator
+    scale = denominator << bits
+    return Fraction(lo - tail, scale), Fraction(hi + tail, scale)
+
+
+def _dyadic_outward(q: Fraction, bits: int) -> tuple:
+    """(p_lo, p_hi, s) with p_lo / 2^s <= q <= p_hi / 2^s, q >= 0; p_hi
+    has at most bits + 1 bits, so the interval is about 2^-bits q wide."""
+    num, den = q.numerator, q.denominator
+    s = max(0, bits - num.bit_length() + den.bit_length())
+    p_lo = (num << s) // den
+    return p_lo, p_lo + ((num << s) % den != 0), s
+
+
+def enclose_center(lam, precision: int) -> tuple:
+    """(lo, hi) with lo <= C(lam, 0) = G(lam^2)/E(lam^2) <= hi and
+    hi - lo <= 2^-precision min(|lo|, |hi|).
+
+    mu = lam^2 is rounded outward to a dyadic interval at precision +
+    _GUARD_BITS bits, so the work depends on the precision and not on
+    lam's digits.  The first term count is the smallest one from
+    _FIRST_TERMS on whose tail bound is at most 2^-(precision +
+    _GUARD_BITS); G and E are enclosed (enclose), and their quotient is
+    taken once the E interval excludes zero.  While it is wider than
+    asked, the term count doubles; past _MAX_CENTER_TERMS this raises
+    InconclusiveSign.
+    """
+    lam = as_rat(lam)
+    bits = precision + _GUARD_BITS
+    p_lo, p_hi, s = _dyadic_outward(lam * lam, bits)
+    n = next(n for n, t in enumerate(_tail_bounds(p_hi, s, bits))
+             if n >= _FIRST_TERMS and 3 * p_hi <= (n + 1) * (n + 2) << s
+             and t <= 1)
+    while n <= _MAX_CENTER_TERMS:
+        e_lo, e_hi = enclose(_series_coefficients(n), p_lo, p_hi, s, bits)
+        if e_lo > 0 or e_hi < 0:
+            g_lo, g_hi = enclose(_numerator_coefficients(n), p_lo, p_hi, s, bits)
+            ends = [g / e for g in (g_lo, g_hi) for e in (e_lo, e_hi)]
+            lo, hi = min(ends), max(ends)
+            if (hi - lo) * 2 ** precision <= min(abs(lo), abs(hi)):
+                return lo, hi
+        n *= 2
+    raise InconclusiveSign(
+        f"C({lam}, 0) not enclosed to 2^-{precision} by {_MAX_CENTER_TERMS} "
+        "series terms")
+
+
+# -- decimal printing of exact enclosures ---------------------------------
+
+_LOG10_2 = math.log10(2)
+
+
+def _at_least_pow10(num: int, den: int, e: int) -> bool:
+    """Whether num/den >= 10^e, in integers."""
+    if e >= 0:
+        return num >= den * 10 ** e
+    return num * 10 ** -e >= den
+
+
+def _decade(num: int, den: int) -> int:
+    """The e with 10^e <= num/den < 10^(e+1), for num, den > 0."""
+    # num/den lies within a factor of 2 of 2^(bit length difference), so
+    # this estimate is off by at most one, and exact integer comparisons
+    # with 10^e settle it
+    e = math.floor((num.bit_length() - den.bit_length()) * _LOG10_2)
+    while not _at_least_pow10(num, den, e):
+        e -= 1
+    while _at_least_pow10(num, den, e + 1):
+        e += 1
+    return e
+
+
+def _fraction_to_dec_up(q: Fraction, sig: int = 3) -> str:
+    """Decimal string >= q with sig significant digits (q >= 0)."""
+    if q < 0:
+        raise ValueError("radius must be nonnegative")
+    if q == 0:
+        return "0"
+    num, den = q.numerator, q.denominator
+    e = _decade(num, den)
+    shift = sig - 1 - e  # n = ceil(q * 10^shift)
+    if shift >= 0:
+        n = -(-num * 10 ** shift // den)
+    else:
+        n = -(-num // (den * 10 ** -shift))
+    if n >= 10 ** sig:  # carry out of the leading digit
+        n //= 10
+        e += 1
+    digits = str(n)
+    return f"{digits[0]}.{digits[1:]}e{e:+d}"
+
+
+def _fraction_to_dec(q: Fraction, dps: int) -> str:
+    """q rounded to nearest at dps significant digits, in positional
+    notation with trailing zeros stripped ("4.25", "1.0", "0.0012")."""
+    if q == 0:
+        return "0.0"
+    num, den = abs(q.numerator), q.denominator
+    e = _decade(num, den)
+    shift = dps - 1 - e  # n = round(|q| * 10^shift)
+    if shift >= 0:
+        n = (2 * num * 10 ** shift + den) // (2 * den)
+    else:
+        n = (2 * num + den * 10 ** -shift) // (2 * den * 10 ** -shift)
+    if n >= 10 ** dps:  # carry out of the leading digit
+        n //= 10
+        e += 1
+    digits = str(n)
+    if e >= 0:
+        digits = digits.ljust(e + 1, "0")
+        whole, frac = digits[:e + 1], digits[e + 1:]
+    else:
+        whole, frac = "0", "0" * (-e - 1) + digits
+    sign = "-" if q < 0 else ""
+    return f"{sign}{whole}.{frac.rstrip('0') or '0'}"
+
+
+def decimal_parts(lo: Fraction, hi: Fraction, dps: int) -> tuple:
+    """(mid, rad) decimal strings of [lo, hi]: mid is the midpoint rounded
+    to dps significant digits, rad an upward-rounded bound on the distance
+    from mid to either end, so the printed ball contains [lo, hi]."""
+    mid = _fraction_to_dec((lo + hi) / 2, dps)
+    printed = Fraction(mid)
+    return mid, _fraction_to_dec_up(max(hi - printed, printed - lo))

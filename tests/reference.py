@@ -13,13 +13,17 @@ computation the package does another way:
 - fold_apply_naive sums T_w M(w) v over every word with explicit 3x3
   word matrices (m_word), against development.fold_apply;
 - ball_bisection brackets the pole on ball signs of d at every midpoint,
-  against the exact signs of polefinder.locate_pole.
+  against the exact signs of polefinder.locate_pole;
+- closed_form_center evaluates C(lambda, 0) from mpmath's own Bessel
+  functions at 200 digits, against the rational series G/E of
+  exactseries.enclose_center.
 """
 
 import math
 from fractions import Fraction
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 
 from disksig.bessel import d_lambda, make_constants
@@ -165,3 +169,18 @@ def ball_bisection(width: Fraction) -> tuple:
         else:
             hi = mid
     return lo, hi
+
+
+def closed_form_center(lam: Fraction, digits: int = 200) -> Fraction:
+    """C(lambda, 0) = Im(conj(alpha) J1(l conj(zeta))) /
+    Im(conj(alpha) J0(l zeta) J1(l conj(zeta))), the quotient
+    abc_closed_form takes at r = 0, from mpmath.besselj at `digits`
+    significant digits (20 guard digits), as a rational."""
+    with mpmath.workdps(digits + 20):
+        zeta = mpmath.sqrt(mpmath.mpc(-1, mpmath.sqrt(7)) / 2)
+        alpha = zeta ** 3 / 2 + zeta
+        lam_mp = mpmath.mpf(lam.numerator) / lam.denominator
+        j1 = mpmath.besselj(1, lam_mp * mpmath.conj(zeta))
+        num = mpmath.im(mpmath.conj(alpha) * j1)
+        den = mpmath.im(mpmath.conj(alpha) * mpmath.besselj(0, lam_mp * zeta) * j1)
+        return Fraction(mpmath.nstr(num / den, digits))

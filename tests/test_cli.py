@@ -16,6 +16,7 @@ import disksig.exactpoly as exactpoly
 import disksig.montecarlo as montecarlo
 from disksig.cli import DEVELOPED_CAP, main
 from disksig.hierarchy import HierarchyState
+from reference import closed_form_center
 
 
 def run(tmp_path, *argv):
@@ -412,10 +413,11 @@ def run_fresh(tmp_path, *argv):
     return status, set(executed)
 
 
-LAYERS = {"balls", "bessel", "development", "exactpoly", "hierarchy",
-          "montecarlo", "polefinder"}
+LAYERS = {"balls", "bessel", "development", "exactpoly", "exactseries",
+          "hierarchy", "montecarlo", "polefinder"}
 EXACT = {"exactpoly", "development", "hierarchy"}
-BALL = {"exactpoly", "balls", "bessel"}
+# balls prints its radii with exactseries' decimal rounding
+BALL = {"exactpoly", "exactseries", "balls", "bessel"}
 
 
 @pytest.mark.parametrize("argv, layers, status", [
@@ -424,12 +426,13 @@ BALL = {"exactpoly", "balls", "bessel"}
     (("hierarchy", "--levels", "4", "--mode", "developed"), EXACT, 0),
     (("bessel", "--pairing", "141/50"), BALL, 0),
     (("bessel", "--re", "3/2"), BALL, 0),
-    (("pole", "--width", "1/10"), BALL | {"polefinder"}, 0),
-    (("compare", "--lambda", "1", "--levels", "4"), EXACT | BALL | {"polefinder"}, 0),
+    (("pole", "--width", "1/10"), BALL | {"polefinder", "exactseries"}, 0),
+    (("compare", "--lambda", "1", "--levels", "4"), EXACT | {"exactseries"}, 0),
+    (("compare", "--lambda", "29/10", "--levels", "4"), {"exactpoly", "exactseries"}, 2),
     (("mc", "--paths", "8", "--h", "1e-2"), {"montecarlo"}, 0),
     (("radius", "--levels", "99999"), set(), 2),
 ], ids=["radius", "develop", "hierarchy", "bessel-pairing", "bessel-point",
-        "pole", "compare", "mc", "usage-error"])
+        "pole", "compare", "compare-at-pole", "mc", "usage-error"])
 def test_subcommands_execute_only_their_layers(tmp_path, argv, layers, status):
     rc, executed = run_fresh(tmp_path, *argv)
     assert rc == status
@@ -483,6 +486,33 @@ def test_compare_lambda_zero(tmp_path):
     comments, rows = parse_csv(out)
     _, *data = rows
     assert all(row[1] == "1/1" and row[2] == "0.0" for row in data)
+
+
+def test_compare_prints_an_exact_enclosure_of_the_closed_form(tmp_path):
+    rc, out = run(tmp_path, "compare", "--lambda", "27/10", "--levels", "8",
+                  "--precision", "256")
+    assert rc == 0
+    comments, _ = parse_csv(out)
+    header = dict(line[2:].split(": ", 1) for line in comments)
+    # 80 significant digits, as a 256-bit ball midpoint printed with
+    mid_str = header["closed_form_mid"]
+    assert len(mid_str.replace(".", "")) <= 80
+    mid, rad = F(mid_str), F(header["closed_form_rad"])
+    assert abs(closed_form_center(F(27, 10)) - mid) <= rad <= mid / 2 ** 256
+
+
+def test_compare_at_a_huge_denominator_is_quick(tmp_path):
+    # mu = lambda^2 is rounded to a dyadic interval at the working
+    # precision, so lambda's 4001 digits do not enter the series work
+    # (evaluated exactly at lambda itself, this took 20 s)
+    start = time.perf_counter()
+    rc, out = run(tmp_path, "compare", "--lambda", f"1/{10 ** 4000 + 1}",
+                  "--levels", "1")
+    assert time.perf_counter() - start < 1.0
+    assert rc == 0
+    comments, rows = parse_csv(out)
+    assert "# closed_form_mid: 1.0" in comments
+    assert [row[1] for row in rows[1:]] == ["1/1", "1/1"]
 
 
 def test_compare_refuses_lambda_at_pole(tmp_path):
@@ -592,6 +622,16 @@ def test_mc_reports_deviation_from_exact_levels(tmp_path, capsys):
     assert "exact +0.500000" in lines[0]
     assert "exact +0.250000" in lines[1] and "exact +0.000000" in lines[2]
     assert all(line.endswith(" SE") for line in lines)
+
+
+def test_mc_zero_standard_error_has_no_deviation(tmp_path, capsys):
+    # a step of 32 stops every path at its first step: the exit time's
+    # standard error is 0, so no deviation is measured in units of it
+    rc, _ = run(tmp_path, "mc", "--h", "32", "--paths", "10", "--level", "1")
+    assert rc == 0
+    assert capsys.readouterr().err == (
+        "mc exit_time: estimate +32.000000 stderr 0.000000 exact +0.500000 "
+        "deviation n/a (zero standard error)\n")
 
 
 def test_mc_exhausted_block_budget_is_a_clean_error(tmp_path, monkeypatch,

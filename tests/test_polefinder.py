@@ -9,6 +9,7 @@ from math import factorial
 
 import pytest
 
+import disksig.exactseries as exactseries
 import disksig.polefinder as polefinder
 from disksig.balls import RealBall
 from disksig.bessel import d_lambda, make_constants
@@ -99,7 +100,7 @@ def test_series_term_cap_is_inconclusive(monkeypatch):
     def never(lam, constants, prec=None):
         raise AssertionError("no ball evaluation before the bracket is found")
 
-    monkeypatch.setattr(polefinder, "_MAX_TERMS", 8)
+    monkeypatch.setattr(exactseries, "_MAX_TERMS", 8)
     monkeypatch.setattr(polefinder, "d_lambda", never)
     with pytest.raises(InconclusiveSign, match="8 series terms"):
         locate_pole(F(1, 100))
@@ -125,7 +126,7 @@ D_EVALUATIONS = [
 @pytest.mark.parametrize("width, precision, runs, signs", D_EVALUATIONS,
                          ids=["1e-6@128", "1e-20@512"])
 def test_d_evaluations_are_pinned(monkeypatch, width, precision, runs, signs):
-    real_d, real_sign = polefinder.d_lambda, polefinder._series_sign
+    real_d, real_sign = polefinder.d_lambda, exactseries._series_sign
     precs, mus = [], []
 
     def recorded_d(lam, constants, prec=None):
@@ -137,7 +138,7 @@ def test_d_evaluations_are_pinned(monkeypatch, width, precision, runs, signs):
         return real_sign(mu)
 
     monkeypatch.setattr(polefinder, "d_lambda", recorded_d)
-    monkeypatch.setattr(polefinder, "_series_sign", recorded_sign)
+    monkeypatch.setattr(exactseries, "_series_sign", recorded_sign)
     locate_pole(as_rat(width), precision=precision)
     assert [(p, len(list(g))) for p, g in groupby(precs)] == runs
     assert len(mus) == signs
@@ -169,11 +170,11 @@ def test_exact_signs_pick_the_ball_route_bracket(width):
 
 
 def test_series_coefficients():
-    numerators, den = polefinder._series_coefficients(4)
+    numerators, den = exactseries._series_coefficients(4)
     assert [F(c, den) for c in numerators] == [F(-1, 8), F(1, 64), F(-1, 1536),
                                                F(5, 73728)]
     # the bound the tail of E rests on: |D_m| m! (m+1)! <= (3/2)^m
-    numerators, den = polefinder._series_coefficients(201)
+    numerators, den = exactseries._series_coefficients(201)
     for m, c in enumerate(numerators):
         assert abs(F(c, den)) * factorial(m) * factorial(m + 1) <= F(3, 2) ** m
 
@@ -185,7 +186,7 @@ def test_series_partial_sum_and_tail_enclose_d(lam):
     # minus its tail bound, scaled, meets the ball enclosure of d
     n, prec, mu = 40, 256, lam * lam
     assert 3 * mu <= (n + 1) * (n + 2)
-    numerators, den = polefinder._series_coefficients(n)
+    numerators, den = exactseries._series_coefficients(n)
     partial = sum(F(c, den) * mu ** m for m, c in enumerate(numerators))
     tail = 2 * (F(3, 2) * mu) ** n / (factorial(n) * factorial(n + 1))
     series = RealBall.from_interval(partial - tail, partial + tail, prec)

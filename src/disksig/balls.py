@@ -318,9 +318,6 @@ class ComplexBall:
         return _nonneg_part(self.re.sqr(prec).add(self.im.sqr(prec), prec),
                             prec)
 
-    def abs_ball(self, prec: int = DEFAULT_PREC) -> RealBall:
-        return self.abs2(prec).sqrt(prec)
-
     def sqrt(self, prec: int = DEFAULT_PREC) -> "ComplexBall":
         """Principal square root; the box must avoid the closed negative axis.
 
@@ -333,7 +330,7 @@ class ComplexBall:
         if not off_axis:
             raise ValueError("box meets the closed negative real axis; "
                              "no continuous square root branch")
-        mag = self.abs_ball(prec)
+        mag = self.abs2(prec).sqrt(prec)
         # |w| + u >= 0 pointwise, so the clamp below is sound
         s2 = _nonneg_part(mag.add(self.re, prec).mul_2exp(-1), prec)
         s = s2.sqrt(prec)

@@ -10,10 +10,12 @@ and extends multiplicatively to tensor words, M(v1 o ... o vk) =
 M(v1) ... M(vk), then linearly to whole tensors.  The quantity of
 interest downstream is M(pi_n) applied to the vector (0, 0, 1).
 
-fold_apply contracts a TensorPoly against a fixed vector by a right
-fold over suffixes, so no word matrix M(e_{i1}) ... M(e_{in}) is ever
-formed: cost is linear in the number of entries.  The 3x3 products
-mat_mul and mat_vec serve the developed hierarchy's right-hand side,
+Only the basis matrices act here, and only through m_action, which
+applies M(e1) a + M(e2) b entry by entry.  fold_apply contracts a
+TensorPoly against a fixed vector by a right fold over suffixes, merging
+siblings with m_action, so no word matrix M(e_{i1}) ... M(e_{in}) is
+ever formed: cost is linear in the number of entries.  The developed
+hierarchy's right-hand side applies the same map (hierarchy.developed_rhs),
 and partial_sum_F sums given per-level values exactly.
 """
 
@@ -49,30 +51,13 @@ class Vec3Poly:
         return cls(z, z, z)
 
 
-def m_of_vector(x) -> tuple:
-    """M(x) for a pair of scalars; works for Rat, float or ball entries."""
-    x1, x2 = x
-    zero = x1 - x1  # zero in the scalar domain of the input
-    return ((zero, zero, x1),
-            (zero, zero, x2),
-            (x1, x2, zero))
+def m_action(a, b) -> tuple:
+    """M(e1) a + M(e2) b for 3-vectors a, b over any scalar ring.
 
-
-def mat_mul(a, b) -> tuple:
-    """3x3 matrix product over any scalar ring."""
-    return tuple(
-        tuple(a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j]
-              for j in range(3))
-        for i in range(3))
-
-
-def mat_vec(a, v) -> tuple:
-    """3x3 matrix times 3-vector over any scalar ring."""
-    return tuple(a[i][0] * v[0] + a[i][1] * v[1] + a[i][2] * v[2] for i in range(3))
-
-
-_M1 = m_of_vector((Fraction(1), Fraction(0)))
-_M2 = m_of_vector((Fraction(0), Fraction(1)))
+    M(e1) u = (u3, 0, u1) and M(e2) u = (0, u3, u2), so the sum is
+    (a3, b3, a1 + b2).
+    """
+    return (a[2], b[2], a[0] + b[1])
 
 
 def fold_apply(t: TensorPoly, v) -> Vec3Poly:
@@ -81,23 +66,14 @@ def fold_apply(t: TensorPoly, v) -> Vec3Poly:
     Stage 0 assigns W[w] = T_w * v to every full word; each later stage
     merges sibling suffixes:
 
-        W'[w] = M(e1) W[w1] + M(e2) W[w2]
+        W'[w] = M(e1) W[w1] + M(e2) W[w2] = m_action(W[w1], W[w2])
 
-    Since M(e1) u = (u3, 0, u1) and M(e2) u = (0, u3, u2), the merge is
-
-        W'[w] = (A3, B3, A1 + B2),  A = W[w1], B = W[w2],
-
-    and no 3x3 products are ever formed.  Returns W[empty word].
+    Returns W[empty word].
     """
     v1, v2, v3 = v
     work = [(e * v1, e * v2, e * v3) for e in t.entries]
     while len(work) > 1:
-        nxt = []
-        for i in range(0, len(work), 2):
-            a = work[i]
-            b = work[i + 1]
-            nxt.append((a[2], b[2], a[0] + b[1]))
-        work = nxt
+        work = [m_action(a, b) for a, b in zip(work[::2], work[1::2])]
     return Vec3Poly(*work[0])
 
 
@@ -105,7 +81,7 @@ def partial_sum_F(lam, values) -> tuple:
     """Partial sum of the development series, sum_{n <= N} lam^n V_n(z).
 
     values holds the exact triples V_0(z) .. V_N(z) and lam is rational,
-    so the result is a triple of Rat, computed exactly.
+    so the result is a triple of Fractions, computed exactly.
     """
     lam = as_rat(lam)
     acc = (Fraction(0), Fraction(0), Fraction(0))

@@ -25,10 +25,9 @@ Poly2's internals.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
-
-Rat = Fraction
 
 
 def as_rat(x) -> Fraction:
@@ -470,10 +469,7 @@ def words(n: int):
     """All words of length n over {1, 2} in lexicographic order."""
     if n < 0:
         raise ValueError("negative level")
-    out = []
-    for idx in range(1 << n):
-        out.append("".join("12"[(idx >> (n - 1 - pos)) & 1] for pos in range(n)))
-    return out
+    return ["".join(word) for word in itertools.product("12", repeat=n)]
 
 
 def word_index(w: str) -> int:

@@ -11,7 +11,9 @@ recursion, pushed through the hyperbolic development and applied to
 
     lap V_n = -2 sum_i M(e_i) d(V_{n-1})/dz_i  -  (sum_i M(e_i)^2) V_{n-2}
 
-with sum_i M(e_i)^2 = diag(1, 1, 2).  By rotation equivariance V_n
+with sum_i M(e_i)^2 = diag(1, 1, 2); developed_rhs applies the first
+term through development.m_action and the diagonal entry by entry, so
+no 3x3 matrix is formed.  By rotation equivariance V_n
 reduces further to a radial pair (A_n, C_n) of univariate polynomials,
 solved diagonally; that radial recursion is the production route for
 a_n and V_n.  The tensor hierarchy (2^n entries per level) and the
@@ -36,14 +38,9 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .development import _M1, _M2, Vec3Poly, mat_mul, mat_vec
+from .development import Vec3Poly, m_action
 from .exactpoly import (Poly2, TensorPoly, as_rat, boundary_trace,
                         harmonic_extension, laplacian, poisson_particular)
-
-# sum_i M(e_i)^2, derived by direct multiplication rather than hardcoded
-_MSQ = tuple(tuple(mat_mul(_M1, _M1)[i][j] + mat_mul(_M2, _M2)[i][j]
-                   for j in range(3)) for i in range(3))
-assert _MSQ == ((1, 0, 0), (0, 1, 0), (0, 0, 2))
 
 
 def solve_poisson_zero_bd(f: Poly2) -> Poly2:
@@ -133,17 +130,17 @@ def tensor_rhs(self: HierarchyState, n: int) -> TensorPoly:
 
 
 def developed_rhs(self: HierarchyState, n: int) -> tuple:
-    """Right-hand side 3-vector for the developed level-n problem, n >= 2."""
+    """Right-hand side 3-vector for the developed level-n problem, n >= 2:
+
+        -2 (M(e1) dV_{n-1}/dx + M(e2) dV_{n-1}/dy) - diag(1, 1, 2) V_{n-2}
+    """
     if n < 2:
         raise ValueError("RHS defined for n >= 2")
     prev = self.developed(n - 1)
-    prev2 = self.developed(n - 2)
-    dx = tuple(c.partial_x() for c in prev)
-    dy = tuple(c.partial_y() for c in prev)
-    t1 = mat_vec(_M1, dx)
-    t2 = mat_vec(_M2, dy)
-    t3 = mat_vec(_MSQ, tuple(prev2))
-    return tuple(-2 * (t1[k] + t2[k]) - t3[k] for k in range(3))
+    q1, q2, q3 = self.developed(n - 2)
+    first = m_action(tuple(c.partial_x() for c in prev),
+                     tuple(c.partial_y() for c in prev))
+    return tuple(-2 * m - q for m, q in zip(first, (q1, q2, 2 * q3)))
 
 
 def a_coefficients(n_max: int) -> list:

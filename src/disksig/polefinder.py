@@ -11,7 +11,7 @@ the target width alone.  This module certifies that bracket on balls.
 The enclosures stored in the PoleCertificate -- d at both final
 endpoints, the numerator bound -- are ball values computed at the
 requested precision, doubled while an endpoint enclosure straddles zero
-(_certified), so the stored data re-verify offline with no Bessel
+(locate_pole), so the stored data re-verify offline with no Bessel
 evaluation; they also re-certify the exact route's endpoint signs on
 the ball route, and the two must agree.
 
@@ -105,33 +105,15 @@ class PoleCertificate:
         )
 
 
-def _certified(lams, prec: int) -> tuple:
-    """(d at each lambda in lams, the precisions tried, the last's Constants).
-
-    d is evaluated at prec and prec is doubled while any enclosure
-    contains zero, at most _MAX_ESCALATIONS times; so every returned
-    enclosure has a certified sign, and all of them are at the last
-    precision tried.
-    """
-    tried = [prec << k for k in range(_MAX_ESCALATIONS + 1)]
-    for k, prec in enumerate(tried):
-        constants = make_constants(prec)
-        enclosures = [d_lambda(lam, constants, prec) for lam in lams]
-        if not any(d.contains_zero() for d in enclosures):
-            return enclosures, tried[:k + 1], constants
-    raise InconclusiveSign(
-        f"d enclosure at {', '.join(map(str, lams))} straddles zero up to "
-        f"{prec} bits")
-
-
 def locate_pole(target_width, precision: int = DEFAULT_PREC) -> PoleCertificate:
     """Certificate for the bracket exact_bracket(target_width).
 
-    d at both endpoints is certified on balls from `precision` on, both
-    at one final precision; the endpoints must be certified negative and
-    positive (NoSignChange if the ball route disagrees with the exact
-    one), and the numerator is certified negative across the bracket at
-    that final precision.  Those
+    d at both endpoints is evaluated on balls at `precision`, doubled
+    while either enclosure contains zero, at most _MAX_ESCALATIONS times
+    (then InconclusiveSign), so both share one final precision; the
+    endpoints must be certified negative and positive (NoSignChange if
+    the ball route disagrees with the exact one), and the numerator is
+    certified negative across the bracket at that final precision.  Those
     enclosures, the final precision and the series length are what the
     certificate stores; `search` records the exact signs, the most
     series terms one needed, the d evaluations per precision and the
@@ -142,10 +124,18 @@ def locate_pole(target_width, precision: int = DEFAULT_PREC) -> PoleCertificate:
     if precision < 53:
         raise ValueError("precision below 53 bits is not supported")
     lo, hi, signs, max_terms = exact_bracket(width)
-    (d_lo, d_hi), tried, constants = _certified((lo, hi), precision)
+    tried = [precision << k for k in range(_MAX_ESCALATIONS + 1)]
+    for final in tried:
+        constants = make_constants(final)
+        d_lo = d_lambda(lo, constants, final)
+        d_hi = d_lambda(hi, constants, final)
+        if not (d_lo.contains_zero() or d_hi.contains_zero()):
+            break
+    else:
+        raise InconclusiveSign(
+            f"d enclosure at {lo}, {hi} straddles zero up to {final} bits")
     if not (d_lo.is_negative() and d_hi.is_positive()):
         raise NoSignChange(f"expected d < 0 at {lo} and d > 0 at {hi}")
-    final = tried[-1]
     pieces: list = []
     num = verify_numerator_nonvanishing(lo, hi, precision=final,
                                         constants=constants, pieces=pieces)
@@ -155,7 +145,8 @@ def locate_pole(target_width, precision: int = DEFAULT_PREC) -> PoleCertificate:
         series_terms=series_terms(hi, constants, final),
         target_width=width,
         search={"exact_signs": signs, "max_terms": max_terms,
-                "d_evaluations": {str(prec): 2 for prec in tried},
+                "d_evaluations": {str(prec): 2 for prec in tried
+                                  if prec <= final},
                 "numerator_pieces": len(pieces)})
 
 

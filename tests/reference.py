@@ -10,6 +10,9 @@ computation the package does another way:
   of a block, exp included, against the shortcut in _advance_block;
 - signature_of_path builds a path signature by one Chen product per
   chord (tensor_exp), against the blockwise engine;
+- m_of_vector, mat_mul and mat_vec are the generic 3x3 matrix algebra,
+  and M1, M2 the basis matrices M(e1), M(e2), against
+  development.m_action and hierarchy.developed_rhs;
 - fold_apply_naive sums T_w M(w) v over every word with explicit 3x3
   word matrices (m_word), against development.fold_apply;
 - ball_bisection brackets the pole on ball signs of d at every midpoint,
@@ -27,7 +30,7 @@ import mpmath
 import numpy as np
 
 from disksig.bessel import d_lambda, make_constants
-from disksig.development import Vec3Poly, _M1, _M2, mat_mul, mat_vec
+from disksig.development import Vec3Poly
 from disksig.exactpoly import Poly2, TensorPoly, words
 from disksig.montecarlo import (BLOCK, _MAX_BLOCKS_PER_PATH, SimConfig,
                                 _advance_block, _path_generator)
@@ -110,6 +113,32 @@ def signature_of_path(increments, level: int) -> list:
     return sig
 
 
+def m_of_vector(x) -> tuple:
+    """M(x) for a pair of scalars; works for Fraction, float or ball entries."""
+    x1, x2 = x
+    zero = x1 - x1  # zero in the scalar domain of the input
+    return ((zero, zero, x1),
+            (zero, zero, x2),
+            (x1, x2, zero))
+
+
+def mat_mul(a, b) -> tuple:
+    """3x3 matrix product over any scalar ring."""
+    return tuple(
+        tuple(a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j]
+              for j in range(3))
+        for i in range(3))
+
+
+def mat_vec(a, v) -> tuple:
+    """3x3 matrix times 3-vector over any scalar ring."""
+    return tuple(a[i][0] * v[0] + a[i][1] * v[1] + a[i][2] * v[2] for i in range(3))
+
+
+M1 = m_of_vector((Fraction(1), Fraction(0)))
+M2 = m_of_vector((Fraction(0), Fraction(1)))
+
+
 def identity3(one=Fraction(1)) -> tuple:
     zero = one - one
     return ((one, zero, zero), (zero, one, zero), (zero, zero, one))
@@ -120,9 +149,9 @@ def m_word(w: str) -> tuple:
     out = identity3()
     for ch in w:
         if ch == "1":
-            out = mat_mul(out, _M1)
+            out = mat_mul(out, M1)
         elif ch == "2":
-            out = mat_mul(out, _M2)
+            out = mat_mul(out, M2)
         else:
             raise ValueError(f"bad word letter {ch!r}")
     return out

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from disksig.balls import ComplexBall, RealBall
 from disksig.bessel import (abc_closed_form, bessel_j, d_lambda,
                             make_constants, remark_product)
-from disksig.development import fold_apply, m_of_vector, mat_mul
+from disksig.development import fold_apply
 from disksig.exactpoly import Poly2, TensorPoly
 from disksig.hierarchy import (HierarchyState, a_coefficients,
                                developed_checks, radius_estimate,
@@ -28,7 +28,8 @@ from disksig.hierarchy import (HierarchyState, a_coefficients,
 from disksig.montecarlo import SimConfig, _chen_combine, estimate_expected_sig
 from disksig.polefinder import (PoleCertificate, locate_pole,
                                 verify_numerator_nonvanishing)
-from reference import fold_apply_naive, signature_of_path
+from reference import (fold_apply_naive, m_of_vector, mat_mul,
+                       signature_of_path)
 
 E3 = (F(0), F(0), F(1))
 

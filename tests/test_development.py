@@ -5,12 +5,13 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disksig.development import (Vec3Poly, fold_apply, m_of_vector, mat_mul,
-                                 mat_vec, partial_sum_F)
+from disksig.development import Vec3Poly, fold_apply, m_action, partial_sum_F
 from disksig.exactpoly import Poly2, TensorPoly, words
-from reference import fold_apply_naive, identity3, m_word
+from reference import (M1, M2, fold_apply_naive, identity3, m_of_vector,
+                       m_word, mat_mul, mat_vec)
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
+vectors = st.tuples(rationals, rationals, rationals)
 E3 = (F(0), F(0), F(1))
 
 
@@ -19,6 +20,20 @@ def test_m_of_basis_vectors():
     m2 = m_of_vector((F(0), F(1)))
     assert m1 == ((0, 0, 1), (0, 0, 0), (1, 0, 0))
     assert m2 == ((0, 0, 0), (0, 0, 1), (0, 1, 0))
+
+
+def test_sum_of_squared_basis_matrices_is_diag_1_1_2():
+    """sum_i M(e_i)^2, the coefficient of V_{n-2} in hierarchy.developed_rhs."""
+    m1sq, m2sq = mat_mul(M1, M1), mat_mul(M2, M2)
+    msq = tuple(tuple(m1sq[i][j] + m2sq[i][j] for j in range(3)) for i in range(3))
+    assert msq == ((1, 0, 0), (0, 1, 0), (0, 0, 2))
+
+
+@given(vectors, vectors)
+@settings(max_examples=100, deadline=None)
+def test_m_action_is_the_basis_matrices_applied(a, b):
+    want = tuple(p + q for p, q in zip(mat_vec(M1, a), mat_vec(M2, b)))
+    assert m_action(a, b) == want
 
 
 def test_m_word_fixtures():

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from disksig.balls import RealBall
 from disksig.exactpoly import Poly2, boundary_trace, laplacian
 import disksig.hierarchy as hierarchy
-from disksig.hierarchy import (HierarchyState, a_coefficients, developed_values,
-                               level_norms, radial_levels, radial_levels_ball,
-                               radius_estimate, solve_poisson_zero_bd,
-                               developed_checks, tensor_checks)
+from disksig.hierarchy import (HierarchyState, a_coefficients, developed_rhs,
+                               developed_values, level_norms, radial_levels,
+                               radial_levels_ball, radius_estimate,
+                               solve_poisson_zero_bd, developed_checks,
+                               tensor_checks)
+from reference import M1, M2, mat_mul, mat_vec
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=16)
 
@@ -90,6 +92,20 @@ def test_checks_flag_a_wrong_level(wrong_level, mode, checks, broken):
         if n == 3:
             want[broken] = False
         assert checks(fresh, n) == want, n
+
+
+def test_developed_rhs_is_the_generic_matrix_form(state):
+    """-2 (M(e1) dV/dx + M(e2) dV/dy) - (M(e1)^2 + M(e2)^2) V_{n-2}, with
+    every matrix product spelled out over the reference 3x3 algebra."""
+    msq = tuple(tuple(p + q for p, q in zip(row1, row2))
+                for row1, row2 in zip(mat_mul(M1, M1), mat_mul(M2, M2)))
+    for n in range(2, 13):
+        prev = tuple(state.developed(n - 1))
+        t1 = mat_vec(M1, tuple(c.partial_x() for c in prev))
+        t2 = mat_vec(M2, tuple(c.partial_y() for c in prev))
+        t3 = mat_vec(msq, tuple(state.developed(n - 2)))
+        want = tuple(-2 * (t1[k] + t2[k]) - t3[k] for k in range(3))
+        assert developed_rhs(state, n) == want, n
 
 
 def test_a_coefficients_fixtures():

@@ -25,10 +25,13 @@ The layers are imported lazily and each subcommand executes only those
 it calls: `radius`, `develop` and `hierarchy` run the exact layers
 (`exactpoly`, `development`, `hierarchy`) and never load mpmath;
 `compare` runs those plus `exactseries`, whose exact rational series
-enclose the closed form, and no mpmath either; `bessel` and `pole` run
-the ball layers (`balls`, `bessel`, and `polefinder` for `pole`, with
-`exactseries` beneath them), the only ones that load mpmath; only `mc`
-runs `montecarlo`, loads numpy, and no mpmath.
+enclose the closed form, and no mpmath either.  None of these four
+loads `dataclasses`, `inspect` or `datetime`: the exact layers' records
+are plain classes, and the manifest timestamp is built from `time`.
+`bessel` and `pole` run the ball layers (`balls`, `bessel`, and
+`polefinder` for `pole`, with `exactseries` beneath them), the only
+ones that load mpmath (and `dataclasses`, for their records); only `mc`
+runs `montecarlo`, loads numpy (and with it `datetime`), and no mpmath.
 `mc` calls montecarlo.estimate_expected_sig as a library user does; the
 engine fixes its own malloc thresholds.
 """
@@ -44,7 +47,7 @@ import json
 import math
 import os
 import sys
-from datetime import datetime, timezone
+import time
 from fractions import Fraction
 
 from . import DEFAULT_PREC, DEFAULT_SEED, __version__
@@ -225,6 +228,15 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _utc_timestamp() -> str:
+    """The current UTC time as datetime.now(timezone.utc).isoformat()
+    writes it, microseconds omitted when zero, without loading datetime."""
+    seconds, nanoseconds = divmod(time.time_ns(), 10 ** 9)
+    micro = nanoseconds // 1000
+    return (time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds))
+            + (f".{micro:06d}" if micro else "") + "+00:00")
+
+
 def _manifest_value(value):
     if isinstance(value, Fraction):
         return _rat_str(value)
@@ -240,7 +252,7 @@ def _manifest_text(subcommand: str, args: argparse.Namespace,
         "subcommand": subcommand,
         "parameters": params,
         "version": __version__,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "timestamp": _utc_timestamp(),
         "output": out_path,
         "output_sha256": hashlib.sha256(text.encode()).hexdigest(),
         "stats": stats,
@@ -540,6 +552,12 @@ def cmd_mc(args) -> tuple:
             deviation = f"{dev:.2f} SE"
         print(f"mc {name}: estimate {est:+.6f} stderr {err:.6f} "
               f"exact {exact:+.6f} deviation {deviation}", file=sys.stderr)
+    # an exit time is a whole number of steps, so a second step anywhere
+    # would lift the mean by h / paths
+    if result.exit_time_mean < config.h * (1 + 0.5 / result.count):
+        print(f"warning: all {result.count} paths stopped at their first step; "
+              f"--h {config.h!r} is too coarse to follow a path inside the disk",
+              file=sys.stderr)
     return buf.getvalue(), failures, {"workers": result.workers}
 
 

@@ -21,22 +21,36 @@ and partial_sum_F sums given per-level values exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactpoly import Poly2, TensorPoly, as_rat
 
 
-@dataclass(frozen=True)
 class Vec3Poly:
-    """A 3-vector of Poly2 components (c1, c2, c3)."""
+    """A 3-vector of Poly2 components (c1, c2, c3).
 
-    c1: Poly2
-    c2: Poly2
-    c3: Poly2
+    Immutable by convention, like Poly2 and TensorPoly; a plain class, so
+    the exact layers load no dataclasses machinery.
+    """
+
+    __slots__ = ("c1", "c2", "c3")
+
+    def __init__(self, c1: Poly2, c2: Poly2, c3: Poly2):
+        self.c1, self.c2, self.c3 = c1, c2, c3
 
     def __iter__(self):
         return iter((self.c1, self.c2, self.c3))
+
+    def __eq__(self, other):
+        if not isinstance(other, Vec3Poly):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return f"Vec3Poly(c1={self.c1!r}, c2={self.c2!r}, c3={self.c3!r})"
 
     def __add__(self, other: "Vec3Poly") -> "Vec3Poly":
         return Vec3Poly(self.c1 + other.c1, self.c2 + other.c2, self.c3 + other.c3)

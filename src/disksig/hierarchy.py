@@ -16,12 +16,14 @@ term through development.m_action and the diagonal entry by entry, so
 no 3x3 matrix is formed.  By rotation equivariance V_n
 reduces further to a radial pair (A_n, C_n) of univariate polynomials,
 solved diagonally; that radial recursion is the production route for
-a_n and V_n.  The tensor hierarchy (2^n entries per level) and the
-bivariate developed hierarchy (three polynomials per level) are kept as
-independent oracles at bounded depth; each level records, when it is
-solved, whether every component's Laplacian equals its right-hand side
-exactly, and the checks read that verdict next to a zero boundary
-trace.  Everything here is exact; radial_levels_ball only encloses the
+a_n and V_n.  It runs on integer numerators over one denominator per
+level, reduced once per level, and builds a Fraction only for a
+coefficient a caller reads (RadialMap).  The tensor hierarchy (2^n
+entries per level) and the bivariate developed hierarchy (three
+polynomials per level) are kept as independent oracles at bounded
+depth; each level records, when it is solved, whether every
+component's Laplacian equals its right-hand side exactly, and the
+checks read that verdict next to a zero boundary trace.  Everything here is exact; radial_levels_ball only encloses the
 exact radial levels in balls.
 
 The elementary Dirichlet solver: a particular polynomial solution of
@@ -34,8 +36,8 @@ its boundary trace.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
 
 from .development import Vec3Poly, m_action
@@ -167,21 +169,26 @@ def developed_values(n_max: int, x, y) -> Iterator[tuple]:
         yield x * a_over_r, y * a_over_r, _horner_in_s(c_n, s)
 
 
-def _horner_in_s(coeffs: dict, s) -> Fraction:
-    """sum_m c_m s^(m // 2) for a coefficient map {m: c_m} of one parity."""
-    by_power = {m // 2: c for m, c in coeffs.items()}
-    acc = Fraction(0)
-    for k in range(max(by_power, default=-1), -1, -1):
-        acc = acc * s + by_power.get(k, 0)
-    return acc
+def _horner_in_s(level: RadialMap, s: Fraction) -> Fraction:
+    """sum_m c_m s^(m // 2) for a radial map {m: c_m} of one parity.
+
+    With s = p/q and K the top power of s, the integer Horner sum
+    sum_k c_k p^k q^(K-k) over den q^K gives the value as one Fraction.
+    """
+    p, q = s.numerator, s.denominator
+    by_power = {m // 2: c for m, c in level.nums.items()}
+    top = max(by_power, default=0)
+    acc, q_power = 0, 1
+    for k in range(top, -1, -1):
+        acc = acc * p + by_power.get(k, 0) * q_power
+        q_power *= q
+    return Fraction(acc, level.den * q ** top)
 
 
-@dataclass(frozen=True)
-class LevelNorms:
+class LevelNorms(namedtuple("LevelNorms", "l1 l2sq")):
     """Coefficient-norm bracket of pi_n at the origin: l2 <= projective <= l1."""
 
-    l1: Fraction
-    l2sq: Fraction
+    __slots__ = ()
 
 
 def level_norms(state: HierarchyState, n: int) -> LevelNorms:
@@ -260,28 +267,67 @@ def _checks(residual_ok: list, components, n: int) -> dict:
 # plus an r^1 correction) is odd and C_n (one power up plus an r^0
 # correction) is even.  developed_values relies on this and checks it.
 
+class RadialMap(Mapping):
+    """A radial coefficient map {power: Fraction}, held as nonzero integer
+    numerators over one positive denominator; reading a value builds its
+    Fraction, so a caller pays only for the coefficients it reads."""
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, nums: dict, den: int):
+        self.nums, self.den = nums, den
+
+    def __getitem__(self, m) -> Fraction:
+        return Fraction(self.nums[m], self.den)
+
+    def __iter__(self):
+        return iter(self.nums)
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+    def __repr__(self):
+        return f"RadialMap({dict(self.items())!r})"
+
+
 def radial_levels(n_max: int):
-    """Exact univariate (A_n, C_n) coefficient maps {power: Fraction}, n <= N."""
-    a_levels: list = [{}, {}]
-    c_levels: list = [{0: Fraction(1)}, {}]
+    """Exact univariate (A_n, C_n) coefficient maps {power: Fraction}, n <= N.
+
+    A_n and C_n are RadialMaps over one denominator per level.  Each level
+    takes its sources over the lcm of the two levels below, solves the
+    diagonal system over one more common factor, and reduces once.
+    """
+    a_levels: list = [RadialMap({}, 1), RadialMap({}, 1)]
+    c_levels: list = [RadialMap({0: 1}, 1), RadialMap({}, 1)]
     for n in range(2, n_max + 1):
-        # g = -r^2 A_{n-2} - 2 r^2 C_{n-1}'
-        g = {m + 2: -c for m, c in a_levels[n - 2].items()}
-        for m, c in c_levels[n - 1].items():
+        a2, c2 = a_levels[n - 2], c_levels[n - 2]
+        a1, c1 = a_levels[n - 1], c_levels[n - 1]
+        den = math.lcm(a2.den, a1.den)
+        k2, k1 = den // a2.den, den // a1.den
+        # g = -r^2 A_{n-2} - 2 r^2 C_{n-1}', numerators over den
+        g = {m + 2: -k2 * c for m, c in a2.nums.items()}
+        for m, c in c1.nums.items():
             if m:
-                g[m + 1] = g.get(m + 1, 0) - 2 * m * c
-        a_n = {m: c / (m * m - 1) for m, c in g.items()}  # m >= 2, never singular
+                g[m + 1] = g.get(m + 1, 0) - 2 * m * k1 * c
+        # h = -2 r C_{n-2} - 2 r A_{n-1}' - 2 A_{n-1}, numerators over den
+        h = {m + 1: -2 * k2 * c for m, c in c2.nums.items()}
+        for m, c in a1.nums.items():
+            h[m] = h.get(m, 0) - 2 * (m + 1) * k1 * c
+        # the diagonal solves divide by m^2 - 1 (m >= 3) and (m + 1)^2;
+        # by parity g has no r^1 and the C-solve no r^0 term to correct
+        q = math.lcm(*(m * m - 1 for m in g), *((m + 1) * (m + 1) for m in h))
+        a_n = {m: c * (q // (m * m - 1)) for m, c in g.items()}
         if a_n:
-            a_n[1] = a_n.get(1, 0) - sum(a_n.values())
-        # h = -2 r C_{n-2} - 2 r A_{n-1}' - 2 A_{n-1}
-        h = {m + 1: -2 * c for m, c in c_levels[n - 2].items()}
-        for m, c in a_levels[n - 1].items():
-            h[m] = h.get(m, 0) - 2 * (m + 1) * c
-        c_n = {m + 1: c / ((m + 1) * (m + 1)) for m, c in h.items()}
+            a_n[1] = -sum(a_n.values())
+        c_n = {m + 1: c * (q // ((m + 1) * (m + 1))) for m, c in h.items()}
         if c_n:
-            c_n[0] = c_n.get(0, 0) - sum(c_n.values())
-        a_levels.append(a_n)
-        c_levels.append(c_n)
+            c_n[0] = -sum(c_n.values())
+        den *= q
+        common = math.gcd(den, *a_n.values(), *c_n.values())
+        a_levels.append(RadialMap({m: c // common for m, c in a_n.items() if c},
+                                  den // common))
+        c_levels.append(RadialMap({m: c // common for m, c in c_n.items() if c},
+                                  den // common))
     return a_levels[: n_max + 1], c_levels[: n_max + 1]
 
 

@@ -15,6 +15,8 @@ computation the package does another way:
   development.m_action and hierarchy.developed_rhs;
 - fold_apply_naive sums T_w M(w) v over every word with explicit 3x3
   word matrices (m_word), against development.fold_apply;
+- radial_levels_fraction solves the radial recursion one Fraction at a
+  time, against the integer numerators of hierarchy.radial_levels;
 - ball_bisection brackets the pole on ball signs of d at every midpoint,
   against the exact signs of polefinder.locate_pole;
 - closed_form_center evaluates C(lambda, 0) from mpmath's own Bessel
@@ -170,6 +172,35 @@ def fold_apply_naive(t: TensorPoly, v) -> Vec3Poly:
         mv = mat_vec(m_word(w), v)
         acc = [acc[k] + e * mv[k] for k in range(3)]
     return Vec3Poly(*acc)
+
+
+def radial_levels_fraction(n_max: int):
+    """(A_n, C_n) coefficient maps {power: Fraction}, n <= N, solved one
+    Fraction at a time; the form of hierarchy.radial_levels before it ran
+    on integer numerators over one denominator per level.  Some maps keep
+    an explicit zero (C_4 has r^2 -> 0) where the integer route has no key.
+    """
+    a_levels: list = [{}, {}]
+    c_levels: list = [{0: Fraction(1)}, {}]
+    for n in range(2, n_max + 1):
+        # g = -r^2 A_{n-2} - 2 r^2 C_{n-1}'
+        g = {m + 2: -c for m, c in a_levels[n - 2].items()}
+        for m, c in c_levels[n - 1].items():
+            if m:
+                g[m + 1] = g.get(m + 1, 0) - 2 * m * c
+        a_n = {m: c / (m * m - 1) for m, c in g.items()}  # m >= 2, never singular
+        if a_n:
+            a_n[1] = a_n.get(1, 0) - sum(a_n.values())
+        # h = -2 r C_{n-2} - 2 r A_{n-1}' - 2 A_{n-1}
+        h = {m + 1: -2 * c for m, c in c_levels[n - 2].items()}
+        for m, c in a_levels[n - 1].items():
+            h[m] = h.get(m, 0) - 2 * (m + 1) * c
+        c_n = {m + 1: c / ((m + 1) * (m + 1)) for m, c in h.items()}
+        if c_n:
+            c_n[0] = c_n.get(0, 0) - sum(c_n.values())
+        a_levels.append(a_n)
+        c_levels.append(c_n)
+    return a_levels[: n_max + 1], c_levels[: n_max + 1]
 
 
 def ball_bisection(width: Fraction) -> tuple:

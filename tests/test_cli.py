@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from datetime import datetime, timedelta, timezone
 from fractions import Fraction as F
 
 import pytest
@@ -43,6 +44,28 @@ def test_hierarchy_json_and_manifest(tmp_path):
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert manifest["output_sha256"] == digest
     assert manifest["parameters"]["levels"] == 4
+
+
+def test_manifest_timestamp_is_the_utc_time_of_the_run(tmp_path):
+    before = datetime.now(timezone.utc)
+    rc, out = run(tmp_path, "radius", "--levels", "4")
+    after = datetime.now(timezone.utc)
+    assert rc == 0
+    stamp = datetime.fromisoformat(read_manifest(out)["timestamp"])
+    assert stamp.utcoffset() == timedelta(0)
+    # datetime.now() rounds to the microsecond and the stamp truncates
+    assert before - timedelta(microseconds=1) <= stamp <= after
+
+
+@pytest.mark.parametrize("ns", [0, 1_700_000_000_000_000_000,
+                                1_700_000_000_123_456_789, 1_700_000_000_000_001_000])
+def test_manifest_timestamp_has_the_isoformat_layout(monkeypatch, ns):
+    # microseconds are written only when nonzero, as isoformat() does
+    monkeypatch.setattr(cli.time, "time_ns", lambda: ns)
+    seconds, rest = divmod(ns, 10 ** 9)
+    expected = datetime.fromtimestamp(seconds, timezone.utc).replace(
+        microsecond=rest // 1000).isoformat()
+    assert cli._utc_timestamp() == expected
 
 
 def test_hierarchy_developed_mode(tmp_path):
@@ -441,6 +464,12 @@ def test_subcommands_execute_only_their_layers(tmp_path, argv, layers, status):
     # inside the Monte Carlo engine
     assert ("mpmath" in executed) == ("balls" in layers)
     assert ("numpy" in executed) == ("montecarlo" in layers)
+    # only the layers with dataclass records load dataclasses (and with it
+    # inspect); the manifest timestamp needs no datetime, which numpy loads
+    records = bool(layers & {"bessel", "polefinder", "montecarlo"})
+    assert ("dataclasses" in executed) == records
+    assert ("inspect" in executed) == records
+    assert ("datetime" in executed) == ("montecarlo" in layers)
 
 
 def test_bessel_at_a_tiny_point_prints_its_radius_quickly(tmp_path):
@@ -626,12 +655,26 @@ def test_mc_reports_deviation_from_exact_levels(tmp_path, capsys):
 
 def test_mc_zero_standard_error_has_no_deviation(tmp_path, capsys):
     # a step of 32 stops every path at its first step: the exit time's
-    # standard error is 0, so no deviation is measured in units of it
-    rc, _ = run(tmp_path, "mc", "--h", "32", "--paths", "10", "--level", "1")
+    # standard error is 0, so no deviation is measured in units of it, and
+    # one warning says the run followed no path inside the disk; the
+    # output bytes and the exit status stay those of any run
+    rc, out = run(tmp_path, "mc", "--h", "32", "--paths", "10", "--level", "1")
     assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "bd28ede9d057074e70aeea89c722b1f5395dfd9dd419e53c631dadeb64cbef23")
     assert capsys.readouterr().err == (
         "mc exit_time: estimate +32.000000 stderr 0.000000 exact +0.500000 "
-        "deviation n/a (zero standard error)\n")
+        "deviation n/a (zero standard error)\n"
+        "warning: all 10 paths stopped at their first step; --h 32.0 is too "
+        "coarse to follow a path inside the disk\n")
+
+
+def test_mc_warns_only_when_no_path_takes_a_second_step(tmp_path, capsys):
+    # from the centre at h = 1 most paths exit at step one, but not all
+    # 1000 of them (mean exit time 1.217)
+    rc, out = run(tmp_path, "mc", "--h", "1", "--paths", "1000", "--level", "1")
+    assert rc == 0
+    assert "warning" not in capsys.readouterr().err
 
 
 def test_mc_exhausted_block_budget_is_a_clean_error(tmp_path, monkeypatch,

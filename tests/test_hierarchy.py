@@ -1,5 +1,6 @@
 """PDE hierarchy: Poisson solver, exact levels, radial reduction, ratios."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -14,7 +15,7 @@ from disksig.hierarchy import (HierarchyState, a_coefficients, developed_rhs,
                                radial_levels_ball, radius_estimate,
                                solve_poisson_zero_bd, developed_checks,
                                tensor_checks)
-from reference import M1, M2, mat_mul, mat_vec
+from reference import M1, M2, mat_mul, mat_vec, radial_levels_fraction
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=16)
 
@@ -148,11 +149,28 @@ def test_developed_values_rejects_broken_parity(monkeypatch):
         list(developed_values(4, F(1, 2), F(1, 3)))
 
 
+def test_integer_radial_route_matches_the_fraction_recursion():
+    # value for value through level 200; the Fraction recursion keeps some
+    # explicit zeros, which the integer route leaves out
+    ref_a, ref_c = radial_levels_fraction(200)
+    new_a, new_c = radial_levels(200)
+    for ref_list, new_list in ((ref_a, new_a), (ref_c, new_c)):
+        assert len(new_list) == 201
+        for ref, new in zip(ref_list, new_list):
+            assert dict(new.items()) == {m: q for m, q in ref.items() if q}
+            assert all(new.nums.values())
+    # A_n and C_n share one positive denominator, reduced once per level
+    for a_n, c_n in zip(new_a, new_c):
+        assert a_n.den == c_n.den > 0
+        assert math.gcd(a_n.den, *a_n.nums.values(), *c_n.nums.values()) == 1
+    assert a_coefficients(200) == [c.get(0, F(0)) for c in ref_c]
+
+
 def test_radial_ball_route_contains_exact():
-    exact_a, exact_c = radial_levels(8)
-    ball_a, ball_c = radial_levels_ball(8, 128)
+    exact_a, exact_c = radial_levels(200)
+    ball_a, ball_c = radial_levels_ball(200, 128)
     for exact_list, ball_list in ((exact_a, ball_a), (exact_c, ball_c)):
-        for n in range(9):
+        for n in range(201):
             assert exact_list[n].keys() == ball_list[n].keys()
             for m, q in exact_list[n].items():
                 b = ball_list[n][m]

@@ -11,8 +11,8 @@ times a power series in mu = lambda^2 with rational coefficients:
 where N_C = Im(conj(alpha) J1(lambda conj(zeta))) is the numerator of C
 at r = 0.  So C(lambda, 0) = G(mu)/E(mu) needs no ball and no sqrt 7;
 E(mu) A(mu) = G(mu) with A(mu) = sum_m a_(2m) mu^m, the hierarchy's
-scalars.  Both series' coefficients are stored as integer numerators
-over one common denominator L.
+scalars.  Both series' coefficients are integer numerators over one
+common denominator L, from integer recurrences (_series_coefficients).
 
 This module uses integers and Fractions only.  It holds
 
@@ -64,57 +64,62 @@ class InconclusiveSign(SignChangeError):
     may resolve it), or a series reached its term cap."""
 
 
-def _scales(n: int) -> tuple:
-    """(L, [L / (8 4^m m! (m+1)!) for m < n]) with L = 8 4^(n-1) (n-1)! n!,
-    which every 8 4^m m! (m+1)! with m < n divides."""
+def _coefficients(n: int, first: int, step) -> tuple:
+    """(N_0 .. N_(n-1), L) from the seeds N_0 = -L/8, N_1 = first L/64 and
+    N_(m+2) = step(m, N_m, N_(m+1)), over L = 8 4^(n-1) (n-1)! n!."""
     denominator = 8 * 4 ** (n - 1) * factorial(n - 1) * factorial(n)
-    scales, scale = [], denominator // 8
-    for m in range(n):
-        scales.append(scale)
-        scale //= 4 * (m + 1) * (m + 2)
-    return denominator, scales
+    numerators = [-denominator // 8, first * denominator // 64][:n]
+    for m in range(n - 2):
+        numerators.append(step(m, numerators[m], numerators[m + 1]))
+    return tuple(numerators), denominator
 
 
 @lru_cache(maxsize=None)
 def _series_coefficients(n: int) -> tuple:
     """(integer numerators of D_0 .. D_{n-1}, their common denominator L).
 
-    J0(l zeta) = sum_j (-1)^j w^j l^(2j) / (4^j j!^2),
-    J1(l conj(zeta)) = (l conj(zeta)/2)
-                       sum_k (-1)^k conj(w)^k l^(2k) / (4^k k! (k+1)!),
-    and conj(alpha) conj(zeta) = conj(w) (conj(w)/2 + 1) = (conj(w) - 2)/2.
-    The Cauchy product of the two series collects, at mu^m = l^(2m),
-        P_m = sum_k C(m, k) C(m+1, k) w^k conj(w)^(m-k) = a_m + b_m w
-    (a_m, b_m integers) over 4^m m! (m+1)!; and Im((conj(w) - 2)/2
-    (a + b w)) = -sqrt(7) (a + 2 b)/4.  So d(l) = sqrt(7) l E(l^2) with
-        D_m = (-1)^m (-a_m - 2 b_m) / (8 4^m m! (m+1)!).
-    Since w conj(w) = 2, w^k conj(w)^(m-k) is 2^(m-k) w^(2k-m) or
-    2^k conj(w)^(m-2k), so only the values of -a - 2b at powers of w
-    and conj(w) are needed.
+    The Cauchy product of the ascending series of J0(l zeta) and of
+    J1(l conj(zeta)) / (l conj(zeta)/2) has at mu^m = l^(2m) the
+    coefficient (-1)^m P_m / (4^m m! (m+1)!), where
+        P_m = sum_k C(m, k) C(m+1, k) w^k conj(w)^(m-k) = a_m + b_m w.
+    With conj(alpha) conj(zeta) = (conj(w) - 2)/2 and Im((conj(w) - 2)/2
+    (a + b w)) = -sqrt(7) (a + 2 b)/4, d(l) = sqrt(7) l E(l^2) with
+        D_m = (-1)^m u_m / (8 4^m m! (m+1)!),
+        u_m = -a_m - 2 b_m = Tr(theta P_m),  theta = (5w - 1)/7,
+    Tr(z) = z + conj(z).  From u_0 = u_1 = -1 the u_m obey
+      (R)  (m+2)(2m-3) u_(m+1) = -2(2m^2+3) u_m + 7m(2m-1) u_(m-1),
+    which over L is the step below: each division is exact, as its
+    quotient is the integer L D_(m+2).  Proof of (R), each identity of
+    which tests/test_exactseries.py checks exactly:
+    (1) For x, y != 0, P_m(x, y) = sum_k C(m, k) C(m+1, k) x^k y^(m-k)
+    obeys Jacobi's recurrence (DLMF 18.9.1)
+        (m+2)(2m+1) P_(m+1) = ((2m+1)(2m+3)(x+y) + x - y) P_m
+                              - m(2m+3)(y-x)^2 P_(m-1):
+    with Zeilberger's certificate g(m, k) = Q C(m, k-1) C(m+1, k-1) x^k
+    y^(m-k) / (m+1), Q = (2m+3)(m+1-k)(m+2-k) x - ((2m+3)(k-2m-2)^2 +
+    2m^2+4m+1) y, the k-th term of the difference of the two sides is
+    g(m, k+1) - g(m, k) for 0 <= k <= m+1 (over C(m+1, k) C(m+2, k) x^k
+    y^(m+1-k), a polynomial identity), so they sum to g(m, m+2) - g(m, 0)
+    = 0.
+    (2) At x = w, y = conj(w): x + y = -1, x - y = delta = 2w + 1, delta^2
+    = -7.  Tr(theta .) and Tr(delta theta .) of (1) give, with v_m =
+    Tr(delta theta P_m) = -Tr((w + 3) P_m), c_m = (m+2)(2m+1), A_m =
+    -(2m+1)(2m+3) and B_m = 7m(2m+3),
+        c_m u_(m+1) = A_m u_m + B_m u_(m-1) + v_m,
+        c_m v_(m+1) = A_m v_m + B_m v_(m-1) - 7 u_m.
+    (3) (2m-3) v_m = 56m u_(m-1) - 15(2m+1) u_m holds at m = 0 and 1
+    (v_0 = -5, v_1 = 11), and at m+1 >= 2 once it holds at m-1 and m: by
+    (2) at m-1 and m, it is then an identity of rational functions of m
+    times u_(m-1) and u_(m-2).  Put into the first line of (2), it is (R).
 
     Bound: |a + 2b| = (4/sqrt 7) |Im((conj(w) - 2)/2 P_m)|, |conj(w) - 2|
     = 2 sqrt 2, |w| = sqrt 2 and sum_k C(m, k) C(m+1, k) = C(2m+1, m) <=
     4^m give |D_m| <= (sqrt 2)^m / (sqrt 14 m! (m+1)!) <= (3/2)^m /
     (m! (m+1)!), the bound enclose's tail rests on.
     """
-    f_w, f_wbar = [], []  # -a - 2b at w^j and at conj(w)^j
-    a, b, abar, bbar = 1, 0, 1, 0
-    for _ in range(n):
-        f_w.append(-a - 2 * b)
-        f_wbar.append(-abar - 2 * bbar)
-        a, b = -2 * b, a - b  # times w
-        abar, bbar = 2 * bbar - abar, -abar  # times conj(w) = -1 - w
-    denominator, scales = _scales(n)
-    numerators = []
-    for m in range(n):
-        binom, minus_a_2b = 1, 0  # binom = C(m, k) C(m+1, k)
-        for k in range(m + 1):
-            j = 2 * k - m
-            minus_a_2b += binom * (f_w[j] << (m - k) if j >= 0
-                                   else f_wbar[-j] << k)
-            binom = binom * (m - k) * (m + 1 - k) // ((k + 1) * (k + 1))
-        numerators.append((-minus_a_2b if m % 2 else minus_a_2b) * scales[m])
-    return tuple(numerators), denominator
+    return _coefficients(n, 1, lambda m, a, b: (
+        8 * (m + 2) * (2 * m * m + 4 * m + 5) * b + 7 * (2 * m + 1) * a)
+        // (16 * (m + 2) ** 2 * (m + 3) ** 2 * (2 * m - 1)))
 
 
 def _numerator_coefficients(n: int) -> tuple:
@@ -123,17 +128,14 @@ def _numerator_coefficients(n: int) -> tuple:
     At r = 0, J0(0) = 1 and N_C = Im(conj(alpha) J1(l conj(zeta))) =
     (l/4) sum_k (-1)^k Im((conj(w) - 2) conj(w)^k) mu^k / (4^k k! (k+1)!);
     with (conj(w) - 2) conj(w)^k = x_k + y_k w, Im = y_k sqrt(7)/2, so
-        G_k = (-1)^k y_k / (8 4^k k! (k+1)!).
-    |y_k| = (2/sqrt 7) |Im(...)| <= (4 sqrt 2/sqrt 7) (sqrt 2)^k, so
-    |G_k| <= (3/2)^k / (k! (k+1)!), the bound E's coefficients meet.
+    G_k = (-1)^k y_k / (8 4^k k! (k+1)!), and conj(w)^2 = -conj(w) - 2
+    gives y_(k+2) = -y_(k+1) - 2 y_k from y_0 = -1, y_1 = 3: over L, the
+    step below.  |y_k| = (2/sqrt 7) |Im(...)| <= (4 sqrt 2/sqrt 7)
+    (sqrt 2)^k, so |G_k| <= (3/2)^k / (k! (k+1)!), as E's coefficients.
     """
-    denominator, scales = _scales(n)
-    numerators = []
-    x, y = -3, -1  # conj(w) - 2 = -3 - w
-    for k in range(n):
-        numerators.append((-y if k % 2 else y) * scales[k])
-        x, y = 2 * y - x, -x  # times conj(w)
-    return tuple(numerators), denominator
+    return _coefficients(n, -3, lambda k, a, b: (
+        4 * (k + 1) * (k + 2) * b - 2 * a)
+        // (16 * (k + 1) * (k + 2) ** 2 * (k + 3)))
 
 
 def _series_sign(mu: Fraction) -> tuple:
@@ -317,10 +319,8 @@ def _fraction_to_dec_up(q: Fraction, sig: int = 3) -> str:
     num, den = q.numerator, q.denominator
     e = _decade(num, den)
     shift = sig - 1 - e  # n = ceil(q * 10^shift)
-    if shift >= 0:
-        n = -(-num * 10 ** shift // den)
-    else:
-        n = -(-num // (den * 10 ** -shift))
+    num, den = num * 10 ** max(shift, 0), den * 10 ** max(-shift, 0)
+    n = -(-num // den)
     if n >= 10 ** sig:  # carry out of the leading digit
         n //= 10
         e += 1
@@ -336,10 +336,8 @@ def _fraction_to_dec(q: Fraction, dps: int) -> str:
     num, den = abs(q.numerator), q.denominator
     e = _decade(num, den)
     shift = dps - 1 - e  # n = round(|q| * 10^shift)
-    if shift >= 0:
-        n = (2 * num * 10 ** shift + den) // (2 * den)
-    else:
-        n = (2 * num + den * 10 ** -shift) // (2 * den * 10 ** -shift)
+    num, den = num * 10 ** max(shift, 0), den * 10 ** max(-shift, 0)
+    n = (2 * num + den) // (2 * den)
     if n >= 10 ** dps:  # carry out of the leading digit
         n //= 10
         e += 1

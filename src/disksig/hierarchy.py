@@ -23,8 +23,9 @@ entries per level) and the bivariate developed hierarchy (three
 polynomials per level) are kept as independent oracles at bounded
 depth; each level records, when it is solved, whether every
 component's Laplacian equals its right-hand side exactly, and the
-checks read that verdict next to a zero boundary trace.  Everything here is exact; radial_levels_ball only encloses the
-exact radial levels in balls.
+checks read that verdict next to a zero boundary trace.  Everything
+here is exact; radial_levels_ball only encloses the exact radial levels
+in balls.
 
 The elementary Dirichlet solver: a particular polynomial solution of
 lap u = f found monomial by monomial (the undetermined-coefficient

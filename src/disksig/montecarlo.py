@@ -57,10 +57,10 @@ Parallel slices: paths run in cohorts of COHORT, and each cohort is cut
 into one contiguous slice of paths per CPU in the process's affinity
 mask (at least _MIN_SLICE paths each).  The first slice runs in this
 process and every other in a forked worker, which pickles back, per
-path in path order, its exit block, exit time and signature at exit.
-The fold concatenates the slices and updates the accumulator once per
-exit block, in block order, with rows in path order: exactly the
-batches one serial pass makes.  Every array operation on a row is
+path in path order, its exit block, exit step count and signature at
+exit.  The fold concatenates the slices and updates the accumulator
+once per exit block, in block order, with rows in path order: exactly
+the batches one serial pass makes.  Every array operation on a row is
 independent of the other rows in its batch (ufuncs, sums and cumsums
 along the step axis, one matmul per row), so means, standard errors
 and exit times are bit-identical for any slice count and any tile
@@ -78,6 +78,7 @@ import signal
 import sys
 import threading
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cache
 
 from . import DEFAULT_SEED
@@ -277,11 +278,14 @@ def _chen_combine(s_levels: list, t_levels: list) -> list:
 
 
 class SigAccumulator:
-    """Welford-style running moments of signature levels and exit time.
+    """Welford-style running moments of signature levels, and exact sums
+    of exit step counts.
 
     Numerically stable component-wise mean and sum of squared deviations
     per level, updated in batches and merged associatively; level 0 of a
-    signature is identically 1 and is reported, not accumulated.
+    signature is identically 1 and is reported, not accumulated.  An exit
+    time is a whole number of steps, so the step counts' sum and sum of
+    squares are integers, turned into times only by exit_time.
     """
 
     def __init__(self, level: int):
@@ -289,8 +293,8 @@ class SigAccumulator:
         self.count = 0
         self.mean = [np.zeros(2 ** n) for n in range(1, level + 1)]
         self.m2 = [np.zeros(2 ** n) for n in range(1, level + 1)]
-        self.tau_mean = 0.0
-        self.tau_m2 = 0.0
+        self.steps = 0  # sum of the exit step counts
+        self.steps_sq = 0  # sum of their squares
 
     @staticmethod
     def _combine(count_a, mean_a, m2_a, count_b, mean_b, m2_b):
@@ -300,9 +304,9 @@ class SigAccumulator:
         m2 = m2_a + m2_b + delta * delta * (count_a * count_b / total)
         return mean, m2
 
-    def update(self, sig_levels: list, taus) -> None:
-        taus = np.asarray(taus, dtype=np.float64)
-        b = taus.size
+    def update(self, sig_levels: list, steps) -> None:
+        steps = np.asarray(steps, dtype=np.int64).tolist()  # Python ints
+        b = len(steps)
         if b == 0:
             return
         for n in range(self.level):
@@ -311,10 +315,8 @@ class SigAccumulator:
             bm2 = ((batch - bm) ** 2).sum(axis=0)
             self.mean[n], self.m2[n] = self._combine(
                 self.count, self.mean[n], self.m2[n], b, bm, bm2)
-        tm = float(taus.mean())
-        tm2 = float(((taus - tm) ** 2).sum())
-        self.tau_mean, self.tau_m2 = self._combine(
-            self.count, self.tau_mean, self.tau_m2, b, tm, tm2)
+        self.steps += sum(steps)
+        self.steps_sq += sum(s * s for s in steps)
         self.count += b
 
     def merge(self, other: "SigAccumulator") -> "SigAccumulator":
@@ -330,9 +332,8 @@ class SigAccumulator:
             out.mean[n], out.m2[n] = self._combine(
                 self.count, self.mean[n], self.m2[n],
                 other.count, other.mean[n], other.m2[n])
-        out.tau_mean, out.tau_m2 = self._combine(
-            self.count, self.tau_mean, self.tau_m2,
-            other.count, other.tau_mean, other.tau_m2)
+        out.steps = self.steps + other.steps
+        out.steps_sq = self.steps_sq + other.steps_sq
         return out
 
     def stderr(self, n: int):
@@ -340,10 +341,20 @@ class SigAccumulator:
             return np.full(2 ** n, np.inf)
         return np.sqrt(self.m2[n - 1] / (self.count * (self.count - 1)))
 
-    def tau_stderr(self) -> float:
-        if self.count < 2:
-            return math.inf
-        return math.sqrt(self.tau_m2 / (self.count * (self.count - 1)))
+    def exit_time(self, h: float) -> tuple:
+        """(mean, standard error) of the exit time, h times the step count.
+
+        The mean is the exact mean rounded once to a float, the standard
+        error the square root of the exact variance of the mean, so equal
+        exit times give h times their step count and 0.0.
+        """
+        n, total = self.count, self.steps
+        mean = float(Fraction(total, n) * Fraction(h))
+        if n < 2:
+            return mean, math.inf
+        variance = Fraction(n * self.steps_sq - total * total,
+                            n * n * (n - 1)) * Fraction(h) ** 2
+        return mean, math.sqrt(variance)
 
 
 @dataclass(frozen=True)
@@ -396,9 +407,9 @@ def _run_slice(config: SimConfig, index_lo: int, index_hi: int,
                parent_pid=None) -> tuple:
     """Simulate paths index_lo .. index_hi - 1, holding only live paths.
 
-    Returns (exit block, exit time, signature levels at exit), each per
-    path in path order.  Every live path has run the same number of
-    blocks, so the block index gives each exit time; exited paths leave
+    Returns (exit block, exit step count, signature levels at exit), each
+    per path in path order.  Every live path has run the same number of
+    blocks, so the block index gives each step count; exited paths leave
     the live rows after each block.  Each block runs over the live rows in
     tiles of _tile_rows(level), in row order, so the per-step tensors
     of only one tile exist at a time.  A forked worker passes its
@@ -413,7 +424,7 @@ def _run_slice(config: SimConfig, index_lo: int, index_hi: int,
     sig = [np.zeros((p_count, 2 ** n)) for n in range(1, config.level + 1)]
     rows = np.arange(p_count)  # slice position of each live path
     exit_block = np.empty(p_count, dtype=np.int64)
-    taus = np.empty(p_count)
+    steps = np.empty(p_count, dtype=np.int64)
     normals = np.empty((min(tile, p_count), BLOCK, 2))
     uniforms = np.empty((min(tile, p_count), BLOCK))
     block = 0
@@ -440,13 +451,13 @@ def _run_slice(config: SimConfig, index_lo: int, index_hi: int,
         if exited.any():
             done = rows[exited]
             exit_block[done] = block
-            taus[done] = (block * BLOCK + exit_step[exited] + 1) * config.h
+            steps[done] = block * BLOCK + exit_step[exited] + 1
             live = ~exited
             gens = [gen for gen, keep in zip(gens, live) if keep]
             rows = rows[live]
             pos = pos[live]
         block += 1
-    return exit_block, taus, sig
+    return exit_block, steps, sig
 
 
 def _fork_slice(config: SimConfig, index_lo: int, index_hi: int,
@@ -484,13 +495,13 @@ def _fold(level: int, slices: list) -> SigAccumulator:
     """Accumulate the slices, in path order, in the batches of one serial
     pass: one update per exit block, in block order, rows in path order."""
     exit_block = np.concatenate([s[0] for s in slices])
-    taus = np.concatenate([s[1] for s in slices])
+    steps = np.concatenate([s[1] for s in slices])
     at_exit = [np.concatenate(levels) for levels in zip(*(s[2] for s in slices))]
     order = np.argsort(exit_block, kind="stable")
     _, starts = np.unique(exit_block[order], return_index=True)
     acc = SigAccumulator(level)
     for batch in np.split(order, starts[1:]):
-        acc.update([s[batch] for s in at_exit], taus[batch])
+        acc.update([s[batch] for s in at_exit], steps[batch])
     return acc
 
 
@@ -544,7 +555,7 @@ def estimate_expected_sig(config: SimConfig) -> EstimateResult:
                             for n in range(1, config.level + 1)]
     stderrs = [np.zeros(1)] + [acc.stderr(n)
                                for n in range(1, config.level + 1)]
+    exit_mean, exit_stderr = acc.exit_time(config.h)
     return EstimateResult(config=config, count=acc.count, means=means,
-                          stderrs=stderrs, exit_time_mean=acc.tau_mean,
-                          exit_time_stderr=acc.tau_stderr(),
-                          workers=workers[0])
+                          stderrs=stderrs, exit_time_mean=exit_mean,
+                          exit_time_stderr=exit_stderr, workers=workers[0])

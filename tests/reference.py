@@ -19,6 +19,9 @@ computation the package does another way:
   time, against the integer numerators of hierarchy.radial_levels;
 - ball_bisection brackets the pole on ball signs of d at every midpoint,
   against the exact signs of polefinder.locate_pole;
+- series_coefficients_binomial builds E's numerators from the binomial
+  sum over Z[w] powers, against the integer recurrence of
+  exactseries._series_coefficients;
 - closed_form_center evaluates C(lambda, 0) from mpmath's own Bessel
   functions at 200 digits, against the rational series G/E of
   exactseries.enclose_center.
@@ -27,6 +30,7 @@ computation the package does another way:
 import math
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 import mpmath
 import numpy as np
@@ -229,6 +233,40 @@ def ball_bisection(width: Fraction) -> tuple:
         else:
             hi = mid
     return lo, hi
+
+
+def series_coefficients_binomial(n: int) -> tuple:
+    """(integer numerators of D_0 .. D_{n-1}, L = 8 4^(n-1) (n-1)! n!)
+    from D_m = (-1)^m (-a_m - 2 b_m) / (8 4^m m! (m+1)!), where
+    a_m + b_m w = sum_k C(m, k) C(m+1, k) w^k conj(w)^(m-k).
+
+    Since w conj(w) = 2, w^k conj(w)^(m-k) is 2^(m-k) w^(2k-m) or
+    2^k conj(w)^(m-2k), so only the values of -a - 2b at powers of w
+    and conj(w) are needed.
+    """
+    f_w, f_wbar = [], []  # -a - 2b at w^j and at conj(w)^j
+    a, b, abar, bbar = 1, 0, 1, 0
+    for _ in range(n):
+        f_w.append(-a - 2 * b)
+        f_wbar.append(-abar - 2 * bbar)
+        a, b = -2 * b, a - b  # times w
+        abar, bbar = 2 * bbar - abar, -abar  # times conj(w) = -1 - w
+    # L / (8 4^m m! (m+1)!) for m < n
+    denominator = 8 * 4 ** (n - 1) * factorial(n - 1) * factorial(n)
+    scales, scale = [], denominator // 8
+    for m in range(n):
+        scales.append(scale)
+        scale //= 4 * (m + 1) * (m + 2)
+    numerators = []
+    for m in range(n):
+        binom, minus_a_2b = 1, 0  # binom = C(m, k) C(m+1, k)
+        for k in range(m + 1):
+            j = 2 * k - m
+            minus_a_2b += binom * (f_w[j] << (m - k) if j >= 0
+                                   else f_wbar[-j] << k)
+            binom = binom * (m - k) * (m + 1 - k) // ((k + 1) * (k + 1))
+        numerators.append((-minus_a_2b if m % 2 else minus_a_2b) * scales[m])
+    return tuple(numerators), denominator
 
 
 def closed_form_center(lam: Fraction, digits: int = 200) -> Fraction:

@@ -223,6 +223,40 @@ def test_bessel_pairing_bytes_are_pinned(tmp_path, lam, precision, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# sha256 of `disksig compare --lambda LAMBDA --levels 8 --precision P`
+# output, taken while E's coefficients came from the binomial sum over
+# Z[w] powers; 2957311/1048576 = 361/128 - 2^-20, just below the pole
+PINNED_COMPARES = [
+    ("1/3", 53,
+     "f05a34a9611e3e9a66288bfe871eed7ac7a8fd693cae347efebf45530ecb9cf2"),
+    ("1/3", 128,
+     "0f12ece15e43a5db6a97a0391859877b811f147bb533ed99e98bc10304286dee"),
+    ("1/3", 8192,
+     "230665420633e1b0205eeb8eb8ed1b494910ac71aa5ae1c07a3bf3f812d2a1d6"),
+    ("2", 53,
+     "7ab3a1099f16c2152e33fe0a366dbf7054e5e832dc6261c16dbe9aadd3f7dfda"),
+    ("2", 128,
+     "d08ce4f30ee7386ff8f12034a22e61f9cfbedee4bbd05b5610840b1ce68e6474"),
+    ("2", 8192,
+     "ffc458b36857365ecf7460d3c458bc9537e76987e32e845002325aad0087ec60"),
+    ("2957311/1048576", 53,
+     "76b27faf6bf1596c19f7354bb86f09c0404f72a16f71b023fd4b47654bee89c6"),
+    ("2957311/1048576", 128,
+     "585e9ae9e551c81e30db00745518b1f3d32da72f1b4a36eef729fe01fdb9680f"),
+    ("2957311/1048576", 8192,
+     "cd7f635e575c5b949093f28266764320e13b005a9f349facb401634b0fbb1bc8"),
+]
+
+
+@pytest.mark.parametrize("lam, precision, digest", PINNED_COMPARES, ids=[
+    f"{lam}@{precision}" for lam, precision, _ in PINNED_COMPARES])
+def test_compare_bytes_are_pinned(tmp_path, lam, precision, digest):
+    rc, out = run(tmp_path, "compare", "--lambda", lam, "--levels", "8",
+                  "--precision", str(precision))
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_bessel_pairing_evaluates_each_series_once(tmp_path, monkeypatch):
     # J0 and J1 at lambda zeta and at lambda conj(zeta): four series, none
     # of them evaluated twice
@@ -667,6 +701,19 @@ def test_mc_zero_standard_error_has_no_deviation(tmp_path, capsys):
         "deviation n/a (zero standard error)\n"
         "warning: all 10 paths stopped at their first step; --h 32.0 is too "
         "coarse to follow a path inside the disk\n")
+
+
+def test_mc_equal_exit_times_at_a_non_dyadic_step(tmp_path, capsys):
+    # near the circle every path stops at its first step of 0.1; the mean
+    # of three equal exit times is 0.1, not 0.10000000000000002 with a
+    # rounding residue for a standard error
+    rc, out = run(tmp_path, "mc", "--h", "0.1", "--x", "0.99", "--paths", "3",
+                  "--level", "1")
+    assert rc == 0
+    assert "\nexit_time,0.1,0.0\n" in out.read_text()
+    err = capsys.readouterr().err
+    assert "deviation n/a (zero standard error)" in err
+    assert " SE" not in err
 
 
 def test_mc_warns_only_when_no_path_takes_a_second_step(tmp_path, capsys):

@@ -2,7 +2,8 @@
 with the hierarchy, the enclosure helper, and its decimal printing."""
 
 from fractions import Fraction as F
-from math import factorial
+from itertools import product
+from math import comb, factorial
 
 import pytest
 
@@ -13,7 +14,7 @@ from disksig.exactseries import (decimal_parts, enclose, enclose_center,
                                  _fraction_to_dec, _numerator_coefficients,
                                  _series_coefficients)
 from disksig.hierarchy import a_coefficients
-from reference import closed_form_center
+from reference import closed_form_center, series_coefficients_binomial
 
 
 def test_closed_form_and_hierarchy_agree_exactly_to_level_200():
@@ -27,14 +28,172 @@ def test_closed_form_and_hierarchy_agree_exactly_to_level_200():
         assert sum(d_num[j] * a_vals[2 * (m - j)] for j in range(m + 1)) == F(g_num[m])
 
 
-def test_numerator_coefficients():
-    numerators, den = _numerator_coefficients(4)
-    assert [F(c, den) for c in numerators] == [F(-1, 8), F(-3, 64), F(-1, 1536),
-                                               F(5, 73728)]
-    # the bound the tail of G rests on: |G_k| k! (k+1)! <= (3/2)^k
-    numerators, den = _numerator_coefficients(201)
-    for k, c in enumerate(numerators):
-        assert abs(F(c, den)) * factorial(k) * factorial(k + 1) <= F(3, 2) ** k
+@pytest.mark.parametrize("coefficients, first", [
+    (_series_coefficients, [F(-1, 8), F(1, 64), F(-1, 1536), F(5, 73728)]),
+    (_numerator_coefficients, [F(-1, 8), F(-3, 64), F(-1, 1536), F(5, 73728)]),
+], ids=["E", "G"])
+def test_series_coefficients(coefficients, first):
+    numerators, den = coefficients(4)
+    assert [F(c, den) for c in numerators] == first
+    # the bound the tails of E and G rest on: |c_m| m! (m+1)! <= (3/2)^m
+    numerators, den = coefficients(201)
+    for m, c in enumerate(numerators):
+        assert abs(F(c, den)) * factorial(m) * factorial(m + 1) <= F(3, 2) ** m
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 101])
+def test_recurrence_reproduces_the_binomial_sum(n):
+    # n <= 2 keeps only seeds, n = 3 takes one step
+    assert _series_coefficients(n) == series_coefficients_binomial(n)
+
+
+def test_recurrence_equals_the_binomial_sum_through_2048_terms():
+    # D_m = c / den = r / ref_den, compared by cross-multiplication
+    (numerators, den), (ref, ref_den) = (_series_coefficients(2048),
+                                         series_coefficients_binomial(2048))
+    assert len(numerators) == len(ref) == 2048
+    assert all(c * ref_den == r * den for c, r in zip(numerators, ref))
+
+
+# -- the proof of the recurrence (R) in _series_coefficients ---------------
+# Elements of Q(w) are pairs (a, b) = a + b w, with w^2 = -w - 2.
+
+W, WBAR = (0, 1), (-1, -1)  # conj(w) = -1 - w
+THETA, DELTA = (F(-1, 7), F(5, 7)), (1, 2)  # (5w - 1)/7 and 2w + 1
+
+
+def _mul(p, q):
+    (a, b), (c, d) = p, q
+    return a * c - 2 * b * d, a * d + b * c - b * d
+
+
+def _trace(p):
+    """p + conj(p) for p = a + b w: 2a - b."""
+    return 2 * p[0] - p[1]
+
+
+def _p(m: int) -> tuple:
+    """P_m = sum_k C(m, k) C(m+1, k) w^k conj(w)^(m-k) in Z[w]."""
+    total = (0, 0)
+    for k in range(m + 1):
+        term = (comb(m, k) * comb(m + 1, k), 0)
+        for factor in [W] * k + [WBAR] * (m - k):
+            term = _mul(term, factor)
+        total = (total[0] + term[0], total[1] + term[1])
+    return total
+
+
+def test_proof_constants_of_q_w():
+    for a, b in ((1, 0), (0, 1)):  # linear in a + b w, so a basis suffices
+        assert _trace(_mul(THETA, (a, b))) == -a - 2 * b  # u = Tr(theta P)
+    assert _mul(DELTA, THETA) == (-3, -1)  # v = Tr(delta theta P)
+    assert (W[0] + WBAR[0], W[1] + WBAR[1]) == (-1, 0)  # x + y
+    assert (W[0] - WBAR[0], W[1] - WBAR[1]) == DELTA  # x - y
+    assert _mul(DELTA, DELTA) == (-7, 0)  # (y - x)^2
+    # G: conj(w)^2 = -conj(w) - 2, and (conj(w) - 2) conj(w)^k has
+    # w-coordinate y_0 = -1, y_1 = 3
+    assert _mul(WBAR, WBAR) == (-WBAR[0] - 2, -WBAR[1])
+    wbar_minus_2 = (-3, -1)
+    assert [wbar_minus_2[1], _mul(wbar_minus_2, WBAR)[1]] == [-1, 3]
+
+
+def _q(m, k, x, y):
+    return ((2 * m + 3) * (m + 1 - k) * (m + 2 - k) * x
+            - ((2 * m + 3) * (k - 2 * m - 2) ** 2 + 2 * m * m + 4 * m + 1) * y)
+
+
+def test_zeilberger_certificate_is_a_polynomial_identity():
+    # (1) over C(m+1, k) C(m+2, k) x^k y^(m+1-k), times (m+1)^2 (m+2) y^2.
+    # Each side has degree at most 5 in m, 4 in k and 2 in x and in y, so
+    # agreeing on this grid makes them the same polynomial.
+    for m, k, x, y in product(range(6), range(5), range(3), range(3)):
+        lhs = ((m + 1) ** 2 * (m + 2) ** 2 * (2 * m + 1) * y * y
+               - (m + 1) * (m + 1 - k) * (m + 2 - k) * y
+               * ((2 * m + 1) * (2 * m + 3) * (x + y) + x - y)
+               + (2 * m + 3) * (m - k) * (m + 1 - k) ** 2 * (m + 2 - k)
+               * (y - x) ** 2)
+        rhs = ((m + 1 - k) * (m + 2 - k) * x * _q(m, k + 1, x, y)
+               - k * k * y * _q(m, k, x, y))
+        assert lhs == rhs
+
+
+def test_zeilberger_certificate_telescopes_the_summands():
+    # the summand form of (1): every k-th term, and the two ends of g
+    x, y = F(2, 3), F(-5, 7)
+
+    def binom(n, k):
+        return comb(n, k) if n >= 0 and k >= 0 else 0
+
+    def f(m, k):
+        return binom(m, k) * binom(m + 1, k) * x ** k * y ** (m - k)
+
+    def g(m, k):
+        return (_q(m, k, x, y) * binom(m, k - 1) * binom(m + 1, k - 1)
+                * x ** k * y ** (m - k) / (m + 1))
+
+    for m in range(12):
+        assert g(m, 0) == 0 == g(m, m + 2)
+        for k in range(m + 2):
+            term = ((m + 2) * (2 * m + 1) * f(m + 1, k)
+                    - ((2 * m + 1) * (2 * m + 3) * (x + y) + x - y) * f(m, k)
+                    + m * (2 * m + 3) * (y - x) ** 2 * f(m - 1, k))
+            assert term == g(m, k + 1) - g(m, k)
+
+
+def _c(m):
+    return (m + 2) * (2 * m + 1)
+
+
+def _a(m):
+    return -(2 * m + 1) * (2 * m + 3)
+
+
+def _b(m):
+    return 7 * m * (2 * m + 3)
+
+
+def _v_from_relation(m, u_prev, u):
+    """v_m from (2m-3) v_m = 56m u_(m-1) - 15(2m+1) u_m."""
+    return F(56 * m * u_prev - 15 * (2 * m + 1) * u, 2 * m - 3)
+
+
+def test_u_v_system_and_its_relation_hold_on_the_sums():
+    # (2) and (3) on the first values of u_m and v_m themselves
+    u = [_trace(_mul(THETA, _p(m))) for m in range(30)]
+    v = [_trace(_mul(DELTA, _mul(THETA, _p(m)))) for m in range(30)]
+    assert u[:2] == [-1, -1] and v[:2] == [-5, 11]
+    for m in range(1, 29):
+        assert _c(m) * u[m + 1] == _a(m) * u[m] + _b(m) * u[m - 1] + v[m]
+        assert _c(m) * v[m + 1] == _a(m) * v[m] + _b(m) * v[m - 1] - 7 * u[m]
+    assert v[0] == _v_from_relation(0, 0, u[0])  # u_(-1) has weight 0
+    assert all(v[m] == _v_from_relation(m, u[m - 1], u[m]) for m in range(1, 30))
+
+
+def test_relation_is_closed_under_the_u_v_system():
+    # (3): the relation at m-1 and m and (2) at m-1 and m give it at m+1,
+    # for u_(m-2) and u_(m-1) free.  Times (2m-1)(2m-5)(2m-3) c_(m-1) c_m,
+    # nonzero at every integer, the residual is a polynomial of degree at
+    # most 7 in m, so its zeros at m = 1..16 make it zero.
+    for m in range(1, 17):
+        for u_2, u_1 in ((1, 0), (0, 1)):  # u_(m-2), u_(m-1)
+            v_1 = _v_from_relation(m - 1, u_2, u_1)
+            u_0 = (_a(m - 1) * u_1 + _b(m - 1) * u_2 + v_1) / _c(m - 1)
+            v_0 = _v_from_relation(m, u_1, u_0)
+            u_next = (_a(m) * u_0 + _b(m) * u_1 + v_0) / _c(m)
+            v_next = (_a(m) * v_0 + _b(m) * v_1 - 7 * u_0) / _c(m)
+            assert v_next == _v_from_relation(m + 1, u_0, u_next)
+
+
+def test_relation_turns_the_u_v_system_into_the_recurrence():
+    # the relation put into the first line of (2) is (R): times 2m+1,
+    # both sides are linear in u_(m-1), u_m with polynomial coefficients
+    # of degree at most 4 in m, so agreeing at m = 0..15 they always agree
+    for m in range(16):
+        for u_1, u_0 in ((1, 0), (0, 1)):
+            u_next = (_a(m) * u_0 + _b(m) * u_1
+                      + _v_from_relation(m, u_1, u_0)) / _c(m)
+            assert (m + 2) * (2 * m - 3) * u_next == (
+                -2 * (2 * m * m + 3) * u_0 + 7 * m * (2 * m - 1) * u_1)
 
 
 CENTER_LAMBDAS = [F(1), F(2), *(F(k, 8) for k in range(8, 17)), F(1, 3),

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -162,11 +163,11 @@ def test_a_partial_last_tile_changes_no_path(level):
     # tile + 1 rows: the second tile of the first block holds one row
     cfg = SimConfig(paths=2, h=1e-3, level=level)
     rows = montecarlo._tile_rows(level) + 1
-    exit_block, taus, at_exit = _run_slice(cfg, 0, rows)
+    exit_block, steps, at_exit = _run_slice(cfg, 0, rows)
     for i in range(rows):
-        one_block, one_tau, one_sig = _run_slice(cfg, i, i + 1)
+        one_block, one_steps, one_sig = _run_slice(cfg, i, i + 1)
         assert exit_block[i] == one_block[0]
-        assert taus[i] == one_tau[0]
+        assert steps[i] == one_steps[0]
         for s, t in zip(at_exit, one_sig):
             assert s[i].tobytes() == t[0].tobytes()
 
@@ -307,10 +308,9 @@ def test_cohort_engine_agrees_with_scalar_reference():
     for idx in range(FAST.paths):
         inc = simulate_stopped_path(FAST, idx)
         sig = signature_of_path(inc, FAST.level)
-        ref.update([x[None] for x in sig],
-                   np.array([inc.shape[0] * FAST.h]))
+        ref.update([x[None] for x in sig], [inc.shape[0]])
     assert acc.count == ref.count == FAST.paths
-    assert acc.tau_mean == pytest.approx(ref.tau_mean, abs=1e-14)
+    assert (acc.steps, acc.steps_sq) == (ref.steps, ref.steps_sq)
     for n in range(FAST.level):
         assert np.allclose(acc.mean[n], ref.mean[n], atol=1e-11)
         assert np.allclose(acc.m2[n], ref.m2[n], atol=1e-9)
@@ -326,21 +326,22 @@ def test_cohort_raises_when_the_block_budget_runs_out(monkeypatch):
 def test_accumulator_merge_is_associative_up_to_rounding():
     rng = np.random.default_rng(3)
     chunks = [rng.standard_normal((40, 2)) * 0.1 + 0.3 for _ in range(3)]
-    taus = [np.abs(rng.standard_normal(40)) + 0.1 for _ in range(3)]
+    steps = [rng.integers(1, 10 ** 6, 40) for _ in range(3)]
     accs = []
-    for data, tau in zip(chunks, taus):
+    for data, step_counts in zip(chunks, steps):
         acc = SigAccumulator(1)
-        acc.update([data], tau)
+        acc.update([data], step_counts)
         accs.append(acc)
     left = accs[0].merge(accs[1]).merge(accs[2])
     right = accs[0].merge(accs[1].merge(accs[2]))
     direct = SigAccumulator(1)
-    direct.update([np.concatenate(chunks)], np.concatenate(taus))
+    direct.update([np.concatenate(chunks)], np.concatenate(steps))
     for other in (right, direct):
         assert left.count == other.count
         assert np.allclose(left.mean[0], other.mean[0], atol=1e-13)
         assert np.allclose(left.m2[0], other.m2[0], atol=1e-10)
-        assert left.tau_mean == pytest.approx(other.tau_mean, abs=1e-13)
+        # exit step counts are summed exactly, so merging is exact
+        assert left.exit_time(1e-3) == other.exit_time(1e-3)
 
 
 def test_merge_with_empty_accumulator():
@@ -349,6 +350,18 @@ def test_merge_with_empty_accumulator():
     merged = acc.merge(SigAccumulator(2))
     assert merged.count == 5
     assert np.allclose(merged.mean[0], 1.0)
+
+
+def test_equal_exit_times_have_an_exact_mean_and_no_spread():
+    # three exits at step 1 of h = 0.1: summed as floats, 3 * 0.1 / 3 is
+    # 0.10000000000000002 with a residue of spread
+    acc = SigAccumulator(1)
+    acc.update([np.zeros((3, 2))], [1, 1, 1])
+    assert acc.exit_time(0.1) == (0.1, 0.0)
+    # the mean is the exact one rounded once: 1e5 exits of 7 steps of 0.1
+    acc = SigAccumulator(1)
+    acc.update([np.zeros((10 ** 5, 2))], np.full(10 ** 5, 7))
+    assert acc.exit_time(0.1) == (float(F(7) * F(0.1)), 0.0)
 
 
 def test_estimator_is_deterministic():

@@ -169,16 +169,6 @@ def test_exact_signs_pick_the_ball_route_bracket(width):
     assert (cert.bracket_lo, cert.bracket_hi) == ball_bisection(width)
 
 
-def test_series_coefficients():
-    numerators, den = exactseries._series_coefficients(4)
-    assert [F(c, den) for c in numerators] == [F(-1, 8), F(1, 64), F(-1, 1536),
-                                               F(5, 73728)]
-    # the bound the tail of E rests on: |D_m| m! (m+1)! <= (3/2)^m
-    numerators, den = exactseries._series_coefficients(201)
-    for m, c in enumerate(numerators):
-        assert abs(F(c, den)) * factorial(m) * factorial(m + 1) <= F(3, 2) ** m
-
-
 @pytest.mark.parametrize("lam", [F(1, 3), F(5, 2), F(14, 5), F(3)],
                          ids=["1/3", "5/2", "14/5", "3"])
 def test_series_partial_sum_and_tail_enclose_d(lam):

@@ -305,7 +305,8 @@ def cmd_hierarchy(args) -> tuple:
         ]
         fold_ok = True
         for n in range(min(n_max, 8) + 1):
-            if development.fold_apply(state.tensor(n), _E3) != state.developed(n):
+            real, imag = hierarchy.reduced_development(state, n)
+            if any(imag) or real != state.developed(n):
                 fold_ok = False
                 failures.append(f"level {n}: fold of tensor level != developed level")
         payload["fold_matches_developed"] = fold_ok
@@ -342,9 +343,9 @@ def cmd_develop(args) -> tuple:
         checks["axis_second_component_zero"] = all(v[1] == 0 for v in per_level)
     if x * x + y * y == 1:
         checks["boundary_partial_sum_is_e3"] = tuple(psum) == _E3
-    state = hierarchy.HierarchyState()  # tensor oracle only
+    state = hierarchy.HierarchyState()  # the reduced tensor words only
     checks["fold_route_matches"] = all(
-        development.fold_apply(state.tensor(n), _E3).evaluate(x, y) == per_level[n]
+        hierarchy.reduced_development(state, n, (x, y)) == (per_level[n], (0, 0, 0))
         for n in range(min(args.levels, 6) + 1))
     failures = [name for name, ok in checks.items() if not ok]
     payload = {

@@ -9,6 +9,9 @@ not a numerical coincidence.  Two representations cooperate:
                 terms; Fractions appear only on output
 * TensorPoly -- a level-n tensor over R^2 whose 2^n entries are Poly2,
                 indexed by words over the alphabet {1, 2}
+* ZPoly      -- sparse polynomial in z = x + iy and zbar = x - iy with
+                Gaussian integer coefficients and no denominator; its
+                real and imaginary parts over a given one are Poly2s
 
 A finite Fourier polynomial on the circle is a plain pair (cos, sin) of
 maps k -> nonzero Fraction, the coefficients of cos(k theta) (k >= 0) and
@@ -463,6 +466,102 @@ def harmonic_extension(t: tuple) -> Poly2:
             for key, b in _harmonic_terms(k)[part]:
                 c[key] = num * b
     return _reduced(c, den)
+
+
+# _Z_ZBAR[(a, b)] is the tuple of (j, c) with z^a zbar^b = sum c i^j x^(a+b-j) y^j,
+# c = sum_{p+q=j} binom(a, p) binom(b, q) (-1)^q an integer.  Shared by every
+# call and never handed out.
+_Z_ZBAR = {}
+
+
+def _z_zbar_terms(a: int, b: int):
+    got = _Z_ZBAR.get((a, b))
+    if got is None:
+        coeffs = {}
+        for p in range(a + 1):
+            for q in range(b + 1):
+                c = math.comb(a, p) * math.comb(b, q)
+                coeffs[p + q] = coeffs.get(p + q, 0) + (-c if q % 2 else c)
+        got = _Z_ZBAR[(a, b)] = tuple((j, c) for j, c in sorted(coeffs.items()) if c)
+    return got
+
+
+class ZPoly:
+    """Sparse polynomial in z = x + iy and zbar = x - iy with Gaussian
+    integer coefficients.
+
+    Internal form: {(a, b, e): v}, the terms v i^e z^a zbar^b with e in
+    {0, 1} and v a nonzero int.  There is no denominator: sums,
+    differences and products by i need none, so a caller keeps one for a
+    whole family of values (the tensor hierarchy keeps one per level).
+    Immutable by convention, like Poly2.
+    """
+
+    __slots__ = ("_c",)
+
+    def __init__(self, coeffs=None):
+        self._c = {k: v for k, v in (coeffs or {}).items() if v}
+
+    def __eq__(self, other):
+        if not isinstance(other, ZPoly):
+            return NotImplemented
+        return self._c == other._c
+
+    def __bool__(self):
+        return bool(self._c)
+
+    def __repr__(self):
+        return f"ZPoly({self._c!r})"
+
+    def __add__(self, other: "ZPoly") -> "ZPoly":
+        return _zsum(self, other, 1)
+
+    def __sub__(self, other: "ZPoly") -> "ZPoly":
+        return _zsum(self, other, -1)
+
+    def mul_i(self) -> "ZPoly":
+        """i times self: i * i^e = i^(e+1), and i^2 = -1."""
+        if not self._c:
+            return self
+        p = ZPoly.__new__(ZPoly)
+        p._c = {(a, b, 1 - e): -v if e else v for (a, b, e), v in self._c.items()}
+        return p
+
+    def parts(self, den: int) -> tuple:
+        """(Re, Im) of self / den as Poly2s in x and y.
+
+        A term v i^e z^a zbar^b contributes v c i^(e+j) x^(a+b-j) y^j for
+        each (j, c) of _Z_ZBAR[(a, b)]: to the real part when e + j is
+        even, to the imaginary part when it is odd, with sign (-1) when
+        (e + j) mod 4 is 2 or 3.
+        """
+        re, im = {}, {}
+        for (a, b, e), v in self._c.items():
+            for j, c in _z_zbar_terms(a, b):
+                t = e + j
+                part = im if t & 1 else re
+                key = (a + b - j, j)
+                part[key] = part.get(key, 0) + (-c * v if t & 2 else c * v)
+        return tuple(_reduced({k: v for k, v in part.items() if v}, den)
+                     for part in (re, im))
+
+
+def _zsum(p: ZPoly, q: ZPoly, sign: int) -> ZPoly:
+    """p + sign * q, zero coefficients dropped."""
+    if not q._c:
+        return p
+    if not p._c and sign == 1:
+        return q
+    c = dict(p._c)
+    for k, v in q._c.items():
+        w = c.get(k, 0) + sign * v
+        if w:
+            c[k] = w
+        else:
+            del c[k]
+    out = ZPoly.__new__(ZPoly)
+    out._c = c
+    return out
 
 
 def words(n: int):

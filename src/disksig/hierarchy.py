@@ -5,9 +5,38 @@ levels n-1 and n-2:
 
     lap pi_n = -2 sum_i e_i o d(pi_{n-1})/dz_i  -  (sum_i e_i o e_i) o pi_{n-2}
 
-with zero boundary values for n >= 1 and pi_0 = 1, pi_1 = 0.  The same
-recursion, pushed through the hyperbolic development and applied to
-(0, 0, 1), closes on a 3-vector of polynomials V_n:
+with zero boundary values for n >= 1 and pi_0 = 1, pi_1 = 0.
+
+The tensor hierarchy in the letters f = e1 + i e2 and fbar = e1 - i e2.
+With d/dz = (d/dx - i d/dy)/2 and d/dzbar = (d/dx + i d/dy)/2,
+
+    sum_i e_i o d/dz_i = f o d/dz + fbar o d/dzbar,
+    sum_i e_i o e_i    = (f o fbar + fbar o f) / 2,
+
+so writing pi_n = sum_w Psi_w f_w over the words w in {f, fbar}^n, the
+level equation holds word by word:
+
+    lap Psi_{abw''} = -2 D_a Psi_{bw''} - (1/2) [a != b] Psi_{w''},
+
+D_f = d/dz, D_fbar = d/dzbar, every coefficient real and rational.  By
+rotation equivariance Psi_w = p_k Q_w(s), where k = #f - #fbar,
+p_k = zbar^k for k >= 0 and z^(-k) for k < 0, s = |z|^2 and Q_w is a
+univariate rational polynomial.  On these terms lap = 4 d/dz d/dzbar acts
+diagonally, lap(p_k s^j) = 4 j (j + |k|) p_k s^(j-1), and p_k itself is
+harmonic, so each word is one diagonal solve plus a constant that makes
+Q_w(1) = 0 (the zero boundary value).  D_a raises |k| by one (p_k Q ->
+p_k' Q'(s)) or lowers it (p_k Q -> p_k' (|k| Q + s Q'(s))).  pi_n is
+real, so Psi_wbar = conj(Psi_w) for the conjugate word wbar (every
+letter swapped): conj(zbar^k Q(s)) = z^k Q(s), that is Q_wbar = Q_w with
+k -> -k.  Each level is therefore solved for the words whose first
+letter is f only, on integer numerators over one denominator per level,
+reduced once per level (ReducedLevel).  This is the only tensor route:
+HierarchyState.tensor expands a level into the e-basis (a TensorPoly)
+by the butterfly (1, 1; i, -i) over each letter, and level_norms runs
+the same butterfly on the values at the origin.
+
+The same recursion, pushed through the hyperbolic development and
+applied to (0, 0, 1), closes on a 3-vector of polynomials V_n:
 
     lap V_n = -2 sum_i M(e_i) d(V_{n-1})/dz_i  -  (sum_i M(e_i)^2) V_{n-2}
 
@@ -18,16 +47,15 @@ reduces further to a radial pair (A_n, C_n) of univariate polynomials,
 solved diagonally; that radial recursion is the production route for
 a_n and V_n.  It runs on integer numerators over one denominator per
 level, reduced once per level, and builds a Fraction only for a
-coefficient a caller reads (RadialMap).  The tensor hierarchy (2^n
-entries per level) and the bivariate developed hierarchy (three
-polynomials per level) are kept as independent oracles at bounded
-depth; each level records, when it is solved, whether every
-component's Laplacian equals its right-hand side exactly, and the
-checks read that verdict next to a zero boundary trace.  Everything
-here is exact; radial_levels_ball only encloses the exact radial levels
-in balls.
+coefficient a caller reads (RadialMap).  The bivariate developed
+hierarchy (three polynomials per level) is kept as an independent
+oracle at bounded depth.  Each level of either hierarchy records, when
+it is solved, whether every component's Laplacian equals its
+right-hand side exactly, and the checks read that verdict next to the
+zero boundary values.  Everything here is exact; radial_levels_ball
+only encloses the exact radial levels in balls.
 
-The elementary Dirichlet solver: a particular polynomial solution of
+The bivariate Dirichlet solver: a particular polynomial solution of
 lap u = f found monomial by monomial (the undetermined-coefficient
 system is triangular when processed by descending y-degree, see
 exactpoly.poisson_particular), corrected by the harmonic extension of
@@ -41,8 +69,8 @@ from collections import namedtuple
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
 
-from .development import Vec3Poly, m_action
-from .exactpoly import (Poly2, TensorPoly, as_rat, boundary_trace,
+from .development import Vec3Poly, fold_letters, m_action
+from .exactpoly import (Poly2, TensorPoly, ZPoly, as_rat, boundary_trace,
                         harmonic_extension, laplacian, poisson_particular)
 
 
@@ -61,75 +89,214 @@ def solve_poisson_zero_bd(f: Poly2) -> Poly2:
     return u_p - harmonic_extension(boundary_trace(u_p))
 
 
+class ReducedLevel(namedtuple("ReducedLevel", "n words den")):
+    """Level n of the tensor hierarchy in the letters f, fbar.
+
+    words[idx] maps each power j of s to the integer numerator of q_j,
+    Q_w(s) = sum_j q_j s^j, over the positive denominator den, for the
+    2^(n-1) words whose first letter is f, in lexicographic order (f
+    before fbar; level 0 holds the empty word).
+    """
+
+    __slots__ = ()
+
+    def entries(self) -> list:
+        """The numerator maps of all 2^n words in lexicographic order: the
+        conjugate of word idx sits at 2^n - 1 - idx and has the same Q."""
+        return self.words + self.words[::-1] if self.n else self.words
+
+
+def _k(n: int, idx: int) -> int:
+    """k = #f - #fbar of word idx of level n, whose set bits are its fbars."""
+    return n - 2 * idx.bit_count()
+
+
 class HierarchyState:
     """Computed levels of both hierarchies, extended on demand.
 
-    tensor_levels[n] is a TensorPoly (2^n entries), developed_levels[n]
-    a Vec3Poly.  Levels 0 and 1 are definitions; level n >= 2 needs only
-    n-1 and n-2, so extension is a simple sequential sweep that solves
-    each component of the level's right-hand side and records, in
-    residual_ok[name][n], whether every solved component's Laplacian
-    equals its right-hand side exactly.  One writer at a time; reads
-    between level completions are safe.
+    reduced_levels[n] is a ReducedLevel, developed_levels[n] a Vec3Poly.
+    Levels 0 and 1 are definitions; level n >= 2 needs only n-1 and n-2,
+    so extension is a simple sequential sweep that solves the level's
+    right-hand side and records, in residual_ok[name][n], whether every
+    solved word or component has its right-hand side as Laplacian
+    exactly.  One writer at a time; reads between level completions are
+    safe.
     """
 
     def __init__(self):
-        self.tensor_levels: list[TensorPoly] = [
-            TensorPoly(0, [Poly2.const(1)]), TensorPoly.zeros(1)]
+        self.reduced_levels: list[ReducedLevel] = [
+            ReducedLevel(0, [{0: 1}], 1), ReducedLevel(1, [{}], 1)]
         self.developed_levels: list[Vec3Poly] = [
             Vec3Poly(Poly2.zero(), Poly2.zero(), Poly2.const(1)), Vec3Poly.zero()]
         self.residual_ok = {"tensor": [True, True], "developed": [True, True]}
+        self._tensors: dict = {}
 
-    def tensor(self, n: int) -> TensorPoly:
+    def reduced(self, n: int) -> ReducedLevel:
         if n < 0:
             raise ValueError("negative level")
-        while len(self.tensor_levels) <= n:
-            m = len(self.tensor_levels)
-            entries = self._solve("tensor", tensor_rhs(self, m).entries)
-            self.tensor_levels.append(TensorPoly(m, entries))
-        return self.tensor_levels[n]
+        while len(self.reduced_levels) <= n:
+            rhs = tensor_rhs(self, len(self.reduced_levels))
+            level = solve_reduced_level(rhs)
+            self.residual_ok["tensor"].append(_reduced_residual_ok(level, rhs))
+            self.reduced_levels.append(level)
+        return self.reduced_levels[n]
+
+    def tensor(self, n: int) -> TensorPoly:
+        """Level n in the e-basis: the butterfly (1, 1; i, -i) over every
+        letter of the words' polynomials (f -> e1 + i e2, fbar -> e1 - i e2),
+        then each entry's real part; its imaginary part is zero."""
+        got = self._tensors.get(n)
+        if got is None:
+            level = self.reduced(n)
+            work = word_polys(level)
+            for _ in range(n):  # the last letter, then moved to the front
+                work = ([p + q for p, q in zip(work[::2], work[1::2])]
+                        + [(p - q).mul_i() for p, q in zip(work[::2], work[1::2])])
+            entries = []
+            for value in work:
+                real, imag = value.parts(level.den)
+                if imag:
+                    raise ArithmeticError(f"level {n}: a tensor entry is not real")
+                entries.append(real)
+            got = self._tensors[n] = TensorPoly(n, entries)
+        return got
 
     def developed(self, n: int) -> Vec3Poly:
         if n < 0:
             raise ValueError("negative level")
         while len(self.developed_levels) <= n:
-            m = len(self.developed_levels)
-            self.developed_levels.append(
-                Vec3Poly(*self._solve("developed", developed_rhs(self, m))))
+            rhs = developed_rhs(self, len(self.developed_levels))
+            solved = [solve_poisson_zero_bd(f) for f in rhs]
+            self.residual_ok["developed"].append(
+                all(laplacian(u) == f for u, f in zip(solved, rhs)))
+            self.developed_levels.append(Vec3Poly(*solved))
         return self.developed_levels[n]
 
-    def _solve(self, name: str, rhs) -> list:
-        """Solve each component of rhs; record the exact residual verdict."""
-        solved = [solve_poisson_zero_bd(f) for f in rhs]
-        self.residual_ok[name].append(
-            all(laplacian(u) == f for u, f in zip(solved, rhs)))
-        return solved
 
+def tensor_rhs(self: HierarchyState, n: int) -> ReducedLevel:
+    """Right-hand side of level n >= 2 in the letters f, fbar, for the
+    words w = f b w'' (first letter f):
 
-def tensor_rhs(self: HierarchyState, n: int) -> TensorPoly:
-    """Right-hand side tensor of the level-n Poisson problem, n >= 2.
+        -2 d/dz Psi_{bw''} - (1/2) [b = fbar] Psi_{w''},
 
-    For word w = (i1, i2, w''): the first-derivative term contributes
-    -2 d(pi_{n-1}[i2 w''])/dz_{i1}; the level n-2 term contributes
-    -pi_{n-2}[w''] exactly when i1 = i2.
+    over the lcm of level n-1's denominator and twice level n-2's.  With
+    k the tail's k, d/dz(zbar^k s^j) = j zbar^(k+1) s^(j-1) for k >= 0 and
+    d/dz(z^m s^j) = (m + j) z^(m-1) s^j for m = -k > 0.
     """
     if n < 2:
         raise ValueError("RHS defined for n >= 2")
-    prev = self.tensor(n - 1)
-    prev2 = self.tensor(n - 2)
-    entries = []
-    half = 1 << (n - 1)
+    prev, prev2 = self.reduced(n - 1), self.reduced(n - 2)
+    tails, rests = prev.entries(), prev2.entries()
+    den = math.lcm(prev.den, 2 * prev2.den)
+    k1, k2 = den // prev.den, den // (2 * prev2.den)
     quarter = 1 << (n - 2)
-    for idx in range(1 << n):
-        first = idx >> (n - 1)              # 0 for letter 1, 1 for letter 2
-        rest = idx & (half - 1)
-        tail = prev.entries[rest]
-        rhs = -2 * (tail.partial_x() if first == 0 else tail.partial_y())
-        second = (idx >> (n - 2)) & 1
-        if first == second:
-            rhs = rhs - prev2.entries[idx & (quarter - 1)]
-        entries.append(rhs)
-    return TensorPoly(n, entries)
+    words = []
+    for idx in range(1 << (n - 1)):  # the tail b w'' is word idx of level n-1
+        k = _k(n - 1, idx)
+        if k >= 0:
+            rhs = {j - 1: -2 * k1 * j * c for j, c in tails[idx].items() if j}
+        else:
+            rhs = {j: 2 * k1 * (k - j) * c for j, c in tails[idx].items()}
+        if idx >= quarter:  # b = fbar, w'' = idx - quarter
+            for j, c in rests[idx - quarter].items():
+                v = rhs.get(j, 0) - k2 * c
+                if v:
+                    rhs[j] = v
+                else:
+                    del rhs[j]
+        words.append(rhs)
+    return ReducedLevel(n, words, den)
+
+
+def solve_reduced_level(rhs: ReducedLevel) -> ReducedLevel:
+    """Psi_w = p_k Q_w(s) with lap Psi_w = rhs_w and Q_w(1) = 0, per word.
+
+    lap(p_k s^j) = 4 j (j + |k|) p_k s^(j-1), so q_(j+1) = r_j / (4 (j+1)
+    (j+1+|k|)); the harmonic constant q_0 = -sum_{j>=1} q_j meets
+    Q_w(1) = 0.  The divisions go to one lcm for the level, and the level
+    is reduced once.
+    """
+    n = rhs.n
+    pairs = [(abs(_k(n, idx)), r) for idx, r in enumerate(rhs.words)]
+    q = math.lcm(*{4 * (j + 1) * (j + 1 + a) for a, r in pairs for j in r})
+    words = []
+    for a, r in pairs:
+        word = {j + 1: c * (q // (4 * (j + 1) * (j + 1 + a))) for j, c in r.items()}
+        if word:
+            word[0] = -sum(word.values())
+        words.append(word)
+    den = rhs.den * q
+    common = math.gcd(den, *(c for word in words for c in word.values()))
+    return ReducedLevel(n, [{j: c // common for j, c in word.items() if c}
+                            for word in words], den // common)
+
+
+def _reduced_residual_ok(level: ReducedLevel, rhs: ReducedLevel) -> bool:
+    """Whether lap Psi_w equals rhs_w exactly for every solved word, with
+    lap(p_k s^j) = 4 j (j + |k|) p_k s^(j-1), compared over both
+    denominators."""
+    for idx, (word, r) in enumerate(zip(level.words, rhs.words)):
+        a = abs(_k(level.n, idx))
+        lap = {j - 1: 4 * j * (j + a) * c * rhs.den for j, c in word.items() if j}
+        if lap != {j: c * level.den for j, c in r.items()}:
+            return False
+    return True
+
+
+def word_polys(level: ReducedLevel) -> list:
+    """Psi_w for all 2^n words of a level, as ZPolys over level.den:
+    zbar^k s^j = z^j zbar^(j+k) and z^m s^j = z^(j+m) zbar^j."""
+    out = []
+    for idx, word in enumerate(level.entries()):
+        k = _k(level.n, idx)
+        a, b = max(-k, 0), max(k, 0)
+        out.append(ZPoly({(j + a, j + b, 0): c for j, c in word.items()}))
+    return out
+
+
+def word_values(level: ReducedLevel, x, y) -> tuple:
+    """(values, den): Psi_w(x, y) for all 2^n words of a level, as
+    constant ZPolys over one denominator den.
+
+    With g the lcm of the denominators of x and y and z = (X + iY)/g,
+    p_k s^j = (X -+ iY)^|k| (X^2 + Y^2)^j / g^(|k|+2j), so with D the
+    largest |k| + 2j of the level (n, for a solved level) every value is
+    an integer over level.den * g^D.
+    """
+    x, y = as_rat(x), as_rat(y)
+    g = math.lcm(x.denominator, y.denominator)
+    big_x, big_y = x.numerator * (g // x.denominator), y.numerator * (g // y.denominator)
+    words = [(_k(level.n, idx), word) for idx, word in enumerate(level.entries())]
+    top = max((abs(k) + 2 * j for k, word in words for j in word), default=0)
+    powers = [(1, 0)]  # (X + iY)^m for m <= |k| <= n
+    for _ in range(level.n):
+        re, im = powers[-1]
+        powers.append((re * big_x - im * big_y, re * big_y + im * big_x))
+    norm = big_x * big_x + big_y * big_y
+    values = []
+    for k, word in words:
+        re, im = powers[abs(k)]
+        radial = sum(c * norm ** j * g ** (top - abs(k) - 2 * j) for j, c in word.items())
+        values.append(ZPoly({(0, 0, 0): re * radial,
+                             (0, 0, 1): (-im if k > 0 else im) * radial}))
+    return values, level.den * g ** top
+
+
+def reduced_development(state: HierarchyState, n: int, at=None) -> tuple:
+    """(Re, Im) of M(pi_n) e3, folded from the words of the reduced level n
+    (development.fold_letters): two Vec3Polys, or, given a point
+    at = (x, y), two triples of Fractions folded from the words' values
+    there.  pi_n is real, so Im is zero."""
+    level = state.reduced(n)
+    if at is None:
+        values, den = word_polys(level), level.den
+    else:
+        values, den = word_values(level, *at)
+    parts = [c.parts(den) for c in fold_letters(values)]
+    real, imag = (Vec3Poly(*(p[i] for p in parts)) for i in (0, 1))
+    if at is None:
+        return real, imag
+    return real.evaluate(0, 0), imag.evaluate(0, 0)  # constant polynomials
 
 
 def developed_rhs(self: HierarchyState, n: int) -> tuple:
@@ -193,11 +360,23 @@ class LevelNorms(namedtuple("LevelNorms", "l1 l2sq")):
 
 
 def level_norms(state: HierarchyState, n: int) -> LevelNorms:
-    """l1 and squared l2 norms of the tensor pi_n(Phi(0))."""
-    t = state.tensor(n)
-    vals = [e.coeff(0, 0) for e in t.entries]
-    return LevelNorms(l1=sum((abs(v) for v in vals), Fraction(0)),
-                      l2sq=sum((v * v for v in vals), Fraction(0)))
+    """l1 and squared l2 norms of the tensor pi_n(Phi(0)), from the
+    reduced level.
+
+    At the origin only the words with k = 0 are nonzero, each equal to
+    q_0.  The e-basis values come from n butterfly passes with
+    (1, 1; i, -i) = diag(1, i) (1, 1; 1, -1): the real passes run on the
+    integer numerators, and the factors i collect into a unit
+    i^(number of e2 letters) per e-word, which the norms do not see.
+    """
+    level = state.reduced(n)
+    vals = [word.get(0, 0) if _k(n, idx) == 0 else 0
+            for idx, word in enumerate(level.entries())]
+    for _ in range(n):
+        evens, odds = vals[::2], vals[1::2]
+        vals = [a + b for a, b in zip(evens, odds)] + [a - b for a, b in zip(evens, odds)]
+    return LevelNorms(l1=Fraction(sum(map(abs, vals)), level.den),
+                      l2sq=Fraction(sum(v * v for v in vals), level.den ** 2))
 
 
 def radius_estimate(coeffs) -> list:
@@ -230,21 +409,24 @@ def radius_estimate(coeffs) -> list:
 # -- exactness checks (used by tests and by the CLI's embedded verification) --
 
 def tensor_checks(state: HierarchyState, n: int) -> dict:
-    """Exact residual and boundary verification for tensor level n."""
-    return _checks(state.residual_ok["tensor"], state.tensor(n).entries, n)
+    """Exact residual and boundary verification for tensor level n: the
+    reduced level's recorded residual verdict, and Q_w(1) = 0 for every
+    solved word."""
+    return _checks(state.residual_ok["tensor"], n,
+                   (not sum(word.values()) for word in state.reduced(n).words))
 
 
 def developed_checks(state: HierarchyState, n: int) -> dict:
     """Exact residual and boundary verification for developed level n."""
-    return _checks(state.residual_ok["developed"], state.developed(n), n)
+    return _checks(state.residual_ok["developed"], n,
+                   (boundary_trace(c) == ({}, {}) for c in state.developed(n)))
 
 
-def _checks(residual_ok: list, components, n: int) -> dict:
-    """Level n's recorded residual verdict, and a zero trace on the circle
-    for every component when n >= 1 (level 0 is the definition pi_0 = 1)."""
-    return {"residual_ok": residual_ok[n],
-            "boundary_ok": n == 0 or all(boundary_trace(c) == ({}, {})
-                                         for c in components)}
+def _checks(residual_ok: list, n: int, on_circle) -> dict:
+    """Level n's recorded residual verdict, and zero boundary values
+    (every item of on_circle true) when n >= 1; level 0 is the
+    definition pi_0 = 1."""
+    return {"residual_ok": residual_ok[n], "boundary_ok": n == 0 or all(on_circle)}
 
 
 # -- radial form of the developed recursion ---------------------------------

@@ -72,28 +72,51 @@ _X, _Y = Poly2.monomial(1, 0), Poly2.monomial(0, 1)
 # but its Laplacian is -8x
 _WRONG_TERM = {"boundary_ok": _X,
                "residual_ok": (Poly2.const(1) - _X * _X - _Y * _Y) * _X}
+# the same for a word p_k Q(s) of the reduced tensor level, as a map
+# {power of s: rational}: p_k is harmonic, but Q(1) becomes 1; p_k (1 - s)
+# has Q(1) = 0, but its Laplacian is -4 (1 + |k|) p_k
+_WRONG_WORD_TERM = {"boundary_ok": {0: 1}, "residual_ok": {0: 1, 1: -1}}
 
 
 @pytest.fixture
 def wrong_level(monkeypatch):
-    """wrong_level(mode, n, check): every component solved for level n of
-    the `mode` hierarchy ("tensor" or "developed") comes out with a term
-    added that only `check` ("residual_ok" or "boundary_ok") can see;
-    every other level of both hierarchies is solved as before."""
+    """wrong_level(mode, n, check): every word ("tensor", the reduced
+    level) or component ("developed") solved for level n of the `mode`
+    hierarchy comes out with a term added that only `check`
+    ("residual_ok" or "boundary_ok") can see; every other level of both
+    hierarchies is solved as before."""
     import disksig.hierarchy as hierarchy
 
     def corrupt(mode, level, check):
-        building = []  # (rhs name, level) of each right-hand side built
-        for name in ("tensor_rhs", "developed_rhs"):
-            def rhs(state, n, name=name, real=getattr(hierarchy, name)):
-                building.append((name, n))
-                return real(state, n)
+        if mode == "tensor":
+            solve_level = hierarchy.solve_reduced_level
 
-            monkeypatch.setattr(hierarchy, name, rhs)
+            def wrong_level_solve(rhs):
+                got = solve_level(rhs)
+                if rhs.n != level:
+                    return got
+                words = []
+                for word in got.words:
+                    word = dict(word)
+                    for j, c in _WRONG_WORD_TERM[check].items():
+                        word[j] = word.get(j, 0) + c * got.den
+                    words.append({j: c for j, c in word.items() if c})
+                return got._replace(words=words)
+
+            monkeypatch.setattr(hierarchy, "solve_reduced_level", wrong_level_solve)
+            return
+        building = []  # level of each developed right-hand side built
+        real_rhs = hierarchy.developed_rhs
+
+        def rhs(state, n):
+            building.append(n)
+            return real_rhs(state, n)
+
+        monkeypatch.setattr(hierarchy, "developed_rhs", rhs)
         solve = hierarchy.solve_poisson_zero_bd
 
         def wrong_solve(f):
-            if building[-1] == (f"{mode}_rhs", level):
+            if building[-1] == level:
                 return solve(f) + _WRONG_TERM[check]
             return solve(f)
 

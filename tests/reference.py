@@ -17,6 +17,9 @@ computation the package does another way:
   word matrices (m_word), against development.fold_apply;
 - radial_levels_fraction solves the radial recursion one Fraction at a
   time, against the integer numerators of hierarchy.radial_levels;
+- tensor_levels_bivariate solves the tensor hierarchy in the e-basis, one
+  bivariate Poisson problem per word, against the univariate words in the
+  letters f, fbar that hierarchy.HierarchyState.tensor expands;
 - ball_bisection brackets the pole on ball signs of d at every midpoint,
   against the exact signs of polefinder.locate_pole;
 - series_coefficients_binomial builds E's numerators from the binomial
@@ -38,6 +41,7 @@ import numpy as np
 from disksig.bessel import d_lambda, make_constants
 from disksig.development import Vec3Poly
 from disksig.exactpoly import Poly2, TensorPoly, words
+from disksig.hierarchy import solve_poisson_zero_bd
 from disksig.montecarlo import (BLOCK, _MAX_BLOCKS_PER_PATH, SimConfig,
                                 _advance_block, _path_generator)
 from disksig.polefinder import BRACKET_HI, BRACKET_LO
@@ -205,6 +209,26 @@ def radial_levels_fraction(n_max: int):
         a_levels.append(a_n)
         c_levels.append(c_n)
     return a_levels[: n_max + 1], c_levels[: n_max + 1]
+
+
+def tensor_levels_bivariate(n_max: int) -> list:
+    """TensorPolys pi_0 .. pi_N, one hierarchy.solve_poisson_zero_bd per
+    word: for w = (i1, i2, w''), the first-derivative term contributes
+    -2 d(pi_{n-1}[i2 w''])/dz_{i1}, and the level n-2 term contributes
+    -pi_{n-2}[w''] exactly when i1 = i2."""
+    levels = [TensorPoly(0, [Poly2.const(1)]), TensorPoly.zeros(1)]
+    for n in range(2, n_max + 1):
+        prev, prev2 = levels[n - 1].entries, levels[n - 2].entries
+        half, quarter = 1 << (n - 1), 1 << (n - 2)
+        entries = []
+        for idx in range(1 << n):
+            tail = prev[idx & (half - 1)]
+            rhs = -2 * (tail.partial_x() if idx < half else tail.partial_y())
+            if (idx >> (n - 1)) == (idx >> (n - 2)) & 1:
+                rhs = rhs - prev2[idx & (quarter - 1)]
+            entries.append(solve_poisson_zero_bd(rhs))
+        levels.append(TensorPoly(n, entries))
+    return levels[: n_max + 1]
 
 
 def ball_bisection(width: Fraction) -> tuple:

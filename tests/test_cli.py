@@ -131,15 +131,29 @@ def test_hierarchy_dump_polys_bytes_are_pinned(tmp_path, mode, levels, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# sha256 of `disksig hierarchy --mode tensor --levels N` output, taken
+# from the bivariate per-word tensor route before the words in f, fbar
+# replaced it
+@pytest.mark.parametrize("levels, digest", [
+    (9, "7a2b958d908a83367d5e6361dcd493a20eb699352751bd5fe32994c959d24205"),
+    (12, "2612db4a563e5f67ebd725d8f1bbdea532b073415b7d9c95ed08003a60ce630f"),
+    (16, "3ee6fa7ad2ecdc24cc4fb3c71d186fa5a80a0518719d22e4973060b42d2b5c62"),
+])
+def test_hierarchy_tensor_bytes_are_pinned(tmp_path, levels, digest):
+    rc, out = run(tmp_path, "hierarchy", "--levels", str(levels), "--mode", "tensor")
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("mode, levels, name", [
     ("developed", 32, "developed_rhs"),
     ("tensor", 9, "tensor_rhs"),
 ])
 def test_hierarchy_builds_each_right_hand_side_once(tmp_path, monkeypatch,
                                                    mode, levels, name):
-    # levels 2..N are solved (31 of 32 developed, 8 of 9 tensor levels),
-    # and each level's check reads the residual verdict its solve recorded
-    # instead of building the rhs again
+    # levels 2..N are solved (31 of 32 developed, 8 of 9 reduced tensor
+    # levels), and each level's check reads the residual verdict its solve
+    # recorded instead of building the rhs again
     import disksig.hierarchy as hierarchy
 
     real = getattr(hierarchy, name)
@@ -176,6 +190,18 @@ def test_develop_subcommand(tmp_path):
     assert payload["schema"] == "disksig.develop/1"
     assert payload["partial_sum"] == ["0/1", "0/1", "3/2"]
     assert payload["checks"]["fold_route_matches"] is True
+
+
+@pytest.mark.parametrize("broken", ["residual_ok", "boundary_ok"])
+def test_develop_fold_check_sees_a_wrong_tensor_level(tmp_path, capsys,
+                                                      wrong_level, broken):
+    # either wrong term changes the level-3 words inside the disk
+    wrong_level("tensor", 3, broken)
+    rc, out = run(tmp_path, "develop", "--lambda", "1", "--x=1/3", "--y=1/4",
+                  "--levels", "4")
+    assert rc == 1
+    assert "check failed: fold_route_matches" in capsys.readouterr().err
+    assert json.loads(out.read_text())["checks"]["fold_route_matches"] is False
 
 
 def test_develop_rejects_outside_disk(tmp_path):

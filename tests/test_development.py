@@ -5,8 +5,9 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disksig.development import Vec3Poly, fold_apply, m_action, partial_sum_F
-from disksig.exactpoly import Poly2, TensorPoly, words
+from disksig.development import (Vec3Poly, fold_apply, fold_letters, m_action,
+                                 partial_sum_F)
+from disksig.exactpoly import Poly2, TensorPoly, ZPoly, words
 from reference import (M1, M2, fold_apply_naive, identity3, m_of_vector,
                        m_word, mat_mul, mat_vec)
 
@@ -93,6 +94,53 @@ def test_fold_against_explicit_sum(state):
         column = mat_vec(m_word(w), E3)
         acc = acc + Vec3Poly(*(t.entry(w) * c for c in column))
     assert fold_apply(t, E3) == acc
+
+
+def test_fold_letters_on_level2_words():
+    # M(f) M(fbar) e3 = M(f) (1, -i, 0) = (0, 0, 2), M(f) M(f) e3 = 0, and
+    # M(fbar) M(f) e3 = (0, 0, 2): f = e1 + i e2 and fbar = e1 - i e2
+    one, zero = ZPoly({(0, 0, 0): 1}), ZPoly()
+    two = ZPoly({(0, 0, 0): 2})
+    assert fold_letters([one, zero, zero, zero]) == (zero, zero, zero)
+    assert fold_letters([zero, one, zero, zero]) == (zero, zero, two)
+    assert fold_letters([zero, zero, one, zero]) == (zero, zero, two)
+    # a single letter: M(f) e3 = (1, i, 0)
+    assert fold_letters([one, zero]) == (one, one.mul_i(), zero)
+
+
+def random_letter_values(rng, level):
+    values = []
+    for _ in range(2 ** level):
+        terms = {}
+        for _ in range(rng.randrange(3)):
+            key = (rng.randrange(3), rng.randrange(3), rng.randrange(2))
+            terms[key] = rng.randrange(-9, 10)
+        values.append(ZPoly(terms))
+    return values
+
+
+@given(st.integers(0, 5), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_fold_letters_matches_fold_apply_in_the_e_basis(level, rng):
+    """The e-word w of T = sum_u T_u f_u is sum_u T_u prod_k c(u_k, w_k),
+    with c(f, e1) = c(fbar, e1) = 1, c(f, e2) = i and c(fbar, e2) = -i;
+    fold_apply folds its real and imaginary parts."""
+    values = random_letter_values(rng, level)
+    real, imag = TensorPoly.zeros(level), TensorPoly.zeros(level)
+    for w_idx in range(2 ** level):
+        acc = ZPoly()
+        for u_idx, value in enumerate(values):
+            term = value
+            for k in range(level):
+                if (w_idx >> k) & 1:  # e2 at this letter
+                    term = term.mul_i()
+                    if (u_idx >> k) & 1:  # fbar: -i
+                        term = ZPoly() - term
+            acc = acc + term
+        real.entries[w_idx], imag.entries[w_idx] = acc.parts(1)
+    folded = [c.parts(1) for c in fold_letters(values)]
+    assert Vec3Poly(*(re for re, _ in folded)) == fold_apply(real, E3)
+    assert Vec3Poly(*(im for _, im in folded)) == fold_apply(imag, E3)
 
 
 def values_at(state, z, n_max):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disksig.exactpoly import (Poly2, TensorPoly, boundary_trace,
+from disksig.exactpoly import (Poly2, TensorPoly, ZPoly, boundary_trace,
                                harmonic_extension, laplacian,
                                poisson_particular, words, word_index)
 
@@ -184,6 +184,37 @@ def test_tensor_poly_json_round_trip():
     back = TensorPoly.from_json(t.to_json())
     assert back.level == 2
     assert back.entries == t.entries
+
+
+def test_zpoly_parts_are_products_of_z_and_zbar():
+    # z^a zbar^b as Poly2 pairs (re, im), multiplied out longhand
+    x, y = Poly2.monomial(1, 0), Poly2.monomial(0, 1)
+
+    def times(p, q):
+        return (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])
+
+    for a in range(5):
+        for b in range(5):
+            want = (Poly2.const(1), Poly2.zero())
+            for _ in range(a):
+                want = times(want, (x, y))
+            for _ in range(b):
+                want = times(want, (x, -y))
+            for e, scaled in ((0, want), (1, (-want[1], want[0]))):
+                got = ZPoly({(a, b, e): 6}).parts(4)
+                assert got == tuple(p * F(3, 2) for p in scaled), (a, b, e)
+
+
+def test_zpoly_ring_operations():
+    p = ZPoly({(1, 0, 0): 2, (0, 1, 1): -3, (2, 2, 0): 0})
+    q = ZPoly({(1, 0, 0): -2, (0, 0, 1): 5})
+    assert p + q == ZPoly({(0, 1, 1): -3, (0, 0, 1): 5})
+    assert p - p == ZPoly() and not (p - p)
+    assert p.mul_i() == ZPoly({(1, 0, 1): 2, (0, 1, 0): 3})
+    assert p.mul_i().mul_i() == ZPoly() - p
+    # i times a real polynomial swaps the parts: Re(i p) = -Im(p)
+    re, im = p.parts(7)
+    assert p.mul_i().parts(7) == (-im, re)
 
 
 def test_poly_json_round_trip():

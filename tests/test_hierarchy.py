@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from disksig.balls import RealBall
 from disksig.exactpoly import Poly2, boundary_trace, laplacian
 import disksig.hierarchy as hierarchy
+from disksig.development import Vec3Poly
 from disksig.hierarchy import (HierarchyState, a_coefficients, developed_rhs,
                                developed_values, level_norms, radial_levels,
                                radial_levels_ball, radius_estimate,
-                               solve_poisson_zero_bd, developed_checks,
-                               tensor_checks)
-from reference import M1, M2, mat_mul, mat_vec, radial_levels_fraction
+                               reduced_development, solve_poisson_zero_bd,
+                               developed_checks, tensor_checks)
+from reference import (M1, M2, mat_mul, mat_vec, radial_levels_fraction,
+                       tensor_levels_bivariate)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=16)
 
@@ -93,6 +95,46 @@ def test_checks_flag_a_wrong_level(wrong_level, mode, checks, broken):
         if n == 3:
             want[broken] = False
         assert checks(fresh, n) == want, n
+
+
+def test_tensor_expansion_equals_the_bivariate_oracle_word_for_word():
+    """Each e-word of the reduced levels, expanded to a Poly2, is the
+    polynomial one bivariate Poisson solve per word gives."""
+    fresh = HierarchyState()
+    for n, want in enumerate(tensor_levels_bivariate(8)):
+        got = fresh.tensor(n)
+        assert got.level == n
+        for idx, (g, w) in enumerate(zip(got.entries, want.entries)):
+            assert g == w, (n, idx)
+
+
+def test_reduced_levels_are_integer_numerators_over_one_reduced_denominator(state):
+    for n in range(13):
+        level = state.reduced(n)
+        assert len(level.words) == max(1, 2 ** (n - 1))
+        assert len(level.entries()) == 2 ** n
+        assert level.den > 0
+        nums = [c for word in level.words for c in word.values()]
+        assert all(nums) and math.gcd(level.den, *nums) == 1
+        # a word p_k s^j has degree |k| + 2j <= n
+        for idx, word in enumerate(level.words):
+            assert all(abs(n - 2 * bin(idx).count("1")) + 2 * j <= n for j in word)
+
+
+def test_development_of_reduced_tensor_equals_radial_levels(state):
+    """M(pi_n) e3 folded from the words in f, fbar is (x A_n/r, y A_n/r, C_n)
+    of the radial route, as polynomials, through level 16."""
+    x, y = Poly2.monomial(1, 0), Poly2.monomial(0, 1)
+    s_powers = [Poly2.const(1)]
+    for _ in range(8):
+        s_powers.append(s_powers[-1] * (x * x + y * y))
+    a_list, c_list = radial_levels(16)
+    for n in range(17):
+        a_over_r = sum((q * s_powers[m // 2] for m, q in a_list[n].items()), Poly2.zero())
+        c_n = sum((q * s_powers[m // 2] for m, q in c_list[n].items()), Poly2.zero())
+        real, imag = reduced_development(state, n)
+        assert real == Vec3Poly(x * a_over_r, y * a_over_r, c_n), n
+        assert not any(imag), n
 
 
 def test_developed_rhs_is_the_generic_matrix_form(state):

@@ -303,12 +303,18 @@ def cmd_hierarchy(args) -> tuple:
             for n in range(n_max + 1)
             for norm in (hierarchy.level_norms(state, n),)
         ]
+        # the derivation of each level's right-hand side is checked here,
+        # not by its residual verdict: as polynomials against the developed
+        # level where that is cheap, at the origin against a_n at every level
         fold_ok = True
         for n in range(min(n_max, 8) + 1):
-            real, imag = hierarchy.reduced_development(state, n)
-            if any(imag) or real != state.developed(n):
+            if development.fold_apply(state.tensor(n), _E3) != state.developed(n):
                 fold_ok = False
                 failures.append(f"level {n}: fold of tensor level != developed level")
+        for n in range(n_max + 1):
+            if hierarchy.origin_development(state, n) != (0, 0, a_vals[n]):
+                fold_ok = False
+                failures.append(f"level {n}: fold of tensor level at the origin != a_n")
         payload["fold_matches_developed"] = fold_ok
     if args.dump_polys:
         if args.mode == "tensor":
@@ -343,9 +349,9 @@ def cmd_develop(args) -> tuple:
         checks["axis_second_component_zero"] = all(v[1] == 0 for v in per_level)
     if x * x + y * y == 1:
         checks["boundary_partial_sum_is_e3"] = tuple(psum) == _E3
-    state = hierarchy.HierarchyState()  # the reduced tensor words only
+    state = hierarchy.HierarchyState()
     checks["fold_route_matches"] = all(
-        hierarchy.reduced_development(state, n, (x, y)) == (per_level[n], (0, 0, 0))
+        development.fold_apply(state.tensor(n), _E3).evaluate(x, y) == per_level[n]
         for n in range(min(args.levels, 6) + 1))
     failures = [name for name, ok in checks.items() if not ok]
     payload = {

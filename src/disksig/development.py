@@ -14,10 +14,8 @@ Only the basis matrices act here, and only through m_action, which
 applies M(e1) a + M(e2) b entry by entry.  fold_apply contracts a
 TensorPoly against a fixed vector by a right fold over suffixes, merging
 siblings with m_action, so no word matrix M(e_{i1}) ... M(e_{in}) is
-ever formed: cost is linear in the number of entries.  fold_letters is
-the same fold for a tensor given in the letters f = e1 + i e2 and
-fbar = e1 - i e2, whose matrices M(f) = M(e1) + i M(e2) and
-M(fbar) = M(e1) - i M(e2) also act through m_action.  The developed
+ever formed: cost is linear in the number of entries.  fold_suffixes is
+that fold on per-word 3-vectors over any scalar ring.  The developed
 hierarchy's right-hand side applies the same map (hierarchy.developed_rhs),
 and partial_sum_F sums given per-level values exactly.
 """
@@ -26,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactpoly import Poly2, TensorPoly, ZPoly, as_rat
+from .exactpoly import Poly2, TensorPoly, as_rat
 
 
 class Vec3Poly:
@@ -78,39 +76,22 @@ def m_action(a, b) -> tuple:
 
 
 def fold_apply(t: TensorPoly, v) -> Vec3Poly:
-    """M(T) v by right-fold suffix contraction.
+    """M(T) v: fold_suffixes over the words' vectors T_w v."""
+    v1, v2, v3 = v
+    return Vec3Poly(*fold_suffixes([(e * v1, e * v2, e * v3) for e in t.entries]))
 
-    Stage 0 assigns W[w] = T_w * v to every full word; each later stage
-    merges sibling suffixes:
+
+def fold_suffixes(work: list) -> tuple:
+    """The right fold of 2^n per-word 3-vectors W[w], lexicographic.
+
+    Each stage merges sibling suffixes:
 
         W'[w] = M(e1) W[w1] + M(e2) W[w2] = m_action(W[w1], W[w2])
 
     Returns W[empty word].
     """
-    v1, v2, v3 = v
-    work = [(e * v1, e * v2, e * v3) for e in t.entries]
     while len(work) > 1:
         work = [m_action(a, b) for a, b in zip(work[::2], work[1::2])]
-    return Vec3Poly(*work[0])
-
-
-def fold_letters(values) -> tuple:
-    """M(T) e3 for a tensor T given by its 2^n word values in the letters
-    f, fbar (ZPolys, in lexicographic order with f before fbar).
-
-    The right fold of fold_apply in these letters: stage 0 assigns
-    W[w] = (0, 0, T_w), and sibling suffixes merge as
-
-        W'[w] = M(f) W[wf] + M(fbar) W[wfbar] = m_action(u + v, i (u - v))
-
-    with u = W[wf], v = W[wfbar].  Returns the three ZPolys of W[empty word].
-    """
-    zero = ZPoly()
-    work = [(zero, zero, value) for value in values]
-    while len(work) > 1:
-        work = [m_action(tuple(p + q for p, q in zip(u, v)),
-                         tuple((p - q).mul_i() for p, q in zip(u, v)))
-                for u, v in zip(work[::2], work[1::2])]
     return work[0]
 
 

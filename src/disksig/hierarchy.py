@@ -32,8 +32,13 @@ k -> -k.  Each level is therefore solved for the words whose first
 letter is f only, on integer numerators over one denominator per level,
 reduced once per level (ReducedLevel).  This is the only tensor route:
 HierarchyState.tensor expands a level into the e-basis (a TensorPoly)
-by the butterfly (1, 1; i, -i) over each letter, and level_norms runs
-the same butterfly on the values at the origin.
+by the butterfly (1, 1; i, -i) over each letter, and level_norms and
+origin_development run the same butterfly on the values at the origin.
+A level's residual verdict re-checks the solve's own division by
+4 j (j + |k|), not the derivation of its right-hand side; the checks
+independent of that derivation are the fold of the expanded level
+against the developed level and, at every level, the fold of its value
+at the origin against the radial a_n (see the hierarchy subcommand).
 
 The same recursion, pushed through the hyperbolic development and
 applied to (0, 0, 1), closes on a 3-vector of polynomials V_n:
@@ -69,7 +74,7 @@ from collections import namedtuple
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
 
-from .development import Vec3Poly, fold_letters, m_action
+from .development import Vec3Poly, fold_suffixes, m_action
 from .exactpoly import (Poly2, TensorPoly, ZPoly, as_rat, boundary_trace,
                         harmonic_extension, laplacian, poisson_particular)
 
@@ -129,7 +134,6 @@ class HierarchyState:
         self.developed_levels: list[Vec3Poly] = [
             Vec3Poly(Poly2.zero(), Poly2.zero(), Poly2.const(1)), Vec3Poly.zero()]
         self.residual_ok = {"tensor": [True, True], "developed": [True, True]}
-        self._tensors: dict = {}
 
     def reduced(self, n: int) -> ReducedLevel:
         if n < 0:
@@ -144,22 +148,20 @@ class HierarchyState:
     def tensor(self, n: int) -> TensorPoly:
         """Level n in the e-basis: the butterfly (1, 1; i, -i) over every
         letter of the words' polynomials (f -> e1 + i e2, fbar -> e1 - i e2),
-        then each entry's real part; its imaginary part is zero."""
-        got = self._tensors.get(n)
-        if got is None:
-            level = self.reduced(n)
-            work = word_polys(level)
-            for _ in range(n):  # the last letter, then moved to the front
-                work = ([p + q for p, q in zip(work[::2], work[1::2])]
-                        + [(p - q).mul_i() for p, q in zip(work[::2], work[1::2])])
-            entries = []
-            for value in work:
-                real, imag = value.parts(level.den)
-                if imag:
-                    raise ArithmeticError(f"level {n}: a tensor entry is not real")
-                entries.append(real)
-            got = self._tensors[n] = TensorPoly(n, entries)
-        return got
+        then each entry's real part; its imaginary part is zero.  Each
+        call expands the level afresh."""
+        level = self.reduced(n)
+        work = word_polys(level)
+        for _ in range(n):  # the last letter, then moved to the front
+            work = ([p + q for p, q in zip(work[::2], work[1::2])]
+                    + [(p - q).mul_i() for p, q in zip(work[::2], work[1::2])])
+        entries = []
+        for value in work:
+            real, imag = value.parts(level.den)
+            if imag:
+                raise ArithmeticError(f"level {n}: a tensor entry is not real")
+            entries.append(real)
+        return TensorPoly(n, entries)
 
     def developed(self, n: int) -> Vec3Poly:
         if n < 0:
@@ -254,51 +256,6 @@ def word_polys(level: ReducedLevel) -> list:
     return out
 
 
-def word_values(level: ReducedLevel, x, y) -> tuple:
-    """(values, den): Psi_w(x, y) for all 2^n words of a level, as
-    constant ZPolys over one denominator den.
-
-    With g the lcm of the denominators of x and y and z = (X + iY)/g,
-    p_k s^j = (X -+ iY)^|k| (X^2 + Y^2)^j / g^(|k|+2j), so with D the
-    largest |k| + 2j of the level (n, for a solved level) every value is
-    an integer over level.den * g^D.
-    """
-    x, y = as_rat(x), as_rat(y)
-    g = math.lcm(x.denominator, y.denominator)
-    big_x, big_y = x.numerator * (g // x.denominator), y.numerator * (g // y.denominator)
-    words = [(_k(level.n, idx), word) for idx, word in enumerate(level.entries())]
-    top = max((abs(k) + 2 * j for k, word in words for j in word), default=0)
-    powers = [(1, 0)]  # (X + iY)^m for m <= |k| <= n
-    for _ in range(level.n):
-        re, im = powers[-1]
-        powers.append((re * big_x - im * big_y, re * big_y + im * big_x))
-    norm = big_x * big_x + big_y * big_y
-    values = []
-    for k, word in words:
-        re, im = powers[abs(k)]
-        radial = sum(c * norm ** j * g ** (top - abs(k) - 2 * j) for j, c in word.items())
-        values.append(ZPoly({(0, 0, 0): re * radial,
-                             (0, 0, 1): (-im if k > 0 else im) * radial}))
-    return values, level.den * g ** top
-
-
-def reduced_development(state: HierarchyState, n: int, at=None) -> tuple:
-    """(Re, Im) of M(pi_n) e3, folded from the words of the reduced level n
-    (development.fold_letters): two Vec3Polys, or, given a point
-    at = (x, y), two triples of Fractions folded from the words' values
-    there.  pi_n is real, so Im is zero."""
-    level = state.reduced(n)
-    if at is None:
-        values, den = word_polys(level), level.den
-    else:
-        values, den = word_values(level, *at)
-    parts = [c.parts(den) for c in fold_letters(values)]
-    real, imag = (Vec3Poly(*(p[i] for p in parts)) for i in (0, 1))
-    if at is None:
-        return real, imag
-    return real.evaluate(0, 0), imag.evaluate(0, 0)  # constant polynomials
-
-
 def developed_rhs(self: HierarchyState, n: int) -> tuple:
     """Right-hand side 3-vector for the developed level-n problem, n >= 2:
 
@@ -361,13 +318,35 @@ class LevelNorms(namedtuple("LevelNorms", "l1 l2sq")):
 
 def level_norms(state: HierarchyState, n: int) -> LevelNorms:
     """l1 and squared l2 norms of the tensor pi_n(Phi(0)), from the
-    reduced level.
+    reduced level's values at the origin (_origin_values); the units
+    i^p do not change a norm."""
+    vals, den = _origin_values(state, n)
+    return LevelNorms(l1=Fraction(sum(map(abs, vals)), den),
+                      l2sq=Fraction(sum(v * v for v in vals), den * den))
+
+
+def origin_development(state: HierarchyState, n: int) -> tuple:
+    """M(pi_n(0)) e3 as three Fractions, folded (development.fold_suffixes)
+    from the reduced level's values at the origin.
+
+    The e-word entry with p letters e2 is i^p v over den (_origin_values).
+    pi_n is real by construction (a conjugate word has the same Q), so
+    v = 0 where p is odd and the entry is (-1)^(p/2) v where p is even.
+    The radial route gives (0, 0, a_n) for the same vector.
+    """
+    vals, den = _origin_values(state, n)
+    signed = [-v if idx.bit_count() % 4 == 2 else v for idx, v in enumerate(vals)]
+    return tuple(Fraction(c, den) for c in fold_suffixes([(0, 0, v) for v in signed]))
+
+
+def _origin_values(state: HierarchyState, n: int) -> tuple:
+    """(vals, den): pi_n at the origin in the e-basis, up to units.
 
     At the origin only the words with k = 0 are nonzero, each equal to
     q_0.  The e-basis values come from n butterfly passes with
     (1, 1; i, -i) = diag(1, i) (1, 1; 1, -1): the real passes run on the
-    integer numerators, and the factors i collect into a unit
-    i^(number of e2 letters) per e-word, which the norms do not see.
+    integer numerators, and the factors i collect into a unit i^p per
+    e-word, p its number of e2 letters; entry idx is i^p vals[idx] / den.
     """
     level = state.reduced(n)
     vals = [word.get(0, 0) if _k(n, idx) == 0 else 0
@@ -375,8 +354,7 @@ def level_norms(state: HierarchyState, n: int) -> LevelNorms:
     for _ in range(n):
         evens, odds = vals[::2], vals[1::2]
         vals = [a + b for a, b in zip(evens, odds)] + [a - b for a, b in zip(evens, odds)]
-    return LevelNorms(l1=Fraction(sum(map(abs, vals)), level.den),
-                      l2sq=Fraction(sum(v * v for v in vals), level.den ** 2))
+    return vals, level.den
 
 
 def radius_estimate(coeffs) -> list:
@@ -411,7 +389,10 @@ def radius_estimate(coeffs) -> list:
 def tensor_checks(state: HierarchyState, n: int) -> dict:
     """Exact residual and boundary verification for tensor level n: the
     reduced level's recorded residual verdict, and Q_w(1) = 0 for every
-    solved word."""
+    solved word.  The verdict recomputes lap Psi_w by the same rule
+    lap(p_k s^j) = 4 j (j + |k|) p_k s^(j-1) that the solve divides by,
+    so it checks the division, not tensor_rhs; origin_development and
+    the fold against the developed level check those."""
     return _checks(state.residual_ok["tensor"], n,
                    (not sum(word.values()) for word in state.reduced(n).words))
 

@@ -15,6 +15,9 @@ computation the package does another way:
   development.m_action and hierarchy.developed_rhs;
 - fold_apply_naive sums T_w M(w) v over every word with explicit 3x3
   word matrices (m_word), against development.fold_apply;
+- fold_letters folds a tensor given in the letters f = e1 + i e2 and
+  fbar = e1 - i e2, so the words of hierarchy.HierarchyState.reduced
+  develop without the e-basis expansion (checked against fold_apply);
 - radial_levels_fraction solves the radial recursion one Fraction at a
   time, against the integer numerators of hierarchy.radial_levels;
 - tensor_levels_bivariate solves the tensor hierarchy in the e-basis, one
@@ -39,8 +42,8 @@ import mpmath
 import numpy as np
 
 from disksig.bessel import d_lambda, make_constants
-from disksig.development import Vec3Poly
-from disksig.exactpoly import Poly2, TensorPoly, words
+from disksig.development import Vec3Poly, m_action
+from disksig.exactpoly import Poly2, TensorPoly, ZPoly, words
 from disksig.hierarchy import solve_poisson_zero_bd
 from disksig.montecarlo import (BLOCK, _MAX_BLOCKS_PER_PATH, SimConfig,
                                 _advance_block, _path_generator)
@@ -180,6 +183,26 @@ def fold_apply_naive(t: TensorPoly, v) -> Vec3Poly:
         mv = mat_vec(m_word(w), v)
         acc = [acc[k] + e * mv[k] for k in range(3)]
     return Vec3Poly(*acc)
+
+
+def fold_letters(values) -> tuple:
+    """M(T) e3 for a tensor T given by its 2^n word values in the letters
+    f, fbar (ZPolys, in lexicographic order with f before fbar).
+
+    The right fold of development.fold_apply in these letters: stage 0
+    assigns W[w] = (0, 0, T_w), and sibling suffixes merge as
+
+        W'[w] = M(f) W[wf] + M(fbar) W[wfbar] = m_action(u + v, i (u - v))
+
+    with u = W[wf], v = W[wfbar].  Returns the three ZPolys of W[empty word].
+    """
+    zero = ZPoly()
+    work = [(zero, zero, value) for value in values]
+    while len(work) > 1:
+        work = [m_action(tuple(p + q for p, q in zip(u, v)),
+                         tuple((p - q).mul_i() for p, q in zip(u, v)))
+                for u, v in zip(work[::2], work[1::2])]
+    return work[0]
 
 
 def radial_levels_fraction(n_max: int):

@@ -183,6 +183,33 @@ def test_hierarchy_exits_1_on_a_wrong_level(tmp_path, capsys, wrong_level,
     assert [c["level"] for c in checks if not c[broken]] == [3]
 
 
+def test_hierarchy_origin_fold_sees_a_wrong_tensor_rhs(tmp_path, capsys,
+                                                     monkeypatch):
+    # a wrong right-hand side at level 10 is solved exactly, so the residual
+    # verdict and the boundary values pass; past level 8 only the fold at
+    # the origin against the radial a_n sees it
+    import disksig.hierarchy as hierarchy
+
+    real = hierarchy.tensor_rhs
+
+    def wrong_rhs(state, n):
+        rhs = real(state, n)
+        if n != 10:
+            return rhs
+        return rhs._replace(words=[{**word, 0: word.get(0, 0) + rhs.den}
+                                   for word in rhs.words])
+
+    monkeypatch.setattr(hierarchy, "tensor_rhs", wrong_rhs)
+    rc, out = run(tmp_path, "hierarchy", "--levels", "10", "--mode", "tensor")
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("check failed")] == [
+        "check failed: level 10: fold of tensor level at the origin != a_n"]
+    payload = json.loads(out.read_text())
+    assert payload["fold_matches_developed"] is False
+    assert all(c["residual_ok"] and c["boundary_ok"] for c in payload["checks"])
+
+
 def test_develop_subcommand(tmp_path):
     rc, out = run(tmp_path, "develop", "--lambda", "1", "--levels", "2")
     assert rc == 0

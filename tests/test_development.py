@@ -5,11 +5,10 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disksig.development import (Vec3Poly, fold_apply, fold_letters, m_action,
-                                 partial_sum_F)
+from disksig.development import Vec3Poly, fold_apply, m_action, partial_sum_F
 from disksig.exactpoly import Poly2, TensorPoly, ZPoly, words
-from reference import (M1, M2, fold_apply_naive, identity3, m_of_vector,
-                       m_word, mat_mul, mat_vec)
+from reference import (M1, M2, fold_apply_naive, fold_letters, identity3,
+                       m_of_vector, m_word, mat_mul, mat_vec)
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 vectors = st.tuples(rationals, rationals, rationals)

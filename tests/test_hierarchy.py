@@ -13,11 +13,11 @@ import disksig.hierarchy as hierarchy
 from disksig.development import Vec3Poly
 from disksig.hierarchy import (HierarchyState, a_coefficients, developed_rhs,
                                developed_values, level_norms, radial_levels,
-                               radial_levels_ball, radius_estimate,
-                               reduced_development, solve_poisson_zero_bd,
-                               developed_checks, tensor_checks)
-from reference import (M1, M2, mat_mul, mat_vec, radial_levels_fraction,
-                       tensor_levels_bivariate)
+                               origin_development, radial_levels_ball,
+                               radius_estimate, solve_poisson_zero_bd,
+                               word_polys, developed_checks, tensor_checks)
+from reference import (M1, M2, fold_letters, mat_mul, mat_vec,
+                       radial_levels_fraction, tensor_levels_bivariate)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=16)
 
@@ -122,8 +122,10 @@ def test_reduced_levels_are_integer_numerators_over_one_reduced_denominator(stat
 
 
 def test_development_of_reduced_tensor_equals_radial_levels(state):
-    """M(pi_n) e3 folded from the words in f, fbar is (x A_n/r, y A_n/r, C_n)
-    of the radial route, as polynomials, through level 16."""
+    """M(pi_n) e3 folded from the words in f, fbar (the reference
+    fold_letters) is (x A_n/r, y A_n/r, C_n) of the radial route, as
+    polynomials, through level 16; at the origin origin_development gives
+    the same vector (0, 0, a_n)."""
     x, y = Poly2.monomial(1, 0), Poly2.monomial(0, 1)
     s_powers = [Poly2.const(1)]
     for _ in range(8):
@@ -132,9 +134,20 @@ def test_development_of_reduced_tensor_equals_radial_levels(state):
     for n in range(17):
         a_over_r = sum((q * s_powers[m // 2] for m, q in a_list[n].items()), Poly2.zero())
         c_n = sum((q * s_powers[m // 2] for m, q in c_list[n].items()), Poly2.zero())
-        real, imag = reduced_development(state, n)
+        level = state.reduced(n)
+        parts = [c.parts(level.den) for c in fold_letters(word_polys(level))]
+        real, imag = (Vec3Poly(*(p[i] for p in parts)) for i in (0, 1))
         assert real == Vec3Poly(x * a_over_r, y * a_over_r, c_n), n
         assert not any(imag), n
+        assert origin_development(state, n) == real.evaluate(0, 0), n
+
+
+def test_origin_values_vanish_where_the_unit_is_imaginary(state):
+    # pi_n is real, so an e-word with an odd number of e2 letters has
+    # value 0 at the origin; origin_development relies on it
+    for n in range(13):
+        vals, _ = hierarchy._origin_values(state, n)
+        assert not any(v for idx, v in enumerate(vals) if idx.bit_count() % 2), n
 
 
 def test_developed_rhs_is_the_generic_matrix_form(state):

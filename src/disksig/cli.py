@@ -66,8 +66,10 @@ polefinder = lazy_import("disksig.polefinder")
 
 TENSOR_CAP = 16
 DEVELOPED_CAP = 200  # radial route: develop, compare, radius
-# the bivariate developed oracle grows ~n^2/4 terms per level and its cost
-# faster than n^3: 60 levels take about 0.5 s on a 2-vCPU VM, 120 about 5 s
+# the bivariate developed oracle is solved in z, zbar, at most n + 1 terms
+# per component, but its x, y view has ~n^2/8 terms per component and is
+# most of the cost: 60 levels take about 0.2 s on a 2-vCPU VM (0.3 s with
+# --dump-polys), 120 about 0.6 s (1.7 s)
 DEVELOPED_ORACLE_CAP = 60
 # --precision caps, timed on a 2-vCPU VM: at MAX_PRECISION bits, `bessel
 # --pairing 141/50` takes about 1.9 s, `pole --width 1/1000` 2.1 s and
@@ -281,10 +283,11 @@ def cmd_hierarchy(args) -> tuple:
             if not ok:
                 failures.append(f"level {n}: {name}")
     if args.mode == "developed":
+        developed = [state.developed(n) for n in range(n_max + 1)]
         # the bivariate oracle checks the radial production route
         failures.extend(f"level {n}: bivariate C_n(0, 0) != radial a_n"
                         for n in range(n_max + 1)
-                        if state.developed(n).c3.coeff(0, 0) != a_vals[n])
+                        if developed[n].c3.coeff(0, 0) != a_vals[n])
     odd_ok = all(a_vals[n] == 0 for n in range(1, n_max + 1, 2))
     if not odd_ok:
         failures.append("odd-level coefficients not all zero")
@@ -321,10 +324,8 @@ def cmd_hierarchy(args) -> tuple:
             payload["polynomials"] = [state.tensor(n).to_json()
                                       for n in range(n_max + 1)]
         else:
-            payload["polynomials"] = [
-                [comp.to_json() for comp in state.developed(n)]
-                for n in range(n_max + 1)
-            ]
+            payload["polynomials"] = [[comp.to_json() for comp in level]
+                                      for level in developed]
     return json.dumps(payload, indent=2) + "\n", failures, {}
 
 

@@ -60,11 +60,6 @@ class Vec3Poly:
         """Exact componentwise evaluation at a rational point."""
         return (self.c1.evaluate(x, y), self.c2.evaluate(x, y), self.c3.evaluate(x, y))
 
-    @classmethod
-    def zero(cls) -> "Vec3Poly":
-        z = Poly2.zero()
-        return cls(z, z, z)
-
 
 def m_action(a, b) -> tuple:
     """M(e1) a + M(e2) b for 3-vectors a, b over any scalar ring.

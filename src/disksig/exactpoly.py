@@ -1,8 +1,8 @@
-"""Exact rational polynomials in two variables, and their boundary calculus.
+"""Exact polynomials in two variables, and their boundary calculus.
 
 Everything in this module is exact: coefficients are rationals, operations
 are formal, and any identity a test asserts is an identity of polynomials,
-not a numerical coincidence.  Two representations cooperate:
+not a numerical coincidence.  Three representations cooperate:
 
 * Poly2      -- sparse polynomial in (x, y): integer numerators
                 (i, j) -> int over one common denominator, in lowest
@@ -13,17 +13,14 @@ not a numerical coincidence.  Two representations cooperate:
                 Gaussian integer coefficients and no denominator; its
                 real and imaginary parts over a given one are Poly2s
 
-A finite Fourier polynomial on the circle is a plain pair (cos, sin) of
-maps k -> nonzero Fraction, the coefficients of cos(k theta) (k >= 0) and
-sin(k theta) (k >= 1).  boundary_trace restricts a Poly2 to the unit
-circle (x = cos theta, y = sin theta) and returns such a pair;
-harmonic_extension is its one-sided inverse, sending cos(k theta) to
-Re((x+iy)^k) and sin(k theta) to Im((x+iy)^k).  Both work in integers
-from shared tables (integer monomial traces, signed binomials);
-boundary_trace builds one Fraction per output Fourier coefficient.
-poisson_particular solves lap(u) = f for a particular polynomial u in one
-integer sweep over the y-degree rows of f.  Only this module reads
-Poly2's internals.
+The Dirichlet problem on the unit disk is diagonal on ZPoly terms.
+laplacian = 4 d/dz d/dzbar sends z^a zbar^b to 4ab z^(a-1) zbar^(b-1),
+and on the unit circle, where z zbar = 1, z^a zbar^b equals z^(a-b), or
+zbar^(b-a) when b > a, a harmonic polynomial.  boundary_trace sums a
+ZPoly's coefficients by k = a - b, and harmonic_extension is its
+inverse, sending k to z^k (k >= 0) or zbar^(-k) (k < 0).  All three
+work on integers.  Only this module reads the internals of Poly2 and
+ZPoly.
 """
 
 from __future__ import annotations
@@ -105,15 +102,6 @@ class Poly2:
     def coeff(self, i: int, j: int) -> Fraction:
         return Fraction(self._c.get((i, j), 0), self._d)
 
-    def is_zero(self) -> bool:
-        return not self._c
-
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self._c:
-            return -1
-        return max(i + j for i, j in self._c)
-
     def __eq__(self, other):
         if isinstance(other, Poly2):
             return self._d == other._d and self._c == other._c
@@ -190,16 +178,6 @@ class Poly2:
     def __truediv__(self, other):
         v = as_rat(other)
         return self * (1 / v)
-
-    # -- calculus ------------------------------------------------------
-
-    def partial_x(self) -> "Poly2":
-        return _reduced({(i - 1, j): v * i for (i, j), v in self._c.items() if i},
-                        self._d)
-
-    def partial_y(self) -> "Poly2":
-        return _reduced({(i, j - 1): v * j for (i, j), v in self._c.items() if j},
-                        self._d)
 
     # -- evaluation and substitution ------------------------------------
 
@@ -299,175 +277,6 @@ def _coerce(other):
     return NotImplemented
 
 
-def laplacian(p: Poly2) -> Poly2:
-    """d^2p/dx^2 + d^2p/dy^2, exact, in one pass over the numerators."""
-    c = {}
-    for (i, j), v in p._c.items():
-        if i >= 2:
-            k = (i - 2, j)
-            c[k] = c.get(k, 0) + v * i * (i - 1)
-        if j >= 2:
-            k = (i, j - 2)
-            c[k] = c.get(k, 0) + v * j * (j - 1)
-    return _reduced({k: v for k, v in c.items() if v}, p._d)
-
-
-def poisson_particular(f: Poly2) -> Poly2:
-    """A particular polynomial u with laplacian(u) == f, exactly.
-
-    A term c x^a y^b of f is absorbed by c x^(a+2) y^b / ((a+1)(a+2)),
-    whose Laplacian is c x^a y^b plus a correction
-    c b(b-1)/((a+1)(a+2)) x^(a+2) y^(b-2) two rows lower in y-degree.
-    One sweep over the y-degree rows, from the highest down, therefore
-    reaches each row after every correction into it and handles each
-    term once.  A row is a map a -> integer numerator over the row's own
-    denominator (f's, or its lcm with the incoming correction's, reduced);
-    each row's divisions by (a+1)(a+2) go to their lcm, and the rows of
-    u meet over one lcm at the end.
-    """
-    rows = {}
-    for (a, b), v in f._c.items():
-        rows.setdefault(b, {})[a] = v
-    carry = {}  # row b -> (numerators, denominator) of the correction into it
-    parts = []  # (b, numerators of row b of u, denominator)
-    for b in range(max(rows, default=-1), -1, -1):
-        row, den = rows.get(b, {}), f._d
-        if b in carry:
-            row, den = _sum_over_lcm(row, den, *carry.pop(b))
-        if not row:
-            continue
-        m = math.lcm(*((a + 1) * (a + 2) for a in row))
-        den *= m
-        part = {a + 2: v * (m // ((a + 1) * (a + 2))) for a, v in row.items()}
-        parts.append((b, part, den))
-        if b >= 2:
-            bb = b * (b - 1)
-            carry[b - 2] = ({a: -v * bb for a, v in part.items()}, den)
-    den = math.lcm(*(d for _, _, d in parts))
-    c = {}
-    for b, part, d in parts:
-        s = den // d
-        for a, v in part.items():
-            c[(a, b)] = v * s
-    return _reduced(c, den)
-
-
-# 2^(i+j) * trace(x^i y^j) has integer Fourier coefficients, since
-# 2 cos(t) and 2 sin(t) act on the basis by integer product-to-sum:
-#   2 cos(t) cos(kt) = cos((k+1)t) + cos((k-1)t)
-#   2 cos(t) sin(kt) = sin((k+1)t) + sin((k-1)t)
-#   2 sin(t) cos(kt) = sin((k+1)t) - sin((k-1)t)
-#   2 sin(t) sin(kt) = cos((k-1)t) - cos((k+1)t)
-# _MONO_TRACE maps (i, j) to that integer trace as two tuples of
-# (k, coefficient) pairs, cos then sin; it is shared by every call and
-# grows along the lattice path (i, j) -> (i, j-1) -> ... -> (0, 0).  Its
-# entries are never handed out, so no returned trace can alias them.
-_MONO_TRACE = {(0, 0): (((0, 1),), ())}
-
-
-def _times_two_trig(cos, sin, by_sin):
-    """Integer product-to-sum of (cos, sin) pairs with 2 cos(t) or 2 sin(t)."""
-    c, s = {}, {}
-    if by_sin:
-        for k, v in cos:
-            s[k + 1] = s.get(k + 1, 0) + v
-            s[k - 1] = s.get(k - 1, 0) - v
-        for k, v in sin:
-            c[k - 1] = c.get(k - 1, 0) + v
-            c[k + 1] = c.get(k + 1, 0) - v
-    else:
-        for k, v in cos:
-            c[k + 1] = c.get(k + 1, 0) + v
-            c[k - 1] = c.get(k - 1, 0) + v
-        for k, v in sin:
-            s[k + 1] = s.get(k + 1, 0) + v
-            s[k - 1] = s.get(k - 1, 0) + v
-    # fold negative frequencies: cos(-kt) = cos(kt), sin(-kt) = -sin(kt)
-    if -1 in c:
-        c[1] = c.get(1, 0) + c.pop(-1)
-    if -1 in s:
-        s[1] = s.get(1, 0) - s.pop(-1)
-    s.pop(0, None)
-    return (tuple(sorted((k, v) for k, v in c.items() if v)),
-            tuple(sorted((k, v) for k, v in s.items() if v)))
-
-
-def _mono_trace(i: int, j: int):
-    path = []
-    key = (i, j)
-    while key not in _MONO_TRACE:
-        path.append(key)
-        a, b = key
-        key = (a, b - 1) if b else (a - 1, 0)
-    for a, b in reversed(path):
-        _MONO_TRACE[(a, b)] = _times_two_trig(
-            *_MONO_TRACE[(a, b - 1) if b else (a - 1, 0)], by_sin=bool(b))
-    return _MONO_TRACE[(i, j)]
-
-
-def boundary_trace(p: Poly2) -> tuple:
-    """Exact restriction of p to the unit circle, as maps (cos, sin).
-
-    Substitutes x = cos theta, y = sin theta; cos[k] and sin[k] are the
-    nonzero coefficients of cos(k theta) and sin(k theta), so the zero
-    polynomial gives ({}, {}).  Every numerator of p is
-    scaled from p's denominator D to D * 2^N (N its degree), so each
-    monomial contributes an integer multiple of its integer trace from
-    _MONO_TRACE; the integer sums per Fourier mode are divided by
-    D * 2^N once, at the end.
-    """
-    if not p._c:
-        return {}, {}
-    deg = p.degree()
-    cos, sin = {}, {}
-    for (i, j), v in p._c.items():
-        scale = v << (deg - i - j)
-        mono_cos, mono_sin = _mono_trace(i, j)
-        for k, m in mono_cos:
-            cos[k] = cos.get(k, 0) + scale * m
-        for k, m in mono_sin:
-            sin[k] = sin.get(k, 0) + scale * m
-    common = p._d << deg
-    return ({k: Fraction(v, common) for k, v in cos.items() if v},
-            {k: Fraction(v, common) for k, v in sin.items() if v})
-
-
-# _HARMONIC[k] is the pair (Re, Im) of ((i, j), c) tuples with
-# Re((x+iy)^k) = sum c x^i y^j over the even j and Im((x+iy)^k) over the
-# odd j, c = (-1)^(j//2) * binom(k, j).  Shared by every call and never
-# handed out.
-_HARMONIC = {}
-
-
-def _harmonic_terms(k: int):
-    got = _HARMONIC.get(k)
-    if got is None:
-        terms = [((k - j, j), -math.comb(k, j) if j % 4 >= 2 else math.comb(k, j))
-                 for j in range(k + 1)]
-        got = _HARMONIC[k] = (tuple(terms[::2]), tuple(terms[1::2]))
-    return got
-
-
-def harmonic_extension(t: tuple) -> Poly2:
-    """The harmonic polynomial on the disk with boundary values t = (cos, sin).
-
-    cos(k theta) -> Re((x+iy)^k), sin(k theta) -> Im((x+iy)^k).
-    laplacian of the result is identically zero.  Re((x+iy)^k) and
-    Im((x+iy)^k) are homogeneous of degree k with even and odd powers of
-    y respectively, so no two modes of t share a monomial and each output
-    numerator is one integer binomial term times a mode's numerator,
-    scaled to the lcm of t's denominators.
-    """
-    den = math.lcm(*(v.denominator for modes in t for v in modes.values()))
-    c = {}
-    for part, modes in enumerate(t):
-        for k, v in modes.items():
-            num = v.numerator * (den // v.denominator)
-            for key, b in _harmonic_terms(k)[part]:
-                c[key] = num * b
-    return _reduced(c, den)
-
-
 # _Z_ZBAR[(a, b)] is the tuple of (j, c) with z^a zbar^b = sum c i^j x^(a+b-j) y^j,
 # c = sum_{p+q=j} binom(a, p) binom(b, q) (-1)^q an integer.  Shared by every
 # call and never handed out.
@@ -492,8 +301,9 @@ class ZPoly:
 
     Internal form: {(a, b, e): v}, the terms v i^e z^a zbar^b with e in
     {0, 1} and v a nonzero int.  There is no denominator: sums,
-    differences and products by i need none, so a caller keeps one for a
-    whole family of values (the tensor hierarchy keeps one per level).
+    differences, integer multiples, products by i and derivatives need
+    none, so a caller keeps one for a whole family of values (both
+    hierarchies keep one per level).
     Immutable by convention, like Poly2.
     """
 
@@ -513,19 +323,35 @@ class ZPoly:
     def __repr__(self):
         return f"ZPoly({self._c!r})"
 
+    def terms(self):
+        """Iterate ((a, b, e), v) pairs in a fixed canonical order."""
+        return iter(sorted(self._c.items()))
+
     def __add__(self, other: "ZPoly") -> "ZPoly":
         return _zsum(self, other, 1)
 
     def __sub__(self, other: "ZPoly") -> "ZPoly":
         return _zsum(self, other, -1)
 
+    def __mul__(self, k: int) -> "ZPoly":
+        """self times the integer k."""
+        if not k:
+            return ZPoly()
+        return _zraw({key: v * k for key, v in self._c.items()})
+
+    __rmul__ = __mul__
+
     def mul_i(self) -> "ZPoly":
         """i times self: i * i^e = i^(e+1), and i^2 = -1."""
-        if not self._c:
-            return self
-        p = ZPoly.__new__(ZPoly)
-        p._c = {(a, b, 1 - e): -v if e else v for (a, b, e), v in self._c.items()}
-        return p
+        return _zraw({(a, b, 1 - e): -v if e else v for (a, b, e), v in self._c.items()})
+
+    def d_z(self) -> "ZPoly":
+        """d/dz: z^a zbar^b -> a z^(a-1) zbar^b."""
+        return _zraw({(a - 1, b, e): a * v for (a, b, e), v in self._c.items() if a})
+
+    def d_zbar(self) -> "ZPoly":
+        """d/dzbar: z^a zbar^b -> b z^a zbar^(b-1)."""
+        return _zraw({(a, b - 1, e): b * v for (a, b, e), v in self._c.items() if b})
 
     def parts(self, den: int) -> tuple:
         """(Re, Im) of self / den as Poly2s in x and y.
@@ -546,6 +372,13 @@ class ZPoly:
                      for part in (re, im))
 
 
+def _zraw(c: dict) -> ZPoly:
+    """ZPoly over the terms c, none of them zero."""
+    p = ZPoly.__new__(ZPoly)
+    p._c = c
+    return p
+
+
 def _zsum(p: ZPoly, q: ZPoly, sign: int) -> ZPoly:
     """p + sign * q, zero coefficients dropped."""
     if not q._c:
@@ -559,9 +392,35 @@ def _zsum(p: ZPoly, q: ZPoly, sign: int) -> ZPoly:
             c[k] = w
         else:
             del c[k]
-    out = ZPoly.__new__(ZPoly)
-    out._c = c
-    return out
+    return _zraw(c)
+
+
+def laplacian(p: ZPoly) -> ZPoly:
+    """4 d/dz d/dzbar p: z^a zbar^b -> 4ab z^(a-1) zbar^(b-1)."""
+    return _zraw({(a - 1, b - 1, e): 4 * a * b * v
+                  for (a, b, e), v in p._c.items() if a and b})
+
+
+def boundary_trace(p: ZPoly) -> dict:
+    """Exact restriction of p to the unit circle, as a map (k, e) -> int.
+
+    On the circle z^a zbar^b = z^(a-b), or zbar^(b-a) when b > a, so the
+    trace is the nonzero sums of the coefficients v of the terms
+    v i^e z^a zbar^b with the same k = a - b; the zero polynomial, or
+    one that vanishes on the circle, gives {}.
+    """
+    t = {}
+    for (a, b, e), v in p._c.items():
+        key = (a - b, e)
+        t[key] = t.get(key, 0) + v
+    return {key: v for key, v in t.items() if v}
+
+
+def harmonic_extension(t: dict) -> ZPoly:
+    """The harmonic polynomial on the disk with boundary values t, a map
+    (k, e) -> nonzero int: v i^e z^k for k >= 0 and v i^e zbar^(-k) for
+    k < 0.  Its laplacian is zero and its boundary_trace is t."""
+    return _zraw({(max(k, 0), max(-k, 0), e): v for (k, e), v in t.items()})
 
 
 def words(n: int):

@@ -60,11 +60,15 @@ right-hand side exactly, and the checks read that verdict next to the
 zero boundary values.  Everything here is exact; radial_levels_ball
 only encloses the exact radial levels in balls.
 
-The bivariate Dirichlet solver: a particular polynomial solution of
-lap u = f found monomial by monomial (the undetermined-coefficient
-system is triangular when processed by descending y-degree, see
-exactpoly.poisson_particular), corrected by the harmonic extension of
-its boundary trace.
+The bivariate developed hierarchy runs on ZPolys, polynomials in z and
+zbar, with one denominator per level, reduced once per level
+(HierarchyState.developed_z); HierarchyState.developed gives a level's
+x, y view.
+There the Dirichlet problem is diagonal (see exactpoly): a term
+c z^a zbar^b of the right-hand side is absorbed by
+c/(4(a+1)(b+1)) z^(a+1) zbar^(b+1), and the harmonic extension of that
+particular solution's boundary trace, z^(a-b) or zbar^(b-a), is
+subtracted.
 """
 
 from __future__ import annotations
@@ -76,22 +80,36 @@ from fractions import Fraction
 
 from .development import Vec3Poly, fold_suffixes, m_action
 from .exactpoly import (Poly2, TensorPoly, ZPoly, as_rat, boundary_trace,
-                        harmonic_extension, laplacian, poisson_particular)
+                        harmonic_extension, laplacian)
 
 
-def solve_poisson_zero_bd(f: Poly2) -> Poly2:
-    """The unique u with lap(u) = f exactly and zero trace on the circle.
+def solve_poisson_zero_bd(f: ZPoly, scale: int) -> ZPoly:
+    """The unique u with lap(u) = scale * f exactly and zero trace on the
+    circle, for a scale that 4(a+1)(b+1) divides for every term
+    z^a zbar^b of f (poisson_scale gives the least).
 
-    Particular solution: exactpoly.poisson_particular, one integer sweep
-    over the y-degree rows of f from the highest down, each term
-    c x^a y^b absorbed by c x^{a+2} y^b / ((a+1)(a+2)) and its correction
-    passed two rows down.  Boundary correction: subtract the harmonic
-    extension of the particular solution's trace.
+    Particular solution: each term c z^a zbar^b of f gives
+    c scale/(4(a+1)(b+1)) z^(a+1) zbar^(b+1).  Boundary correction:
+    subtract the harmonic extension of the particular solution's trace.
     """
-    if f.is_zero():
-        return Poly2.zero()
-    u_p = poisson_particular(f)
-    return u_p - harmonic_extension(boundary_trace(u_p))
+    particular = ZPoly({(a + 1, b + 1, e): v * (scale // (4 * (a + 1) * (b + 1)))
+                        for (a, b, e), v in f.terms()})
+    return particular - harmonic_extension(boundary_trace(particular))
+
+
+def poisson_scale(polys) -> int:
+    """The lcm of 4(a+1)(b+1) over the terms z^a zbar^b of polys: the
+    least scale at which solve_poisson_zero_bd solves each of them in
+    integers."""
+    return math.lcm(*{4 * (a + 1) * (b + 1) for f in polys for (a, b, _), _ in f.terms()})
+
+
+class DevelopedLevel(namedtuple("DevelopedLevel", "comps den")):
+    """The three components of a developed level V_n, or of its
+    right-hand side, as ZPolys of integer numerators over the positive
+    denominator den."""
+
+    __slots__ = ()
 
 
 class ReducedLevel(namedtuple("ReducedLevel", "n words den")):
@@ -119,7 +137,8 @@ def _k(n: int, idx: int) -> int:
 class HierarchyState:
     """Computed levels of both hierarchies, extended on demand.
 
-    reduced_levels[n] is a ReducedLevel, developed_levels[n] a Vec3Poly.
+    reduced_levels[n] is a ReducedLevel, developed_levels[n] a
+    DevelopedLevel.
     Levels 0 and 1 are definitions; level n >= 2 needs only n-1 and n-2,
     so extension is a simple sequential sweep that solves the level's
     right-hand side and records, in residual_ok[name][n], whether every
@@ -131,8 +150,9 @@ class HierarchyState:
     def __init__(self):
         self.reduced_levels: list[ReducedLevel] = [
             ReducedLevel(0, [{0: 1}], 1), ReducedLevel(1, [{}], 1)]
-        self.developed_levels: list[Vec3Poly] = [
-            Vec3Poly(Poly2.zero(), Poly2.zero(), Poly2.const(1)), Vec3Poly.zero()]
+        self.developed_levels: list[DevelopedLevel] = [
+            DevelopedLevel((ZPoly(), ZPoly(), ZPoly({(0, 0, 0): 1})), 1),
+            DevelopedLevel((ZPoly(), ZPoly(), ZPoly()), 1)]
         self.residual_ok = {"tensor": [True, True], "developed": [True, True]}
 
     def reduced(self, n: int) -> ReducedLevel:
@@ -155,24 +175,39 @@ class HierarchyState:
         for _ in range(n):  # the last letter, then moved to the front
             work = ([p + q for p, q in zip(work[::2], work[1::2])]
                     + [(p - q).mul_i() for p, q in zip(work[::2], work[1::2])])
-        entries = []
-        for value in work:
-            real, imag = value.parts(level.den)
-            if imag:
-                raise ArithmeticError(f"level {n}: a tensor entry is not real")
-            entries.append(real)
-        return TensorPoly(n, entries)
+        return TensorPoly(n, [_real_part(value, level.den, n) for value in work])
 
-    def developed(self, n: int) -> Vec3Poly:
+    def developed_z(self, n: int) -> DevelopedLevel:
+        """Level n in z and zbar: each level is solved at one scale for its
+        three components, its residual verdict recorded, and reduced once."""
         if n < 0:
             raise ValueError("negative level")
         while len(self.developed_levels) <= n:
             rhs = developed_rhs(self, len(self.developed_levels))
-            solved = [solve_poisson_zero_bd(f) for f in rhs]
+            scale = poisson_scale(rhs.comps)
+            solved = [solve_poisson_zero_bd(f, scale) for f in rhs.comps]
             self.residual_ok["developed"].append(
-                all(laplacian(u) == f for u, f in zip(solved, rhs)))
-            self.developed_levels.append(Vec3Poly(*solved))
+                all(laplacian(u) == f * scale for u, f in zip(solved, rhs.comps)))
+            common = math.gcd(rhs.den * scale, *(v for u in solved for _, v in u.terms()))
+            self.developed_levels.append(DevelopedLevel(
+                tuple(ZPoly({key: v // common for key, v in u.terms()}) for u in solved),
+                rhs.den * scale // common))
         return self.developed_levels[n]
+
+    def developed(self, n: int) -> Vec3Poly:
+        """Level n as a Vec3Poly in x and y, the real parts of its
+        components; each call builds them afresh."""
+        level = self.developed_z(n)
+        return Vec3Poly(*(_real_part(c, level.den, n) for c in level.comps))
+
+
+def _real_part(value: ZPoly, den: int, n: int) -> Poly2:
+    """The real part of value / den, a Poly2; value belongs to level n and
+    must be real."""
+    real, imag = value.parts(den)
+    if imag:
+        raise ArithmeticError(f"level {n}: a polynomial of the level is not real")
+    return real
 
 
 def tensor_rhs(self: HierarchyState, n: int) -> ReducedLevel:
@@ -256,18 +291,25 @@ def word_polys(level: ReducedLevel) -> list:
     return out
 
 
-def developed_rhs(self: HierarchyState, n: int) -> tuple:
+def developed_rhs(self: HierarchyState, n: int) -> DevelopedLevel:
     """Right-hand side 3-vector for the developed level-n problem, n >= 2:
 
         -2 (M(e1) dV_{n-1}/dx + M(e2) dV_{n-1}/dy) - diag(1, 1, 2) V_{n-2}
+
+    over the lcm of both levels' denominators, with d/dx = d/dz + d/dzbar
+    and d/dy = i (d/dz - d/dzbar).
     """
     if n < 2:
         raise ValueError("RHS defined for n >= 2")
-    prev = self.developed(n - 1)
-    q1, q2, q3 = self.developed(n - 2)
-    first = m_action(tuple(c.partial_x() for c in prev),
-                     tuple(c.partial_y() for c in prev))
-    return tuple(-2 * m - q for m, q in zip(first, (q1, q2, 2 * q3)))
+    prev, prev2 = self.developed_z(n - 1), self.developed_z(n - 2)
+    den = math.lcm(prev.den, prev2.den)
+    k1, k2 = -2 * (den // prev.den), den // prev2.den
+    dz = [c.d_z() for c in prev.comps]
+    dzbar = [c.d_zbar() for c in prev.comps]
+    first = m_action(tuple(p + q for p, q in zip(dz, dzbar)),
+                     tuple((p - q).mul_i() for p, q in zip(dz, dzbar)))
+    return DevelopedLevel(tuple(m * k1 - q * (k2 * w) for m, q, w
+                                in zip(first, prev2.comps, (1, 1, 2))), den)
 
 
 def a_coefficients(n_max: int) -> list:
@@ -400,7 +442,7 @@ def tensor_checks(state: HierarchyState, n: int) -> dict:
 def developed_checks(state: HierarchyState, n: int) -> dict:
     """Exact residual and boundary verification for developed level n."""
     return _checks(state.residual_ok["developed"], n,
-                   (boundary_trace(c) == ({}, {}) for c in state.developed(n)))
+                   (not boundary_trace(c) for c in state.developed_z(n).comps))
 
 
 def _checks(residual_ok: list, n: int, on_circle) -> dict:

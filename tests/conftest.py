@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from disksig.exactpoly import Poly2
+from disksig.exactpoly import ZPoly
 from disksig.hierarchy import HierarchyState
 
 
@@ -66,12 +66,14 @@ def budget_one_in_workers(monkeypatch):
     monkeypatch.setattr(montecarlo, "_worker_count", lambda paths: 2)
 
 
-_X, _Y = Poly2.monomial(1, 0), Poly2.monomial(0, 1)
-# what each wrong term leaves intact: x is harmonic, so the residual still
-# holds but the trace is cos t; (1 - x^2 - y^2) x vanishes on the circle,
-# but its Laplacian is -8x
-_WRONG_TERM = {"boundary_ok": _X,
-               "residual_ok": (Poly2.const(1) - _X * _X - _Y * _Y) * _X}
+# what each wrong term of a developed component leaves intact, as ZPoly
+# terms: z + zbar = 2x is harmonic, so the residual still holds but the
+# trace is 2 cos t; (1 - z zbar)(z + zbar) vanishes on the circle, but its
+# Laplacian is -8 (z + zbar); both are real, so the level's x, y view is
+# still built
+_WRONG_TERM = {"boundary_ok": ZPoly({(1, 0, 0): 1, (0, 1, 0): 1}),
+               "residual_ok": ZPoly({(1, 0, 0): 1, (0, 1, 0): 1,
+                                     (2, 1, 0): -1, (1, 2, 0): -1})}
 # the same for a word p_k Q(s) of the reduced tensor level, as a map
 # {power of s: rational}: p_k is harmonic, but Q(1) becomes 1; p_k (1 - s)
 # has Q(1) = 0, but its Laplacian is -4 (1 + |k|) p_k
@@ -115,10 +117,10 @@ def wrong_level(monkeypatch):
         monkeypatch.setattr(hierarchy, "developed_rhs", rhs)
         solve = hierarchy.solve_poisson_zero_bd
 
-        def wrong_solve(f):
+        def wrong_solve(f, scale):
             if building[-1] == level:
-                return solve(f) + _WRONG_TERM[check]
-            return solve(f)
+                return solve(f, scale) + _WRONG_TERM[check]
+            return solve(f, scale)
 
         monkeypatch.setattr(hierarchy, "solve_poisson_zero_bd", wrong_solve)
 

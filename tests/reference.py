@@ -10,6 +10,10 @@ computation the package does another way:
   of a block, exp included, against the shortcut in _advance_block;
 - signature_of_path builds a path signature by one Chen product per
   chord (tensor_exp), against the blockwise engine;
+- partial_xy, laplacian_xy and vanishes_on_circle are the x, y calculus
+  of Poly2, term by term and at rational points of the circle, against
+  the z, zbar calculus of exactpoly.ZPoly that the developed hierarchy
+  solves in;
 - m_of_vector, mat_mul and mat_vec are the generic 3x3 matrix algebra,
   and M1, M2 the basis matrices M(e1), M(e2), against
   development.m_action and hierarchy.developed_rhs;
@@ -44,7 +48,7 @@ import numpy as np
 from disksig.bessel import d_lambda, make_constants
 from disksig.development import Vec3Poly, m_action
 from disksig.exactpoly import Poly2, TensorPoly, ZPoly, words
-from disksig.hierarchy import solve_poisson_zero_bd
+from disksig.hierarchy import poisson_scale, solve_poisson_zero_bd
 from disksig.montecarlo import (BLOCK, _MAX_BLOCKS_PER_PATH, SimConfig,
                                 _advance_block, _path_generator)
 from disksig.polefinder import BRACKET_HI, BRACKET_LO
@@ -126,6 +130,30 @@ def signature_of_path(increments, level: int) -> list:
     return sig
 
 
+def partial_xy(p: Poly2, axis: int) -> Poly2:
+    """d/dx (axis 0) or d/dy (axis 1) of p, term by term."""
+    return Poly2({(i - (axis == 0), j - (axis == 1)): c * (i, j)[axis]
+                  for (i, j), c in p.terms() if (i, j)[axis]})
+
+
+def laplacian_xy(p: Poly2) -> Poly2:
+    """d^2p/dx^2 + d^2p/dy^2."""
+    return partial_xy(partial_xy(p, 0), 0) + partial_xy(partial_xy(p, 1), 1)
+
+
+def vanishes_on_circle(p: Poly2) -> bool:
+    """Whether p is zero on the unit circle, exactly.
+
+    With N the total degree of p, p on the circle is a trigonometric
+    polynomial of degree <= N, which is zero if it vanishes at 2N+1
+    distinct angles.  Those are taken at the rational points
+    ((1-t^2)/(1+t^2), 2t/(1+t^2)), t = 0..2N.
+    """
+    n = max((i + j for (i, j), _ in p.terms()), default=0)
+    return all(p.evaluate(Fraction(1 - t * t, 1 + t * t), Fraction(2 * t, 1 + t * t)) == 0
+               for t in range(2 * n + 1))
+
+
 def m_of_vector(x) -> tuple:
     """M(x) for a pair of scalars; works for Fraction, float or ball entries."""
     x1, x2 = x
@@ -178,7 +206,7 @@ def fold_apply_naive(t: TensorPoly, v) -> Vec3Poly:
     acc = [Poly2.zero()] * 3
     for w in words(t.level):
         e = t.entry(w)
-        if e.is_zero():
+        if not e:
             continue
         mv = mat_vec(m_word(w), v)
         acc = [acc[k] + e * mv[k] for k in range(3)]
@@ -236,22 +264,33 @@ def radial_levels_fraction(n_max: int):
 
 def tensor_levels_bivariate(n_max: int) -> list:
     """TensorPolys pi_0 .. pi_N, one hierarchy.solve_poisson_zero_bd per
-    word: for w = (i1, i2, w''), the first-derivative term contributes
-    -2 d(pi_{n-1}[i2 w''])/dz_{i1}, and the level n-2 term contributes
+    e-word, each word a ZPoly over one denominator per level: for
+    w = (i1, i2, w''), the first-derivative term contributes
+    -2 d(pi_{n-1}[i2 w''])/dz_{i1}, with d/dx = d/dz + d/dzbar and
+    d/dy = i (d/dz - d/dzbar), and the level n-2 term contributes
     -pi_{n-2}[w''] exactly when i1 = i2."""
-    levels = [TensorPoly(0, [Poly2.const(1)]), TensorPoly.zeros(1)]
+    levels = [([ZPoly({(0, 0, 0): 1})], 1), ([ZPoly(), ZPoly()], 1)]
     for n in range(2, n_max + 1):
-        prev, prev2 = levels[n - 1].entries, levels[n - 2].entries
+        (prev, den1), (prev2, den2) = levels[n - 1], levels[n - 2]
+        den = math.lcm(den1, den2)
+        k1, k2 = -2 * (den // den1), den // den2
         half, quarter = 1 << (n - 1), 1 << (n - 2)
-        entries = []
+        rhs = []
         for idx in range(1 << n):
             tail = prev[idx & (half - 1)]
-            rhs = -2 * (tail.partial_x() if idx < half else tail.partial_y())
+            dz, dzbar = tail.d_z(), tail.d_zbar()
+            f = (dz + dzbar if idx < half else (dz - dzbar).mul_i()) * k1
             if (idx >> (n - 1)) == (idx >> (n - 2)) & 1:
-                rhs = rhs - prev2[idx & (quarter - 1)]
-            entries.append(solve_poisson_zero_bd(rhs))
-        levels.append(TensorPoly(n, entries))
-    return levels[: n_max + 1]
+                f = f - prev2[idx & (quarter - 1)] * k2
+            rhs.append(f)
+        scale = poisson_scale(rhs)
+        levels.append(([solve_poisson_zero_bd(f, scale) for f in rhs], den * scale))
+    out = []
+    for n, (entries, den) in enumerate(levels[: n_max + 1]):
+        parts = [value.parts(den) for value in entries]
+        assert not any(imag for _, imag in parts), n
+        out.append(TensorPoly(n, [real for real, _ in parts]))
+    return out
 
 
 def ball_bisection(width: Fraction) -> tuple:

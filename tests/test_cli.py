@@ -121,10 +121,14 @@ def test_hierarchy_dump_polys_round_trips(tmp_path):
      "338ddc8db32ef5d942a46eb9b32d08186aa2454962e1c8aa72ea954e2b0cb1e9"),
     ("developed", 24,
      "de58e72dbbac53f86764e0869d2f1c9f22b5286156228dbcb512f9d1e42571e4"),
+    ("developed", 60,
+     "4bb4dcf8ee7f43f22d69584ad82c7222dfdf4a14b1e52d6b45cb015633a0070b"),
 ])
 def test_hierarchy_dump_polys_bytes_are_pinned(tmp_path, mode, levels, digest):
     # every dumped rational of both oracle hierarchies, pinned to the bytes
-    # of the rational product-to-sum trace and Poly2-product extension
+    # of their x, y routes: the tensor level by one Poisson solve per e-word,
+    # the developed level (up to its cap) by a sweep over y-degree rows and
+    # a Fourier boundary trace, before both were solved in z and zbar
     rc, out = run(tmp_path, "hierarchy", "--levels", str(levels),
                   "--mode", mode, "--dump-polys")
     assert rc == 0

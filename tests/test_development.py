@@ -80,15 +80,15 @@ def test_fold_of_level2_solution(state):
     v = fold_apply(state.tensor(2), E3)
     x2 = Poly2.monomial(2, 0)
     y2 = Poly2.monomial(0, 2)
-    assert v.c1.is_zero()
-    assert v.c2.is_zero()
+    assert not v.c1
+    assert not v.c2
     assert v.c3 == (Poly2.const(1) - x2 - y2) * F(1, 2)
 
 
 def test_fold_against_explicit_sum(state):
     """fold(pi_n) = sum_w pi_n[w] M(w) e3, spelled out longhand."""
     t = state.tensor(3)
-    acc = Vec3Poly.zero()
+    acc = Vec3Poly(Poly2.zero(), Poly2.zero(), Poly2.zero())
     for w in words(3):
         column = mat_vec(m_word(w), E3)
         acc = acc + Vec3Poly(*(t.entry(w) * c for c in column))

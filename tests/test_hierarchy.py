@@ -8,42 +8,67 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from disksig.balls import RealBall
-from disksig.exactpoly import Poly2, boundary_trace, laplacian
+from disksig.exactpoly import Poly2, ZPoly, boundary_trace, laplacian
 import disksig.hierarchy as hierarchy
 from disksig.development import Vec3Poly
 from disksig.hierarchy import (HierarchyState, a_coefficients, developed_rhs,
                                developed_values, level_norms, radial_levels,
-                               origin_development, radial_levels_ball,
-                               radius_estimate, solve_poisson_zero_bd,
-                               word_polys, developed_checks, tensor_checks)
-from reference import (M1, M2, fold_letters, mat_mul, mat_vec,
-                       radial_levels_fraction, tensor_levels_bivariate)
-
-rationals = st.fractions(min_value=-20, max_value=20, max_denominator=16)
-
-
-def poly_strategy(max_terms=4, max_deg=5):
-    term = st.tuples(st.integers(0, max_deg), st.integers(0, max_deg),
-                     rationals)
-    return st.lists(term, max_size=max_terms).map(
-        lambda ts: sum((Poly2.monomial(i, j, v) for i, j, v in ts),
-                       Poly2.zero()))
+                               origin_development, poisson_scale,
+                               radial_levels_ball, radius_estimate,
+                               solve_poisson_zero_bd, word_polys,
+                               developed_checks, tensor_checks)
+from reference import (M1, M2, fold_letters, laplacian_xy, mat_mul, mat_vec,
+                       partial_xy, radial_levels_fraction,
+                       tensor_levels_bivariate, vanishes_on_circle)
 
 
-@given(poly_strategy())
-@settings(max_examples=100, deadline=None)
+@st.composite
+def sources(draw):
+    """A ZPoly with terms z^a zbar^b on the diagonal a = b and on both
+    sides of it, plus a few more anywhere."""
+    coeff = st.tuples(st.integers(0, 1), st.integers(-10 ** 12, 10 ** 12).filter(bool))
+    lo, gap = draw(st.integers(0, 5)), draw(st.integers(1, 5))
+    terms = {(a, b, draw(coeff)) for a, b in ((lo, lo), (lo + gap, lo), (lo, lo + gap))}
+    terms |= set(draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), coeff),
+                               max_size=4)))
+    f = {}
+    for a, b, (e, v) in terms:
+        f[(a, b, e)] = f.get((a, b, e), 0) + v
+    return ZPoly(f)
+
+
+@given(sources())
+@settings(max_examples=100, deadline=None, derandomize=True)
 def test_poisson_solver_solves_and_vanishes_on_circle(f):
-    u = solve_poisson_zero_bd(f)
-    assert laplacian(u) == f
-    assert boundary_trace(u) == ({}, {})
+    scale = poisson_scale([f])
+    u = solve_poisson_zero_bd(f, scale)
+    assert laplacian(u) == f * scale
+    assert boundary_trace(u) == {}
+    assert all(vanishes_on_circle(part) for part in u.parts(1))
+    assert solve_poisson_zero_bd(f, 3 * scale) == u * 3
 
 
 def test_poisson_solver_linear_source():
-    # Delta u = x with zero boundary data has u = x (x^2 + y^2 - 1)/8
+    # Delta u = 2x with zero boundary data has u = x (x^2 + y^2 - 1)/4
     x = Poly2.monomial(1, 0)
     y = Poly2.monomial(0, 1)
-    want = x * (x * x + y * y - 1) * F(1, 8)
-    assert solve_poisson_zero_bd(x) == want
+    f = ZPoly({(1, 0, 0): 1, (0, 1, 0): 1})  # z + zbar = 2x
+    scale = poisson_scale([f])
+    assert scale == 8
+    want = x * (x * x + y * y - 1) * F(1, 4)
+    assert solve_poisson_zero_bd(f, scale).parts(scale) == (want, Poly2.zero())
+
+
+def test_poisson_solver_on_cancelling_traces():
+    # the particular solution 4 z zbar - 4 z^2 zbar^2 of 16 (1 - 4 z zbar)
+    # is zero on the circle already, so no harmonic term is subtracted;
+    # 1 + z zbar shares the trace key k = 0 but does not cancel
+    f = ZPoly({(0, 0, 0): 1, (1, 1, 0): -4})
+    assert poisson_scale([f]) == 16
+    assert solve_poisson_zero_bd(f, 16) == ZPoly({(1, 1, 0): 4, (2, 2, 0): -4})
+    f = ZPoly({(0, 0, 0): 1, (1, 1, 0): 1})
+    assert solve_poisson_zero_bd(f, 16) == ZPoly({(1, 1, 0): 4, (2, 2, 0): 1,
+                                                  (0, 0, 0): -5})
 
 
 def test_first_levels_are_the_known_solutions(state):
@@ -51,15 +76,15 @@ def test_first_levels_are_the_known_solutions(state):
     y = Poly2.monomial(0, 1)
     disk = Poly2.const(1) - x * x - y * y
     # pi_1 = 0, pi_2 = (1 - |z|^2)/4 (e11 + e22)
-    assert all(e.is_zero() for e in state.tensor(1).entries)
+    assert not any(state.tensor(1).entries)
     t2 = state.tensor(2)
     assert t2.entry("11") == disk * F(1, 4)
     assert t2.entry("22") == disk * F(1, 4)
-    assert t2.entry("12").is_zero()
-    assert t2.entry("21").is_zero()
+    assert not t2.entry("12")
+    assert not t2.entry("21")
     # developed: V_2 = (0, 0, (1 - |z|^2)/2)
     v2 = state.developed(2)
-    assert v2.c1.is_zero() and v2.c2.is_zero()
+    assert not v2.c1 and not v2.c2
     assert v2.c3 == disk * F(1, 2)
 
 
@@ -152,16 +177,24 @@ def test_origin_values_vanish_where_the_unit_is_imaginary(state):
 
 def test_developed_rhs_is_the_generic_matrix_form(state):
     """-2 (M(e1) dV/dx + M(e2) dV/dy) - (M(e1)^2 + M(e2)^2) V_{n-2}, with
-    every matrix product spelled out over the reference 3x3 algebra."""
+    every matrix product spelled out over the reference 3x3 algebra and
+    every derivative taken in x, y: the x, y view of each developed level
+    has it as Laplacian, and so does developed_rhs, and the view is zero
+    on the circle, through level 16."""
     msq = tuple(tuple(p + q for p, q in zip(row1, row2))
                 for row1, row2 in zip(mat_mul(M1, M1), mat_mul(M2, M2)))
-    for n in range(2, 13):
+    for n in range(2, 17):
         prev = tuple(state.developed(n - 1))
-        t1 = mat_vec(M1, tuple(c.partial_x() for c in prev))
-        t2 = mat_vec(M2, tuple(c.partial_y() for c in prev))
+        t1 = mat_vec(M1, tuple(partial_xy(c, 0) for c in prev))
+        t2 = mat_vec(M2, tuple(partial_xy(c, 1) for c in prev))
         t3 = mat_vec(msq, tuple(state.developed(n - 2)))
         want = tuple(-2 * (t1[k] + t2[k]) - t3[k] for k in range(3))
-        assert developed_rhs(state, n) == want, n
+        view = tuple(state.developed(n))
+        assert tuple(laplacian_xy(c) for c in view) == want, n
+        assert all(vanishes_on_circle(c) for c in view), n
+        rhs = developed_rhs(state, n)
+        assert tuple(c.parts(rhs.den) for c in rhs.comps) == tuple(
+            (w, Poly2.zero()) for w in want), n
 
 
 def test_a_coefficients_fixtures():

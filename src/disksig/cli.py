@@ -66,10 +66,10 @@ polefinder = lazy_import("disksig.polefinder")
 
 TENSOR_CAP = 16
 DEVELOPED_CAP = 200  # radial route: develop, compare, radius
-# the bivariate developed oracle is solved in z, zbar, at most n + 1 terms
-# per component, but its x, y view has ~n^2/8 terms per component and is
-# most of the cost: 60 levels take about 0.2 s on a 2-vCPU VM (0.3 s with
-# --dump-polys), 120 about 0.6 s (1.7 s)
+# the bivariate developed oracle is solved and checked in z, zbar, at most
+# n + 1 terms per component; only --dump-polys builds its x, y view, ~n^2/8
+# terms per component, which is then most of the cost: 60 levels take about
+# 0.15 s on a 2-vCPU VM (0.25 s with --dump-polys), 120 about 0.2 s (1.5 s)
 DEVELOPED_ORACLE_CAP = 60
 # --precision caps, timed on a 2-vCPU VM: at MAX_PRECISION bits, `bessel
 # --pairing 141/50` takes about 1.9 s, `pole --width 1/1000` 2.1 s and
@@ -283,11 +283,13 @@ def cmd_hierarchy(args) -> tuple:
             if not ok:
                 failures.append(f"level {n}: {name}")
     if args.mode == "developed":
-        developed = [state.developed(n) for n in range(n_max + 1)]
-        # the bivariate oracle checks the radial production route
-        failures.extend(f"level {n}: bivariate C_n(0, 0) != radial a_n"
-                        for n in range(n_max + 1)
-                        if developed[n].c3.coeff(0, 0) != a_vals[n])
+        developed = [state.developed_z(n) for n in range(n_max + 1)]
+        for n, level in enumerate(developed):
+            failures.extend(_not_real("developed", n, level.comps))
+            # the bivariate oracle checks the radial production route
+            c3_origin = dict(level.comps[2].terms()).get((0, 0, 0), 0)
+            if Fraction(c3_origin, level.den) != a_vals[n]:
+                failures.append(f"level {n}: bivariate C_n(0, 0) != radial a_n")
     odd_ok = all(a_vals[n] == 0 for n in range(1, n_max + 1, 2))
     if not odd_ok:
         failures.append("odd-level coefficients not all zero")
@@ -307,13 +309,25 @@ def cmd_hierarchy(args) -> tuple:
             for norm in (hierarchy.level_norms(state, n),)
         ]
         # the derivation of each level's right-hand side is checked here,
-        # not by its residual verdict: as polynomials against the developed
-        # level where that is cheap, at the origin against a_n at every level
+        # not by its residual verdict: in z, zbar against the developed
+        # level where that is cheap, at the origin against a_n at every
+        # level; each level expanded is expanded once, for both the fold
+        # and the dump
         fold_ok = True
-        for n in range(min(n_max, 8) + 1):
-            if development.fold_apply(state.tensor(n), _E3) != state.developed(n):
-                fold_ok = False
-                failures.append(f"level {n}: fold of tensor level != developed level")
+        dumped = []
+        for n in range(n_max + 1 if args.dump_polys else min(n_max, 8) + 1):
+            values, den = state.tensor_z(n)
+            failures.extend(_not_real("tensor", n, values))
+            if n <= 8:
+                dev = state.developed_z(n)
+                if any(f * dev.den != c * den for f, c
+                       in zip(development.fold_apply(values), dev.comps)):
+                    fold_ok = False
+                    failures.append(f"level {n}: fold of tensor level != developed level")
+            if args.dump_polys:
+                dumped.append({"level": n, "entries": {
+                    word: poly.to_json() for word, poly
+                    in zip(_words(n), hierarchy.xy_view(values, den))}})
         for n in range(n_max + 1):
             if hierarchy.origin_development(state, n) != (0, 0, a_vals[n]):
                 fold_ok = False
@@ -321,12 +335,19 @@ def cmd_hierarchy(args) -> tuple:
         payload["fold_matches_developed"] = fold_ok
     if args.dump_polys:
         if args.mode == "tensor":
-            payload["polynomials"] = [state.tensor(n).to_json()
-                                      for n in range(n_max + 1)]
+            payload["polynomials"] = dumped
         else:
-            payload["polynomials"] = [[comp.to_json() for comp in level]
+            payload["polynomials"] = [[comp.to_json() for comp
+                                       in hierarchy.xy_view(level.comps, level.den)]
                                       for level in developed]
     return json.dumps(payload, indent=2) + "\n", failures, {}
+
+
+def _not_real(kind: str, n: int, values) -> list:
+    """A failure line if some ZPoly of level n differs from its conjugate."""
+    if all(value == value.conj() for value in values):
+        return []
+    return [f"level {n}: {kind} level is not real"]
 
 
 def cmd_develop(args) -> tuple:
@@ -350,11 +371,19 @@ def cmd_develop(args) -> tuple:
         checks["axis_second_component_zero"] = all(v[1] == 0 for v in per_level)
     if x * x + y * y == 1:
         checks["boundary_partial_sum_is_e3"] = tuple(psum) == _E3
+    # the fold of each tensor level, expanded in z, zbar, must be real and
+    # equal the radial triple at (x, y)
     state = hierarchy.HierarchyState()
-    checks["fold_route_matches"] = all(
-        development.fold_apply(state.tensor(n), _E3).evaluate(x, y) == per_level[n]
-        for n in range(min(args.levels, 6) + 1))
-    failures = [name for name, ok in checks.items() if not ok]
+    unreal = []
+    checks["fold_route_matches"] = True
+    for n in range(min(args.levels, 6) + 1):
+        values, den = state.tensor_z(n)
+        unreal = _not_real("tensor", n, values)
+        folded = hierarchy.xy_view(development.fold_apply(values), den)
+        if unreal or development.Vec3Poly(*folded).evaluate(x, y) != per_level[n]:
+            checks["fold_route_matches"] = False
+            break
+    failures = [name for name, ok in checks.items() if not ok] + unreal
     payload = {
         "schema": "disksig.develop/1",
         "lambda": _rat_str(args.lam),
@@ -508,8 +537,8 @@ def cmd_radius(args) -> tuple:
 
 
 def _words(n: int) -> list:
-    """The words of length n over {1, 2} in lexicographic order, which is
-    exactpoly.words(n) without loading the exact layer."""
+    """The words of length n over {1, 2} in lexicographic order: the
+    labels of a tensor level's entries in `mc` and `--dump-polys`."""
     return ["".join(word) for word in itertools.product("12", repeat=n)]
 
 
@@ -656,7 +685,7 @@ def main(argv=None) -> int:
         return 2
     # evaluated only when a handler raised, so a run that succeeds never
     # loads exactseries for this tuple
-    except (exactseries.SignChangeError, ValueError, ZeroDivisionError,
+    except (exactseries.SignChangeError, ValueError, ArithmeticError,
             RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,26 +11,28 @@ M(v1) ... M(vk), then linearly to whole tensors.  The quantity of
 interest downstream is M(pi_n) applied to the vector (0, 0, 1).
 
 Only the basis matrices act here, and only through m_action, which
-applies M(e1) a + M(e2) b entry by entry.  fold_apply contracts a
-TensorPoly against a fixed vector by a right fold over suffixes, merging
-siblings with m_action, so no word matrix M(e_{i1}) ... M(e_{in}) is
-ever formed: cost is linear in the number of entries.  fold_suffixes is
-that fold on per-word 3-vectors over any scalar ring.  The developed
-hierarchy's right-hand side applies the same map (hierarchy.developed_rhs),
-and partial_sum_F sums given per-level values exactly.
+applies M(e1) a + M(e2) b entry by entry.  fold_apply contracts a tensor,
+given by its 2^n e-word entries over any scalar ring, against (0, 0, 1)
+by a right fold over suffixes, merging siblings with m_action, so no
+word matrix M(e_{i1}) ... M(e_{in}) is ever formed: cost is linear in the
+number of entries.  The hierarchy folds its tensor levels in z and zbar
+(ZPolys) and their values at the origin as integers; the developed
+hierarchy's right-hand side applies the same map
+(hierarchy.developed_rhs), and partial_sum_F sums given per-level values
+exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactpoly import Poly2, TensorPoly, as_rat
+from .exactpoly import Poly2, as_rat
 
 
 class Vec3Poly:
     """A 3-vector of Poly2 components (c1, c2, c3).
 
-    Immutable by convention, like Poly2 and TensorPoly; a plain class, so
+    Immutable by convention, like Poly2; a plain class, so
     the exact layers load no dataclasses machinery.
     """
 
@@ -70,21 +72,18 @@ def m_action(a, b) -> tuple:
     return (a[2], b[2], a[0] + b[1])
 
 
-def fold_apply(t: TensorPoly, v) -> Vec3Poly:
-    """M(T) v: fold_suffixes over the words' vectors T_w v."""
-    v1, v2, v3 = v
-    return Vec3Poly(*fold_suffixes([(e * v1, e * v2, e * v3) for e in t.entries]))
+def fold_apply(entries) -> tuple:
+    """M(T) e3 for the tensor T with the 2^n e-word entries T_w, in
+    lexicographic order, over any scalar ring.
 
+    Stage 0 holds W[w] = (0, 0, T_w); each stage merges sibling suffixes,
 
-def fold_suffixes(work: list) -> tuple:
-    """The right fold of 2^n per-word 3-vectors W[w], lexicographic.
+        W'[w] = M(e1) W[w1] + M(e2) W[w2] = m_action(W[w1], W[w2]),
 
-    Each stage merges sibling suffixes:
-
-        W'[w] = M(e1) W[w1] + M(e2) W[w2] = m_action(W[w1], W[w2])
-
-    Returns W[empty word].
+    and W[empty word] is returned.
     """
+    zero = entries[0] - entries[0]
+    work = [(zero, zero, value) for value in entries]
     while len(work) > 1:
         work = [m_action(a, b) for a, b in zip(work[::2], work[1::2])]
     return work[0]

@@ -2,16 +2,16 @@
 
 Everything in this module is exact: coefficients are rationals, operations
 are formal, and any identity a test asserts is an identity of polynomials,
-not a numerical coincidence.  Three representations cooperate:
+not a numerical coincidence.  Two representations cooperate:
 
-* Poly2      -- sparse polynomial in (x, y): integer numerators
-                (i, j) -> int over one common denominator, in lowest
-                terms; Fractions appear only on output
-* TensorPoly -- a level-n tensor over R^2 whose 2^n entries are Poly2,
-                indexed by words over the alphabet {1, 2}
-* ZPoly      -- sparse polynomial in z = x + iy and zbar = x - iy with
-                Gaussian integer coefficients and no denominator; its
-                real and imaginary parts over a given one are Poly2s
+* Poly2 -- sparse polynomial in (x, y): integer numerators (i, j) -> int
+           over one common denominator, in lowest terms; Fractions
+           appear only on output
+* ZPoly -- sparse polynomial in z = x + iy and zbar = x - iy with
+           Gaussian integer coefficients and no denominator, the form
+           both hierarchies solve and check in; its real and imaginary
+           parts over a given denominator are Poly2s, the x, y form
+           that output and point evaluation read
 
 The Dirichlet problem on the unit disk is diagonal on ZPoly terms.
 laplacian = 4 d/dz d/dzbar sends z^a zbar^b to 4ab z^(a-1) zbar^(b-1),
@@ -25,7 +25,6 @@ ZPoly.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -353,6 +352,12 @@ class ZPoly:
         """d/dzbar: z^a zbar^b -> b z^a zbar^(b-1)."""
         return _zraw({(a, b - 1, e): b * v for (a, b, e), v in self._c.items() if b})
 
+    def conj(self) -> "ZPoly":
+        """The complex conjugate: z and zbar swap and i -> -i, so
+        v i^e z^a zbar^b -> (-1)^e v i^e z^b zbar^a.  self is real
+        exactly when it equals its conjugate."""
+        return _zraw({(b, a, e): -v if e else v for (a, b, e), v in self._c.items()})
+
     def parts(self, den: int) -> tuple:
         """(Re, Im) of self / den as Poly2s in x and y.
 
@@ -421,73 +426,3 @@ def harmonic_extension(t: dict) -> ZPoly:
     (k, e) -> nonzero int: v i^e z^k for k >= 0 and v i^e zbar^(-k) for
     k < 0.  Its laplacian is zero and its boundary_trace is t."""
     return _zraw({(max(k, 0), max(-k, 0), e): v for (k, e), v in t.items()})
-
-
-def words(n: int):
-    """All words of length n over {1, 2} in lexicographic order."""
-    if n < 0:
-        raise ValueError("negative level")
-    return ["".join(word) for word in itertools.product("12", repeat=n)]
-
-
-def word_index(w: str) -> int:
-    """Position of word w in the lexicographic enumeration of its level."""
-    idx = 0
-    for ch in w:
-        if ch not in "12":
-            raise ValueError(f"bad word letter {ch!r}")
-        idx = (idx << 1) | (int(ch) - 1)
-    return idx
-
-
-class TensorPoly:
-    """A tensor of polynomials: level n, one Poly2 per word in {1,2}^n.
-
-    Entries live in a list in lexicographic word order; the level-0
-    tensor is a single Poly2 (empty word).
-    """
-
-    __slots__ = ("level", "entries")
-
-    def __init__(self, level: int, entries):
-        if level < 0:
-            raise ValueError("negative level")
-        entries = list(entries)
-        if len(entries) != 1 << level:
-            raise ValueError(f"level {level} needs {1 << level} entries, got {len(entries)}")
-        for e in entries:
-            if not isinstance(e, Poly2):
-                raise TypeError("entries must be Poly2")
-        self.level = level
-        self.entries = entries
-
-    @classmethod
-    def zeros(cls, level: int) -> "TensorPoly":
-        return cls(level, [Poly2.zero() for _ in range(1 << level)])
-
-    def entry(self, w: str) -> Poly2:
-        if len(w) != self.level:
-            raise ValueError(f"word {w!r} has wrong length for level {self.level}")
-        return self.entries[word_index(w)]
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorPoly):
-            return NotImplemented
-        return self.level == other.level and self.entries == other.entries
-
-    def __repr__(self):
-        return f"TensorPoly(level={self.level}, {sum(1 for e in self.entries if e)} nonzero entries)"
-
-    def to_json(self):
-        return {
-            "level": self.level,
-            "entries": {w: self.entries[word_index(w)].to_json() for w in words(self.level)},
-        }
-
-    @classmethod
-    def from_json(cls, data) -> "TensorPoly":
-        n = int(data["level"])
-        ents = [Poly2.zero()] * (1 << n)
-        for w, pj in data["entries"].items():
-            ents[word_index(w)] = Poly2.from_json(pj)
-        return cls(n, ents)

@@ -31,8 +31,8 @@ letter swapped): conj(zbar^k Q(s)) = z^k Q(s), that is Q_wbar = Q_w with
 k -> -k.  Each level is therefore solved for the words whose first
 letter is f only, on integer numerators over one denominator per level,
 reduced once per level (ReducedLevel).  This is the only tensor route:
-HierarchyState.tensor expands a level into the e-basis (a TensorPoly)
-by the butterfly (1, 1; i, -i) over each letter, and level_norms and
+HierarchyState.tensor_z expands a level into its 2^n e-word ZPolys by
+the butterfly (1, 1; i, -i) over each letter, and level_norms and
 origin_development run the same butterfly on the values at the origin.
 A level's residual verdict re-checks the solve's own division by
 4 j (j + |k|), not the derivation of its right-hand side; the checks
@@ -62,13 +62,17 @@ only encloses the exact radial levels in balls.
 
 The bivariate developed hierarchy runs on ZPolys, polynomials in z and
 zbar, with one denominator per level, reduced once per level
-(HierarchyState.developed_z); HierarchyState.developed gives a level's
-x, y view.
-There the Dirichlet problem is diagonal (see exactpoly): a term
-c z^a zbar^b of the right-hand side is absorbed by
-c/(4(a+1)(b+1)) z^(a+1) zbar^(b+1), and the harmonic extension of that
-particular solution's boundary trace, z^(a-b) or zbar^(b-a), is
+(HierarchyState.developed_z).  There the Dirichlet problem is diagonal
+(see exactpoly): a term c z^a zbar^b of the right-hand side is absorbed
+by c/(4(a+1)(b+1)) z^(a+1) zbar^(b+1), and the harmonic extension of
+that particular solution's boundary trace, z^(a-b) or zbar^(b-a), is
 subtracted.
+
+Both hierarchies are checked in z and zbar: a level is real when each
+of its ZPolys equals its conjugate, and a tensor level folds
+(development.fold_apply) to the developed level of the same index.
+x and y are an output format only: xy_view gives the real parts of a
+level's ZPolys as Poly2s, for a dump or a point evaluation.
 """
 
 from __future__ import annotations
@@ -78,9 +82,9 @@ from collections import namedtuple
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
 
-from .development import Vec3Poly, fold_suffixes, m_action
-from .exactpoly import (Poly2, TensorPoly, ZPoly, as_rat, boundary_trace,
-                        harmonic_extension, laplacian)
+from .development import fold_apply, m_action
+from .exactpoly import (ZPoly, as_rat, boundary_trace, harmonic_extension,
+                        laplacian)
 
 
 def solve_poisson_zero_bd(f: ZPoly, scale: int) -> ZPoly:
@@ -165,17 +169,18 @@ class HierarchyState:
             self.reduced_levels.append(level)
         return self.reduced_levels[n]
 
-    def tensor(self, n: int) -> TensorPoly:
-        """Level n in the e-basis: the butterfly (1, 1; i, -i) over every
-        letter of the words' polynomials (f -> e1 + i e2, fbar -> e1 - i e2),
-        then each entry's real part; its imaginary part is zero.  Each
-        call expands the level afresh."""
+    def tensor_z(self, n: int) -> tuple:
+        """(values, den): level n in the e-basis, the 2^n e-word ZPolys in
+        lexicographic order over the level's denominator, from the
+        butterfly (1, 1; i, -i) over every letter of the words'
+        polynomials (f -> e1 + i e2, fbar -> e1 - i e2).  Each call
+        expands the level afresh."""
         level = self.reduced(n)
         work = word_polys(level)
         for _ in range(n):  # the last letter, then moved to the front
             work = ([p + q for p, q in zip(work[::2], work[1::2])]
                     + [(p - q).mul_i() for p, q in zip(work[::2], work[1::2])])
-        return TensorPoly(n, [_real_part(value, level.den, n) for value in work])
+        return work, level.den
 
     def developed_z(self, n: int) -> DevelopedLevel:
         """Level n in z and zbar: each level is solved at one scale for its
@@ -194,20 +199,11 @@ class HierarchyState:
                 rhs.den * scale // common))
         return self.developed_levels[n]
 
-    def developed(self, n: int) -> Vec3Poly:
-        """Level n as a Vec3Poly in x and y, the real parts of its
-        components; each call builds them afresh."""
-        level = self.developed_z(n)
-        return Vec3Poly(*(_real_part(c, level.den, n) for c in level.comps))
 
-
-def _real_part(value: ZPoly, den: int, n: int) -> Poly2:
-    """The real part of value / den, a Poly2; value belongs to level n and
-    must be real."""
-    real, imag = value.parts(den)
-    if imag:
-        raise ArithmeticError(f"level {n}: a polynomial of the level is not real")
-    return real
+def xy_view(values, den: int) -> list:
+    """The real parts of values / den, ZPolys of a level, as Poly2s in x
+    and y: a level's x, y form, once it is known to be real."""
+    return [value.parts(den)[0] for value in values]
 
 
 def tensor_rhs(self: HierarchyState, n: int) -> ReducedLevel:
@@ -368,7 +364,7 @@ def level_norms(state: HierarchyState, n: int) -> LevelNorms:
 
 
 def origin_development(state: HierarchyState, n: int) -> tuple:
-    """M(pi_n(0)) e3 as three Fractions, folded (development.fold_suffixes)
+    """M(pi_n(0)) e3 as three Fractions, folded (development.fold_apply)
     from the reduced level's values at the origin.
 
     The e-word entry with p letters e2 is i^p v over den (_origin_values).
@@ -378,7 +374,7 @@ def origin_development(state: HierarchyState, n: int) -> tuple:
     """
     vals, den = _origin_values(state, n)
     signed = [-v if idx.bit_count() % 4 == 2 else v for idx, v in enumerate(vals)]
-    return tuple(Fraction(c, den) for c in fold_suffixes([(0, 0, v) for v in signed]))
+    return tuple(Fraction(c, den) for c in fold_apply(signed))
 
 
 def _origin_values(state: HierarchyState, n: int) -> tuple:

@@ -17,6 +17,10 @@ computation the package does another way:
 - m_of_vector, mat_mul and mat_vec are the generic 3x3 matrix algebra,
   and M1, M2 the basis matrices M(e1), M(e2), against
   development.m_action and hierarchy.developed_rhs;
+- words, word_index and TensorPoly index a tensor of Poly2s by its
+  words over {1, 2}, the x, y form of a tensor level, in which
+  `hierarchy --dump-polys` writes it (tensor_view and developed_view
+  give a level of either hierarchy in x, y, checked real);
 - fold_apply_naive sums T_w M(w) v over every word with explicit 3x3
   word matrices (m_word), against development.fold_apply;
 - fold_letters folds a tensor given in the letters f = e1 + i e2 and
@@ -26,7 +30,7 @@ computation the package does another way:
   time, against the integer numerators of hierarchy.radial_levels;
 - tensor_levels_bivariate solves the tensor hierarchy in the e-basis, one
   bivariate Poisson problem per word, against the univariate words in the
-  letters f, fbar that hierarchy.HierarchyState.tensor expands;
+  letters f, fbar that hierarchy.HierarchyState.tensor_z expands;
 - ball_bisection brackets the pole on ball signs of d at every midpoint,
   against the exact signs of polefinder.locate_pole;
 - series_coefficients_binomial builds E's numerators from the binomial
@@ -37,6 +41,7 @@ computation the package does another way:
   exactseries.enclose_center.
 """
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -47,8 +52,8 @@ import numpy as np
 
 from disksig.bessel import d_lambda, make_constants
 from disksig.development import Vec3Poly, m_action
-from disksig.exactpoly import Poly2, TensorPoly, ZPoly, words
-from disksig.hierarchy import poisson_scale, solve_poisson_zero_bd
+from disksig.exactpoly import Poly2, ZPoly
+from disksig.hierarchy import poisson_scale, solve_poisson_zero_bd, xy_view
 from disksig.montecarlo import (BLOCK, _MAX_BLOCKS_PER_PATH, SimConfig,
                                 _advance_block, _path_generator)
 from disksig.polefinder import BRACKET_HI, BRACKET_LO
@@ -154,6 +159,94 @@ def vanishes_on_circle(p: Poly2) -> bool:
                for t in range(2 * n + 1))
 
 
+def words(n: int):
+    """All words of length n over {1, 2} in lexicographic order."""
+    if n < 0:
+        raise ValueError("negative level")
+    return ["".join(word) for word in itertools.product("12", repeat=n)]
+
+
+def word_index(w: str) -> int:
+    """Position of word w in the lexicographic enumeration of its level."""
+    idx = 0
+    for ch in w:
+        if ch not in "12":
+            raise ValueError(f"bad word letter {ch!r}")
+        idx = (idx << 1) | (int(ch) - 1)
+    return idx
+
+
+class TensorPoly:
+    """A tensor of polynomials: level n, one Poly2 per word in {1,2}^n.
+
+    Entries live in a list in lexicographic word order; the level-0
+    tensor is a single Poly2 (empty word).
+    """
+
+    __slots__ = ("level", "entries")
+
+    def __init__(self, level: int, entries):
+        if level < 0:
+            raise ValueError("negative level")
+        entries = list(entries)
+        if len(entries) != 1 << level:
+            raise ValueError(f"level {level} needs {1 << level} entries, got {len(entries)}")
+        for e in entries:
+            if not isinstance(e, Poly2):
+                raise TypeError("entries must be Poly2")
+        self.level = level
+        self.entries = entries
+
+    @classmethod
+    def zeros(cls, level: int) -> "TensorPoly":
+        return cls(level, [Poly2.zero() for _ in range(1 << level)])
+
+    def entry(self, w: str) -> Poly2:
+        if len(w) != self.level:
+            raise ValueError(f"word {w!r} has wrong length for level {self.level}")
+        return self.entries[word_index(w)]
+
+    def __eq__(self, other):
+        if not isinstance(other, TensorPoly):
+            return NotImplemented
+        return self.level == other.level and self.entries == other.entries
+
+    def __repr__(self):
+        return f"TensorPoly(level={self.level}, {sum(1 for e in self.entries if e)} nonzero entries)"
+
+    def to_json(self):
+        return {
+            "level": self.level,
+            "entries": {w: self.entries[word_index(w)].to_json() for w in words(self.level)},
+        }
+
+    @classmethod
+    def from_json(cls, data) -> "TensorPoly":
+        n = int(data["level"])
+        ents = [Poly2.zero()] * (1 << n)
+        for w, pj in data["entries"].items():
+            ents[word_index(w)] = Poly2.from_json(pj)
+        return cls(n, ents)
+
+
+def _real_view(values, den: int, n: int) -> list:
+    """xy_view of level n's ZPolys over den, after checking each is real."""
+    assert all(value == value.conj() for value in values), f"level {n} is not real"
+    return xy_view(values, den)
+
+
+def tensor_view(state, n: int) -> TensorPoly:
+    """Tensor level n of a HierarchyState in x, y."""
+    values, den = state.tensor_z(n)
+    return TensorPoly(n, _real_view(values, den, n))
+
+
+def developed_view(state, n: int) -> Vec3Poly:
+    """Developed level n of a HierarchyState in x, y."""
+    level = state.developed_z(n)
+    return Vec3Poly(*_real_view(level.comps, level.den, n))
+
+
 def m_of_vector(x) -> tuple:
     """M(x) for a pair of scalars; works for Fraction, float or ball entries."""
     x1, x2 = x
@@ -198,7 +291,7 @@ def m_word(w: str) -> tuple:
     return out
 
 
-def fold_apply_naive(t: TensorPoly, v) -> Vec3Poly:
+def fold_apply_naive(t: TensorPoly, v) -> tuple:
     """Reference implementation: sum of T_w * m_word(w) * v over all words.
 
     Exponential in the level; used to validate fold_apply on small tensors.
@@ -210,7 +303,7 @@ def fold_apply_naive(t: TensorPoly, v) -> Vec3Poly:
             continue
         mv = mat_vec(m_word(w), v)
         acc = [acc[k] + e * mv[k] for k in range(3)]
-    return Vec3Poly(*acc)
+    return tuple(acc)
 
 
 def fold_letters(values) -> tuple:

@@ -13,11 +13,11 @@ from fractions import Fraction as F
 import pytest
 
 import disksig.cli as cli
-import disksig.exactpoly as exactpoly
 import disksig.montecarlo as montecarlo
 from disksig.cli import DEVELOPED_CAP, main
+from disksig.exactpoly import ZPoly
 from disksig.hierarchy import HierarchyState
-from reference import closed_form_center
+from reference import closed_form_center, words
 
 
 def run(tmp_path, *argv):
@@ -107,7 +107,7 @@ def test_hierarchy_dump_polys_round_trips(tmp_path):
     rc, out = run(tmp_path, "hierarchy", "--levels", "2", "--dump-polys")
     assert rc == 0
     payload = json.loads(out.read_text())
-    from disksig.exactpoly import TensorPoly
+    from reference import TensorPoly
 
     t2 = TensorPoly.from_json(payload["polynomials"][2])
     from disksig.exactpoly import Poly2
@@ -187,6 +187,96 @@ def test_hierarchy_exits_1_on_a_wrong_level(tmp_path, capsys, wrong_level,
     assert [c["level"] for c in checks if not c[broken]] == [3]
 
 
+def test_hierarchy_reports_a_level_that_is_not_real(tmp_path, capsys,
+                                                   monkeypatch):
+    # i (z + zbar) = 2ix added to every component solved for level 3: the
+    # level and the ones built on it are not real, which is a failed check
+    # with exit status 1, not an exception
+    import disksig.hierarchy as hierarchy
+
+    building = []
+    real_rhs, solve = hierarchy.developed_rhs, hierarchy.solve_poisson_zero_bd
+
+    def rhs(state, n):
+        building.append(n)
+        return real_rhs(state, n)
+
+    def wrong_solve(f, scale):
+        u = solve(f, scale)
+        return u + ZPoly({(1, 0, 1): 1, (0, 1, 1): 1}) if building[-1] == 3 else u
+
+    monkeypatch.setattr(hierarchy, "developed_rhs", rhs)
+    monkeypatch.setattr(hierarchy, "solve_poisson_zero_bd", wrong_solve)
+    rc, out = run(tmp_path, "hierarchy", "--levels", "5", "--mode", "developed",
+                  "--dump-polys")
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert "check failed: level 3: developed level is not real" in err
+    assert not any("level 2" in line for line in err)
+    assert not any("Traceback" in line for line in err)
+    assert out.exists()
+
+
+def test_tensor_levels_that_are_not_real_fail_both_checks(tmp_path, capsys,
+                                                        monkeypatch):
+    # an imaginary term on one e-word of level 3 is seen in z, zbar by the
+    # realness check of both subcommands, and by their fold checks
+    real = HierarchyState.tensor_z
+
+    def wrong_tensor_z(self, n):
+        values, den = real(self, n)
+        if n == 3:
+            values = [values[0] + ZPoly({(1, 1, 1): den}), *values[1:]]
+        return values, den
+
+    monkeypatch.setattr(HierarchyState, "tensor_z", wrong_tensor_z)
+    rc, _ = run(tmp_path, "hierarchy", "--levels", "4", "--mode", "tensor")
+    assert rc == 1
+    lines = [line for line in capsys.readouterr().err.splitlines()
+             if line.startswith("check failed")]
+    assert lines == ["check failed: level 3: tensor level is not real",
+                     "check failed: level 3: fold of tensor level != developed level"]
+    rc, out = run(tmp_path, "develop", "--lambda", "1", "--x=1/3", "--y=1/4",
+                  "--levels", "4")
+    assert rc == 1
+    lines = [line for line in capsys.readouterr().err.splitlines()
+             if line.startswith("check failed")]
+    assert lines == ["check failed: fold_route_matches",
+                     "check failed: level 3: tensor level is not real"]
+    assert json.loads(out.read_text())["checks"]["fold_route_matches"] is False
+
+
+def test_hierarchy_expands_each_tensor_level_once(tmp_path, monkeypatch):
+    # the fold check (through level 8) and the dump share one expansion
+    real = HierarchyState.tensor_z
+    calls = []
+
+    def counted(self, n):
+        calls.append(n)
+        return real(self, n)
+
+    monkeypatch.setattr(HierarchyState, "tensor_z", counted)
+    rc, _ = run(tmp_path, "hierarchy", "--levels", "10", "--mode", "tensor",
+                "--dump-polys")
+    assert rc == 0
+    assert calls == list(range(11))
+    calls.clear()
+    rc, _ = run(tmp_path, "hierarchy", "--levels", "10", "--mode", "tensor")
+    assert rc == 0
+    assert calls == list(range(9))
+
+
+@pytest.mark.parametrize("mode", ["tensor", "developed"])
+def test_hierarchy_checks_build_no_xy_view(tmp_path, monkeypatch, mode):
+    # both oracles are checked in z, zbar; only --dump-polys reads x, y
+    def refuse(self, den):
+        raise AssertionError("x, y view built by a check")
+
+    monkeypatch.setattr(ZPoly, "parts", refuse)
+    rc, _ = run(tmp_path, "hierarchy", "--levels", "10", "--mode", mode)
+    assert rc == 0
+
+
 def test_hierarchy_origin_fold_sees_a_wrong_tensor_rhs(tmp_path, capsys,
                                                      monkeypatch):
     # a wrong right-hand side at level 10 is solved exactly, so the residual
@@ -233,6 +323,29 @@ def test_develop_fold_check_sees_a_wrong_tensor_level(tmp_path, capsys,
     assert rc == 1
     assert "check failed: fold_route_matches" in capsys.readouterr().err
     assert json.loads(out.read_text())["checks"]["fold_route_matches"] is False
+
+
+def test_develop_reports_broken_radial_parity_as_an_error(tmp_path, capsys,
+                                                         monkeypatch):
+    # developed_values raises ArithmeticError; main turns it into exit 1
+    # with one error line and writes nothing
+    import disksig.hierarchy as hierarchy
+
+    real = hierarchy.radial_levels
+
+    def broken(n_max):
+        a_list, c_list = real(n_max)
+        c2 = c_list[2]
+        c_list[2] = hierarchy.RadialMap({**c2.nums, 3: 1}, c2.den)  # odd power
+        return a_list, c_list
+
+    monkeypatch.setattr(hierarchy, "radial_levels", broken)
+    rc, out = run(tmp_path, "develop", "--lambda", "1", "--x=1/3", "--y=1/4",
+                  "--levels", "4")
+    assert rc == 1
+    assert capsys.readouterr().err == "error: level 2: radial parity violated\n"
+    assert not out.exists()
+    assert not (tmp_path / "out.manifest.json").exists()
 
 
 def test_develop_rejects_outside_disk(tmp_path):
@@ -677,7 +790,7 @@ def test_series_subcommands_skip_bivariate_hierarchy(tmp_path, monkeypatch):
     def refuse(self, n):
         raise AssertionError("bivariate developed hierarchy called")
 
-    monkeypatch.setattr(HierarchyState, "developed", refuse)
+    monkeypatch.setattr(HierarchyState, "developed_z", refuse)
     for argv in (("develop", "--lambda", "1", "--x", "1/2", "--y", "1/3",
                   "--levels", "12"),
                  ("compare", "--lambda", "1", "--levels", "12"),
@@ -713,7 +826,7 @@ def test_mc_csv(tmp_path):
 
 def test_mc_word_labels_are_the_exact_layer_words():
     for n in range(7):
-        assert cli._words(n) == exactpoly.words(n)
+        assert cli._words(n) == words(n)
 
 
 def test_mc_reports_deviation_from_exact_levels(tmp_path, capsys):

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from disksig.development import Vec3Poly, fold_apply, m_action, partial_sum_F
-from disksig.exactpoly import Poly2, TensorPoly, ZPoly, words
-from reference import (M1, M2, fold_apply_naive, fold_letters, identity3,
-                       m_of_vector, m_word, mat_mul, mat_vec)
+from disksig.exactpoly import Poly2, ZPoly
+from reference import (M1, M2, TensorPoly, developed_view, fold_apply_naive,
+                       fold_letters, identity3, m_of_vector, m_word, mat_mul,
+                       mat_vec, tensor_view, words)
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 vectors = st.tuples(rationals, rationals, rationals)
@@ -72,27 +73,41 @@ def random_tensor(rng, level):
 @settings(max_examples=100, deadline=None)
 def test_fold_matches_brute_force(level, rng):
     t = random_tensor(rng, level)
-    assert fold_apply(t, E3) == fold_apply_naive(t, E3)
+    assert fold_apply(t.entries) == fold_apply_naive(t, E3)
+
+
+@given(st.integers(0, 6), st.randoms(use_true_random=False))
+@settings(max_examples=50, deadline=None)
+def test_fold_over_integers_and_zpolys_matches_brute_force(level, rng):
+    """fold_apply over int entries, and over ZPolys, is the brute-force
+    fold of the same entries as Poly2s."""
+    ints = [rng.randrange(-9, 10) if rng.random() < 0.5 else 0
+            for _ in range(2 ** level)]
+    t = TensorPoly(level, [Poly2.const(v) for v in ints])
+    assert tuple(map(Poly2.const, fold_apply(ints))) == fold_apply_naive(t, E3)
+    values = random_letter_values(rng, level)
+    real = TensorPoly(level, [v.parts(1)[0] for v in values])
+    assert tuple(c.parts(1)[0] for c in fold_apply(values)) == fold_apply_naive(real, E3)
 
 
 def test_fold_of_level2_solution(state):
     """Folding pi_2 against e3 gives (0, 0, (1 - x^2 - y^2)/2)."""
-    v = fold_apply(state.tensor(2), E3)
+    c1, c2, c3 = fold_apply(tensor_view(state, 2).entries)
     x2 = Poly2.monomial(2, 0)
     y2 = Poly2.monomial(0, 2)
-    assert not v.c1
-    assert not v.c2
-    assert v.c3 == (Poly2.const(1) - x2 - y2) * F(1, 2)
+    assert not c1
+    assert not c2
+    assert c3 == (Poly2.const(1) - x2 - y2) * F(1, 2)
 
 
 def test_fold_against_explicit_sum(state):
     """fold(pi_n) = sum_w pi_n[w] M(w) e3, spelled out longhand."""
-    t = state.tensor(3)
+    t = tensor_view(state, 3)
     acc = Vec3Poly(Poly2.zero(), Poly2.zero(), Poly2.zero())
     for w in words(3):
         column = mat_vec(m_word(w), E3)
         acc = acc + Vec3Poly(*(t.entry(w) * c for c in column))
-    assert fold_apply(t, E3) == acc
+    assert fold_apply(t.entries) == tuple(acc)
 
 
 def test_fold_letters_on_level2_words():
@@ -138,13 +153,13 @@ def test_fold_letters_matches_fold_apply_in_the_e_basis(level, rng):
             acc = acc + term
         real.entries[w_idx], imag.entries[w_idx] = acc.parts(1)
     folded = [c.parts(1) for c in fold_letters(values)]
-    assert Vec3Poly(*(re for re, _ in folded)) == fold_apply(real, E3)
-    assert Vec3Poly(*(im for _, im in folded)) == fold_apply(imag, E3)
+    assert tuple(re for re, _ in folded) == fold_apply(real.entries)
+    assert tuple(im for _, im in folded) == fold_apply(imag.entries)
 
 
 def values_at(state, z, n_max):
     """Exact triples V_0(z) .. V_N(z) from the bivariate developed hierarchy."""
-    return [state.developed(n).evaluate(*z) for n in range(n_max + 1)]
+    return [developed_view(state, n).evaluate(*z) for n in range(n_max + 1)]
 
 
 def test_partial_sum_trivial_cases(state):

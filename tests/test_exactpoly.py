@@ -1,4 +1,5 @@
-"""Exact polynomial layer: ring ops, traces, harmonic extension, words."""
+"""Exact polynomial layer: ring ops, traces, harmonic extension, and the
+reference tensor words."""
 
 import math
 from fractions import Fraction as F
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disksig.exactpoly import (Poly2, TensorPoly, ZPoly, boundary_trace,
-                               harmonic_extension, laplacian, words, word_index)
-from reference import laplacian_xy, partial_xy, vanishes_on_circle
+from disksig.exactpoly import (Poly2, ZPoly, boundary_trace, harmonic_extension,
+                               laplacian)
+from reference import (TensorPoly, laplacian_xy, partial_xy, vanishes_on_circle,
+                       word_index, words)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
@@ -180,6 +182,30 @@ def test_zpoly_ring_operations():
     # i times a real polynomial swaps the parts: Re(i p) = -Im(p)
     re, im = p.parts(7)
     assert p.mul_i().parts(7) == (-im, re)
+
+
+zpolys = st.dictionaries(
+    st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 1)),
+    st.integers(-10 ** 6, 10 ** 6), max_size=8).map(ZPoly)
+
+
+@given(zpolys, st.integers(1, 30))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_zpoly_conj_negates_the_imaginary_part(p, den):
+    re, im = p.parts(den)
+    assert p.conj().parts(den) == (re, -im)
+    assert p.conj().conj() == p
+    # real exactly when equal to the conjugate: p + conj(p) is, i (p - conj(p)) too
+    assert (p == p.conj()) == (not im)
+    for q in (p + p.conj(), (p - p.conj()).mul_i()):
+        assert q == q.conj() and not q.parts(den)[1]
+
+
+def test_zpoly_conj_fixture():
+    # conj(3 z^2 zbar + 5i z) = 3 z zbar^2 - 5i zbar
+    p = ZPoly({(2, 1, 0): 3, (1, 0, 1): 5})
+    assert p.conj() == ZPoly({(1, 2, 0): 3, (0, 1, 1): -5})
+    assert ZPoly({(1, 0, 1): 1, (0, 1, 1): 1}).conj() != ZPoly({(1, 0, 1): 1, (0, 1, 1): 1})
 
 
 def test_poly_json_round_trip():

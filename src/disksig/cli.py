@@ -65,6 +65,11 @@ montecarlo = lazy_import("disksig.montecarlo")
 polefinder = lazy_import("disksig.polefinder")
 
 TENSOR_CAP = 16
+# --dump-polys in tensor mode writes 2^n x, y polynomials at level n, so its
+# time, memory and output size about double per level; timed on a 2-vCPU VM,
+# TENSOR_DUMP_CAP = 13 levels take about 5.3 s, 189 MB RSS and 18 MB of
+# output, and 14 took 12.7 s, 405 MB and 42 MB
+TENSOR_DUMP_CAP = 13
 DEVELOPED_CAP = 200  # radial route: develop, compare, radius
 # the bivariate developed oracle is solved and checked in z, zbar, at most
 # n + 1 terms per component; only --dump-polys builds its x, y view, ~n^2/8
@@ -269,6 +274,8 @@ def cmd_hierarchy(args) -> tuple:
     cap = TENSOR_CAP if args.mode == "tensor" else DEVELOPED_ORACLE_CAP
     if not 0 <= args.levels <= cap:
         raise UsageError(f"--levels for mode {args.mode} must be in 0..{cap}")
+    if args.mode == "tensor" and args.dump_polys and args.levels > TENSOR_DUMP_CAP:
+        raise UsageError(f"--dump-polys in mode tensor needs --levels in 0..{TENSOR_DUMP_CAP}")
     state = hierarchy.HierarchyState()
     n_max = args.levels
     a_vals = hierarchy.a_coefficients(n_max)
@@ -326,8 +333,8 @@ def cmd_hierarchy(args) -> tuple:
                     failures.append(f"level {n}: fold of tensor level != developed level")
             if args.dump_polys:
                 dumped.append({"level": n, "entries": {
-                    word: poly.to_json() for word, poly
-                    in zip(_words(n), hierarchy.xy_view(values, den))}})
+                    word: value.real_part(den).to_json()
+                    for word, value in zip(_words(n), values)}})
         for n in range(n_max + 1):
             if hierarchy.origin_development(state, n) != (0, 0, a_vals[n]):
                 fold_ok = False
@@ -337,8 +344,8 @@ def cmd_hierarchy(args) -> tuple:
         if args.mode == "tensor":
             payload["polynomials"] = dumped
         else:
-            payload["polynomials"] = [[comp.to_json() for comp
-                                       in hierarchy.xy_view(level.comps, level.den)]
+            payload["polynomials"] = [[comp.real_part(level.den).to_json()
+                                       for comp in level.comps]
                                       for level in developed]
     return json.dumps(payload, indent=2) + "\n", failures, {}
 
@@ -379,8 +386,9 @@ def cmd_develop(args) -> tuple:
     for n in range(min(args.levels, 6) + 1):
         values, den = state.tensor_z(n)
         unreal = _not_real("tensor", n, values)
-        folded = hierarchy.xy_view(development.fold_apply(values), den)
-        if unreal or development.Vec3Poly(*folded).evaluate(x, y) != per_level[n]:
+        folded = development.Vec3Poly(*(c.real_part(den)
+                                        for c in development.fold_apply(values)))
+        if unreal or folded.evaluate(x, y) != per_level[n]:
             checks["fold_route_matches"] = False
             break
     failures = [name for name, ok in checks.items() if not ok] + unreal

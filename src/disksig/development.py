@@ -19,7 +19,8 @@ number of entries.  The hierarchy folds its tensor levels in z and zbar
 (ZPolys) and their values at the origin as integers; the developed
 hierarchy's right-hand side applies the same map
 (hierarchy.developed_rhs), and partial_sum_F sums given per-level values
-exactly.
+exactly.  x, y enters only at the end: Vec3Poly holds the real parts of
+a folded level (ZPoly.real_part) and evaluates them at a point.
 """
 
 from __future__ import annotations
@@ -30,33 +31,15 @@ from .exactpoly import Poly2, as_rat
 
 
 class Vec3Poly:
-    """A 3-vector of Poly2 components (c1, c2, c3).
-
-    Immutable by convention, like Poly2; a plain class, so
-    the exact layers load no dataclasses machinery.
-    """
+    """A 3-vector of Poly2 components (c1, c2, c3), evaluated exactly at a
+    rational point: the x, y value of a folded tensor level that
+    `develop`'s point check compares with the radial route.  A plain
+    class, so the exact layers load no dataclasses machinery."""
 
     __slots__ = ("c1", "c2", "c3")
 
     def __init__(self, c1: Poly2, c2: Poly2, c3: Poly2):
         self.c1, self.c2, self.c3 = c1, c2, c3
-
-    def __iter__(self):
-        return iter((self.c1, self.c2, self.c3))
-
-    def __eq__(self, other):
-        if not isinstance(other, Vec3Poly):
-            return NotImplemented
-        return tuple(self) == tuple(other)
-
-    def __hash__(self):
-        return hash(tuple(self))
-
-    def __repr__(self):
-        return f"Vec3Poly(c1={self.c1!r}, c2={self.c2!r}, c3={self.c3!r})"
-
-    def __add__(self, other: "Vec3Poly") -> "Vec3Poly":
-        return Vec3Poly(self.c1 + other.c1, self.c2 + other.c2, self.c3 + other.c3)
 
     def evaluate(self, x, y):
         """Exact componentwise evaluation at a rational point."""

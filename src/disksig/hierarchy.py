@@ -71,8 +71,9 @@ subtracted.
 Both hierarchies are checked in z and zbar: a level is real when each
 of its ZPolys equals its conjugate, and a tensor level folds
 (development.fold_apply) to the developed level of the same index.
-x and y are an output format only: xy_view gives the real parts of a
-level's ZPolys as Poly2s, for a dump or a point evaluation.
+x and y are an output value only: a caller that writes a dump or
+evaluates at a point takes the real part of each ZPoly over the level's
+denominator (exactpoly.ZPoly.real_part); nothing here builds x, y.
 """
 
 from __future__ import annotations
@@ -198,12 +199,6 @@ class HierarchyState:
                 tuple(ZPoly({key: v // common for key, v in u.terms()}) for u in solved),
                 rhs.den * scale // common))
         return self.developed_levels[n]
-
-
-def xy_view(values, den: int) -> list:
-    """The real parts of values / den, ZPolys of a level, as Poly2s in x
-    and y: a level's x, y form, once it is known to be real."""
-    return [value.parts(den)[0] for value in values]
 
 
 def tensor_rhs(self: HierarchyState, n: int) -> ReducedLevel:

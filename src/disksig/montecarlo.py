@@ -407,12 +407,12 @@ def _run_slice(config: SimConfig, index_lo: int, index_hi: int,
                parent_pid=None) -> tuple:
     """Simulate paths index_lo .. index_hi - 1, holding only live paths.
 
-    Returns (exit block, exit step count, signature levels at exit), each
-    per path in path order.  Every live path has run the same number of
-    blocks, so the block index gives each step count; exited paths leave
-    the live rows after each block.  Each block runs over the live rows in
-    tiles of _tile_rows(level), in row order, so the per-step tensors
-    of only one tile exist at a time.  A forked worker passes its
+    Returns (exit step count, signature levels at exit), each per path in
+    path order.  Every live path has run the same number of blocks, so the
+    block index gives each step count; exited paths leave the live rows
+    after each block.  Each block runs over the live rows in tiles of
+    _tile_rows(level), in row order, so the per-step tensors of only one
+    tile exist at a time.  A forked worker passes its
     parent's pid and ends at the next block once that parent is gone.
     """
     p_count = index_hi - index_lo
@@ -423,7 +423,6 @@ def _run_slice(config: SimConfig, index_lo: int, index_hi: int,
     # the signature returned
     sig = [np.zeros((p_count, 2 ** n)) for n in range(1, config.level + 1)]
     rows = np.arange(p_count)  # slice position of each live path
-    exit_block = np.empty(p_count, dtype=np.int64)
     steps = np.empty(p_count, dtype=np.int64)
     normals = np.empty((min(tile, p_count), BLOCK, 2))
     uniforms = np.empty((min(tile, p_count), BLOCK))
@@ -449,15 +448,13 @@ def _run_slice(config: SimConfig, index_lo: int, index_hi: int,
                 s[here] = c
         exited = exit_step >= 0
         if exited.any():
-            done = rows[exited]
-            exit_block[done] = block
-            steps[done] = block * BLOCK + exit_step[exited] + 1
+            steps[rows[exited]] = block * BLOCK + exit_step[exited] + 1
             live = ~exited
             gens = [gen for gen, keep in zip(gens, live) if keep]
             rows = rows[live]
             pos = pos[live]
         block += 1
-    return exit_block, steps, sig
+    return steps, sig
 
 
 def _fork_slice(config: SimConfig, index_lo: int, index_hi: int,
@@ -493,10 +490,11 @@ def _fork_slice(config: SimConfig, index_lo: int, index_hi: int,
 
 def _fold(level: int, slices: list) -> SigAccumulator:
     """Accumulate the slices, in path order, in the batches of one serial
-    pass: one update per exit block, in block order, rows in path order."""
-    exit_block = np.concatenate([s[0] for s in slices])
-    steps = np.concatenate([s[1] for s in slices])
-    at_exit = [np.concatenate(levels) for levels in zip(*(s[2] for s in slices))]
+    pass: one update per exit block, in block order, rows in path order.
+    A path of s steps exits in block (s - 1) // BLOCK."""
+    steps = np.concatenate([s[0] for s in slices])
+    at_exit = [np.concatenate(levels) for levels in zip(*(s[1] for s in slices))]
+    exit_block = (steps - 1) // BLOCK
     order = np.argsort(exit_block, kind="stable")
     _, starts = np.unique(exit_block[order], return_index=True)
     acc = SigAccumulator(level)

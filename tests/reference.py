@@ -10,17 +10,22 @@ computation the package does another way:
   of a block, exp included, against the shortcut in _advance_block;
 - signature_of_path builds a path signature by one Chen product per
   chord (tensor_exp), against the blockwise engine;
+- XY is a plain ring on {(i, j): Fraction} maps, sharing no code with
+  the integer numerators of exactpoly.Poly2; xy_of_json reads a
+  production Poly2 through its to_json output, and zpoly_parts
+  multiplies z = x + iy out to the (Re, Im) of an exactpoly.ZPoly,
+  against ZPoly.real_part;
 - partial_xy, laplacian_xy and vanishes_on_circle are the x, y calculus
-  of Poly2, term by term and at rational points of the circle, against
-  the z, zbar calculus of exactpoly.ZPoly that the developed hierarchy
-  solves in;
+  on XYs, term by term and modulo x^2 + y^2 - 1, against
+  the z, zbar calculus of exactpoly.ZPoly that both hierarchies solve in;
 - m_of_vector, mat_mul and mat_vec are the generic 3x3 matrix algebra,
   and M1, M2 the basis matrices M(e1), M(e2), against
   development.m_action and hierarchy.developed_rhs;
-- words, word_index and TensorPoly index a tensor of Poly2s by its
-  words over {1, 2}, the x, y form of a tensor level, in which
+- words, word_index and TensorPoly index a tensor of XYs by its words
+  over {1, 2}, the x, y form of a tensor level, in which
   `hierarchy --dump-polys` writes it (tensor_view and developed_view
-  give a level of either hierarchy in x, y, checked real);
+  give a level of either hierarchy in x, y, checked real, and
+  developed_at evaluates a developed level at a point);
 - fold_apply_naive sums T_w M(w) v over every word with explicit 3x3
   word matrices (m_word), against development.fold_apply;
 - fold_letters folds a tensor given in the letters f = e1 + i e2 and
@@ -51,9 +56,9 @@ import mpmath
 import numpy as np
 
 from disksig.bessel import d_lambda, make_constants
-from disksig.development import Vec3Poly, m_action
-from disksig.exactpoly import Poly2, ZPoly
-from disksig.hierarchy import poisson_scale, solve_poisson_zero_bd, xy_view
+from disksig.development import m_action
+from disksig.exactpoly import ZPoly
+from disksig.hierarchy import poisson_scale, solve_poisson_zero_bd
 from disksig.montecarlo import (BLOCK, _MAX_BLOCKS_PER_PATH, SimConfig,
                                 _advance_block, _path_generator)
 from disksig.polefinder import BRACKET_HI, BRACKET_LO
@@ -135,28 +140,116 @@ def signature_of_path(increments, level: int) -> list:
     return sig
 
 
-def partial_xy(p: Poly2, axis: int) -> Poly2:
+class XY(dict):
+    """A polynomial in x, y as a plain {(i, j): Fraction} map with no zero
+    coefficient, so equal polynomials are equal dicts: the x, y ring the
+    tests read production output against.  It shares no code with
+    exactpoly.Poly2's integer numerators; ints and Fractions act as
+    constants."""
+
+    def __init__(self, terms=()):
+        super().__init__((k, Fraction(v)) for k, v in dict(terms).items() if v)
+
+    def __add__(self, other):
+        out = dict(self)
+        for k, v in _as_xy(other).items():
+            out[k] = out.get(k, 0) + v
+        return XY(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return XY({k: -v for k, v in self.items()})
+
+    def __sub__(self, other):
+        return self + -_as_xy(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        out = {}
+        for (i1, j1), v1 in self.items():
+            for (i2, j2), v2 in _as_xy(other).items():
+                out[i1 + i2, j1 + j2] = out.get((i1 + i2, j1 + j2), 0) + v1 * v2
+        return XY(out)
+
+    __rmul__ = __mul__
+
+    def evaluate(self, x, y) -> Fraction:
+        top = max((max(k) for k in self), default=0)
+        xs, ys = [Fraction(1)], [Fraction(1)]
+        for _ in range(top):
+            xs.append(xs[-1] * x)
+            ys.append(ys[-1] * y)
+        return sum((v * xs[i] * ys[j] for (i, j), v in self.items()), Fraction(0))
+
+    def to_json(self) -> list:
+        return [[i, j, f"{v.numerator}/{v.denominator}"] for (i, j), v in sorted(self.items())]
+
+
+def _as_xy(value) -> XY:
+    return value if isinstance(value, XY) else XY({(0, 0): value})
+
+
+X, Y = XY({(1, 0): 1}), XY({(0, 1): 1})
+
+
+def xy_of_json(data) -> XY:
+    """An x, y polynomial from its [[i, j, "num/den"], ...] form, the form
+    in which production's Poly2.to_json writes it."""
+    return XY({(int(i), int(j)): Fraction(s) for i, j, s in data})
+
+
+def zpoly_parts(p: ZPoly, den: int) -> tuple:
+    """(Re, Im) of p / den as XYs: each term v i^e z^a zbar^b multiplied
+    out longhand (_z_power)."""
+    re, im = XY(), XY()
+    for (a, b, e), v in p.terms():
+        pr, pi = _z_power(a, b)
+        if e:  # times i
+            pr, pi = -pi, pr
+        c = Fraction(v, den)
+        re, im = re + pr * c, im + pi * c
+    return re, im
+
+
+@lru_cache(maxsize=None)
+def _z_power(a: int, b: int) -> tuple:
+    """(Re, Im) of z^a zbar^b, z = x + iy and zbar = x - iy multiplied in
+    one factor at a time.  Callers never mutate the XYs."""
+    if not a + b:
+        return XY({(0, 0): 1}), XY()
+    re, im = _z_power(a - 1, b) if a else _z_power(a, b - 1)
+    sy = Y if a else -Y
+    return re * X - im * sy, re * sy + im * X
+
+
+def partial_xy(p: XY, axis: int) -> XY:
     """d/dx (axis 0) or d/dy (axis 1) of p, term by term."""
-    return Poly2({(i - (axis == 0), j - (axis == 1)): c * (i, j)[axis]
-                  for (i, j), c in p.terms() if (i, j)[axis]})
+    return XY({(i - (axis == 0), j - (axis == 1)): c * (i, j)[axis]
+               for (i, j), c in p.items() if (i, j)[axis]})
 
 
-def laplacian_xy(p: Poly2) -> Poly2:
+def laplacian_xy(p: XY) -> XY:
     """d^2p/dx^2 + d^2p/dy^2."""
     return partial_xy(partial_xy(p, 0), 0) + partial_xy(partial_xy(p, 1), 1)
 
 
-def vanishes_on_circle(p: Poly2) -> bool:
+def vanishes_on_circle(p: XY) -> bool:
     """Whether p is zero on the unit circle, exactly.
 
-    With N the total degree of p, p on the circle is a trigonometric
-    polynomial of degree <= N, which is zero if it vanishes at 2N+1
-    distinct angles.  Those are taken at the rational points
-    ((1-t^2)/(1+t^2), 2t/(1+t^2)), t = 0..2N.
+    Reduced modulo x^2 + y^2 - 1, by y^2 -> 1 - x^2, p is A(x) + y B(x).
+    On the circle y = +-sqrt(1 - x^2) for every x in (-1, 1), so A + y B
+    and A - y B vanish there exactly when the polynomials A and B are zero.
     """
-    n = max((i + j for (i, j), _ in p.terms()), default=0)
-    return all(p.evaluate(Fraction(1 - t * t, 1 + t * t), Fraction(2 * t, 1 + t * t)) == 0
-               for t in range(2 * n + 1))
+    reduced = {}
+    for (i, j), v in p.items():
+        m, odd = divmod(j, 2)
+        for k in range(m + 1):  # y^(2m) = (1 - x^2)^m
+            key = (i + 2 * k, odd)
+            reduced[key] = reduced.get(key, 0) + (-1) ** k * math.comb(m, k) * v
+    return not XY(reduced)
 
 
 def words(n: int):
@@ -177,62 +270,45 @@ def word_index(w: str) -> int:
 
 
 class TensorPoly:
-    """A tensor of polynomials: level n, one Poly2 per word in {1,2}^n.
-
-    Entries live in a list in lexicographic word order; the level-0
-    tensor is a single Poly2 (empty word).
-    """
-
-    __slots__ = ("level", "entries")
+    """A tensor of polynomials: level n, one XY per word in {1,2}^n, in a
+    list in lexicographic word order; the level-0 tensor is a single XY
+    (empty word)."""
 
     def __init__(self, level: int, entries):
-        if level < 0:
-            raise ValueError("negative level")
         entries = list(entries)
         if len(entries) != 1 << level:
             raise ValueError(f"level {level} needs {1 << level} entries, got {len(entries)}")
-        for e in entries:
-            if not isinstance(e, Poly2):
-                raise TypeError("entries must be Poly2")
         self.level = level
         self.entries = entries
 
     @classmethod
     def zeros(cls, level: int) -> "TensorPoly":
-        return cls(level, [Poly2.zero() for _ in range(1 << level)])
+        return cls(level, [XY() for _ in range(1 << level)])
 
-    def entry(self, w: str) -> Poly2:
+    def entry(self, w: str) -> XY:
         if len(w) != self.level:
             raise ValueError(f"word {w!r} has wrong length for level {self.level}")
         return self.entries[word_index(w)]
 
-    def __eq__(self, other):
-        if not isinstance(other, TensorPoly):
-            return NotImplemented
-        return self.level == other.level and self.entries == other.entries
-
-    def __repr__(self):
-        return f"TensorPoly(level={self.level}, {sum(1 for e in self.entries if e)} nonzero entries)"
-
     def to_json(self):
-        return {
-            "level": self.level,
-            "entries": {w: self.entries[word_index(w)].to_json() for w in words(self.level)},
-        }
+        return {"level": self.level,
+                "entries": {w: self.entry(w).to_json() for w in words(self.level)}}
 
     @classmethod
     def from_json(cls, data) -> "TensorPoly":
+        """A tensor level as `hierarchy --dump-polys` writes it."""
         n = int(data["level"])
-        ents = [Poly2.zero()] * (1 << n)
+        ents = [XY()] * (1 << n)
         for w, pj in data["entries"].items():
-            ents[word_index(w)] = Poly2.from_json(pj)
+            ents[word_index(w)] = xy_of_json(pj)
         return cls(n, ents)
 
 
 def _real_view(values, den: int, n: int) -> list:
-    """xy_view of level n's ZPolys over den, after checking each is real."""
+    """Real parts of level n's ZPolys over den, after checking each is
+    real, read from production's ZPoly.real_part through its to_json."""
     assert all(value == value.conj() for value in values), f"level {n} is not real"
-    return xy_view(values, den)
+    return [xy_of_json(value.real_part(den).to_json()) for value in values]
 
 
 def tensor_view(state, n: int) -> TensorPoly:
@@ -241,10 +317,15 @@ def tensor_view(state, n: int) -> TensorPoly:
     return TensorPoly(n, _real_view(values, den, n))
 
 
-def developed_view(state, n: int) -> Vec3Poly:
-    """Developed level n of a HierarchyState in x, y."""
+def developed_view(state, n: int) -> tuple:
+    """Developed level n of a HierarchyState in x, y: three XYs."""
     level = state.developed_z(n)
-    return Vec3Poly(*_real_view(level.comps, level.den, n))
+    return tuple(_real_view(level.comps, level.den, n))
+
+
+def developed_at(state, n: int, x, y) -> tuple:
+    """The developed level n at the point (x, y), from its x, y view."""
+    return tuple(c.evaluate(x, y) for c in developed_view(state, n))
 
 
 def m_of_vector(x) -> tuple:
@@ -296,7 +377,7 @@ def fold_apply_naive(t: TensorPoly, v) -> tuple:
 
     Exponential in the level; used to validate fold_apply on small tensors.
     """
-    acc = [Poly2.zero()] * 3
+    acc = [XY()] * 3
     for w in words(t.level):
         e = t.entry(w)
         if not e:
@@ -380,7 +461,7 @@ def tensor_levels_bivariate(n_max: int) -> list:
         levels.append(([solve_poisson_zero_bd(f, scale) for f in rhs], den * scale))
     out = []
     for n, (entries, den) in enumerate(levels[: n_max + 1]):
-        parts = [value.parts(den) for value in entries]
+        parts = [zpoly_parts(value, den) for value in entries]
         assert not any(imag for _, imag in parts), n
         out.append(TensorPoly(n, [real for real, _ in parts]))
     return out

@@ -17,7 +17,7 @@ import disksig.montecarlo as montecarlo
 from disksig.cli import DEVELOPED_CAP, main
 from disksig.exactpoly import ZPoly
 from disksig.hierarchy import HierarchyState
-from reference import closed_form_center, words
+from reference import TensorPoly, X, Y, closed_form_center, words
 
 
 def run(tmp_path, *argv):
@@ -107,18 +107,15 @@ def test_hierarchy_dump_polys_round_trips(tmp_path):
     rc, out = run(tmp_path, "hierarchy", "--levels", "2", "--dump-polys")
     assert rc == 0
     payload = json.loads(out.read_text())
-    from reference import TensorPoly
-
     t2 = TensorPoly.from_json(payload["polynomials"][2])
-    from disksig.exactpoly import Poly2
-
-    disk = Poly2.const(1) - Poly2.monomial(2, 0) - Poly2.monomial(0, 2)
-    assert t2.entry("11") == disk * F(1, 4)
+    assert t2.entry("11") == (1 - X * X - Y * Y) * F(1, 4)
 
 
 @pytest.mark.parametrize("mode, levels, digest", [
     ("tensor", 8,
      "338ddc8db32ef5d942a46eb9b32d08186aa2454962e1c8aa72ea954e2b0cb1e9"),
+    ("tensor", 12,
+     "12cfb49870055be5d8b3316d12ebfdcf8303028609066102a67a627f0b5db3cd"),
     ("developed", 24,
      "de58e72dbbac53f86764e0869d2f1c9f22b5286156228dbcb512f9d1e42571e4"),
     ("developed", 60,
@@ -128,11 +125,36 @@ def test_hierarchy_dump_polys_bytes_are_pinned(tmp_path, mode, levels, digest):
     # every dumped rational of both oracle hierarchies, pinned to the bytes
     # of their x, y routes: the tensor level by one Poisson solve per e-word,
     # the developed level (up to its cap) by a sweep over y-degree rows and
-    # a Fourier boundary trace, before both were solved in z and zbar
+    # a Fourier boundary trace, before both were solved in z and zbar; the
+    # tensor level 12, and develop and radius below, pinned when both parts
+    # of every x, y polynomial were still built
     rc, out = run(tmp_path, "hierarchy", "--levels", str(levels),
                   "--mode", mode, "--dump-polys")
     assert rc == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("develop", "--lambda", "3/2", "--x=1/3", "--y=1/4", "--levels", "32"),
+     "8313239b1e1db1f09a4784229bb1a757eaab03fd2d4fb72072b6378b541e8f6c"),
+    (("radius", "--levels", "40"),
+     "b414f607fc073b91279e6706cc6da816398072a69417109125d14e3cae30bca8"),
+], ids=["develop", "radius"])
+def test_develop_and_radius_bytes_are_pinned(tmp_path, argv, digest):
+    rc, out = run(tmp_path, *argv)
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_hierarchy_tensor_dump_cap(tmp_path, capsys):
+    # the dump doubles per level; without it the tensor cap is unchanged
+    rc, out = run(tmp_path, "hierarchy", "--mode", "tensor", "--dump-polys",
+                  "--levels", str(cli.TENSOR_DUMP_CAP + 1))
+    assert rc == 2
+    assert f"0..{cli.TENSOR_DUMP_CAP}" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "out.manifest.json").exists()
+    assert cli.TENSOR_DUMP_CAP < cli.TENSOR_CAP
 
 
 # sha256 of `disksig hierarchy --mode tensor --levels N` output, taken
@@ -269,12 +291,20 @@ def test_hierarchy_expands_each_tensor_level_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("mode", ["tensor", "developed"])
 def test_hierarchy_checks_build_no_xy_view(tmp_path, monkeypatch, mode):
     # both oracles are checked in z, zbar; only --dump-polys reads x, y
-    def refuse(self, den):
-        raise AssertionError("x, y view built by a check")
+    real = ZPoly.real_part
+    calls = []
 
-    monkeypatch.setattr(ZPoly, "parts", refuse)
+    def spy(self, den):
+        calls.append(den)
+        return real(self, den)
+
+    monkeypatch.setattr(ZPoly, "real_part", spy)
     rc, _ = run(tmp_path, "hierarchy", "--levels", "10", "--mode", mode)
     assert rc == 0
+    assert calls == []
+    rc, _ = run(tmp_path, "hierarchy", "--levels", "3", "--mode", mode, "--dump-polys")
+    assert rc == 0
+    assert calls
 
 
 def test_hierarchy_origin_fold_sees_a_wrong_tensor_rhs(tmp_path, capsys,

@@ -8,18 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from disksig.balls import RealBall
-from disksig.exactpoly import Poly2, ZPoly, boundary_trace, laplacian
+from disksig.exactpoly import ZPoly, boundary_trace, laplacian
 import disksig.hierarchy as hierarchy
-from disksig.development import Vec3Poly
 from disksig.hierarchy import (HierarchyState, a_coefficients, developed_rhs,
                                developed_values, level_norms, radial_levels,
                                origin_development, poisson_scale,
                                radial_levels_ball, radius_estimate,
                                solve_poisson_zero_bd, word_polys,
                                developed_checks, tensor_checks)
-from reference import (M1, M2, developed_view, fold_letters, laplacian_xy,
-                       mat_mul, mat_vec, partial_xy, radial_levels_fraction,
-                       tensor_levels_bivariate, tensor_view, vanishes_on_circle)
+from reference import (XY, M1, M2, X, Y, developed_at, developed_view, fold_letters,
+                       laplacian_xy, mat_mul, mat_vec, partial_xy,
+                       radial_levels_fraction, tensor_levels_bivariate, tensor_view,
+                       vanishes_on_circle, zpoly_parts)
 
 
 @st.composite
@@ -44,19 +44,17 @@ def test_poisson_solver_solves_and_vanishes_on_circle(f):
     u = solve_poisson_zero_bd(f, scale)
     assert laplacian(u) == f * scale
     assert boundary_trace(u) == {}
-    assert all(vanishes_on_circle(part) for part in u.parts(1))
+    assert all(vanishes_on_circle(part) for part in zpoly_parts(u, 1))
     assert solve_poisson_zero_bd(f, 3 * scale) == u * 3
 
 
 def test_poisson_solver_linear_source():
     # Delta u = 2x with zero boundary data has u = x (x^2 + y^2 - 1)/4
-    x = Poly2.monomial(1, 0)
-    y = Poly2.monomial(0, 1)
     f = ZPoly({(1, 0, 0): 1, (0, 1, 0): 1})  # z + zbar = 2x
     scale = poisson_scale([f])
     assert scale == 8
-    want = x * (x * x + y * y - 1) * F(1, 4)
-    assert solve_poisson_zero_bd(f, scale).parts(scale) == (want, Poly2.zero())
+    want = X * (X * X + Y * Y - 1) * F(1, 4)
+    assert zpoly_parts(solve_poisson_zero_bd(f, scale), scale) == (want, XY())
 
 
 def test_poisson_solver_on_cancelling_traces():
@@ -72,9 +70,7 @@ def test_poisson_solver_on_cancelling_traces():
 
 
 def test_first_levels_are_the_known_solutions(state):
-    x = Poly2.monomial(1, 0)
-    y = Poly2.monomial(0, 1)
-    disk = Poly2.const(1) - x * x - y * y
+    disk = 1 - X * X - Y * Y
     # pi_1 = 0, pi_2 = (1 - |z|^2)/4 (e11 + e22)
     assert not any(tensor_view(state, 1).entries)
     t2 = tensor_view(state, 2)
@@ -83,9 +79,7 @@ def test_first_levels_are_the_known_solutions(state):
     assert not t2.entry("12")
     assert not t2.entry("21")
     # developed: V_2 = (0, 0, (1 - |z|^2)/2)
-    v2 = developed_view(state, 2)
-    assert not v2.c1 and not v2.c2
-    assert v2.c3 == disk * F(1, 2)
+    assert developed_view(state, 2) == (XY(), XY(), disk * F(1, 2))
 
 
 def test_exactness_checks_small_levels(state):
@@ -123,8 +117,8 @@ def test_checks_flag_a_wrong_level(wrong_level, mode, checks, broken):
 
 
 def test_tensor_expansion_equals_the_bivariate_oracle_word_for_word():
-    """Each e-word of the reduced levels, expanded to a Poly2, is the
-    polynomial one bivariate Poisson solve per word gives."""
+    """Each e-word of the reduced levels, expanded and read in x, y, is
+    the polynomial one bivariate Poisson solve per word gives."""
     fresh = HierarchyState()
     for n, want in enumerate(tensor_levels_bivariate(8)):
         got = tensor_view(fresh, n)
@@ -151,20 +145,19 @@ def test_development_of_reduced_tensor_equals_radial_levels(state):
     fold_letters) is (x A_n/r, y A_n/r, C_n) of the radial route, as
     polynomials, through level 16; at the origin origin_development gives
     the same vector (0, 0, a_n)."""
-    x, y = Poly2.monomial(1, 0), Poly2.monomial(0, 1)
-    s_powers = [Poly2.const(1)]
+    s_powers = [XY({(0, 0): 1})]
     for _ in range(8):
-        s_powers.append(s_powers[-1] * (x * x + y * y))
+        s_powers.append(s_powers[-1] * (X * X + Y * Y))
     a_list, c_list = radial_levels(16)
     for n in range(17):
-        a_over_r = sum((q * s_powers[m // 2] for m, q in a_list[n].items()), Poly2.zero())
-        c_n = sum((q * s_powers[m // 2] for m, q in c_list[n].items()), Poly2.zero())
+        a_over_r = sum((q * s_powers[m // 2] for m, q in a_list[n].items()), XY())
+        c_n = sum((q * s_powers[m // 2] for m, q in c_list[n].items()), XY())
         level = state.reduced(n)
-        parts = [c.parts(level.den) for c in fold_letters(word_polys(level))]
-        real, imag = (Vec3Poly(*(p[i] for p in parts)) for i in (0, 1))
-        assert real == Vec3Poly(x * a_over_r, y * a_over_r, c_n), n
+        parts = [zpoly_parts(c, level.den) for c in fold_letters(word_polys(level))]
+        real, imag = (tuple(p[i] for p in parts) for i in (0, 1))
+        assert real == (X * a_over_r, Y * a_over_r, c_n), n
         assert not any(imag), n
-        assert origin_development(state, n) == real.evaluate(0, 0), n
+        assert origin_development(state, n) == tuple(c.evaluate(0, 0) for c in real), n
 
 
 def test_origin_values_vanish_where_the_unit_is_imaginary(state):
@@ -193,8 +186,8 @@ def test_developed_rhs_is_the_generic_matrix_form(state):
         assert tuple(laplacian_xy(c) for c in view) == want, n
         assert all(vanishes_on_circle(c) for c in view), n
         rhs = developed_rhs(state, n)
-        assert tuple(c.parts(rhs.den) for c in rhs.comps) == tuple(
-            (w, Poly2.zero()) for w in want), n
+        assert tuple(zpoly_parts(c, rhs.den) for c in rhs.comps) == tuple(
+            (w, XY()) for w in want), n
 
 
 def test_a_coefficients_fixtures():
@@ -208,7 +201,7 @@ def test_a_coefficients_fixtures():
 
 
 def test_dev_coefficient_off_origin(state):
-    assert developed_view(state, 2).evaluate(F(1, 2), F(0)) == (0, 0, F(3, 8))
+    assert developed_at(state, 2, F(1, 2), F(0)) == (0, 0, F(3, 8))
     assert list(developed_values(2, F(1, 2), F(0)))[2] == (0, 0, F(3, 8))
 
 
@@ -219,14 +212,14 @@ def test_radial_reduction_matches_bivariate(state):
         for r in (F(0), F(1, 3), F(3, 4), F(1)):
             a_val = sum((coef * r ** m for m, coef in a_list[n].items()), F(0))
             c_val = sum((coef * r ** m for m, coef in c_list[n].items()), F(0))
-            assert developed_view(state, n).evaluate(r, F(0)) == (a_val, 0, c_val)
+            assert developed_at(state, n, r, F(0)) == (a_val, 0, c_val)
     # off the axis the production triples equal the bivariate oracle
     for x, y in ((F(1, 2), F(1, 3)), (F(-3, 5), F(4, 5)), (F(0), F(2, 3)),
                  (F(-1, 7), F(-5, 6)), (F(0), F(0))):
         values = list(developed_values(16, x, y))
         assert len(values) == 17
         for n in range(17):
-            assert values[n] == developed_view(state, n).evaluate(x, y)
+            assert values[n] == developed_at(state, n, x, y)
 
 
 def test_developed_values_rejects_broken_parity(monkeypatch):

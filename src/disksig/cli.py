@@ -82,7 +82,7 @@ DEVELOPED_ORACLE_CAP = 60
 # series take 470 to 670 terms there below the pole); each doubling costs
 # the ball layers about 4x, and from about 14000 bits a midpoint's decimal
 # digits exceed what Python converts to a string; at MIN_POLE_WIDTH,
-# `pole` takes about 0.5 s at 128 bits and 2.4 s at MAX_PRECISION
+# `pole` takes about 0.35 s at 128 bits and 2.5 s at MAX_PRECISION
 MAX_PRECISION = 8192
 MIN_POLE_WIDTH = Fraction(1, 10 ** 100)
 # `bessel` point caps, timed on a 2-vCPU VM: the auto-selected series
@@ -309,11 +309,13 @@ def cmd_hierarchy(args) -> tuple:
         "odd_levels_vanish": odd_ok,
     }
     if args.mode == "tensor":
+        # one butterfly per level gives both the norms and the origin fold
+        origins = [hierarchy.origin_values(state, n) for n in range(n_max + 1)]
         payload["norms"] = [
             {"level": n, "l1": _rat_str(norm.l1),
              "l2sq": _rat_str(norm.l2sq)}
-            for n in range(n_max + 1)
-            for norm in (hierarchy.level_norms(state, n),)
+            for n, origin in enumerate(origins)
+            for norm in (hierarchy.level_norms(origin),)
         ]
         # the derivation of each level's right-hand side is checked here,
         # not by its residual verdict: in z, zbar against the developed
@@ -335,8 +337,8 @@ def cmd_hierarchy(args) -> tuple:
                 dumped.append({"level": n, "entries": {
                     word: value.real_part(den).to_json()
                     for word, value in zip(_words(n), values)}})
-        for n in range(n_max + 1):
-            if hierarchy.origin_development(state, n) != (0, 0, a_vals[n]):
+        for n, origin in enumerate(origins):
+            if hierarchy.origin_development(origin) != (0, 0, a_vals[n]):
                 fold_ok = False
                 failures.append(f"level {n}: fold of tensor level at the origin != a_n")
         payload["fold_matches_developed"] = fold_ok
@@ -691,10 +693,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # evaluated only when a handler raised, so a run that succeeds never
-    # loads exactseries for this tuple
-    except (exactseries.SignChangeError, ValueError, ArithmeticError,
-            RuntimeError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     manifest = _manifest_text(args.cmd, args, args.out, text, stats)

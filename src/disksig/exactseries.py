@@ -16,12 +16,15 @@ common denominator L, from integer recurrences (_series_coefficients).
 
 This module uses integers and Fractions only.  It holds
 
-- the exact sign of E at a dyadic point (_series_sign) and the pole
+- enclose, an interval Horner evaluation of such a series on a dyadic
+  interval plus its tail bound (_tail_bounds): the one evaluator of E
+  and G;
+- the exact sign of E at a dyadic point (_series_sign), read from
+  enclose on that point once its interval excludes zero, and the pole
   bracket bisected on those signs (exact_bracket), which polefinder
   certifies on balls;
-- enclose, an interval Horner evaluation of such a series on a dyadic
-  interval plus its tail bound, and enclose_center, the enclosure of
-  C(lambda, 0) that `disksig compare` prints;
+- enclose_center, the enclosure of C(lambda, 0) that `disksig compare`
+  prints;
 - the decimal printing of exact enclosures, shared with balls.
 """
 
@@ -38,20 +41,22 @@ from .exactpoly import as_rat
 BRACKET_LO = Fraction(5, 2)
 BRACKET_HI = Fraction(3)
 # term counts of the exact sign route: the first try, doubled while the
-# tail bound is not below the partial sum, up to the cap.  At 256 terms
-# the tail near the pole is below 1e-700, so only a midpoint that close
-# to a zero of E could reach the cap.
+# enclosure of E at the point holds zero, up to the cap.  At 256 terms
+# the tail near the pole is below 1e-700, and the enclosure is rounded
+# to units of 2^-(s + _GUARD_BITS) for mu = p / 2^s, so only a midpoint
+# about that close to a zero of E could reach the cap.
 _FIRST_TERMS = 8
 _MAX_TERMS = 256
 # cap of the doubling in enclose_center: at the largest precision the
 # command line admits (8192 bits) the first count is at most about 670
 # terms for lambda below the pole
 _MAX_CENTER_TERMS = 2048
-# guard bits of enclose_center beyond the requested relative width
+# guard bits of enclose_center beyond the requested relative width, and
+# of the exact sign route beyond the bits of mu
 _GUARD_BITS = 64
 
 
-class SignChangeError(Exception):
+class SignChangeError(ArithmeticError):
     """Base for sign-certification failures."""
 
 
@@ -141,14 +146,13 @@ def _numerator_coefficients(n: int) -> tuple:
 def _series_sign(mu: Fraction) -> tuple:
     """(sign of E(mu), terms used) for a dyadic mu = p / 2^s > 0.
 
-    With E's first n coefficients numerator_m / L, the partial sum is
-    U / (L 2^(s(n-1))) with U = sum_m numerator_m p^m 2^(s(n-1-m)), one
-    integer multiply-add per term by Horner.  It has the sign of E when
-    its modulus beats the tail bound of enclose,
-        |U| / (L q^(n-1)) > 2 (3 p / (2 q))^n / (n! (n+1)!),  q = 2^s,
-    which for L = 8 4^(n-1) (n-1)! n! is |U| q n (n+1) > 4 (6 p)^n.
-    n starts at _FIRST_TERMS and doubles until that holds; past
-    _MAX_TERMS the sign is InconclusiveSign.
+    The sign is that of enclose on the point interval [mu, mu] with E's
+    first n coefficients, once that enclosure excludes zero.  enclose
+    rounds its tail bound up to whole units of 2^-bits, so the bits grow
+    with s: s + _GUARD_BITS, about _GUARD_BITS bits below mu's own.
+    n starts at _FIRST_TERMS and doubles, skipping any n whose tail bound
+    does not yet hold (3 mu > (n+1)(n+2)); past _MAX_TERMS the sign is
+    InconclusiveSign.
     """
     p, q = mu.numerator, mu.denominator
     if p <= 0 or q & (q - 1):
@@ -157,12 +161,9 @@ def _series_sign(mu: Fraction) -> tuple:
     n = _FIRST_TERMS
     while n <= _MAX_TERMS:
         if 3 * p <= (n + 1) * (n + 2) * q:  # the tail bound holds from n on
-            u, shift = 0, 0
-            for numerator in reversed(_series_coefficients(n)[0]):
-                u = u * p + (numerator << shift)
-                shift += s
-            if abs(u) * q * n * (n + 1) > 4 * (6 * p) ** n:
-                return (1 if u > 0 else -1), n
+            lo, hi = enclose(_series_coefficients(n), p, p, s, s + _GUARD_BITS)
+            if lo > 0 or hi < 0:
+                return (1 if lo > 0 else -1), n
         n *= 2
     raise InconclusiveSign(
         f"E({mu}) not certified by {_MAX_TERMS} series terms")

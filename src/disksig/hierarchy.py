@@ -349,30 +349,31 @@ class LevelNorms(namedtuple("LevelNorms", "l1 l2sq")):
     __slots__ = ()
 
 
-def level_norms(state: HierarchyState, n: int) -> LevelNorms:
+def level_norms(origin: tuple) -> LevelNorms:
     """l1 and squared l2 norms of the tensor pi_n(Phi(0)), from the
-    reduced level's values at the origin (_origin_values); the units
-    i^p do not change a norm."""
-    vals, den = _origin_values(state, n)
+    reduced level's values at the origin, origin = origin_values(state,
+    n); the units i^p do not change a norm."""
+    vals, den = origin
     return LevelNorms(l1=Fraction(sum(map(abs, vals)), den),
                       l2sq=Fraction(sum(v * v for v in vals), den * den))
 
 
-def origin_development(state: HierarchyState, n: int) -> tuple:
+def origin_development(origin: tuple) -> tuple:
     """M(pi_n(0)) e3 as three Fractions, folded (development.fold_apply)
-    from the reduced level's values at the origin.
+    from the reduced level's values at the origin, origin =
+    origin_values(state, n).
 
-    The e-word entry with p letters e2 is i^p v over den (_origin_values).
+    The e-word entry with p letters e2 is i^p v over den.
     pi_n is real by construction (a conjugate word has the same Q), so
     v = 0 where p is odd and the entry is (-1)^(p/2) v where p is even.
     The radial route gives (0, 0, a_n) for the same vector.
     """
-    vals, den = _origin_values(state, n)
+    vals, den = origin
     signed = [-v if idx.bit_count() % 4 == 2 else v for idx, v in enumerate(vals)]
     return tuple(Fraction(c, den) for c in fold_apply(signed))
 
 
-def _origin_values(state: HierarchyState, n: int) -> tuple:
+def origin_values(state: HierarchyState, n: int) -> tuple:
     """(vals, den): pi_n at the origin in the e-basis, up to units.
 
     At the origin only the words with k = 0 are nonzero, each equal to

@@ -51,7 +51,8 @@ signature built by one Chen product per chord.
 Work is bounded: a path gets at most 2^27 steps, and SimConfig refuses
 any h below MIN_STEP, at which that budget would end paths before the
 EXIT_HORIZON that no Brownian path outlives in practice, or above
-MAX_STEP, one step of that whole horizon.
+MAX_STEP, one step of that whole horizon, and any run whose expected
+path-steps pass MAX_PATH_STEPS.
 
 Parallel slices: paths run in cohorts of COHORT, and each cohort is cut
 into one contiguous slice of paths per CPU in the process's affinity
@@ -103,6 +104,10 @@ _MAX_BLOCKS_PER_PATH = 2 ** 19  # per-path step budget: 2^27 steps
 EXIT_HORIZON = 32.0
 MIN_STEP = EXIT_HORIZON / (_MAX_BLOCKS_PER_PATH * BLOCK)  # about 2.4e-7
 MAX_STEP = EXIT_HORIZON  # a longer step only rescales a first-step exit
+# expected path-steps of one estimate: the default 100 000 paths from the
+# centre at MIN_STEP, 2^21 steps each, about 2.1e11 in all, which at the
+# 1.3e7 steps/s of level 2 on a 2-vCPU VM is about 4.5 hours
+MAX_PATH_STEPS = 100_000 * 2 ** 21
 
 
 @dataclass(frozen=True)
@@ -114,7 +119,8 @@ class SimConfig:
     expected work per path, (1 - |start|^2) / (2h) steps, is unbounded
     as h goes to 0; one step of MAX_STEP already spans EXIT_HORIZON, and
     from about 1e306 positions overflow.  At least two paths are needed
-    for a finite standard error.
+    for a finite standard error, and the expected work, paths x max(1,
+    (1 - |start|^2) / (2h)) steps, must be at most MAX_PATH_STEPS.
     """
 
     start: tuple = (0.0, 0.0)
@@ -144,6 +150,11 @@ class SimConfig:
         if self.paths < 2:
             raise ValueError("need at least two paths: one sample has no "
                              "standard error")
+        steps_per_path = max(1.0, (1.0 - x * x - y * y) / (2 * self.h))
+        if self.paths > MAX_PATH_STEPS / steps_per_path:  # no float of paths
+            raise ValueError(
+                f"expected work of paths x max(1, (1 - |start|^2) / (2h)) "
+                f"steps must be at most {MAX_PATH_STEPS:.3g}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
 

@@ -4,16 +4,16 @@ d(lambda) is continuous, certified negative at 2.5 and positive at 3, so
 it has a zero in between (intermediate value theorem); the closed form
 divides by d, and the series coefficients grow like the reciprocal of
 that zero.  The bracket comes from exactseries.exact_bracket: bisection
-on exact signs of d, each the sign of an integer partial sum of E
-(d(lambda) = sqrt(7) lambda E(lambda^2)) that beats a rational tail
-bound, so no ball is evaluated at a midpoint and the bracket depends on
-the target width alone.  This module certifies that bracket on balls.
-The enclosures stored in the PoleCertificate -- d at both final
-endpoints, the numerator bound -- are ball values computed at the
-requested precision, doubled while an endpoint enclosure straddles zero
-(locate_pole), so the stored data re-verify offline with no Bessel
-evaluation; they also re-certify the exact route's endpoint signs on
-the ball route, and the two must agree.
+on exact signs of d, each the sign of E (d(lambda) = sqrt(7) lambda
+E(lambda^2)) read from exactseries.enclose at the point once its
+interval excludes zero, so no ball is evaluated at a midpoint and the
+bracket depends on the target width alone.  This module certifies that
+bracket on balls.  The enclosures stored in the PoleCertificate -- d at
+both final endpoints, the numerator bound -- are ball values computed
+at the requested precision, doubled while an endpoint enclosure
+straddles zero (locate_pole), so the stored data re-verify offline with
+no Bessel evaluation; they also re-certify the exact route's endpoint
+signs on the ball route, and the two must agree.
 
 The companion check, verify_numerator_nonvanishing, certifies that the
 numerator of C at r = 0 stays away from zero across a bracket, by
@@ -21,8 +21,7 @@ evaluating it with the whole sub-interval as a single ball argument and
 subdividing adaptively until every piece is certified.  Together the two
 facts prove the bracketed zero of d is a genuine pole of C at r = 0.
 
-The bracket, its bounds and the sign exceptions live in exactseries and
-are re-exported here.
+The bracket, its bounds and the sign exceptions live in exactseries.
 """
 
 from __future__ import annotations
@@ -36,11 +35,7 @@ from .bessel import (Constants, d_lambda, make_constants, numerator_im,
                      series_terms)
 from .exactpoly import as_rat, rat_str
 from .exactseries import (BRACKET_HI, BRACKET_LO, InconclusiveSign,
-                          NoSignChange, SignChangeError, exact_bracket)
-
-__all__ = ["BRACKET_HI", "BRACKET_LO", "InconclusiveSign", "NoSignChange",
-           "PoleCertificate", "SignChangeError", "exact_bracket",
-           "locate_pole", "verify_numerator_nonvanishing"]
+                          NoSignChange, exact_bracket)
 
 _MAX_ESCALATIONS = 6
 
@@ -120,11 +115,8 @@ def locate_pole(target_width, precision: int = DEFAULT_PREC) -> PoleCertificate:
     numerator pieces.
     """
     width = as_rat(target_width)
-    precision = int(precision)
-    if precision < 53:
-        raise ValueError("precision below 53 bits is not supported")
     lo, hi, signs, max_terms = exact_bracket(width)
-    tried = [precision << k for k in range(_MAX_ESCALATIONS + 1)]
+    tried = [int(precision) << k for k in range(_MAX_ESCALATIONS + 1)]
     for final in tried:
         constants = make_constants(final)
         d_lo = d_lambda(lo, constants, final)

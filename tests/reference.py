@@ -37,7 +37,11 @@ computation the package does another way:
   bivariate Poisson problem per word, against the univariate words in the
   letters f, fbar that hierarchy.HierarchyState.tensor_z expands;
 - ball_bisection brackets the pole on ball signs of d at every midpoint,
-  against the exact signs of polefinder.locate_pole;
+  against the exact signs of exactseries.exact_bracket;
+- series_sign_integer takes the sign of E at a dyadic point from an
+  integer partial sum against a rational tail inequality, against the
+  interval enclosure (exactseries.enclose) that exactseries._series_sign
+  reads it from;
 - series_coefficients_binomial builds E's numerators from the binomial
   sum over Z[w] powers, against the integer recurrence of
   exactseries._series_coefficients;
@@ -58,10 +62,12 @@ import numpy as np
 from disksig.bessel import d_lambda, make_constants
 from disksig.development import m_action
 from disksig.exactpoly import ZPoly
+from disksig.exactseries import (_FIRST_TERMS, _MAX_TERMS, BRACKET_HI,
+                                 BRACKET_LO, InconclusiveSign,
+                                 _series_coefficients)
 from disksig.hierarchy import poisson_scale, solve_poisson_zero_bd
 from disksig.montecarlo import (BLOCK, _MAX_BLOCKS_PER_PATH, SimConfig,
                                 _advance_block, _path_generator)
-from disksig.polefinder import BRACKET_HI, BRACKET_LO
 
 
 def simulate_stopped_path(config: SimConfig, path_index: int) -> np.ndarray:
@@ -493,6 +499,34 @@ def ball_bisection(width: Fraction) -> tuple:
         else:
             hi = mid
     return lo, hi
+
+
+def series_sign_integer(mu: Fraction) -> tuple:
+    """(sign of E(mu), terms used) for a dyadic mu = p / 2^s > 0.
+
+    With E's first n coefficients numerator_m / L, the partial sum is
+    U / (L 2^(s(n-1))) with U = sum_m numerator_m p^m 2^(s(n-1-m)), one
+    integer multiply-add per term by Horner.  It has the sign of E when
+    its modulus beats the tail bound T_n of enclose,
+        |U| / (L q^(n-1)) > 2 (3 p / (2 q))^n / (n! (n+1)!),  q = 2^s,
+    which for L = 8 4^(n-1) (n-1)! n! is |U| q n (n+1) > 4 (6 p)^n.
+    n runs over the term counts of exactseries._series_sign; past
+    _MAX_TERMS the sign is InconclusiveSign.
+    """
+    p, q = mu.numerator, mu.denominator
+    assert p > 0 and not q & (q - 1), mu
+    s = q.bit_length() - 1
+    n = _FIRST_TERMS
+    while n <= _MAX_TERMS:
+        if 3 * p <= (n + 1) * (n + 2) * q:  # the tail bound holds from n on
+            u, shift = 0, 0
+            for numerator in reversed(_series_coefficients(n)[0]):
+                u = u * p + (numerator << shift)
+                shift += s
+            if abs(u) * q * n * (n + 1) > 4 * (6 * p) ** n:
+                return (1 if u > 0 else -1), n
+        n *= 2
+    raise InconclusiveSign(f"E({mu}) not certified by {_MAX_TERMS} series terms")
 
 
 def series_coefficients_binomial(n: int) -> tuple:

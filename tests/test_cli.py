@@ -288,6 +288,22 @@ def test_hierarchy_expands_each_tensor_level_once(tmp_path, monkeypatch):
     assert calls == list(range(9))
 
 
+def test_hierarchy_runs_the_origin_butterfly_once_per_level(tmp_path,
+                                                          monkeypatch):
+    # the norms and the origin fold read the same values at the origin
+    real = cli.hierarchy.origin_values
+    calls = []
+
+    def counted(state, n):
+        calls.append(n)
+        return real(state, n)
+
+    monkeypatch.setattr(cli.hierarchy, "origin_values", counted)
+    rc, _ = run(tmp_path, "hierarchy", "--levels", "12", "--mode", "tensor")
+    assert rc == 0
+    assert calls == list(range(13))
+
+
 @pytest.mark.parametrize("mode", ["tensor", "developed"])
 def test_hierarchy_checks_build_no_xy_view(tmp_path, monkeypatch, mode):
     # both oracles are checked in z, zbar; only --dump-polys reads x, y
@@ -956,6 +972,20 @@ def test_mc_manifest_records_the_worker_count(tmp_path, monkeypatch):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_mc_two_cohorts_bytes_are_pinned(tmp_path, monkeypatch, workers):
+    # 4500 paths are one full cohort and one of 404 paths, merged into one
+    # estimate; taken before the path-step budget, on one and two workers
+    monkeypatch.setattr(montecarlo, "_worker_count",
+                        lambda paths, k=workers: k)
+    rc, out = run(tmp_path, "mc", "--paths", "4500", "--h", "1e-2",
+                  "--level", "3")
+    assert rc == 0
+    assert read_manifest(out)["stats"] == {"workers": workers}
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "1c14834a174c9e4b562349e77e4e213cd52ba35aea2c623440ea8846708997da")
+
+
 def _running(pid):
     """Whether pid names a process that has not ended (zombies have)."""
     try:
@@ -1021,6 +1051,15 @@ def test_mc_rejects_step_above_maximum(tmp_path, capsys):
                   "--h", "1e300")
     assert rc == 2
     assert "step size must be at most" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "out.manifest.json").exists()
+
+
+def test_mc_rejects_work_above_the_budget(tmp_path, capsys):
+    # about 2e18 expected path-steps; refused before any work
+    rc, out = run(tmp_path, "mc", "--paths", str(10 ** 12), "--h", "2.4e-7")
+    assert rc == 2
+    assert "expected work" in capsys.readouterr().err
     assert not out.exists()
     assert not (tmp_path / "out.manifest.json").exists()
 

@@ -2,19 +2,24 @@
 with the hierarchy, the enclosure helper, and its decimal printing."""
 
 from fractions import Fraction as F
+from functools import lru_cache
 from itertools import product
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import disksig.exactseries as exactseries
 from disksig.bessel import abc_closed_form, make_constants
 from disksig.cli import main
 from disksig.exactseries import (decimal_parts, enclose, enclose_center,
-                                 _fraction_to_dec, _numerator_coefficients,
-                                 _series_coefficients)
+                                 exact_bracket, _fraction_to_dec,
+                                 _numerator_coefficients, _series_coefficients,
+                                 _series_sign)
 from disksig.hierarchy import a_coefficients
-from reference import closed_form_center, series_coefficients_binomial
+from reference import (closed_form_center, series_coefficients_binomial,
+                       series_sign_integer)
 
 
 def test_closed_form_and_hierarchy_agree_exactly_to_level_200():
@@ -53,6 +58,42 @@ def test_recurrence_equals_the_binomial_sum_through_2048_terms():
                                          series_coefficients_binomial(2048))
     assert len(numerators) == len(ref) == 2048
     assert all(c * ref_den == r * den for c, r in zip(numerators, ref))
+
+
+@lru_cache(maxsize=None)
+def _mu_star_below() -> F:
+    """A dyadic lower end of a bracket of mu* = lambda*^2 under 2^-400 wide."""
+    lo, _, _, _ = exact_bracket(F(1, 2 ** 402))
+    return lo * lo
+
+
+@st.composite
+def sign_points(draw):
+    """Dyadic mu in [25/4, 9]: anywhere at up to 64 bits, or within
+    2^-300 of mu* at 304 to 400 bits."""
+    if draw(st.booleans()):
+        s = draw(st.integers(0, 64))
+        return F(draw(st.integers(25 << s, 36 << s)), 4 << s)
+    s = draw(st.integers(304, 400))
+    p = int(_mu_star_below() * 2 ** s) + draw(st.integers(-8, 8))
+    return F(p, 2 ** s)
+
+
+@given(sign_points())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_sign_of_e_agrees_with_the_integer_partial_sum(mu):
+    # the enclosure rounds its tail up and its sum outward, so it never
+    # certifies with fewer terms than the exact inequality does
+    sign, terms = _series_sign(mu)
+    ref_sign, ref_terms = series_sign_integer(mu)
+    assert sign == ref_sign
+    assert ref_terms <= terms <= exactseries._MAX_TERMS
+
+
+def test_sign_of_e_at_bad_points_is_refused():
+    for mu in (F(0), F(-9), F(1, 3)):
+        with pytest.raises(ValueError, match="not a positive dyadic"):
+            _series_sign(mu)
 
 
 # -- the proof of the recurrence (R) in _series_coefficients ---------------

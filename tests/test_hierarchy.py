@@ -12,7 +12,7 @@ from disksig.exactpoly import ZPoly, boundary_trace, laplacian
 import disksig.hierarchy as hierarchy
 from disksig.hierarchy import (HierarchyState, a_coefficients, developed_rhs,
                                developed_values, level_norms, radial_levels,
-                               origin_development, poisson_scale,
+                               origin_development, origin_values, poisson_scale,
                                radial_levels_ball, radius_estimate,
                                solve_poisson_zero_bd, word_polys,
                                developed_checks, tensor_checks)
@@ -157,14 +157,14 @@ def test_development_of_reduced_tensor_equals_radial_levels(state):
         real, imag = (tuple(p[i] for p in parts) for i in (0, 1))
         assert real == (X * a_over_r, Y * a_over_r, c_n), n
         assert not any(imag), n
-        assert origin_development(state, n) == tuple(c.evaluate(0, 0) for c in real), n
+        assert origin_development(origin_values(state, n)) == tuple(c.evaluate(0, 0) for c in real), n
 
 
 def test_origin_values_vanish_where_the_unit_is_imaginary(state):
     # pi_n is real, so an e-word with an odd number of e2 letters has
     # value 0 at the origin; origin_development relies on it
     for n in range(13):
-        vals, _ = hierarchy._origin_values(state, n)
+        vals, _ = origin_values(state, n)
         assert not any(v for idx, v in enumerate(vals) if idx.bit_count() % 2), n
 
 
@@ -260,7 +260,7 @@ def test_radial_ball_route_contains_exact():
 
 
 def test_level_norms_fixture(state):
-    norms = level_norms(state, 2)
+    norms = level_norms(origin_values(state, 2))
     assert norms.l1 == F(1, 2)
     assert norms.l2sq == F(1, 8)
     assert norms.l2sq <= norms.l1 ** 2

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import disksig.montecarlo as montecarlo
-from disksig.montecarlo import (BLOCK, COHORT, EXIT_HORIZON, MIN_STEP,
-                                SigAccumulator, SimConfig, _advance_block,
+from disksig.montecarlo import (BLOCK, COHORT, EXIT_HORIZON, MAX_PATH_STEPS,
+                                MIN_STEP, SigAccumulator, SimConfig, _advance_block,
                                 _block_signature, _chen_combine,
                                 _path_generator, _run_cohort, _run_slice,
                                 estimate_expected_sig)
@@ -57,6 +57,26 @@ def test_config_validation():
         SimConfig(h=math.nextafter(EXIT_HORIZON, math.inf))
     with pytest.raises(ValueError, match="at most"):
         SimConfig(h=1e300)
+
+
+def test_expected_work_is_bounded():
+    # the default run, acceptance test 8 (5e8 steps) and the README's run
+    SimConfig()
+    SimConfig(start=(0.5, 0.0))
+    # the budget is the default path count from the centre at MIN_STEP
+    SimConfig(h=MIN_STEP)
+    with pytest.raises(ValueError, match="expected work"):
+        SimConfig(paths=100_001, h=MIN_STEP)
+    # about 2e18 path-steps, refused by arithmetic on the config alone
+    with pytest.raises(ValueError, match="expected work"):
+        SimConfig(paths=10 ** 12, h=2.4e-7)
+    # a path count past every float is compared exactly
+    with pytest.raises(ValueError, match="expected work"):
+        SimConfig(paths=10 ** 400, h=EXIT_HORIZON)
+    # near the circle a path still costs one step
+    SimConfig(start=(0.999999, 0.0), h=1e-3, paths=MAX_PATH_STEPS)
+    with pytest.raises(ValueError, match="expected work"):
+        SimConfig(start=(0.999999, 0.0), h=1e-3, paths=MAX_PATH_STEPS + 1)
 
 
 def test_paths_are_deterministic_and_distinct():

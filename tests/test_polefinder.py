@@ -15,8 +15,8 @@ from disksig.balls import RealBall
 from disksig.bessel import d_lambda, make_constants
 from disksig.cli import main
 from disksig.exactpoly import as_rat
-from disksig.polefinder import (InconclusiveSign, NoSignChange,
-                                PoleCertificate, locate_pole,
+from disksig.exactseries import InconclusiveSign, NoSignChange
+from disksig.polefinder import (PoleCertificate, locate_pole,
                                 verify_numerator_nonvanishing)
 from reference import ball_bisection
 
@@ -115,17 +115,24 @@ def test_bracket_depends_on_width_alone():
 
 
 # precision of every d evaluation in locate_pole at the two benchmark
-# inputs, as runs of (precision, count): both stored endpoints at the
-# requested precision; and the number of exact midpoint signs before them
+# inputs, 1e-30, and 1e-100, the one whose endpoint balls escalate, as
+# runs of (precision, count): both stored endpoints at the requested
+# precision, doubled while one straddles zero; and the number of exact
+# midpoint signs before them and the most series terms one needed, which
+# the certificate's search records (1e-30 and 1e-100 pinned when each
+# sign was an integer partial sum against a rational tail bound)
 D_EVALUATIONS = [
-    ("1/1000000", 128, [(128, 2)], 19),
-    ("1e-20", 512, [(512, 2)], 66),
+    ("1/1000000", 128, [(128, 2)], 19, 16),
+    ("1e-20", 512, [(512, 2)], 66, 32),
+    ("1e-30", 128, [(128, 2)], 99, 32),
+    ("1e-100", 128, [(128, 2), (256, 2), (512, 2)], 332, 64),
 ]
 
 
-@pytest.mark.parametrize("width, precision, runs, signs", D_EVALUATIONS,
-                         ids=["1e-6@128", "1e-20@512"])
-def test_d_evaluations_are_pinned(monkeypatch, width, precision, runs, signs):
+@pytest.mark.parametrize("width, precision, runs, signs, terms", D_EVALUATIONS,
+                         ids=["1e-6@128", "1e-20@512", "1e-30@128", "1e-100@128"])
+def test_d_evaluations_are_pinned(monkeypatch, width, precision, runs, signs,
+                                  terms):
     real_d, real_sign = polefinder.d_lambda, exactseries._series_sign
     precs, mus = [], []
 
@@ -139,9 +146,12 @@ def test_d_evaluations_are_pinned(monkeypatch, width, precision, runs, signs):
 
     monkeypatch.setattr(polefinder, "d_lambda", recorded_d)
     monkeypatch.setattr(exactseries, "_series_sign", recorded_sign)
-    locate_pole(as_rat(width), precision=precision)
+    cert = locate_pole(as_rat(width), precision=precision)
     assert [(p, len(list(g))) for p, g in groupby(precs)] == runs
     assert len(mus) == signs
+    assert cert.search == {"exact_signs": signs, "max_terms": terms,
+                           "d_evaluations": {str(p): k for p, k in runs},
+                           "numerator_pieces": 1}
 
 
 def test_search_is_recorded_but_not_certified(tmp_path):
@@ -225,7 +235,8 @@ def test_certificate_tampering_is_detected(tamper, failure):
 def test_locate_pole_input_validation():
     with pytest.raises(ValueError):
         locate_pole(F(0))
-    with pytest.raises(ValueError):
+    # the precision floor is make_constants' own
+    with pytest.raises(ValueError, match="below 53 bits"):
         locate_pole(F(1, 100), precision=10)
 
 
@@ -252,7 +263,9 @@ def test_numerator_rejects_outside_bracket():
 
 
 # sha256 of `disksig pole --width W --precision P` output, taken from the
-# bisection that certified every midpoint at the requested precision
+# bisection that certified every midpoint at the requested precision;
+# 1e-100 from the bisection on integer partial sums of E, before enclose
+# gave each midpoint's sign
 PINNED_CERTIFICATES = [
     ("1/1000000", 128,
      "30b6b7f65538cd68b0333e9e39c2c1bb57bd2128c6983cee1224369e0492e83c"),
@@ -260,8 +273,10 @@ PINNED_CERTIFICATES = [
      "c03121887b9f06d9a5830d089bb316c47ee9ccfe72f029836e1bca1872fb9ea1"),
     ("1e-30", 128,
      "5bd511f6debccfb6da1b478945dc732f0c7b959fe04cbd576d09d1478413eb6f"),
+    ("1e-100", 128,
+     "3cf2a3277dc445ac9d87948e0067be62cb741d2f06c461dffe109006a026baf0"),
 ]
-PINNED_IDS = ["1e-6@128", "1e-20@512", "1e-30@128"]
+PINNED_IDS = ["1e-6@128", "1e-20@512", "1e-30@128", "1e-100@128"]
 
 
 def pole_digest(tmp_path, width, precision):

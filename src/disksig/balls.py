@@ -19,8 +19,8 @@ used only through the correctly rounded primitives add, sub, mul, div,
 sqrt and the exact ones neg, abs, shift.  All containment logic, radius
 bookkeeping, comparisons, and serialization live here and are exact
 (endpoint queries return Fractions, not floats); a printed radius is
-rounded up to decimal by exactseries._fraction_to_dec_up, which the
-exact enclosures print with too.
+rounded up to decimal by exactpoly.decimal_up, which the exact
+enclosures print with too.
 
 ComplexBall is a rectangle: independent real and imaginary RealBalls.
 Complex square roots are principal-branch and refuse rectangles that
@@ -36,7 +36,7 @@ from mpmath.libmp import (from_int, from_man_exp, from_rational, fzero,
                           mpf_neg, mpf_shift, mpf_sqrt, mpf_sub, to_str)
 
 from . import DEFAULT_PREC
-from .exactseries import _fraction_to_dec_up
+from .exactpoly import decimal_digits, decimal_up
 
 RADPREC = 30  # radii are coarse by design; only their upper bound matters
 
@@ -228,18 +228,16 @@ class RealBall:
 
     # -- presentation --------------------------------------------------------
 
-    def decimal_parts(self, dps: int | None = None) -> tuple:
+    def decimal_parts(self) -> tuple:
         """(mid, rad) decimal strings; the printed ball contains self.
 
         The midpoint string is a rounded decimal, so its printing error is
         measured exactly and pushed into the printed radius, outward.
         """
-        if dps is None:
-            dps = max(5, int(self.mid[3] * 0.30103) + 3)
-        mid_str = to_str(self.mid, dps)
+        mid_str = to_str(self.mid, decimal_digits(self.mid[3]))
         printed = Fraction(mid_str)
         slack = abs(self.mid_fraction() - printed) + self.rad_fraction()
-        return mid_str, _fraction_to_dec_up(slack)
+        return mid_str, decimal_up(slack)
 
     def __str__(self) -> str:
         mid_str, rad_str = self.decimal_parts()

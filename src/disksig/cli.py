@@ -28,12 +28,12 @@ it calls: `radius`, `develop` and `hierarchy` run the exact layers
 enclose the closed form, and no mpmath either.  None of these four
 loads `dataclasses`, `inspect` or `datetime`: the exact layers' records
 are plain classes, and the manifest timestamp is built from `time`.
-`bessel` and `pole` run the ball layers (`balls`, `bessel`, and
-`polefinder` for `pole`, with `exactseries` beneath them), the only
-ones that load mpmath (and `dataclasses`, for their records); only `mc`
-runs `montecarlo`, loads numpy (and with it `datetime`), and no mpmath.
-`mc` calls montecarlo.estimate_expected_sig as a library user does; the
-engine fixes its own malloc thresholds.
+`bessel` and `pole` run the ball layers (`balls` and `bessel` over
+`exactpoly`, and `polefinder` for `pole`, with `exactseries` beneath
+it), the only ones that load mpmath (and `dataclasses`, for their
+records); only `mc` runs `montecarlo`, loads numpy (and with it
+`datetime`), and no mpmath.  `mc` calls montecarlo.estimate_expected_sig
+as a library user does; the engine fixes its own malloc thresholds.
 """
 
 from __future__ import annotations
@@ -507,10 +507,9 @@ def cmd_compare(args) -> tuple:
     failures = []
     if args.levels >= 8 and gaps[-1] > gaps[args.levels // 2]:
         failures.append("partial-sum gap failed to shrink over the second half")
-    # as many significant digits as RealBall.decimal_parts gives a
-    # midpoint of this precision
-    mid_str, rad_str = exactseries.decimal_parts(
-        lo_q, hi_q, max(5, int(prec * 0.30103) + 3))
+    # the midpoint digits of a RealBall at this precision
+    mid_str, rad_str = exactpoly.decimal_parts(
+        lo_q, hi_q, exactpoly.decimal_digits(prec))
     buf = io.StringIO()
     buf.write("# schema: disksig.compare/1\n")
     buf.write(f"# lambda: {_rat_str(args.lam)}\n")

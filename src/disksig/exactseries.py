@@ -24,13 +24,11 @@ This module uses integers and Fractions only.  It holds
   bracket bisected on those signs (exact_bracket), which polefinder
   certifies on balls;
 - enclose_center, the enclosure of C(lambda, 0) that `disksig compare`
-  prints;
-- the decimal printing of exact enclosures, shared with balls.
+  prints with exactpoly.decimal_parts.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
@@ -284,78 +282,3 @@ def enclose_center(lam, precision: int) -> tuple:
     raise InconclusiveSign(
         f"C({lam}, 0) not enclosed to 2^-{precision} by {_MAX_CENTER_TERMS} "
         "series terms")
-
-
-# -- decimal printing of exact enclosures ---------------------------------
-
-_LOG10_2 = math.log10(2)
-
-
-def _at_least_pow10(num: int, den: int, e: int) -> bool:
-    """Whether num/den >= 10^e, in integers."""
-    if e >= 0:
-        return num >= den * 10 ** e
-    return num * 10 ** -e >= den
-
-
-def _decade(num: int, den: int) -> int:
-    """The e with 10^e <= num/den < 10^(e+1), for num, den > 0."""
-    # num/den lies within a factor of 2 of 2^(bit length difference), so
-    # this estimate is off by at most one, and exact integer comparisons
-    # with 10^e settle it
-    e = math.floor((num.bit_length() - den.bit_length()) * _LOG10_2)
-    while not _at_least_pow10(num, den, e):
-        e -= 1
-    while _at_least_pow10(num, den, e + 1):
-        e += 1
-    return e
-
-
-def _fraction_to_dec_up(q: Fraction, sig: int = 3) -> str:
-    """Decimal string >= q with sig significant digits (q >= 0)."""
-    if q < 0:
-        raise ValueError("radius must be nonnegative")
-    if q == 0:
-        return "0"
-    num, den = q.numerator, q.denominator
-    e = _decade(num, den)
-    shift = sig - 1 - e  # n = ceil(q * 10^shift)
-    num, den = num * 10 ** max(shift, 0), den * 10 ** max(-shift, 0)
-    n = -(-num // den)
-    if n >= 10 ** sig:  # carry out of the leading digit
-        n //= 10
-        e += 1
-    digits = str(n)
-    return f"{digits[0]}.{digits[1:]}e{e:+d}"
-
-
-def _fraction_to_dec(q: Fraction, dps: int) -> str:
-    """q rounded to nearest at dps significant digits, in positional
-    notation with trailing zeros stripped ("4.25", "1.0", "0.0012")."""
-    if q == 0:
-        return "0.0"
-    num, den = abs(q.numerator), q.denominator
-    e = _decade(num, den)
-    shift = dps - 1 - e  # n = round(|q| * 10^shift)
-    num, den = num * 10 ** max(shift, 0), den * 10 ** max(-shift, 0)
-    n = (2 * num + den) // (2 * den)
-    if n >= 10 ** dps:  # carry out of the leading digit
-        n //= 10
-        e += 1
-    digits = str(n)
-    if e >= 0:
-        digits = digits.ljust(e + 1, "0")
-        whole, frac = digits[:e + 1], digits[e + 1:]
-    else:
-        whole, frac = "0", "0" * (-e - 1) + digits
-    sign = "-" if q < 0 else ""
-    return f"{sign}{whole}.{frac.rstrip('0') or '0'}"
-
-
-def decimal_parts(lo: Fraction, hi: Fraction, dps: int) -> tuple:
-    """(mid, rad) decimal strings of [lo, hi]: mid is the midpoint rounded
-    to dps significant digits, rad an upward-rounded bound on the distance
-    from mid to either end, so the printed ball contains [lo, hi]."""
-    mid = _fraction_to_dec((lo + hi) / 2, dps)
-    printed = Fraction(mid)
-    return mid, _fraction_to_dec_up(max(hi - printed, printed - lo))

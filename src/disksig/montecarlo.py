@@ -105,8 +105,7 @@ EXIT_HORIZON = 32.0
 MIN_STEP = EXIT_HORIZON / (_MAX_BLOCKS_PER_PATH * BLOCK)  # about 2.4e-7
 MAX_STEP = EXIT_HORIZON  # a longer step only rescales a first-step exit
 # expected path-steps of one estimate: the default 100 000 paths from the
-# centre at MIN_STEP, 2^21 steps each, about 2.1e11 in all, which at the
-# 1.3e7 steps/s of level 2 on a 2-vCPU VM is about 4.5 hours
+# centre at MIN_STEP, 2^21 steps each, about 2.1e11 in all
 MAX_PATH_STEPS = 100_000 * 2 ** 21
 
 
@@ -119,8 +118,10 @@ class SimConfig:
     expected work per path, (1 - |start|^2) / (2h) steps, is unbounded
     as h goes to 0; one step of MAX_STEP already spans EXIT_HORIZON, and
     from about 1e306 positions overflow.  At least two paths are needed
-    for a finite standard error, and the expected work, paths x max(1,
-    (1 - |start|^2) / (2h)) steps, must be at most MAX_PATH_STEPS.
+    for a finite standard error, and the expected work, paths x max(BLOCK,
+    (1 - |start|^2) / (2h)) steps (a path steps at least one block), must
+    be at most MAX_PATH_STEPS: at level 2 on a 2-vCPU VM, 8.4 hours at
+    MAX_STEP (2.7e4 paths/s), 3.8 hours at MIN_STEP (1.5e7 steps/s).
     """
 
     start: tuple = (0.0, 0.0)
@@ -150,10 +151,10 @@ class SimConfig:
         if self.paths < 2:
             raise ValueError("need at least two paths: one sample has no "
                              "standard error")
-        steps_per_path = max(1.0, (1.0 - x * x - y * y) / (2 * self.h))
+        steps_per_path = max(BLOCK, (1.0 - x * x - y * y) / (2 * self.h))
         if self.paths > MAX_PATH_STEPS / steps_per_path:  # no float of paths
             raise ValueError(
-                f"expected work of paths x max(1, (1 - |start|^2) / (2h)) "
+                f"expected work of paths x max({BLOCK}, (1 - |start|^2) / (2h)) "
                 f"steps must be at most {MAX_PATH_STEPS:.3g}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")

@@ -38,6 +38,7 @@ from .exactseries import (BRACKET_HI, BRACKET_LO, InconclusiveSign,
                           NoSignChange, exact_bracket)
 
 _MAX_ESCALATIONS = 6
+_MAX_SUBDIVISIONS = 64  # splits before verify_numerator_nonvanishing gives up
 
 
 @dataclass(frozen=True)
@@ -115,10 +116,13 @@ def locate_pole(target_width, precision: int = DEFAULT_PREC) -> PoleCertificate:
     numerator pieces.
     """
     width = as_rat(target_width)
+    # the first rung refuses a precision below 53 bits before the bisection
+    constants = make_constants(int(precision))
     lo, hi, signs, max_terms = exact_bracket(width)
-    tried = [int(precision) << k for k in range(_MAX_ESCALATIONS + 1)]
+    tried = [constants.prec << k for k in range(_MAX_ESCALATIONS + 1)]
     for final in tried:
-        constants = make_constants(final)
+        if final > constants.prec:
+            constants = make_constants(final)
         d_lo = d_lambda(lo, constants, final)
         d_hi = d_lambda(hi, constants, final)
         if not (d_lo.contains_zero() or d_hi.contains_zero()):
@@ -142,17 +146,18 @@ def locate_pole(target_width, precision: int = DEFAULT_PREC) -> PoleCertificate:
                 "numerator_pieces": len(pieces)})
 
 
-def verify_numerator_nonvanishing(lo, hi, max_subdivisions: int = 64,
-                                  target=0, precision: int = DEFAULT_PREC,
+def verify_numerator_nonvanishing(lo, hi, target=0,
+                                  precision: int = DEFAULT_PREC,
                                   constants: Constants | None = None,
                                   pieces: list | None = None) -> RealBall:
     """Certified enclosure of the C-numerator over the whole bracket.
 
     Each piece of an adaptive subdivision of [lo, hi] is evaluated with
     the piece as a single interval-shaped ball; pieces whose upper bound
-    is not below target are split.  Returns the hull of all certified
-    pieces, whose upper bound is the max across pieces.  Every evaluated
-    piece (a, b), split or certified, is appended to `pieces` if given.
+    is not below target are split, at most _MAX_SUBDIVISIONS times.
+    Returns the hull of all certified pieces, whose upper bound is the
+    max across pieces.  Every evaluated piece (a, b), split or certified,
+    is appended to `pieces` if given.
     """
     lo, hi = as_rat(lo), as_rat(hi)
     if not BRACKET_LO <= lo <= hi <= BRACKET_HI:
@@ -171,11 +176,11 @@ def verify_numerator_nonvanishing(lo, hi, max_subdivisions: int = 64,
         if enc.upper() < target:
             certified.append(enc)
             continue
-        if splits >= max_subdivisions:
+        if splits >= _MAX_SUBDIVISIONS:
             raise InconclusiveSign(
                 "cannot certify: subdivision budget exhausted on "
                 f"[{a}, {b}] (enclosure upper {float(enc.upper()):.6g}); "
-                "raise the budget or precision")
+                "raise the precision")
         splits += 1
         m = (a + b) / 2
         pending.append((a, m))

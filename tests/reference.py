@@ -47,7 +47,10 @@ computation the package does another way:
   exactseries._series_coefficients;
 - closed_form_center evaluates C(lambda, 0) from mpmath's own Bessel
   functions at 200 digits, against the rational series G/E of
-  exactseries.enclose_center.
+  exactseries.enclose_center;
+- decimal_nearest_integer rounds a rational to decimal digits by an
+  integer decade search and one integer division, against the decimal
+  module's division in exactpoly.decimal_nearest.
 """
 
 import itertools
@@ -576,3 +579,40 @@ def closed_form_center(lam: Fraction, digits: int = 200) -> Fraction:
         num = mpmath.im(mpmath.conj(alpha) * j1)
         den = mpmath.im(mpmath.conj(alpha) * mpmath.besselj(0, lam_mp * zeta) * j1)
         return Fraction(mpmath.nstr(num / den, digits))
+
+
+def _at_least_pow10(num: int, den: int, e: int) -> bool:
+    """Whether num/den >= 10^e, in integers."""
+    if e >= 0:
+        return num >= den * 10 ** e
+    return num * 10 ** -e >= den
+
+
+def decimal_nearest_integer(q: Fraction, dps: int) -> str:
+    """q rounded to nearest, ties away from zero, at dps significant
+    digits, in positional notation with trailing zeros stripped."""
+    if q == 0:
+        return "0.0"
+    num, den = abs(q.numerator), q.denominator
+    # num/den lies within a factor of 2 of 2^(bit length difference), so
+    # this estimate of e with 10^e <= num/den < 10^(e+1) is off by at most
+    # one, and exact integer comparisons with 10^e settle it
+    e = math.floor((num.bit_length() - den.bit_length()) * math.log10(2))
+    while not _at_least_pow10(num, den, e):
+        e -= 1
+    while _at_least_pow10(num, den, e + 1):
+        e += 1
+    shift = dps - 1 - e  # n = round(|q| * 10^shift)
+    num, den = num * 10 ** max(shift, 0), den * 10 ** max(-shift, 0)
+    n = (2 * num + den) // (2 * den)
+    if n >= 10 ** dps:  # carry out of the leading digit
+        n //= 10
+        e += 1
+    digits = str(n)
+    if e >= 0:
+        digits = digits.ljust(e + 1, "0")
+        whole, frac = digits[:e + 1], digits[e + 1:]
+    else:
+        whole, frac = "0", "0" * (-e - 1) + digits
+    sign = "-" if q < 0 else ""
+    return f"{sign}{whole}.{frac.rstrip('0') or '0'}"

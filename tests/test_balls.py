@@ -13,8 +13,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import from_rational
 
-from disksig.balls import (ComplexBall, RealBall, _fraction_to_dec_up,
-                           _from_rational)
+from disksig.balls import ComplexBall, RealBall, _from_rational
+from disksig.exactpoly import decimal_up
 
 mids = st.fractions(min_value=-100, max_value=100, max_denominator=10 ** 6)
 rads = st.fractions(min_value=0, max_value=2, max_denominator=10 ** 4)
@@ -191,8 +191,9 @@ def test_decimal_parts_enclose():
         assert ball.contains(value) and ball.rad_fraction() < F(1, 2 ** 100)
 
 
-def fraction_to_dec_up_by_scaling(q: F, sig: int = 3) -> str:
-    """Reference: find the decade by one Fraction product per power of ten."""
+def fraction_to_dec_up_by_scaling(q: F) -> str:
+    """Reference: find the decade by one Fraction product per power of ten,
+    then round up to 3 significant digits."""
     if q == 0:
         return "0"
     e = 0
@@ -202,11 +203,11 @@ def fraction_to_dec_up_by_scaling(q: F, sig: int = 3) -> str:
     while q >= 10:
         q /= 10
         e += 1
-    scaled = q * 10 ** (sig - 1)
+    scaled = q * 100
     n = scaled.numerator // scaled.denominator
     if n * scaled.denominator < scaled.numerator:
         n += 1
-    if n >= 10 ** sig:  # carry out of the leading digit
+    if n >= 1000:  # carry out of the leading digit
         n //= 10
         e += 1
     digits = str(n)
@@ -214,11 +215,11 @@ def fraction_to_dec_up_by_scaling(q: F, sig: int = 3) -> str:
 
 
 @given(st.integers(1, 10 ** 40), st.integers(1, 10 ** 40),
-       st.integers(-400, 400), st.integers(1, 6))
+       st.integers(-400, 400))
 @settings(max_examples=300, deadline=None, derandomize=True)
-def test_radius_printing_matches_decade_scaling(num, den, k, sig):
+def test_radius_printing_matches_decade_scaling(num, den, k):
     q = F(num, den) * F(10) ** k
-    assert _fraction_to_dec_up(q, sig) == fraction_to_dec_up_by_scaling(q, sig)
+    assert decimal_up(q) == fraction_to_dec_up_by_scaling(q)
 
 
 def test_radius_printing_edge_cases():
@@ -226,16 +227,15 @@ def test_radius_printing_edge_cases():
     cases = [F(10) ** k for k in range(-40, 41)]
     cases += [F(10) ** k - tiny for k in range(-20, 21)]  # just below a decade
     cases += [F(10) ** k + tiny for k in range(-20, 21)]
-    cases += [F(9995, 10 ** k) for k in range(8)]  # digit carries at sig 3
+    cases += [F(9995, 10 ** k) for k in range(8)]  # digit carries
     cases += [F(1, 2 ** k) for k in range(0, 400, 7)]
     cases += [F(2 ** k, 3) for k in range(0, 400, 7)]
     for q in cases:
-        for sig in (1, 3, 5):
-            assert _fraction_to_dec_up(q, sig) == fraction_to_dec_up_by_scaling(q, sig)
-    assert _fraction_to_dec_up(F(0)) == "0"
-    assert _fraction_to_dec_up(F(9995, 10 ** 7)) == "1.00e-3"
+        assert decimal_up(q) == fraction_to_dec_up_by_scaling(q)
+    assert decimal_up(F(0)) == "0"
+    assert decimal_up(F(9995, 10 ** 7)) == "1.00e-3"
     with pytest.raises(ValueError):
-        _fraction_to_dec_up(F(-1, 3))
+        decimal_up(F(-1, 3))
 
 
 @given(st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 30),

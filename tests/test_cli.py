@@ -439,6 +439,27 @@ def test_bessel_pairing_bytes_are_pinned(tmp_path, lam, precision, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# sha256 of point-mode `disksig bessel` output, taken while the radii were
+# rounded up by integer decade search; they print radii from 1e-2465 to
+# 1e+397 and midpoints of up to 2469 digits
+PINNED_POINTS = [
+    (("--nu", "1", "--re", "100"),
+     "747cfe7f3dcf0627f55c72a2f0d85e306339a5bb98cbce807a866d3b1bc7526b"),
+    (("--nu", "0", "--re", "1/7", "--im", "2/3", "--precision", "8192"),
+     "388f8cce3b5033547323546c023b9fe6d0acd937373e9e4da467c3fde4d080dc"),
+    (("--nu", "0", "--re", "1000"),
+     "a08f1bf14e22843cf4948661f58bd2147a6769bba423e6ce227b10b2c1cbd645"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_POINTS,
+                         ids=["J1(100)", "J0(1/7+2i/3)@8192", "J0(1000)"])
+def test_bessel_point_bytes_are_pinned(tmp_path, argv, digest):
+    rc, out = run(tmp_path, "bessel", *argv)
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 # sha256 of `disksig compare --lambda LAMBDA --levels 8 --precision P`
 # output, taken while E's coefficients came from the binomial sum over
 # Z[w] powers; 2957311/1048576 = 361/128 - 2^-20, just below the pole
@@ -689,8 +710,9 @@ def run_fresh(tmp_path, *argv):
 LAYERS = {"balls", "bessel", "development", "exactpoly", "exactseries",
           "hierarchy", "montecarlo", "polefinder"}
 EXACT = {"exactpoly", "development", "hierarchy"}
-# balls prints its radii with exactseries' decimal rounding
-BALL = {"exactpoly", "exactseries", "balls", "bessel"}
+# balls prints its radii with exactpoly's decimal rounding; only the pole
+# search runs the exact series
+BALL = {"exactpoly", "balls", "bessel"}
 
 
 @pytest.mark.parametrize("argv, layers, status", [

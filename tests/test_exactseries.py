@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 import disksig.exactseries as exactseries
 from disksig.bessel import abc_closed_form, make_constants
 from disksig.cli import main
-from disksig.exactseries import (decimal_parts, enclose, enclose_center,
-                                 exact_bracket, _fraction_to_dec,
+from disksig.exactpoly import decimal_nearest, decimal_parts
+from disksig.exactseries import (enclose, enclose_center, exact_bracket,
                                  _numerator_coefficients, _series_coefficients,
                                  _series_sign)
 from disksig.hierarchy import a_coefficients
-from reference import (closed_form_center, series_coefficients_binomial,
-                       series_sign_integer)
+from reference import (closed_form_center, decimal_nearest_integer,
+                       series_coefficients_binomial, series_sign_integer)
 
 
 def test_closed_form_and_hierarchy_agree_exactly_to_level_200():
@@ -335,7 +335,31 @@ def test_center_at_zero_is_exactly_one():
     (F(2, 3), 5, "0.66667"),
 ])
 def test_midpoint_printing(q, dps, text):
-    assert _fraction_to_dec(q, dps) == text
+    assert decimal_nearest(q, dps) == text
+
+
+@st.composite
+def midpoints(draw):
+    """(q, dps): a quotient, an exact tie at dps digits, or dps + 1
+    digits next to a carry out of the leading digit, scaled by a power of
+    ten and signed."""
+    dps = draw(st.sampled_from([5, 41, 157, 2469]))
+    kind = draw(st.sampled_from(["quotient", "tie", "carry"]))
+    if kind == "quotient":
+        q = F(draw(st.integers(1, 10 ** 60)), draw(st.integers(1, 10 ** 60)))
+    elif kind == "tie":  # dps + 1 digits ending in 5
+        q = F(10 * draw(st.integers(10 ** (dps - 1), 10 ** dps - 1)) + 5)
+    else:  # dps nines, then 1..9: from 5 up, a carry into a new leading digit
+        q = F(10 ** (dps + 1) - draw(st.integers(1, 9)))
+    q *= F(10) ** draw(st.integers(-400, 400))
+    return draw(st.sampled_from([1, -1])) * q, dps
+
+
+@given(midpoints())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_midpoint_printing_matches_integer_rounding(case):
+    q, dps = case
+    assert decimal_nearest(q, dps) == decimal_nearest_integer(q, dps)
 
 
 def test_printed_ball_contains_the_enclosure():

@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 import disksig.montecarlo as montecarlo
 from disksig.montecarlo import (BLOCK, COHORT, EXIT_HORIZON, MAX_PATH_STEPS,
-                                MIN_STEP, SigAccumulator, SimConfig, _advance_block,
-                                _block_signature, _chen_combine,
-                                _path_generator, _run_cohort, _run_slice,
-                                estimate_expected_sig)
+                                MAX_STEP, MIN_STEP, SigAccumulator, SimConfig,
+                                _advance_block, _block_signature,
+                                _chen_combine, _path_generator, _run_cohort,
+                                _run_slice, estimate_expected_sig)
 from reference import (bridge_exit_steps, signature_of_path,
                        simulate_stopped_path, tensor_exp)
 
@@ -73,10 +73,12 @@ def test_expected_work_is_bounded():
     # a path count past every float is compared exactly
     with pytest.raises(ValueError, match="expected work"):
         SimConfig(paths=10 ** 400, h=EXIT_HORIZON)
-    # near the circle a path still costs one step
-    SimConfig(start=(0.999999, 0.0), h=1e-3, paths=MAX_PATH_STEPS)
-    with pytest.raises(ValueError, match="expected work"):
-        SimConfig(start=(0.999999, 0.0), h=1e-3, paths=MAX_PATH_STEPS + 1)
+    # a path draws and steps at least one whole block, near the circle
+    # and at MAX_STEP from the centre alike
+    for start, h in (((0.999999, 0.0), 1e-3), ((0.0, 0.0), MAX_STEP)):
+        SimConfig(start=start, h=h, paths=MAX_PATH_STEPS // BLOCK)
+        with pytest.raises(ValueError, match="expected work"):
+            SimConfig(start=start, h=h, paths=MAX_PATH_STEPS // BLOCK + 1)
 
 
 def test_paths_are_deterministic_and_distinct():

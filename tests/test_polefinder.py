@@ -232,12 +232,18 @@ def test_certificate_tampering_is_detected(tamper, failure):
     assert PoleCertificate.from_json(obj).verify() == [failure]
 
 
-def test_locate_pole_input_validation():
+def test_locate_pole_input_validation(monkeypatch):
     with pytest.raises(ValueError):
         locate_pole(F(0))
-    # the precision floor is make_constants' own
-    with pytest.raises(ValueError, match="below 53 bits"):
-        locate_pole(F(1, 100), precision=10)
+    # the precision floor is make_constants' own, checked before the
+    # bisection would spend its exact signs
+    def no_bisection(width):
+        raise AssertionError("exact_bracket ran before the precision check")
+
+    monkeypatch.setattr(polefinder, "exact_bracket", no_bisection)
+    for width in (F(1, 100), F(1, 10 ** 100)):
+        with pytest.raises(ValueError, match="below 53 bits"):
+            locate_pole(width, precision=10)
 
 
 def test_numerator_nonvanishing_over_lemma_interval():
@@ -251,10 +257,10 @@ def test_numerator_degenerate_point():
     assert hull.is_negative()
 
 
-def test_numerator_budget_exhaustion():
+def test_numerator_budget_exhaustion(monkeypatch):
+    monkeypatch.setattr(polefinder, "_MAX_SUBDIVISIONS", 0)
     with pytest.raises(InconclusiveSign):
-        verify_numerator_nonvanishing(F(5, 2), F(3), max_subdivisions=0,
-                                      target=F(-13, 10))
+        verify_numerator_nonvanishing(F(5, 2), F(3), target=F(-13, 10))
 
 
 def test_numerator_rejects_outside_bracket():

@@ -251,8 +251,10 @@ class RealBall:
         return {"mid": mid_str, "rad": rad_str}
 
     @classmethod
-    def from_json(cls, obj: dict, prec: int = DEFAULT_PREC) -> "RealBall":
-        return cls.from_mid_rad(Fraction(obj["mid"]), Fraction(obj["rad"]), prec)
+    def from_json(cls, obj: dict) -> "RealBall":
+        """The ball to_json printed, its midpoint at DEFAULT_PREC bits and
+        the rounding added to its radius, so it contains the printed one."""
+        return cls.from_mid_rad(Fraction(obj["mid"]), Fraction(obj["rad"]))
 
 
 def _nonneg_part(b: RealBall, prec: int) -> RealBall:

@@ -12,7 +12,9 @@ J1(lambda conj(zeta))).  Everything is evaluated in ball arithmetic: the
 J series are truncated power series with an explicit geometric tail
 bound folded into the radius, so every returned ball contains the true
 value.  Zeros of d are poles of the closed form; abc_closed_form refuses
-to divide by a d-ball that straddles zero.
+to divide by a d-ball that straddles zero.  A function that takes a
+Constants evaluates at constants.prec, so zeta and the Bessel sums it
+enters share one precision; bessel_j, which takes none, at its own prec.
 """
 
 from __future__ import annotations
@@ -146,19 +148,20 @@ def make_constants(prec: int = DEFAULT_PREC) -> Constants:
     return Constants(zeta=zeta, alpha=alpha, prec=prec)
 
 
-def series_terms(lam, constants: Constants, prec: int | None = None) -> int:
+def series_terms(lam, constants: Constants) -> int:
     """Truncation length auto-selected for J at argument lambda*zeta."""
-    prec = prec or constants.prec
+    prec = constants.prec
     x = _as_complex_ball(lam, prec).mul(constants.zeta, prec)
     return _auto_terms(x, prec)
 
 
-def _remark_parts(lam, constants: Constants, prec: int) -> tuple:
+def _remark_parts(lam, constants: Constants) -> tuple:
     """(x0, x1, J1(x1), the remark product) at lambda.
 
     x0 = lambda zeta and x1 = lambda conj(zeta); this is the only
     evaluation of J0(x0) and J1(x1).
     """
+    prec = constants.prec
     lamc = _as_complex_ball(lam, prec)
     x0 = lamc.mul(constants.zeta, prec)
     x1 = lamc.mul(constants.zeta.conj(), prec)
@@ -167,23 +170,24 @@ def _remark_parts(lam, constants: Constants, prec: int) -> tuple:
     return x0, x1, j1, constants.alpha.conj().mul(j0, prec).mul(j1, prec)
 
 
-def _numerator(j1: ComplexBall, constants: Constants, prec: int) -> RealBall:
+def _numerator(j1: ComplexBall, constants: Constants) -> RealBall:
     """Im(conj(alpha) j1) for j1 = J1(lambda conj(zeta))."""
-    return constants.alpha.conj().mul(j1, prec).im
+    return constants.alpha.conj().mul(j1, constants.prec).im
 
 
-def remark_product(lam, constants: Constants,
-                   prec: int | None = None) -> ComplexBall:
+def remark_product(lam, constants: Constants) -> ComplexBall:
     """Enclosure of conj(alpha) J0(lambda zeta) J1(lambda conj(zeta))."""
-    return _remark_parts(lam, constants, prec or constants.prec)[3]
+    return _remark_parts(lam, constants)[3]
 
 
 def d_lambda(lam, constants: Constants, prec: int | None = None) -> RealBall:
     """d(lambda) = Im of the remark product; zeros of d are the poles."""
-    return remark_product(lam, constants, prec).im
+    if prec not in (None, constants.prec):  # a second copy must agree
+        raise ValueError(f"d_lambda runs at constants.prec, not {prec} bits")
+    return remark_product(lam, constants).im
 
 
-def pairing(lam, constants: Constants, prec: int | None = None) -> tuple:
+def pairing(lam, constants: Constants) -> tuple:
     """(d, d by the determinant route, numerator) at lambda.
 
     d and the numerator are the balls d_lambda and numerator_im return.
@@ -193,29 +197,27 @@ def pairing(lam, constants: Constants, prec: int | None = None) -> tuple:
     factors are evaluated from their own series rather than by
     conjugating the first, so its ball must intersect d's.
     """
-    prec = prec or constants.prec
-    x0, x1, j1, product = _remark_parts(lam, constants, prec)
+    prec = constants.prec
+    x0, x1, j1, product = _remark_parts(lam, constants)
     second = constants.alpha.mul(bessel_j(1, x0, prec=prec), prec)
     second = second.mul(bessel_j(0, x1, prec=prec), prec)
     # (a + bi)/(2i) has real part b/2; for real lambda, a's ball straddles 0
     d_det = product.sub(second, prec).im.mul_2exp(-1)
-    return product.im, d_det, _numerator(j1, constants, prec)
+    return product.im, d_det, _numerator(j1, constants)
 
 
-def numerator_im(lam, constants: Constants,
-                 prec: int | None = None) -> RealBall:
+def numerator_im(lam, constants: Constants) -> RealBall:
     """Im(conj(alpha) J1(lambda conj(zeta))), the C-numerator at r = 0.
 
     Accepts an interval-shaped lambda ball, so a single call can enclose
     the numerator over a whole bracket.
     """
-    prec = prec or constants.prec
+    prec = constants.prec
     x1 = _as_complex_ball(lam, prec).mul(constants.zeta.conj(), prec)
-    return _numerator(bessel_j(1, x1, prec=prec), constants, prec)
+    return _numerator(bessel_j(1, x1, prec=prec), constants)
 
 
-def abc_closed_form(lam, r, constants: Constants,
-                    prec: int | None = None) -> tuple:
+def abc_closed_form(lam, r, constants: Constants) -> tuple:
     """The closed-form radial triple (A, B, C) at lambda, r in [0, 1].
 
         A = (|alpha|^2 / d) Im(J1(l zeta~) J1(l zeta r))
@@ -228,11 +230,11 @@ def abc_closed_form(lam, r, constants: Constants,
     |zeta|^2 = |zeta^2| = sqrt(2).  Raises on pole proximity: the
     d(lambda) ball must exclude zero.
     """
-    prec = prec or constants.prec
+    prec = constants.prec
     r_ball = _as_real_ball(r, prec)
     if r_ball.lower() < 0 or r_ball.upper() > 1:
         raise ValueError("r must lie in [0, 1]")
-    x0, _, j1_fix, product = _remark_parts(lam, constants, prec)
+    x0, _, j1_fix, product = _remark_parts(lam, constants)
     d = product.im
     if d.contains_zero():
         raise ValueError("pole proximity: d(lambda) enclosure contains zero; "

@@ -97,6 +97,9 @@ MAX_BESSEL_TERMS = 1000
 # MAX_PAIRING_ABS it takes about 0.3 s at 128 bits and 5.1 s at
 # MAX_PRECISION; uncapped, lambda = 1000 took 2.6 s at 128 bits
 MAX_PAIRING_ABS = 30
+# the point of `bessel` without --pairing, which takes none of these
+_BESSEL_POINT_DEFAULTS = {"nu": 0, "re": Fraction(0), "im": Fraction(0),
+                          "terms": None}
 # Python parses no integer of more digits from "num/den" and prints none
 # of them, so a decimal input whose numerator or denominator would pass
 # this many digits is refused, and so is a request whose exact output would
@@ -414,11 +417,15 @@ def cmd_bessel(args) -> tuple:
     prec = _check_precision(args.precision)
     failures = []
     if args.pairing is not None:
+        given = [f"--{name}" for name in _BESSEL_POINT_DEFAULTS
+                 if getattr(args, name) is not None]
+        if given:
+            raise UsageError(f"--pairing takes no point options: {', '.join(given)}")
         if abs(args.pairing) > MAX_PAIRING_ABS:
             raise UsageError(f"|--pairing| must be at most {MAX_PAIRING_ABS}")
         constants = bessel.make_constants(prec)
         lam = args.pairing
-        d_direct, d_det, num = bessel.pairing(lam, constants, prec)
+        d_direct, d_det, num = bessel.pairing(lam, constants)
         two_route = _overlap(d_direct, d_det)
         if not two_route:
             failures.append("pairing two-route enclosures are disjoint")
@@ -432,9 +439,12 @@ def cmd_bessel(args) -> tuple:
                 "two_route_overlap": two_route,
             },
             "precision": prec,
-            "terms": bessel.series_terms(lam, constants, prec),
+            "terms": bessel.series_terms(lam, constants),
         }
         return json.dumps(payload, indent=2) + "\n", failures, {}
+    for name, default in _BESSEL_POINT_DEFAULTS.items():
+        if getattr(args, name) is None:  # the manifest records the value used
+            setattr(args, name, default)
     if args.re * args.re + args.im * args.im > MAX_BESSEL_ABS ** 2:
         raise UsageError(f"|--re + i --im| must be at most {MAX_BESSEL_ABS}")
     if args.terms is not None and not 1 <= args.terms <= MAX_BESSEL_TERMS:
@@ -632,10 +642,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("bessel", help="ball evaluation of J0/J1 or the boundary pairing")
-    p.add_argument("--nu", type=int, choices=(0, 1), default=0)
-    p.add_argument("--re", type=_parse_rat, default=Fraction(0))
-    p.add_argument("--im", type=_parse_rat, default=Fraction(0))
-    p.add_argument("--terms", type=int, default=None)
+    p.add_argument("--nu", type=int, choices=(0, 1))
+    p.add_argument("--re", type=_parse_rat)
+    p.add_argument("--im", type=_parse_rat)
+    p.add_argument("--terms", type=int)
     p.add_argument("--pairing", type=_parse_rat, default=None, metavar="LAMBDA",
                    help="evaluate the pairing d at this rational lambda instead")
     p.add_argument("--precision", type=int, default=DEFAULT_PREC)

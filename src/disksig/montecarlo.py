@@ -122,6 +122,8 @@ class SimConfig:
     (1 - |start|^2) / (2h)) steps (a path steps at least one block), must
     be at most MAX_PATH_STEPS: at level 2 on a 2-vCPU VM, 8.4 hours at
     MAX_STEP (2.7e4 paths/s), 3.8 hours at MIN_STEP (1.5e7 steps/s).
+    level, paths and seed must be ints, not bools or floats: a seed of 1.5
+    would run as seed 1, and a float path count fails only inside the run.
     """
 
     start: tuple = (0.0, 0.0)
@@ -132,6 +134,10 @@ class SimConfig:
     bridge_correction: bool = True
 
     def __post_init__(self):
+        for name in ("level", "paths", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         x, y = self.start
         if not all(math.isfinite(v) for v in (x, y, self.h)):
             raise ValueError("start point and step size must be finite")

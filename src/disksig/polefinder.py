@@ -13,7 +13,9 @@ both final endpoints, the numerator bound -- are ball values computed
 at the requested precision, doubled while an endpoint enclosure
 straddles zero (locate_pole), so the stored data re-verify offline with
 no Bessel evaluation; they also re-certify the exact route's endpoint
-signs on the ball route, and the two must agree.
+signs on the ball route, and the two must agree.  PoleCertificate.verify
+re-derives those exact signs from the stored bracket, so balls copied
+from another bracket do not pass.
 
 The companion check, verify_numerator_nonvanishing, certifies that the
 numerator of C at r = 0 stays away from zero across a bracket, by
@@ -35,7 +37,7 @@ from .bessel import (Constants, d_lambda, make_constants, numerator_im,
                      series_terms)
 from .exactpoly import as_rat, rat_str
 from .exactseries import (BRACKET_HI, BRACKET_LO, InconclusiveSign,
-                          NoSignChange, exact_bracket)
+                          NoSignChange, _series_sign, exact_bracket)
 
 _MAX_ESCALATIONS = 6
 _MAX_SUBDIVISIONS = 64  # splits before verify_numerator_nonvanishing gives up
@@ -60,10 +62,22 @@ class PoleCertificate:
     search: dict | None = field(default=None, compare=False, repr=False)
 
     def verify(self) -> list:
-        """Re-check every certificate invariant; returns failure strings."""
+        """Re-check every certificate invariant; returns failure strings.
+
+        A bracket inside (5/2, 3) must hold the zero: E(lo^2) < 0 < E(hi^2)
+        by the exact sign of E, since d(lambda) = sqrt(7) lambda E(lambda^2).
+        """
         failures = []
         if not BRACKET_LO < self.bracket_lo < self.bracket_hi < BRACKET_HI:
             failures.append("bracket not strictly inside (5/2, 3)")
+        else:
+            for lam, sign, end in ((self.bracket_lo, -1, "lower endpoint not negative"),
+                                   (self.bracket_hi, 1, "upper endpoint not positive")):
+                try:
+                    if _series_sign(lam * lam)[0] != sign:
+                        failures.append(f"exact sign of d at {end}")
+                except (ValueError, InconclusiveSign) as exc:
+                    failures.append(f"exact sign of d at {end}: {exc}")
         if self.bracket_hi - self.bracket_lo > self.target_width:
             failures.append("bracket wider than target")
         if not self.d_lo.is_negative():
@@ -123,8 +137,8 @@ def locate_pole(target_width, precision: int = DEFAULT_PREC) -> PoleCertificate:
     for final in tried:
         if final > constants.prec:
             constants = make_constants(final)
-        d_lo = d_lambda(lo, constants, final)
-        d_hi = d_lambda(hi, constants, final)
+        d_lo = d_lambda(lo, constants)
+        d_hi = d_lambda(hi, constants)
         if not (d_lo.contains_zero() or d_hi.contains_zero()):
             break
     else:
@@ -132,47 +146,41 @@ def locate_pole(target_width, precision: int = DEFAULT_PREC) -> PoleCertificate:
             f"d enclosure at {lo}, {hi} straddles zero up to {final} bits")
     if not (d_lo.is_negative() and d_hi.is_positive()):
         raise NoSignChange(f"expected d < 0 at {lo} and d > 0 at {hi}")
-    pieces: list = []
-    num = verify_numerator_nonvanishing(lo, hi, precision=final,
-                                        constants=constants, pieces=pieces)
+    num, pieces = verify_numerator_nonvanishing(lo, hi, constants)
     return PoleCertificate(
         bracket_lo=lo, bracket_hi=hi, d_lo=d_lo, d_hi=d_hi,
         numerator_bound=num, precision=final,
-        series_terms=series_terms(hi, constants, final),
+        series_terms=series_terms(hi, constants),
         target_width=width,
         search={"exact_signs": signs, "max_terms": max_terms,
                 "d_evaluations": {str(prec): 2 for prec in tried
                                   if prec <= final},
-                "numerator_pieces": len(pieces)})
+                "numerator_pieces": pieces})
 
 
-def verify_numerator_nonvanishing(lo, hi, target=0,
-                                  precision: int = DEFAULT_PREC,
-                                  constants: Constants | None = None,
-                                  pieces: list | None = None) -> RealBall:
-    """Certified enclosure of the C-numerator over the whole bracket.
+def verify_numerator_nonvanishing(lo, hi, constants: Constants | None = None,
+                                  target=0) -> tuple:
+    """(hull, pieces): the C-numerator enclosed over the whole bracket.
 
-    Each piece of an adaptive subdivision of [lo, hi] is evaluated with
-    the piece as a single interval-shaped ball; pieces whose upper bound
-    is not below target are split, at most _MAX_SUBDIVISIONS times.
-    Returns the hull of all certified pieces, whose upper bound is the
-    max across pieces.  Every evaluated piece (a, b), split or certified,
-    is appended to `pieces` if given.
+    Each piece of an adaptive subdivision of [lo, hi] is evaluated at
+    constants.prec (make_constants() by default) as a single interval
+    ball; pieces whose upper bound is not below target are split, at most
+    _MAX_SUBDIVISIONS times.  hull is the hull of the certified pieces,
+    and pieces counts every evaluated piece, certified or split.
     """
     lo, hi = as_rat(lo), as_rat(hi)
     if not BRACKET_LO <= lo <= hi <= BRACKET_HI:
         raise ValueError("bracket must lie inside [5/2, 3]")
     target = as_rat(target)
-    constants = constants or make_constants(precision)
+    constants = constants or make_constants()
+    prec = constants.prec
     pending = [(lo, hi)]
     certified: list = []
     splits = 0
     while pending:
         a, b = pending.pop(0)
-        if pieces is not None:
-            pieces.append((a, b))
-        lam = RealBall.from_interval(a, b, precision)
-        enc = numerator_im(lam, constants, precision)
+        lam = RealBall.from_interval(a, b, prec)
+        enc = numerator_im(lam, constants)
         if enc.upper() < target:
             certified.append(enc)
             continue
@@ -185,4 +193,5 @@ def verify_numerator_nonvanishing(lo, hi, target=0,
         m = (a + b) / 2
         pending.append((a, m))
         pending.append((m, b))
-    return reduce(lambda hull, enc: hull.hull(enc, precision), certified)
+    hull = reduce(lambda hull, enc: hull.hull(enc, prec), certified)
+    return hull, len(certified) + splits

@@ -78,7 +78,7 @@ def test_3_pole_bracket_certified_and_reverifiable():
 
 
 def test_4_numerator_bounded_away_from_zero():
-    hull = verify_numerator_nonvanishing(F(5, 2), F(3), target=F(-13, 10))
+    hull, _ = verify_numerator_nonvanishing(F(5, 2), F(3), target=F(-13, 10))
     assert hull.upper() <= F(-13, 10)
     assert hull.upper() < 0
 

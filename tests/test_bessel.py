@@ -133,6 +133,17 @@ def test_pairing_signs_at_bracket_endpoints():
     assert d_lambda(F(3), CONSTS).lower() > F(3, 100)
 
 
+def test_d_lambda_runs_at_the_constants_precision():
+    # a precision passed a second time may only repeat constants.prec, so
+    # zeta and the Bessel sums cannot be at two precisions
+    lam = F(141, 50)
+    d = d_lambda(lam, CONSTS, 128)
+    ref = d_lambda(lam, CONSTS)
+    assert (d.mid, d.rad) == (ref.mid, ref.rad)
+    with pytest.raises(ValueError, match="not 256 bits"):
+        d_lambda(lam, make_constants(128), 256)
+
+
 @pytest.mark.parametrize("lam", [F(1, 2), F(3, 2), F(5, 2), F(141, 50), F(3)])
 def test_pairing_two_routes_overlap(lam):
     a = d_lambda(lam, CONSTS)
@@ -184,8 +195,8 @@ def test_d_and_numerator_equal_the_separate_routes():
 
 
 def test_series_terms_grows_with_precision():
-    lo = series_terms(F(3), make_constants(64), 64)
-    hi = series_terms(F(3), CONSTS, 128)
+    lo = series_terms(F(3), make_constants(64))
+    hi = series_terms(F(3), CONSTS)
     assert lo < hi
 
 

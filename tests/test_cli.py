@@ -417,6 +417,27 @@ def test_bessel_pairing_mode(tmp_path):
     pairing = payload["pairing"]
     assert pairing["two_route_overlap"] is True
     assert F(pairing["d"]["mid"]) < 0
+    # the manifest records no point, which the pairing does not read
+    params = read_manifest(out)["parameters"]
+    assert [params[k] for k in ("nu", "re", "im", "terms")] == [None] * 4
+
+
+def test_bessel_point_manifest_records_the_default_point(tmp_path):
+    rc, out = run(tmp_path, "bessel", "--re", "3/2")
+    assert rc == 0
+    params = read_manifest(out)["parameters"]
+    assert [params[k] for k in ("nu", "re", "im", "terms")] == [0, "3/2", "0/1", None]
+
+
+@pytest.mark.parametrize("option, value", [("--nu", "1"), ("--re", "5"),
+                                           ("--im", "1"), ("--terms", "1")])
+def test_bessel_pairing_refuses_point_options(tmp_path, capsys, option, value):
+    # the pairing evaluates d at lambda alone, so a point option would be
+    # ignored while the manifest recorded it
+    rc, _ = run(tmp_path, "bessel", "--pairing", "1", option, value)
+    assert rc == 2
+    assert f"--pairing takes no point options: {option}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 # sha256 of `disksig bessel --pairing LAMBDA --precision P` output, taken

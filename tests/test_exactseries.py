@@ -247,7 +247,7 @@ def test_center_enclosure_lies_in_the_ball_and_holds_the_reference(precision):
     for lam in CENTER_LAMBDAS:
         lo, hi = enclose_center(lam, precision)
         assert 0 < (hi - lo) * 2 ** precision <= lo
-        ball = abc_closed_form(lam, F(0), constants, precision)[2]
+        ball = abc_closed_form(lam, F(0), constants)[2]
         assert ball.lower() <= lo and hi <= ball.upper()
         assert lo <= closed_form_center(lam) <= hi
 

@@ -57,6 +57,12 @@ def test_config_validation():
         SimConfig(h=math.nextafter(EXIT_HORIZON, math.inf))
     with pytest.raises(ValueError, match="at most"):
         SimConfig(h=1e300)
+    # a float seed would run as its integer part, and a float path count or
+    # level would fail only inside the run; a bool is no count either
+    for field, value in (("seed", 1.5), ("seed", 1.0), ("paths", 64.0),
+                         ("level", 2.0), ("level", True), ("paths", "64")):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SimConfig(**{field: value})
 
 
 def test_expected_work_is_bounded():

@@ -47,7 +47,7 @@ def test_escalation_recertifies_endpoints_at_final_precision(monkeypatch,
     def flaky(lam, constants, prec=None):
         # the chosen stored endpoints read inconclusive at 128 bits; both
         # endpoints must then be stored at the one doubled precision
-        if prec == 128 and lam in inconclusive:
+        if constants.prec == 128 and lam in inconclusive:
             return RealBall.from_interval(-1, 1)
         return real(lam, constants, prec)
 
@@ -82,7 +82,7 @@ def test_sign_that_never_certifies_is_inconclusive(monkeypatch):
     precs = []
 
     def straddling(lam, constants, prec=None):
-        precs.append(prec)
+        precs.append(constants.prec)
         return RealBall.from_interval(-1, 1)
 
     monkeypatch.setattr(polefinder, "d_lambda", straddling)
@@ -137,7 +137,7 @@ def test_d_evaluations_are_pinned(monkeypatch, width, precision, runs, signs,
     precs, mus = [], []
 
     def recorded_d(lam, constants, prec=None):
-        precs.append(prec)
+        precs.append(constants.prec)
         return real_d(lam, constants, prec)
 
     def recorded_sign(mu):
@@ -222,7 +222,20 @@ TAMPERINGS = {
     "numerator-not-negative": (
         lambda c: {"numerator_bound": c.numerator_bound.neg()},
         "numerator bound not certified negative"),
+    # the stored balls kept, the bracket moved near 2.6, where d < 0 at
+    # both ends
+    "bracket-off-the-zero": (
+        lambda c: _bracket_at(F(13, 5), c),
+        "exact sign of d at upper endpoint not positive"),
 }
+
+
+def _bracket_at(x, cert):
+    """The certificate's bracket moved to start at x rounded down to a
+    multiple of its width, so both ends stay dyadic."""
+    width = cert.bracket_hi - cert.bracket_lo
+    lo = x // width * width
+    return {"bracket_lo": lo, "bracket_hi": lo + width}
 
 
 @pytest.mark.parametrize("tamper, failure", TAMPERINGS.values(), ids=list(TAMPERINGS))
@@ -230,6 +243,22 @@ def test_certificate_tampering_is_detected(tamper, failure):
     cert = locate_pole(F(1, 1000))
     obj = replace(cert, **tamper(cert)).to_json()
     assert PoleCertificate.from_json(obj).verify() == [failure]
+
+
+def test_verify_reports_an_uncertified_exact_sign(monkeypatch):
+    # a non-dyadic endpoint has no exact sign of E; nor has one the series
+    # cannot certify within its term cap: each is a failure line, not an
+    # exception
+    cert = locate_pole(F(1, 1000))
+    width = cert.bracket_hi - cert.bracket_lo
+    moved = replace(cert, bracket_lo=F(2827, 1000), bracket_hi=F(2827, 1000) + width)
+    assert [f.split(":")[0] for f in moved.verify()] == [
+        "exact sign of d at lower endpoint not negative",
+        "exact sign of d at upper endpoint not positive"]
+    monkeypatch.setattr(exactseries, "_MAX_TERMS", 4)
+    assert [f.split(":")[0] for f in cert.verify()] == [
+        "exact sign of d at lower endpoint not negative",
+        "exact sign of d at upper endpoint not positive"]
 
 
 def test_locate_pole_input_validation(monkeypatch):
@@ -247,13 +276,32 @@ def test_locate_pole_input_validation(monkeypatch):
 
 
 def test_numerator_nonvanishing_over_lemma_interval():
-    hull = verify_numerator_nonvanishing(F(5, 2), F(3), target=F(-13, 10))
+    hull, _ = verify_numerator_nonvanishing(F(5, 2), F(3), target=F(-13, 10))
     assert hull.upper() <= F(-13, 10)
     assert hull.is_negative()
 
 
+def test_numerator_pieces_are_counted_once_each(monkeypatch):
+    # the count verify_numerator_nonvanishing returns is the number of
+    # numerator evaluations, and the certificate's search records it
+    cert = locate_pole(F(1, 1000))
+    _, pieces = verify_numerator_nonvanishing(
+        cert.bracket_lo, cert.bracket_hi, make_constants(cert.precision))
+    assert pieces == cert.search["numerator_pieces"]
+    calls = []
+    real = polefinder.numerator_im
+
+    def counted(lam, constants):
+        calls.append(lam)
+        return real(lam, constants)
+
+    monkeypatch.setattr(polefinder, "numerator_im", counted)
+    _, pieces = verify_numerator_nonvanishing(F(5, 2), F(3), target=F(-13, 10))
+    assert pieces == len(calls) > 1
+
+
 def test_numerator_degenerate_point():
-    hull = verify_numerator_nonvanishing(F(14, 5), F(14, 5))
+    hull, _ = verify_numerator_nonvanishing(F(14, 5), F(14, 5))
     assert hull.is_negative()
 
 

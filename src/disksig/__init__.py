@@ -29,12 +29,12 @@ _EXPORTS = {
     "fold_apply": "development",
     "partial_sum_F": "development",
     "HierarchyState": "hierarchy",
-    "a_coefficients": "hierarchy",
-    "radius_estimate": "hierarchy",
     "SimConfig": "montecarlo",
     "estimate_expected_sig": "montecarlo",
     "PoleCertificate": "polefinder",
     "locate_pole": "polefinder",
+    "a_coefficients": "radial",
+    "radius_estimate": "radial",
 }
 
 __all__ = [*_EXPORTS, "__version__"]

@@ -19,7 +19,7 @@ used only through the correctly rounded primitives add, sub, mul, div,
 sqrt and the exact ones neg, abs, shift.  All containment logic, radius
 bookkeeping, comparisons, and serialization live here and are exact
 (endpoint queries return Fractions, not floats); a printed radius is
-rounded up to decimal by exactpoly.decimal_up, which the exact
+rounded up to decimal by rational.decimal_up, which the exact
 enclosures print with too.
 
 ComplexBall is a rectangle: independent real and imaginary RealBalls.
@@ -36,7 +36,7 @@ from mpmath.libmp import (from_int, from_man_exp, from_rational, fzero,
                           mpf_neg, mpf_shift, mpf_sqrt, mpf_sub, to_str)
 
 from . import DEFAULT_PREC
-from .exactpoly import decimal_digits, decimal_up
+from .rational import decimal_digits, decimal_up
 
 RADPREC = 30  # radii are coarse by design; only their upper bound matters
 

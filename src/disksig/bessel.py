@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import factorial
 
 from .balls import DEFAULT_PREC, ComplexBall, RealBall
-from .exactpoly import as_rat
+from .rational import as_rat
 
 _HALF = Fraction(1, 2)
 

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactpoly import Poly2, as_rat
+from .exactpoly import Poly2
+from .rational import as_rat
 
 
 class Vec3Poly:

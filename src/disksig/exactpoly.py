@@ -21,10 +21,8 @@ zbar^(b-a) when b > a, a harmonic polynomial.  boundary_trace sums a
 ZPoly's coefficients by k = a - b, and harmonic_extension is its
 inverse, sending k to z^k (k >= 0) or zbar^(-k) (k < 0).  All three
 work on integers.  Only this module reads the internals of Poly2 and
-ZPoly.
-
-rat_str, decimal_up and decimal_nearest print exact values; the decimal
-module's division rounds the exact quotient correctly.
+ZPoly.  The exact-number helpers (as_rat, rat_str and the decimal
+printers) live in disksig.rational.
 """
 
 from __future__ import annotations
@@ -32,56 +30,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-
-def as_rat(x) -> Fraction:
-    """Coerce ints, Fractions and 'num/den' strings to Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"not an exact rational: {x!r}")
-
-
-def rat_str(q: Fraction) -> str:
-    """Serialize a rational as 'num/den' (always with denominator)."""
-    return f"{q.numerator}/{q.denominator}"
-
-
-def decimal_digits(bits: int) -> int:
-    """Significant digits printed for a value of `bits` binary digits."""
-    return max(5, int(bits * 0.30103) + 3)
-
-
-def _divide(q: Fraction, digits: int, rounding: str):
-    """q correctly rounded to `digits` significant digits, as a Decimal."""
-    from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal  # printing only
-
-    ctx = Context(prec=digits, rounding=rounding, Emax=MAX_EMAX, Emin=MIN_EMIN)
-    return ctx.divide(Decimal(q.numerator), Decimal(q.denominator))
-
-
-def decimal_up(q: Fraction) -> str:
-    """Decimal string >= q >= 0 with 3 significant digits ("1.00e-3")."""
-    if q < 0:
-        raise ValueError("radius must be nonnegative")
-    return f"{_divide(q, 3, 'ROUND_CEILING'):.2e}" if q else "0"
-
-
-def decimal_nearest(q: Fraction, digits: int) -> str:
-    """q rounded to nearest (ties away from zero) at `digits` significant
-    digits, positional, trailing zeros stripped ("4.25", "1.0", "0.0012")."""
-    whole, _, frac = f"{_divide(q, digits, 'ROUND_HALF_UP'):f}".partition(".")
-    return f"{whole}.{frac.rstrip('0') or '0'}"
-
-
-def decimal_parts(lo: Fraction, hi: Fraction, digits: int) -> tuple:
-    """(mid, rad) decimal strings of [lo, hi]: the midpoint to `digits`
-    significant digits, and a radius rounded up so the ball holds [lo, hi]."""
-    mid = decimal_nearest((lo + hi) / 2, digits)
-    printed = Fraction(mid)
-    return mid, decimal_up(max(hi - printed, printed - lo))
+from .rational import as_rat
 
 
 class Poly2:

@@ -24,7 +24,7 @@ This module uses integers and Fractions only.  It holds
   bracket bisected on those signs (exact_bracket), which polefinder
   certifies on balls;
 - enclose_center, the enclosure of C(lambda, 0) that `disksig compare`
-  prints with exactpoly.decimal_parts.
+  prints with rational.decimal_parts.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from functools import lru_cache
 from itertools import islice
 from math import factorial
 
-from .exactpoly import as_rat
+from .rational import as_rat
 
 BRACKET_LO = Fraction(5, 2)
 BRACKET_HI = Fraction(3)

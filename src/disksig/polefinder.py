@@ -35,9 +35,9 @@ from functools import reduce
 from .balls import DEFAULT_PREC, RealBall
 from .bessel import (Constants, d_lambda, make_constants, numerator_im,
                      series_terms)
-from .exactpoly import as_rat, rat_str
 from .exactseries import (BRACKET_HI, BRACKET_LO, InconclusiveSign,
                           NoSignChange, _series_sign, exact_bracket)
+from .rational import as_rat, rat_str
 
 _MAX_ESCALATIONS = 6
 _MAX_SUBDIVISIONS = 64  # splits before verify_numerator_nonvanishing gives up
@@ -66,6 +66,9 @@ class PoleCertificate:
 
         A bracket inside (5/2, 3) must hold the zero: E(lo^2) < 0 < E(hi^2)
         by the exact sign of E, since d(lambda) = sqrt(7) lambda E(lambda^2).
+        The precision must be one make_constants accepts (53 bits or
+        more), and series_terms the length bessel.series_terms selects at
+        bracket_hi at that precision.
         """
         failures = []
         if not BRACKET_LO < self.bracket_lo < self.bracket_hi < BRACKET_HI:
@@ -86,6 +89,11 @@ class PoleCertificate:
             failures.append("d at upper endpoint not certified positive")
         if not self.numerator_bound.is_negative():
             failures.append("numerator bound not certified negative")
+        if self.precision < 53:
+            failures.append("precision below 53 bits")
+        elif self.series_terms != series_terms(self.bracket_hi,
+                                               make_constants(self.precision)):
+            failures.append("series_terms differs from the length selected at bracket_hi")
         return failures
 
     def to_json(self) -> dict:

@@ -32,7 +32,7 @@ computation the package does another way:
   fbar = e1 - i e2, so the words of hierarchy.HierarchyState.reduced
   develop without the e-basis expansion (checked against fold_apply);
 - radial_levels_fraction solves the radial recursion one Fraction at a
-  time, against the integer numerators of hierarchy.radial_levels;
+  time, against the integer numerators of radial.radial_levels;
 - tensor_levels_bivariate solves the tensor hierarchy in the e-basis, one
   bivariate Poisson problem per word, against the univariate words in the
   letters f, fbar that hierarchy.HierarchyState.tensor_z expands;
@@ -50,7 +50,7 @@ computation the package does another way:
   exactseries.enclose_center;
 - decimal_nearest_integer rounds a rational to decimal digits by an
   integer decade search and one integer division, against the decimal
-  module's division in exactpoly.decimal_nearest.
+  module's division in rational.decimal_nearest.
 """
 
 import itertools
@@ -418,7 +418,7 @@ def fold_letters(values) -> tuple:
 
 def radial_levels_fraction(n_max: int):
     """(A_n, C_n) coefficient maps {power: Fraction}, n <= N, solved one
-    Fraction at a time; the form of hierarchy.radial_levels before it ran
+    Fraction at a time; the form of radial.radial_levels before it ran
     on integer numerators over one denominator per level.  Some maps keep
     an explicit zero (C_4 has r^2 -> 0) where the integer route has no key.
     """

@@ -21,12 +21,11 @@ from disksig.balls import ComplexBall, RealBall
 from disksig.bessel import (abc_closed_form, bessel_j, d_lambda,
                             make_constants, remark_product)
 from disksig.development import fold_apply
-from disksig.hierarchy import (HierarchyState, a_coefficients,
-                               developed_checks, radius_estimate,
-                               tensor_checks)
+from disksig.hierarchy import HierarchyState, developed_checks, tensor_checks
 from disksig.montecarlo import SimConfig, _chen_combine, estimate_expected_sig
 from disksig.polefinder import (PoleCertificate, locate_pole,
                                 verify_numerator_nonvanishing)
+from disksig.radial import a_coefficients, radius_estimate
 from reference import (XY, TensorPoly, developed_view, fold_apply_naive,
                        m_of_vector, mat_mul, signature_of_path, tensor_view)
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from mpmath.libmp import from_rational
 
 from disksig.balls import ComplexBall, RealBall, _from_rational
-from disksig.exactpoly import decimal_up
+from disksig.rational import decimal_up
 
 mids = st.fractions(min_value=-100, max_value=100, max_denominator=10 ** 6)
 rads = st.fractions(min_value=0, max_value=2, max_denominator=10 ** 4)

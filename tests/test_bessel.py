@@ -12,7 +12,7 @@ from disksig.bessel import (_auto_terms, _tail_bound, abc_closed_form,
                             bessel_j, bessel_tail_bound, d_lambda,
                             make_constants, numerator_im, pairing,
                             remark_product, series_terms)
-from disksig.hierarchy import radial_levels
+from disksig.radial import radial_levels
 
 CONSTS = make_constants(128)
 

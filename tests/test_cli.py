@@ -1,5 +1,6 @@
 """CLI contract: schemas, manifests, bit-reproducibility, exit statuses."""
 
+import argparse
 import csv
 import hashlib
 import json
@@ -12,8 +13,11 @@ from fractions import Fraction as F
 
 import pytest
 
+import disksig.bessel
 import disksig.cli as cli
+import disksig.hierarchy
 import disksig.montecarlo as montecarlo
+import disksig.radial
 from disksig.cli import DEVELOPED_CAP, main
 from disksig.exactpoly import ZPoly
 from disksig.hierarchy import HierarchyState
@@ -79,8 +83,8 @@ def test_hierarchy_developed_mode(tmp_path):
 
 def test_hierarchy_developed_mode_checks_radial_route(tmp_path, monkeypatch,
                                                      capsys):
-    radial = cli.hierarchy.a_coefficients
-    monkeypatch.setattr(cli.hierarchy, "a_coefficients",
+    radial = disksig.radial.a_coefficients
+    monkeypatch.setattr(disksig.radial, "a_coefficients",
                         lambda n: [2 * v if k == 2 else v
                                    for k, v in enumerate(radial(n))])
     rc, out = run(tmp_path, "hierarchy", "--levels", "4", "--mode", "developed")
@@ -291,14 +295,14 @@ def test_hierarchy_expands_each_tensor_level_once(tmp_path, monkeypatch):
 def test_hierarchy_runs_the_origin_butterfly_once_per_level(tmp_path,
                                                           monkeypatch):
     # the norms and the origin fold read the same values at the origin
-    real = cli.hierarchy.origin_values
+    real = disksig.hierarchy.origin_values
     calls = []
 
     def counted(state, n):
         calls.append(n)
         return real(state, n)
 
-    monkeypatch.setattr(cli.hierarchy, "origin_values", counted)
+    monkeypatch.setattr(disksig.hierarchy, "origin_values", counted)
     rc, _ = run(tmp_path, "hierarchy", "--levels", "12", "--mode", "tensor")
     assert rc == 0
     assert calls == list(range(13))
@@ -375,17 +379,15 @@ def test_develop_reports_broken_radial_parity_as_an_error(tmp_path, capsys,
                                                          monkeypatch):
     # developed_values raises ArithmeticError; main turns it into exit 1
     # with one error line and writes nothing
-    import disksig.hierarchy as hierarchy
-
-    real = hierarchy.radial_levels
+    real = disksig.radial.radial_levels
 
     def broken(n_max):
         a_list, c_list = real(n_max)
         c2 = c_list[2]
-        c_list[2] = hierarchy.RadialMap({**c2.nums, 3: 1}, c2.den)  # odd power
+        c_list[2] = disksig.radial.RadialMap({**c2.nums, 3: 1}, c2.den)  # odd power
         return a_list, c_list
 
-    monkeypatch.setattr(hierarchy, "radial_levels", broken)
+    monkeypatch.setattr(disksig.radial, "radial_levels", broken)
     rc, out = run(tmp_path, "develop", "--lambda", "1", "--x=1/3", "--y=1/4",
                   "--levels", "4")
     assert rc == 1
@@ -518,14 +520,14 @@ def test_compare_bytes_are_pinned(tmp_path, lam, precision, digest):
 def test_bessel_pairing_evaluates_each_series_once(tmp_path, monkeypatch):
     # J0 and J1 at lambda zeta and at lambda conj(zeta): four series, none
     # of them evaluated twice
-    real = cli.bessel.bessel_j
+    real = disksig.bessel.bessel_j
     calls = []
 
     def recorded(nu, x, n_terms=None, prec=128):
         calls.append((nu, x.re.mid, x.re.rad, x.im.mid, x.im.rad))
         return real(nu, x, n_terms=n_terms, prec=prec)
 
-    monkeypatch.setattr(cli.bessel, "bessel_j", recorded)
+    monkeypatch.setattr(disksig.bessel, "bessel_j", recorded)
     rc, _ = run(tmp_path, "bessel", "--pairing", "141/50")
     assert rc == 0
     assert len(calls) == 4
@@ -729,22 +731,25 @@ def run_fresh(tmp_path, *argv):
 
 
 LAYERS = {"balls", "bessel", "development", "exactpoly", "exactseries",
-          "hierarchy", "montecarlo", "polefinder"}
-EXACT = {"exactpoly", "development", "hierarchy"}
-# balls prints its radii with exactpoly's decimal rounding; only the pole
+          "hierarchy", "montecarlo", "polefinder", "radial", "rational"}
+# the radial route prints its rationals with `rational` and nothing else
+RADIAL = {"radial", "rational"}
+# the oracles, and the tensor fold of develop's point check
+ORACLES = RADIAL | {"exactpoly", "development", "hierarchy"}
+# balls prints its radii with rational's decimal rounding; only the pole
 # search runs the exact series
-BALL = {"exactpoly", "balls", "bessel"}
+BALL = {"rational", "balls", "bessel"}
 
 
 @pytest.mark.parametrize("argv, layers, status", [
-    (("radius", "--levels", "4"), EXACT, 0),
-    (("develop", "--levels", "4", "--x", "1/2"), EXACT, 0),
-    (("hierarchy", "--levels", "4", "--mode", "developed"), EXACT, 0),
+    (("radius", "--levels", "4"), RADIAL, 0),
+    (("develop", "--levels", "4", "--x", "1/2"), ORACLES, 0),
+    (("hierarchy", "--levels", "4", "--mode", "developed"), ORACLES, 0),
     (("bessel", "--pairing", "141/50"), BALL, 0),
     (("bessel", "--re", "3/2"), BALL, 0),
     (("pole", "--width", "1/10"), BALL | {"polefinder", "exactseries"}, 0),
-    (("compare", "--lambda", "1", "--levels", "4"), EXACT | {"exactseries"}, 0),
-    (("compare", "--lambda", "29/10", "--levels", "4"), {"exactpoly", "exactseries"}, 2),
+    (("compare", "--lambda", "1", "--levels", "4"), RADIAL | {"exactseries"}, 0),
+    (("compare", "--lambda", "29/10", "--levels", "4"), {"rational", "exactseries"}, 2),
     (("mc", "--paths", "8", "--h", "1e-2"), {"montecarlo"}, 0),
     (("radius", "--levels", "99999"), set(), 2),
 ], ids=["radius", "develop", "hierarchy", "bessel-pairing", "bessel-point",
@@ -763,6 +768,79 @@ def test_subcommands_execute_only_their_layers(tmp_path, argv, layers, status):
     assert ("dataclasses" in executed) == records
     assert ("inspect" in executed) == records
     assert ("datetime" in executed) == ("montecarlo" in layers)
+
+
+# the parser gives arguments only to the subcommand argv names; each of
+# these runs must print and exit as the parser with every subcommand's
+# arguments does: one usage error per subcommand, each subcommand's help,
+# and the top level's help, missing name and unknown name
+USAGE_ERRORS = {
+    "hierarchy": ["hierarchy", "--levels", "4", "--mode", "bogus", "--out", "o"],
+    "develop": ["develop", "--lambda", "x", "--levels", "4", "--out", "o"],
+    "bessel": ["bessel", "--nu", "2", "--out", "o"],
+    "pole": ["pole", "--width", "x", "--out", "o"],
+    "compare": ["compare", "--levels", "4", "--out", "o"],
+    "radius": ["radius", "--levels", "4", "--bogus", "--out", "o"],
+    "mc": ["mc", "--h", "x", "--out", "o"],
+}
+PARSER_CASES = {
+    **{f"{name}-help": [name, "--help"] for name in USAGE_ERRORS},
+    **{f"{name}-usage-error": argv for name, argv in USAGE_ERRORS.items()},
+    "top-help": ["-h"], "top-empty": [], "top-unknown": ["nosuch"],
+}
+
+
+def full_parser_run(argv, capsys):
+    """(status, stdout, stderr) of the parser with every subcommand's
+    arguments on argv."""
+    parser = cli._build_parser([])
+    subparsers = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert all("--out" in p._option_string_actions
+               for p in subparsers.choices.values())
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES.values(), ids=list(PARSER_CASES))
+def test_one_subcommand_parser_matches_the_full_parser(tmp_path, monkeypatch,
+                                                       capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # help is wrapped to the terminal
+    monkeypatch.chdir(tmp_path)
+    expected = full_parser_run(argv, capsys)
+    assert expected[0] == (0 if argv[-1:] in (["-h"], ["--help"]) else 2)
+    status = main(argv)
+    captured = capsys.readouterr()
+    assert (status, captured.out, captured.err) == expected
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_parser_adds_only_the_named_subcommands_arguments():
+    parser = cli._build_parser(["radius", "--levels", "4"])
+    subparsers = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert list(subparsers.choices) == list(USAGE_ERRORS)
+    assert [name for name, p in subparsers.choices.items()
+            if "--out" in p._option_string_actions] == ["radius"]
+
+
+@pytest.mark.parametrize("argv", [["radius", "--help"], USAGE_ERRORS["radius"]],
+                         ids=["help", "usage-error"])
+def test_console_entry_parser_matches_the_full_parser(tmp_path, monkeypatch,
+                                                      capsys, argv):
+    # python -m disksig calls main() with argv None, so sys.argv names the
+    # subcommand
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = full_parser_run(argv, capsys)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-m", "disksig", *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bessel_at_a_tiny_point_prints_its_radius_quickly(tmp_path):

@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 import disksig.exactseries as exactseries
 from disksig.bessel import abc_closed_form, make_constants
 from disksig.cli import main
-from disksig.exactpoly import decimal_nearest, decimal_parts
 from disksig.exactseries import (enclose, enclose_center, exact_bracket,
                                  _numerator_coefficients, _series_coefficients,
                                  _series_sign)
-from disksig.hierarchy import a_coefficients
+from disksig.radial import a_coefficients
+from disksig.rational import decimal_nearest, decimal_parts
 from reference import (closed_form_center, decimal_nearest_integer,
                        series_coefficients_binomial, series_sign_integer)
 

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from disksig.balls import RealBall
 from disksig.exactpoly import ZPoly, boundary_trace, laplacian
-import disksig.hierarchy as hierarchy
-from disksig.hierarchy import (HierarchyState, a_coefficients, developed_rhs,
-                               developed_values, level_norms, radial_levels,
+import disksig.radial as radial
+from disksig.hierarchy import (HierarchyState, developed_rhs, level_norms,
                                origin_development, origin_values, poisson_scale,
-                               radial_levels_ball, radius_estimate,
-                               solve_poisson_zero_bd, word_polys,
-                               developed_checks, tensor_checks)
+                               radial_levels_ball, solve_poisson_zero_bd,
+                               word_polys, developed_checks, tensor_checks)
+from disksig.radial import (a_coefficients, developed_values, radial_levels,
+                            radius_estimate)
 from reference import (XY, M1, M2, X, Y, developed_at, developed_view, fold_letters,
                        laplacian_xy, mat_mul, mat_vec, partial_xy,
                        radial_levels_fraction, tensor_levels_bivariate, tensor_view,
@@ -225,7 +225,7 @@ def test_radial_reduction_matches_bivariate(state):
 def test_developed_values_rejects_broken_parity(monkeypatch):
     a_list, c_list = radial_levels(4)
     c_list[4] = {**c_list[4], 3: F(1)}  # an odd power in C_4
-    monkeypatch.setattr(hierarchy, "radial_levels", lambda n: (a_list, c_list))
+    monkeypatch.setattr(radial, "radial_levels", lambda n: (a_list, c_list))
     with pytest.raises(ArithmeticError):
         list(developed_values(4, F(1, 2), F(1, 3)))
 

@@ -12,12 +12,12 @@ import pytest
 import disksig.exactseries as exactseries
 import disksig.polefinder as polefinder
 from disksig.balls import RealBall
-from disksig.bessel import d_lambda, make_constants
+from disksig.bessel import d_lambda, make_constants, series_terms
 from disksig.cli import main
-from disksig.exactpoly import as_rat
 from disksig.exactseries import InconclusiveSign, NoSignChange
 from disksig.polefinder import (PoleCertificate, locate_pole,
                                 verify_numerator_nonvanishing)
+from disksig.rational import as_rat
 from reference import ball_bisection
 
 
@@ -205,10 +205,11 @@ def test_certificate_json_round_trip():
     assert back.bracket_hi == cert.bracket_hi
 
 
-# each tampering breaks one invariant of PoleCertificate.verify() alone
+# each tampering breaks one invariant of PoleCertificate.verify() alone; a
+# moved bracket keeps series_terms consistent with its new upper end
 TAMPERINGS = {
     "bracket-outside": (
-        lambda c: {"bracket_lo": c.bracket_lo - 1, "bracket_hi": c.bracket_hi - 1},
+        lambda c: _moved(c, c.bracket_lo - 1, c.bracket_hi - 1),
         "bracket not strictly inside (5/2, 3)"),
     "bracket-too-wide": (
         lambda c: {"target_width": (c.bracket_hi - c.bracket_lo) / 2},
@@ -222,6 +223,12 @@ TAMPERINGS = {
     "numerator-not-negative": (
         lambda c: {"numerator_bound": c.numerator_bound.neg()},
         "numerator bound not certified negative"),
+    "precision-below-53-bits": (
+        lambda c: {"precision": 7},
+        "precision below 53 bits"),
+    "series-terms-changed": (
+        lambda c: {"series_terms": 1},
+        "series_terms differs from the length selected at bracket_hi"),
     # the stored balls kept, the bracket moved near 2.6, where d < 0 at
     # both ends
     "bracket-off-the-zero": (
@@ -235,7 +242,14 @@ def _bracket_at(x, cert):
     multiple of its width, so both ends stay dyadic."""
     width = cert.bracket_hi - cert.bracket_lo
     lo = x // width * width
-    return {"bracket_lo": lo, "bracket_hi": lo + width}
+    return _moved(cert, lo, lo + width)
+
+
+def _moved(cert, lo, hi):
+    """The fields of the certificate's bracket moved to [lo, hi], with the
+    series length selected at hi."""
+    return {"bracket_lo": lo, "bracket_hi": hi,
+            "series_terms": series_terms(hi, make_constants(cert.precision))}
 
 
 @pytest.mark.parametrize("tamper, failure", TAMPERINGS.values(), ids=list(TAMPERINGS))

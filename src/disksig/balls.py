@@ -36,7 +36,7 @@ from mpmath.libmp import (from_int, from_man_exp, from_rational, fzero,
                           mpf_neg, mpf_shift, mpf_sqrt, mpf_sub, to_str)
 
 from . import DEFAULT_PREC
-from .rational import decimal_digits, decimal_up
+from .rational import decimal_digits, decimal_up, parse_rat
 
 RADPREC = 30  # radii are coarse by design; only their upper bound matters
 
@@ -253,8 +253,13 @@ class RealBall:
     @classmethod
     def from_json(cls, obj: dict) -> "RealBall":
         """The ball to_json printed, its midpoint at DEFAULT_PREC bits and
-        the rounding added to its radius, so it contains the printed one."""
-        return cls.from_mid_rad(Fraction(obj["mid"]), Fraction(obj["rad"]))
+        the rounding added to its radius, so it contains the printed one.
+
+        Both strings are read by rational.parse_rat, so a string it
+        refuses (a numerator or denominator past MAX_DIGITS digits, such
+        as "1e-1000000") raises ValueError before any power of ten is
+        built."""
+        return cls.from_mid_rad(parse_rat(obj["mid"]), parse_rat(obj["rad"]))
 
 
 def _nonneg_part(b: RealBall, prec: int) -> RealBall:

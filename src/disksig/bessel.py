@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
+from . import check_precision
 from .balls import DEFAULT_PREC, ComplexBall, RealBall
 from .rational import as_rat
 
@@ -97,9 +98,11 @@ def bessel_j(nu: int, x, n_terms: int | None = None,
 
     Partial sum of the ascending series in ball arithmetic, radius
     inflated by bessel_tail_bound; the result contains the true value.
+    A prec outside MIN_PRECISION..MAX_PRECISION is refused (ValueError).
     """
     if nu not in (0, 1):
         raise ValueError("only orders 0 and 1 are implemented")
+    check_precision(prec)
     x = _as_complex_ball(x, prec)
     if n_terms is None:
         n_terms = _auto_terms(x, prec)
@@ -135,10 +138,12 @@ def make_constants(prec: int = DEFAULT_PREC) -> Constants:
 
     zeta^2 = (-1 + i sqrt 7)/2 sits in the upper half plane, so the
     principal square root is well defined and the complex-ball sqrt
-    applies without meeting the branch cut.
+    applies without meeting the branch cut.  A prec outside
+    MIN_PRECISION..MAX_PRECISION (53..8192 bits) is refused with
+    ValueError before any ball is built, so every function that takes
+    the Constants runs within that range.
     """
-    if prec < 53:
-        raise ValueError("precision below 53 bits is not supported")
+    check_precision(prec)
     sqrt7 = RealBall.from_int(7).sqrt(prec)
     zeta_sq = ComplexBall(RealBall.from_rational(Fraction(-1, 2), prec),
                           sqrt7.mul_2exp(-1))

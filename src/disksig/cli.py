@@ -22,7 +22,10 @@ serialized results.  The default working precision is 128 bits,
 overridable with --precision.
 
 This module holds what every run needs: the argument parser, the
-digit guards, the manifest, the atomic writer and `main`.  The parser
+guard on exact outputs past the digit limit, the manifest, the atomic
+writer and `main`.  The precision range and the digit limit are the
+package root's, and rational options are read by rational.parse_rat,
+so the library refuses what the command line refuses.  The parser
 gives every subcommand its name and help line, and its arguments only
 to the subcommand argv names (to all of them when argv names none, as
 for `-h`, no arguments or an unknown name), so help, usage and errors
@@ -59,7 +62,8 @@ import sys
 import time
 from fractions import Fraction
 
-from . import DEFAULT_PREC, DEFAULT_SEED, __version__
+from . import (DEFAULT_PREC, DEFAULT_SEED, MAX_DIGITS, MAX_PRECISION, MIN_PRECISION,
+               __version__)
 from ._lazy import lazy_import
 
 # every layer is registered at once and runs its module code on first use,
@@ -83,14 +87,8 @@ DEVELOPED_CAP = 200  # radial route: develop, compare, radius
 # terms per component, which is then most of the cost: 60 levels take about
 # 0.15 s on a 2-vCPU VM (0.25 s with --dump-polys), 120 about 0.2 s (1.5 s)
 DEVELOPED_ORACLE_CAP = 60
-# --precision caps, timed on a 2-vCPU VM: at MAX_PRECISION bits, `bessel
-# --pairing 141/50` takes about 1.9 s, `pole --width 1/1000` 2.1 s and
-# `compare --lambda 2 --levels 40` 0.4 s (0.55 s at lambda 1/3; its exact
-# series take 470 to 670 terms there below the pole); each doubling costs
-# the ball layers about 4x, and from about 14000 bits a midpoint's decimal
-# digits exceed what Python converts to a string; at MIN_POLE_WIDTH,
-# `pole` takes about 0.35 s at 128 bits and 2.5 s at MAX_PRECISION
-MAX_PRECISION = 8192
+# the narrowest `pole --width`, timed on a 2-vCPU VM: there `pole` takes
+# about 0.35 s at 128 bits and 2.5 s at MAX_PRECISION
 MIN_POLE_WIDTH = Fraction(1, 10 ** 100)
 # `bessel` point caps, timed on a 2-vCPU VM: the auto-selected series
 # needs more than |z|/2 terms, so at |z| = MAX_BESSEL_ABS `bessel` takes
@@ -104,13 +102,8 @@ MAX_BESSEL_TERMS = 1000
 # MAX_PAIRING_ABS it takes about 0.3 s at 128 bits and 5.1 s at
 # MAX_PRECISION; uncapped, lambda = 1000 took 2.6 s at 128 bits
 MAX_PAIRING_ABS = 30
-# Python parses no integer of more digits from "num/den" and prints none
-# of them, so a decimal input whose numerator or denominator would pass
-# this many digits is refused, and so is a request whose exact output would
-# have more
-_MAX_DIGITS = 4300
 _DIGITS_ERROR = (
-    f"an exact output would have more than {_MAX_DIGITS} digits in its "
+    f"an exact output would have more than {MAX_DIGITS} digits in its "
     "numerator or denominator; ask for fewer levels or smaller denominators")
 
 
@@ -118,45 +111,25 @@ class UsageError(Exception):
     """Violated precondition of a subcommand; nothing is written."""
 
 
-def _too_many_digits(q: Fraction) -> bool:
-    n = max(abs(q.numerator), q.denominator)
-    # 2^(3k) < 10^k, so the power of ten is built only for a huge n
-    return n.bit_length() > 3 * _MAX_DIGITS and n >= 10 ** _MAX_DIGITS
-
-
 def _rat_str(q: Fraction) -> str:
     """"num/den" of an exact output, refusing one Python cannot print."""
-    if _too_many_digits(q):
+    if rational.too_many_digits(q):
         raise UsageError(_DIGITS_ERROR)
     return rational.rat_str(q)
 
 
 def _parse_rat(text: str) -> Fraction:
-    """Rational from "num/den" or an exact decimal like "2.82" / "1e-6"."""
+    """Rational from "num/den" or an exact decimal like "2.82" / "1e-6",
+    read by rational.parse_rat; its refusal is a usage error."""
     try:
-        if "/" in text:
-            return Fraction(text)
-        from decimal import Decimal
-
-        value = Decimal(text)
-        if value.is_finite():
-            _, digits, exponent = value.as_tuple()
-            # beyond this the numerator or denominator passes _MAX_DIGITS
-            # digits anyway; refusing first never builds a huge integer
-            if abs(exponent) > _MAX_DIGITS + len(digits):
-                raise argparse.ArgumentTypeError(f"exponent out of range: {text!r}")
-        q = Fraction(value)
-        if _too_many_digits(q):
-            raise argparse.ArgumentTypeError(
-                f"more than {_MAX_DIGITS} digits in numerator or denominator: {text!r}")
-        return q
-    except (ValueError, ArithmeticError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
+        return rational.parse_rat(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _check_precision(prec: int) -> int:
-    if not 53 <= prec <= MAX_PRECISION:
-        raise UsageError(f"--precision must be in 53..{MAX_PRECISION}")
+    if not MIN_PRECISION <= prec <= MAX_PRECISION:
+        raise UsageError(f"--precision must be in {MIN_PRECISION}..{MAX_PRECISION}")
     return prec
 
 

@@ -12,12 +12,12 @@ import math
 from fractions import Fraction
 
 from ._lazy import lazy_import
-from .cli import (_DIGITS_ERROR, DEVELOPED_CAP, UsageError, _not_real, _rat_str,
-                  _too_many_digits)
+from .cli import _DIGITS_ERROR, DEVELOPED_CAP, UsageError, _not_real, _rat_str
 
 development = lazy_import("disksig.development")
 hierarchy = lazy_import("disksig.hierarchy")
 radial = lazy_import("disksig.radial")
+rational = lazy_import("disksig.rational")
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
                  67, 71, 73, 79, 83, 89, 97)
@@ -35,7 +35,7 @@ def _valuation(n: int, prime: int) -> int:
 
 def _partial_sum_too_long(lam: Fraction, values) -> bool:
     """Whether some component of sum_n lam^n V_n provably has a
-    denominator of more than _MAX_DIGITS digits, decided without the sum.
+    denominator of more than MAX_DIGITS digits, decided without the sum.
 
     For a prime l dividing lam's denominator q, the term lam^n V_n has
     l-adic valuation v_l(V_n) - n v_l(q) (lam's numerator is coprime to
@@ -69,7 +69,7 @@ def _partial_sum_too_long(lam: Fraction, values) -> bool:
         if (rest > 1 and math.gcd(rest, c_top.numerator) == 1
                 and all(math.gcd(rest, c.denominator) == 1 for _, c in terms)):
             bound *= rest ** top
-        if _too_many_digits(Fraction(bound)):
+        if rational.too_many_digits(Fraction(bound)):
             return True
     return False
 
@@ -81,12 +81,12 @@ def run(args) -> tuple:
     if x * x + y * y > 1:
         raise UsageError("point must lie in the closed unit disk")
     # each level is formatted as soon as it is evaluated, so a value past
-    # _MAX_DIGITS is refused before any later level or the partial sum
+    # MAX_DIGITS is refused before any later level or the partial sum
     per_level, per_level_text = [], []
     for value in radial.developed_values(args.levels, x, y):
         per_level_text.append([_rat_str(c) for c in value])
         per_level.append(value)
-    # a partial sum past _MAX_DIGITS is refused before it is summed
+    # a partial sum past MAX_DIGITS is refused before it is summed
     if _partial_sum_too_long(args.lam, per_level):
         raise UsageError(_DIGITS_ERROR)
     psum = development.partial_sum_F(args.lam, per_level)

@@ -34,6 +34,7 @@ from functools import lru_cache
 from itertools import islice
 from math import factorial
 
+from . import check_precision
 from .rational import as_rat
 
 BRACKET_LO = Fraction(5, 2)
@@ -46,8 +47,8 @@ BRACKET_HI = Fraction(3)
 _FIRST_TERMS = 8
 _MAX_TERMS = 256
 # cap of the doubling in enclose_center: at the largest precision the
-# command line admits (8192 bits) the first count is at most about 670
-# terms for lambda below the pole
+# package admits (MAX_PRECISION, 8192 bits) the first count is at most
+# about 670 terms for lambda below the pole
 _MAX_CENTER_TERMS = 2048
 # guard bits of enclose_center beyond the requested relative width, and
 # of the exact sign route beyond the bits of mu
@@ -262,8 +263,10 @@ def enclose_center(lam, precision: int) -> tuple:
     _GUARD_BITS); G and E are enclosed (enclose), and their quotient is
     taken once the E interval excludes zero.  While it is wider than
     asked, the term count doubles; past _MAX_CENTER_TERMS this raises
-    InconclusiveSign.
+    InconclusiveSign.  A precision outside MIN_PRECISION..MAX_PRECISION
+    is refused (ValueError) before any series is built.
     """
+    check_precision(precision)
     lam = as_rat(lam)
     bits = precision + _GUARD_BITS
     p_lo, p_hi, s = _dyadic_outward(lam * lam, bits)

@@ -11,11 +11,17 @@ bracket depends on the target width alone.  This module certifies that
 bracket on balls.  The enclosures stored in the PoleCertificate -- d at
 both final endpoints, the numerator bound -- are ball values computed
 at the requested precision, doubled while an endpoint enclosure
-straddles zero (locate_pole), so the stored data re-verify offline with
-no Bessel evaluation; they also re-certify the exact route's endpoint
+straddles zero and the doubled precision stays within MAX_PRECISION
+(locate_pole), so the stored data re-verify offline with no Bessel
+evaluation; they also re-certify the exact route's endpoint
 signs on the ball route, and the two must agree.  PoleCertificate.verify
 re-derives those exact signs from the stored bracket, so balls copied
-from another bracket do not pass.
+from another bracket do not pass.  A certificate read from JSON costs
+bounded work: from_json reads its rationals and balls through
+rational.parse_rat, which refuses a numerator or denominator past
+MAX_DIGITS digits, and verify reports a stored precision outside
+MIN_PRECISION..MAX_PRECISION as a failure line, evaluating no ball at
+it.
 
 The companion check, verify_numerator_nonvanishing, certifies that the
 numerator of C at r = 0 stays away from zero across a bracket, by
@@ -32,14 +38,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 
-from .balls import DEFAULT_PREC, RealBall
+from . import DEFAULT_PREC, MAX_PRECISION
+from .balls import RealBall
 from .bessel import (Constants, d_lambda, make_constants, numerator_im,
                      series_terms)
 from .exactseries import (BRACKET_HI, BRACKET_LO, InconclusiveSign,
                           NoSignChange, _series_sign, exact_bracket)
 from .rational import as_rat, rat_str
 
-_MAX_ESCALATIONS = 6
 _MAX_SUBDIVISIONS = 64  # splits before verify_numerator_nonvanishing gives up
 
 
@@ -66,9 +72,10 @@ class PoleCertificate:
 
         A bracket inside (5/2, 3) must hold the zero: E(lo^2) < 0 < E(hi^2)
         by the exact sign of E, since d(lambda) = sqrt(7) lambda E(lambda^2).
-        The precision must be one make_constants accepts (53 bits or
-        more), and series_terms the length bessel.series_terms selects at
-        bracket_hi at that precision.
+        The precision must be one make_constants accepts (53..8192 bits;
+        its refusal is the failure line, so an out-of-range precision
+        costs no ball work), and series_terms the length
+        bessel.series_terms selects at bracket_hi at that precision.
         """
         failures = []
         if not BRACKET_LO < self.bracket_lo < self.bracket_hi < BRACKET_HI:
@@ -89,11 +96,13 @@ class PoleCertificate:
             failures.append("d at upper endpoint not certified positive")
         if not self.numerator_bound.is_negative():
             failures.append("numerator bound not certified negative")
-        if self.precision < 53:
-            failures.append("precision below 53 bits")
-        elif self.series_terms != series_terms(self.bracket_hi,
-                                               make_constants(self.precision)):
-            failures.append("series_terms differs from the length selected at bracket_hi")
+        try:
+            constants = make_constants(self.precision)
+        except ValueError as exc:
+            failures.append(str(exc))
+        else:
+            if self.series_terms != series_terms(self.bracket_hi, constants):
+                failures.append("series_terms differs from the length selected at bracket_hi")
         return failures
 
     def to_json(self) -> dict:
@@ -126,22 +135,26 @@ class PoleCertificate:
 def locate_pole(target_width, precision: int = DEFAULT_PREC) -> PoleCertificate:
     """Certificate for the bracket exact_bracket(target_width).
 
-    d at both endpoints is evaluated on balls at `precision`, doubled
-    while either enclosure contains zero, at most _MAX_ESCALATIONS times
-    (then InconclusiveSign), so both share one final precision; the
-    endpoints must be certified negative and positive (NoSignChange if
-    the ball route disagrees with the exact one), and the numerator is
-    certified negative across the bracket at that final precision.  Those
-    enclosures, the final precision and the series length are what the
-    certificate stores; `search` records the exact signs, the most
+    `precision` must lie in MIN_PRECISION..MAX_PRECISION (make_constants
+    refuses it with ValueError before the bisection).  d at both
+    endpoints is evaluated on balls at `precision`, doubled while either
+    enclosure contains zero and the doubled precision is at most
+    MAX_PRECISION (then InconclusiveSign), so both share one final
+    precision; the endpoints must be certified negative and positive
+    (NoSignChange if the ball route disagrees with the exact one), and
+    the numerator is certified negative across the bracket at that final
+    precision.  Those enclosures, the final precision and the series
+    length are what the certificate stores; `search` records the exact signs, the most
     series terms one needed, the d evaluations per precision and the
     numerator pieces.
     """
     width = as_rat(target_width)
-    # the first rung refuses a precision below 53 bits before the bisection
+    # the first rung refuses a precision out of range before the bisection
     constants = make_constants(int(precision))
     lo, hi, signs, max_terms = exact_bracket(width)
-    tried = [constants.prec << k for k in range(_MAX_ESCALATIONS + 1)]
+    # the requested precision, doubled while it stays at most MAX_PRECISION
+    tried = [constants.prec << k
+             for k in range((MAX_PRECISION // constants.prec).bit_length())]
     for final in tried:
         if final > constants.prec:
             constants = make_constants(final)

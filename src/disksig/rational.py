@@ -1,27 +1,73 @@
-"""Exact rationals in and out: coercion, "num/den" strings and decimal printing.
+"""Exact rationals in and out: coercion, parsing and decimal printing.
 
-as_rat coerces ints, Fractions and "num/den" strings; rat_str writes a
-rational as "num/den".  decimal_up, decimal_nearest and decimal_parts
-print exact values in decimal on the standard library's decimal
-division, which rounds the exact quotient correctly; decimal_digits is
-the digit count printed for a given number of bits.  Every layer reads
-these from here, so a subcommand that only prints rationals executes
-no polynomial code.
+parse_rat reads a rational from "num/den" or an exact decimal such as
+"2.82" or "1e-6", and refuses one whose numerator or denominator would
+pass MAX_DIGITS digits (too_many_digits), deciding a long exponent
+before it builds the integer; it is the one reader of text rationals:
+as_rat on strings, RealBall.from_json and the command line's options
+read through it, so a file or an option costs bounded work.  as_rat
+coerces ints, Fractions and such strings; rat_str writes a rational as
+"num/den".  decimal_up, decimal_nearest and decimal_parts print exact
+values in decimal on the standard library's decimal division, which
+rounds the exact quotient correctly; decimal_digits is the digit count
+printed for a given number of bits.  Every layer reads these from here,
+so a subcommand that only prints rationals executes no polynomial code.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from . import MAX_DIGITS
+
+
+def too_many_digits(q: Fraction) -> bool:
+    """Whether q's numerator or denominator has more than MAX_DIGITS digits."""
+    n = max(abs(q.numerator), q.denominator)
+    # 2^(3k) < 10^k, so the power of ten is built only for a huge n
+    return n.bit_length() > 3 * MAX_DIGITS and n >= 10 ** MAX_DIGITS
+
+
+def parse_rat(text: str) -> Fraction:
+    """Rational from "num/den" or an exact decimal like "2.82" / "1e-6".
+
+    Raises ValueError for malformed text, for a decimal exponent past
+    MAX_DIGITS plus the number of digits (the numerator or denominator
+    would pass MAX_DIGITS digits anyway), refused before any power of
+    ten is built, and for a numerator or denominator of more than
+    MAX_DIGITS digits.
+    """
+    try:
+        if "/" in text:
+            q = Fraction(text)
+        else:
+            from decimal import Decimal  # decimal text only
+
+            value = Decimal(text)
+            _, digits, exponent = value.as_tuple()
+            # beyond this the numerator or denominator passes MAX_DIGITS
+            # digits anyway; refusing first never builds a huge integer
+            too_long = value.is_finite() and abs(exponent) > MAX_DIGITS + len(digits)
+            q = None if too_long else Fraction(value)
+    except (ValueError, ArithmeticError) as exc:
+        raise ValueError(f"not a rational: {text!r}") from exc
+    if q is None:
+        raise ValueError(f"exponent out of range: {text!r}")
+    if too_many_digits(q):
+        raise ValueError(
+            f"more than {MAX_DIGITS} digits in numerator or denominator: {text!r}")
+    return q
+
 
 def as_rat(x) -> Fraction:
-    """Coerce ints, Fractions and 'num/den' strings to Fraction."""
+    """Coerce ints, Fractions and "num/den" or decimal strings (parse_rat)
+    to Fraction."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        return parse_rat(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
 

@@ -6,6 +6,7 @@ membership queries go through the exact Fraction endpoints, so these
 tests involve no floating comparison at all.
 """
 
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -13,8 +14,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import from_rational
 
+from disksig import MAX_DIGITS
 from disksig.balls import ComplexBall, RealBall, _from_rational
-from disksig.rational import decimal_up
+from disksig.rational import (decimal_digits, decimal_parts, decimal_up, parse_rat,
+                              rat_str)
 
 mids = st.fractions(min_value=-100, max_value=100, max_denominator=10 ** 6)
 rads = st.fractions(min_value=0, max_value=2, max_denominator=10 ** 4)
@@ -189,6 +192,49 @@ def test_decimal_parts_enclose():
                         ("+3.25E-7", F(325, 10 ** 9))):
         ball = RealBall.from_json({"mid": text, "rad": "0"})
         assert ball.contains(value) and ball.rad_fraction() < F(1, 2 ** 100)
+
+
+# the precisions the command line's balls are printed at: its floor, the
+# default, the benchmark's high precision and its ceiling
+PRINT_PRECISIONS = (53, 128, 512, 8192)
+
+
+def parses_back(text: str) -> bool:
+    """Whether the one text parser reads text as its exact decimal value."""
+    return parse_rat(text) == F(Decimal(text))
+
+
+# midpoints of magnitude 2^-3000 .. 2^3000 (|J_0| at the largest `bessel`
+# point, 1000i, is about 10^432), so at 8192 bits the radii go down to
+# about 2^-8192 = 1.7e-2466 times the midpoint
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(prec=st.sampled_from(PRINT_PRECISIONS),
+       num=st.integers(-10 ** 30, 10 ** 30), den=st.integers(1, 10 ** 30),
+       exp=st.integers(-3000, 3000), rad_bits=st.integers(-8, 8300))
+def test_printed_balls_parse_back_exactly(prec, num, den, exp, rad_bits):
+    mid = F(num, den) * F(2) ** exp
+    ball = RealBall.from_mid_rad(mid, abs(mid) / F(2) ** rad_bits, prec)
+    printed = ball.to_json()
+    assert all(parses_back(text) for text in printed.values())
+    back = RealBall.from_json(printed)
+    assert back.lower() <= ball.lower() and ball.upper() <= back.upper()
+    # the exact enclosure `compare` prints, with a ball's midpoint digits
+    lo, hi = sorted((mid, mid + abs(mid) / F(2) ** rad_bits))
+    assert all(parses_back(text)
+               for text in decimal_parts(lo, hi, decimal_digits(prec)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(num=st.integers(-(10 ** MAX_DIGITS - 1), 10 ** MAX_DIGITS - 1),
+       den=st.integers(1, 10 ** MAX_DIGITS - 1))
+def test_printed_rationals_parse_back_up_to_the_digit_limit(num, den):
+    q = F(num, den)
+    assert parse_rat(rat_str(q)) == q
+    for edge in (F(10 ** MAX_DIGITS - 1), F(1, 10 ** MAX_DIGITS - 1)):
+        assert parse_rat(rat_str(edge)) == edge
+    # one digit more is refused (by Python's own limit from 3.11 on)
+    with pytest.raises(ValueError):
+        parse_rat("1/1" + "0" * MAX_DIGITS)
 
 
 def fraction_to_dec_up_by_scaling(q: F) -> str:

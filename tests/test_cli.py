@@ -585,15 +585,15 @@ def test_pole_rejects_zero_width(tmp_path):
 def test_ball_layer_caps_admit_documented_inputs():
     # README, tests and benchmark go down to width 1e-30 and up to 512 bits
     assert cli.MIN_POLE_WIDTH <= F(1, 10 ** 30)
-    assert cli.MAX_PRECISION >= 512
+    assert disksig.MAX_PRECISION >= 512
     # the README's `bessel --re 3/2`, and --terms as long as the series
     # auto-selected there at the largest precision
     from disksig.balls import ComplexBall
     from disksig.bessel import _auto_terms
 
     assert cli.MAX_BESSEL_ABS >= F(3, 2)
-    point = ComplexBall.from_rationals(F(3, 2), F(0), cli.MAX_PRECISION)
-    assert cli.MAX_BESSEL_TERMS >= _auto_terms(point, cli.MAX_PRECISION)
+    point = ComplexBall.from_rationals(F(3, 2), F(0), disksig.MAX_PRECISION)
+    assert cli.MAX_BESSEL_TERMS >= _auto_terms(point, disksig.MAX_PRECISION)
     # the README's `bessel --pairing 141/50`, and the whole (5/2, 3) the
     # pole search and the benchmark evaluate d on
     assert cli.MAX_PAIRING_ABS >= 3
@@ -603,11 +603,11 @@ def test_ball_layer_caps_admit_documented_inputs():
     ("pole", "--width", "1e-101"),
     ("pole", "--width", "1e-100000"),
     ("pole", "--width", "1e-1000000000"),
-    ("pole", "--precision", str(cli.MAX_PRECISION + 1)),
+    ("pole", "--precision", str(disksig.MAX_PRECISION + 1)),
     ("pole", "--precision", "100000000"),
-    ("bessel", "--pairing", "3", "--precision", str(cli.MAX_PRECISION + 1)),
+    ("bessel", "--pairing", "3", "--precision", str(disksig.MAX_PRECISION + 1)),
     ("compare", "--lambda", "1", "--levels", "4",
-     "--precision", str(cli.MAX_PRECISION + 1)),
+     "--precision", str(disksig.MAX_PRECISION + 1)),
     ("compare", "--lambda", "1e-1000000000", "--levels", "4"),
     ("pole", "--width", "abc"),
     ("bessel", "--re", str(cli.MAX_BESSEL_ABS + 1)),
@@ -665,7 +665,7 @@ def test_exact_output_past_the_digit_limit_is_a_usage_error(tmp_path, capsys, ar
     rc, _ = run(tmp_path, *argv)
     assert time.perf_counter() - t0 < 5.0
     assert rc == 2
-    assert f"more than {cli._MAX_DIGITS} digits" in capsys.readouterr().err
+    assert f"more than {disksig.MAX_DIGITS} digits" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -109,6 +109,33 @@ def test_every_function_in_src_has_a_caller_outside_the_tests():
         {"m"}) == ["a.py: f"]
 
 
+@pytest.mark.parametrize("bits, refusal", [
+    (disksig.MIN_PRECISION - 1, "precision below 53 bits"),
+    (disksig.MAX_PRECISION + 1, "precision above 8192 bits")])
+def test_layers_refuse_a_precision_out_of_range_before_any_work(monkeypatch, bits,
+                                                                 refusal):
+    # every entry that takes a working precision refuses one outside the
+    # package's range, as the command line's --precision does, before it
+    # builds a ball, a series or a bracket
+    from fractions import Fraction
+
+    from disksig import balls, bessel, exactseries, polefinder
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before the precision check")
+
+    monkeypatch.setattr(balls.RealBall, "from_int", no_work)
+    monkeypatch.setattr(balls.RealBall, "from_rational", no_work)
+    monkeypatch.setattr(exactseries, "_dyadic_outward", no_work)
+    monkeypatch.setattr(polefinder, "exact_bracket", no_work)
+    for call in (lambda: bessel.make_constants(bits),
+                 lambda: bessel.bessel_j(0, 1, prec=bits),
+                 lambda: exactseries.enclose_center(1, bits),
+                 lambda: polefinder.locate_pole(Fraction(1, 100), bits)):
+        with pytest.raises(ValueError, match=refusal):
+            call()
+
+
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         disksig.no_such_name

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import groupby
@@ -11,6 +12,7 @@ import pytest
 
 import disksig.exactseries as exactseries
 import disksig.polefinder as polefinder
+from disksig import MAX_PRECISION
 from disksig.balls import RealBall
 from disksig.bessel import d_lambda, make_constants, series_terms
 from disksig.cli import main
@@ -88,10 +90,26 @@ def test_sign_that_never_certifies_is_inconclusive(monkeypatch):
     monkeypatch.setattr(polefinder, "d_lambda", straddling)
     with pytest.raises(InconclusiveSign):
         locate_pole(F(1, 100))
-    # both stored endpoints at the requested precision, doubled
-    # _MAX_ESCALATIONS times
-    assert precs == [128 << k for k in range(polefinder._MAX_ESCALATIONS + 1)
-                     for _ in range(2)]
+    # both stored endpoints at the requested precision, doubled while the
+    # doubled precision stays at most MAX_PRECISION: 128 .. 8192 bits
+    assert 128 << 6 == MAX_PRECISION
+    assert precs == [128 << k for k in range(7) for _ in range(2)]
+
+
+@pytest.mark.parametrize("precision, ladder", [
+    (53, [53 << k for k in range(8)]), (4096, [4096, 8192]), (5000, [5000]),
+    (8192, [8192])])
+def test_escalation_stops_at_the_precision_cap(monkeypatch, precision, ladder):
+    precs = []
+
+    def straddling(lam, constants, prec=None):
+        precs.append(constants.prec)
+        return RealBall.from_interval(-1, 1)
+
+    monkeypatch.setattr(polefinder, "d_lambda", straddling)
+    with pytest.raises(InconclusiveSign, match=f"up to {ladder[-1]} bits"):
+        locate_pole(F(1, 100), precision=precision)
+    assert precs == [prec for prec in ladder for _ in range(2)]
 
 
 def test_series_term_cap_is_inconclusive(monkeypatch):
@@ -226,6 +244,9 @@ TAMPERINGS = {
     "precision-below-53-bits": (
         lambda c: {"precision": 7},
         "precision below 53 bits"),
+    "precision-above-8192-bits": (
+        lambda c: {"precision": 2 ** 20},
+        "precision above 8192 bits"),
     "series-terms-changed": (
         lambda c: {"series_terms": 1},
         "series_terms differs from the length selected at bracket_hi"),
@@ -257,6 +278,27 @@ def test_certificate_tampering_is_detected(tamper, failure):
     cert = locate_pole(F(1, 1000))
     obj = replace(cert, **tamper(cert)).to_json()
     assert PoleCertificate.from_json(obj).verify() == [failure]
+
+
+def test_replay_of_a_huge_precision_is_bounded():
+    # verify builds no constants at a precision make_constants refuses;
+    # unbounded, 2^20 bits ran past 55 s
+    cert = locate_pole(F(1, 1000))
+    t0 = time.perf_counter()
+    assert replace(cert, precision=2 ** 20).verify() == ["precision above 8192 bits"]
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_replay_of_a_huge_exponent_is_refused():
+    # from_json refuses a decimal whose denominator would pass MAX_DIGITS
+    # digits before it builds the power of ten; unbounded, this ball did
+    # not finish in 20 s
+    obj = locate_pole(F(1, 1000)).to_json()
+    obj["d_lo"] = {"mid": "1e-1000000", "rad": "0"}
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="exponent out of range"):
+        PoleCertificate.from_json(obj)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_verify_reports_an_uncertified_exact_sign(monkeypatch):

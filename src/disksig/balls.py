@@ -35,8 +35,8 @@ from mpmath.libmp import (from_int, from_man_exp, from_rational, fzero,
                           mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_mul,
                           mpf_neg, mpf_shift, mpf_sqrt, mpf_sub, to_str)
 
-from . import DEFAULT_PREC
-from .rational import decimal_digits, decimal_up, parse_rat
+from . import DEFAULT_PREC, MAX_DIGITS
+from .rational import decimal_digits, decimal_up
 
 RADPREC = 30  # radii are coarse by design; only their upper bound matters
 
@@ -69,6 +69,49 @@ def _from_rational(p: int, q: int, prec: int, rnd: str):
     tp = (p & -p).bit_length() - 1
     tq = (q & -q).bit_length() - 1
     return mpf_shift(from_rational(p >> tp, q >> tq, prec, rnd), tp - tq)
+
+
+def _pow10(k: int, prec: int, rnd: str):
+    """10^k (k >= 0) with every product rounded in direction rnd ("d" or
+    "u") at prec bits, so it lies on that side of the exact power: the
+    factors are positive, so each rounding only moves the same way.  It
+    takes O(log k) products, whatever the size of k."""
+    power, square = from_int(1), from_int(10)
+    while k:
+        if k & 1:
+            power = mpf_mul(power, square, prec, rnd)
+        k >>= 1
+        square = mpf_mul(square, square, prec, rnd)
+    return power
+
+
+def _decimal_bounds(value, prec: int) -> tuple:
+    """(lo, hi), floats of prec bits with lo <= value <= hi, for a finite
+    Decimal: its digits times a power of ten rounded outward (_pow10)."""
+    sign, digits, exponent = value.as_tuple()
+    man = from_int(int("".join(map(str, digits))))
+    if exponent >= 0:
+        lo = mpf_mul(man, _pow10(exponent, prec, "d"), prec, "d")
+        hi = mpf_mul(man, _pow10(exponent, prec, "u"), prec, "u")
+    else:
+        lo = mpf_div(man, _pow10(-exponent, prec, "u"), prec, "d")
+        hi = mpf_div(man, _pow10(-exponent, prec, "d"), prec, "u")
+    return (mpf_neg(hi), mpf_neg(lo)) if sign else (lo, hi)
+
+
+def _ball_decimal(text):
+    """A ball string as a finite Decimal of at most MAX_DIGITS digits."""
+    from decimal import Decimal, InvalidOperation  # reading balls only
+
+    try:
+        value = Decimal(text) if isinstance(text, str) else None
+    except InvalidOperation:
+        value = None
+    if value is None or not value.is_finite():
+        raise ValueError(f"not a decimal: {text!r}")
+    if len(value.as_tuple().digits) > MAX_DIGITS:
+        raise ValueError(f"more than {MAX_DIGITS} digits: {text!r}")
+    return value
 
 
 def _rup_add(a, b):
@@ -147,11 +190,13 @@ class RealBall:
         return self.lower() <= 0 <= self.upper()
 
     def is_negative(self) -> bool:
-        """True when every point of the ball is < 0."""
-        return self.upper() < 0
+        """True when every point of the ball is < 0: mid < -rad, compared
+        exactly on the floats, so a ball read with a huge exponent
+        (from_json) builds no huge Fraction."""
+        return mpf_cmp(self.mid, mpf_neg(self.rad)) < 0
 
     def is_positive(self) -> bool:
-        return self.lower() > 0
+        return mpf_cmp(self.mid, self.rad) > 0
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -255,11 +300,21 @@ class RealBall:
         """The ball to_json printed, its midpoint at DEFAULT_PREC bits and
         the rounding added to its radius, so it contains the printed one.
 
-        Both strings are read by rational.parse_rat, so a string it
-        refuses (a numerator or denominator past MAX_DIGITS digits, such
-        as "1e-1000000") raises ValueError before any power of ten is
-        built."""
-        return cls.from_mid_rad(parse_rat(obj["mid"]), parse_rat(obj["rad"]))
+        Each string must be a decimal of at most MAX_DIGITS digits (to_json
+        prints at most decimal_digits(MAX_PRECISION) = 2469), or ValueError
+        is raised.  No power of ten is built exactly: _decimal_bounds
+        rounds it outward in O(log |exponent|) products, so a ball of any
+        exponent, such as the radius of a long `bessel --terms` tail at a
+        tiny point, is read at bounded cost.
+        """
+        mid, rad = (_ball_decimal(obj[key]) for key in ("mid", "rad"))
+        if rad < 0:
+            raise ValueError("negative radius")
+        # guard bits for the roundings of the power: fewer than 2^7 of them
+        # for any exponent a Decimal holds (|exponent| < 10^18)
+        prec = DEFAULT_PREC + 32
+        base = cls._from_mpf_endpoints(*_decimal_bounds(mid, prec), DEFAULT_PREC)
+        return cls(base.mid, _rup_add(base.rad, _decimal_bounds(rad, prec)[1]))
 
 
 def _nonneg_part(b: RealBall, prec: int) -> RealBall:

@@ -63,7 +63,7 @@ import time
 from fractions import Fraction
 
 from . import (DEFAULT_PREC, DEFAULT_SEED, MAX_DIGITS, MAX_PRECISION, MIN_PRECISION,
-               __version__)
+               __version__, check_precision)
 from ._lazy import lazy_import
 
 # every layer is registered at once and runs its module code on first use,
@@ -128,9 +128,11 @@ def _parse_rat(text: str) -> Fraction:
 
 
 def _check_precision(prec: int) -> int:
-    if not MIN_PRECISION <= prec <= MAX_PRECISION:
-        raise UsageError(f"--precision must be in {MIN_PRECISION}..{MAX_PRECISION}")
-    return prec
+    try:
+        return check_precision(prec)
+    except ValueError:
+        raise UsageError(
+            f"--precision must be in {MIN_PRECISION}..{MAX_PRECISION}") from None
 
 
 def _atomic_write(path: str, text: str) -> None:

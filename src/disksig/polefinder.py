@@ -17,9 +17,11 @@ evaluation; they also re-certify the exact route's endpoint
 signs on the ball route, and the two must agree.  PoleCertificate.verify
 re-derives those exact signs from the stored bracket, so balls copied
 from another bracket do not pass.  A certificate read from JSON costs
-bounded work: from_json reads its rationals and balls through
-rational.parse_rat, which refuses a numerator or denominator past
-MAX_DIGITS digits, and verify reports a stored precision outside
+bounded work: from_json reads its rationals through rational.parse_rat,
+which refuses a numerator or denominator past MAX_DIGITS digits, and its
+balls through RealBall.from_json, which encloses a decimal of any
+exponent in O(log |exponent|) products; verify compares those balls'
+floats with zero directly and reports a stored precision outside
 MIN_PRECISION..MAX_PRECISION as a failure line, evaluating no ball at
 it.
 

@@ -3,11 +3,12 @@
 parse_rat reads a rational from "num/den" or an exact decimal such as
 "2.82" or "1e-6", and refuses one whose numerator or denominator would
 pass MAX_DIGITS digits (too_many_digits), deciding a long exponent
-before it builds the integer; it is the one reader of text rationals:
-as_rat on strings, RealBall.from_json and the command line's options
-read through it, so a file or an option costs bounded work.  as_rat
-coerces ints, Fractions and such strings; rat_str writes a rational as
-"num/den".  decimal_up, decimal_nearest and decimal_parts print exact
+before it builds the integer, and refusing a value that is not a str;
+it is the one reader of text rationals: as_rat on strings and the
+command line's options read through it, so a file or an option costs
+bounded work (a ball's decimal strings are enclosed, not read exactly,
+by balls.RealBall.from_json).  as_rat coerces ints, Fractions and such
+strings; rat_str writes a rational as "num/den".  decimal_up, decimal_nearest and decimal_parts print exact
 values in decimal on the standard library's decimal division, which
 rounds the exact quotient correctly; decimal_digits is the digit count
 printed for a given number of bits.  Every layer reads these from here,
@@ -35,8 +36,10 @@ def parse_rat(text: str) -> Fraction:
     MAX_DIGITS plus the number of digits (the numerator or denominator
     would pass MAX_DIGITS digits anyway), refused before any power of
     ten is built, and for a numerator or denominator of more than
-    MAX_DIGITS digits.
+    MAX_DIGITS digits, and for a value that is not a str.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"not a rational: {text!r}")
     try:
         if "/" in text:
             q = Fraction(text)

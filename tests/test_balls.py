@@ -6,6 +6,7 @@ membership queries go through the exact Fraction endpoints, so these
 tests involve no floating comparison at all.
 """
 
+import time
 from decimal import Decimal
 from fractions import Fraction as F
 
@@ -204,24 +205,88 @@ def parses_back(text: str) -> bool:
     return parse_rat(text) == F(Decimal(text))
 
 
-# midpoints of magnitude 2^-3000 .. 2^3000 (|J_0| at the largest `bessel`
-# point, 1000i, is about 10^432), so at 8192 bits the radii go down to
-# about 2^-8192 = 1.7e-2466 times the midpoint
+# midpoints of magnitude 2^-14600 .. 2^1450, from J_1 at the smallest
+# `bessel` point (--re 1e-4299, J_1 about 5e-4300 = 2^-14285) to J_0 at
+# the largest (1000i, about 10^432), with radii down to 2^-8300 times the
+# midpoint, and zero midpoints with radii down to 2^-100000 (a `--terms`
+# tail at a tiny point prints such radii; "6.23e-1720471" is read in
+# test_far_bessel_balls_are_read_outward)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(prec=st.sampled_from(PRINT_PRECISIONS),
+       num=st.integers(-10 ** 30, 10 ** 30), den=st.integers(1, 10 ** 30),
+       exp=st.integers(-14600, 1450), rad_bits=st.integers(-8, 8300),
+       zero_rad_bits=st.one_of(st.none(), st.integers(0, 100000)))
+def test_printed_balls_read_back(prec, num, den, exp, rad_bits, zero_rad_bits):
+    if zero_rad_bits is None:
+        mid = F(num, den) * F(2) ** exp
+        ball = RealBall.from_mid_rad(mid, abs(mid) / F(2) ** rad_bits, prec)
+    else:
+        ball = RealBall.from_mid_rad(0, F(1, 2 ** zero_rad_bits), prec)
+    printed = ball.to_json()
+    back = RealBall.from_json(printed)
+    pm, pr = (F(Decimal(printed[key])) for key in ("mid", "rad"))
+    # the read ball contains the printed one, which contains the ball
+    assert back.lower() <= pm - pr and pm + pr <= back.upper()
+    assert back.lower() <= ball.lower() and ball.upper() <= back.upper()
+    # and is wider by at most a rounding of its midpoint to DEFAULT_PREC
+    # bits and of its radius to 30 bits
+    assert back.rad_fraction() <= pr * (1 + F(1, 2 ** 28)) + abs(pm) / F(2) ** 126
+
+
+# the exact enclosures `compare` prints, at magnitudes 2^-3000..2^3000
+# and a ball's midpoint digits, parse back exactly
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(prec=st.sampled_from(PRINT_PRECISIONS),
        num=st.integers(-10 ** 30, 10 ** 30), den=st.integers(1, 10 ** 30),
        exp=st.integers(-3000, 3000), rad_bits=st.integers(-8, 8300))
-def test_printed_balls_parse_back_exactly(prec, num, den, exp, rad_bits):
+def test_printed_enclosures_parse_back_exactly(prec, num, den, exp, rad_bits):
     mid = F(num, den) * F(2) ** exp
-    ball = RealBall.from_mid_rad(mid, abs(mid) / F(2) ** rad_bits, prec)
-    printed = ball.to_json()
-    assert all(parses_back(text) for text in printed.values())
-    back = RealBall.from_json(printed)
-    assert back.lower() <= ball.lower() and ball.upper() <= back.upper()
-    # the exact enclosure `compare` prints, with a ball's midpoint digits
     lo, hi = sorted((mid, mid + abs(mid) / F(2) ** rad_bits))
     assert all(parses_back(text)
                for text in decimal_parts(lo, hi, decimal_digits(prec)))
+
+
+@pytest.mark.parametrize("obj", [
+    # `bessel --nu 1 --re 1e-4299` at 128 bits, its real and imaginary parts
+    {"mid": "5.000000000000000000000000000000000000011e-4300", "rad": "5.78e-4338"},
+    {"mid": "0.0", "rad": "2.51e-8599"},
+    # the imaginary part of the same point with --terms 200
+    {"mid": "0.0", "rad": "6.23e-1720471"},
+    # no package output is this far; it is read in O(log |exponent|)
+    {"mid": "-1e-999999999999999999", "rad": "1e-999999999999999999"},
+], ids=["bessel-tiny-re", "bessel-tiny-im", "bessel-terms-im", "extreme-exponent"])
+def test_far_bessel_balls_are_read_outward(obj):
+    t0 = time.perf_counter()
+    back = RealBall.from_json(obj)
+    assert time.perf_counter() - t0 < 0.1
+    # compare the read endpoints with the printed ones on integers: with
+    # the printed decimal m 10^-k, lower <= m 10^-k iff lower 10^k <= m
+    (_, mid_digits, mid_exp), (_, rad_digits, rad_exp) = (
+        Decimal(obj[key]).as_tuple() for key in ("mid", "rad"))
+    if -rad_exp < 10 ** 7:
+        printed_rad = F(int("".join(map(str, rad_digits))), 10 ** -rad_exp)
+        if mid_digits == (0,):
+            assert back.mid_fraction() == 0 and back.rad_fraction() >= printed_rad
+        else:
+            printed_mid = F(int("".join(map(str, mid_digits))), 10 ** -mid_exp)
+            assert back.lower() <= printed_mid - printed_rad
+            assert printed_mid + printed_rad <= back.upper()
+    else:
+        # sign only: the ball straddles zero whatever its width
+        assert not back.is_negative() and not back.is_positive()
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"mid": 1.5, "rad": "0"}, "not a decimal"),
+    ({"mid": "0", "rad": 0}, "not a decimal"),
+    ({"mid": "1/3", "rad": "0"}, "not a decimal"),
+    ({"mid": "NaN", "rad": "0"}, "not a decimal"),
+    ({"mid": "1", "rad": "-1e-9000"}, "negative radius"),
+    ({"mid": "1" * (MAX_DIGITS + 1), "rad": "0"}, f"more than {MAX_DIGITS} digits"),
+])
+def test_ball_text_refusals(obj, message):
+    with pytest.raises(ValueError, match=message):
+        RealBall.from_json(obj)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -235,6 +300,12 @@ def test_printed_rationals_parse_back_up_to_the_digit_limit(num, den):
     # one digit more is refused (by Python's own limit from 3.11 on)
     with pytest.raises(ValueError):
         parse_rat("1/1" + "0" * MAX_DIGITS)
+
+
+@pytest.mark.parametrize("value", [1, 1.5, None, b"1/2"])
+def test_parse_rat_refuses_a_value_that_is_not_text(value):
+    with pytest.raises(ValueError, match="not a rational"):
+        parse_rat(value)
 
 
 def fraction_to_dec_up_by_scaling(q: F) -> str:

@@ -289,16 +289,27 @@ def test_replay_of_a_huge_precision_is_bounded():
     assert time.perf_counter() - t0 < 1.0
 
 
-def test_replay_of_a_huge_exponent_is_refused():
-    # from_json refuses a decimal whose denominator would pass MAX_DIGITS
-    # digits before it builds the power of ten; unbounded, this ball did
-    # not finish in 20 s
+@pytest.mark.parametrize("mid", ["1e-1000000", "-1e-999999999999999999"])
+def test_replay_of_a_huge_exponent_is_bounded(mid):
+    # from_json encloses a far decimal in O(log |exponent|) products and
+    # verify compares the floats, so neither builds the power of ten;
+    # read exactly, "1e-1000000" did not finish in 20 s.  A midpoint that
+    # small, with a radius as large, is not certified negative.
     obj = locate_pole(F(1, 1000)).to_json()
-    obj["d_lo"] = {"mid": "1e-1000000", "rad": "0"}
+    obj["d_lo"] = {"mid": mid, "rad": mid.lstrip("-")}
     t0 = time.perf_counter()
-    with pytest.raises(ValueError, match="exponent out of range"):
-        PoleCertificate.from_json(obj)
+    failures = PoleCertificate.from_json(obj).verify()
     assert time.perf_counter() - t0 < 1.0
+    assert failures == ["d at lower endpoint not certified negative"]
+
+
+@pytest.mark.parametrize("ball", [{"mid": "-1.5", "rad": 0}, {"mid": -1.5, "rad": "0"}],
+                         ids=["numeric-rad", "numeric-mid"])
+def test_replay_of_a_numeric_ball_is_refused(ball):
+    obj = locate_pole(F(1, 1000)).to_json()
+    obj["d_lo"] = ball
+    with pytest.raises(ValueError, match="not a decimal"):
+        PoleCertificate.from_json(obj)
 
 
 def test_verify_reports_an_uncertified_exact_sign(monkeypatch):

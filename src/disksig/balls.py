@@ -62,8 +62,8 @@ def _ulp(res, prec):
 def _from_rational(p: int, q: int, prec: int, rnd: str):
     """p/q (q > 0) correctly rounded, as mpmath's from_rational, with the
     factors of 2 split off first: mpmath strips trailing zero bits a byte
-    at a time, which costs milliseconds per call on the huge powers of ten
-    in the exact tail bound of a tiny argument."""
+    at a time, which costs milliseconds per call on a huge power of ten
+    such as the denominator of a tiny argument 10^-4299."""
     if p == 0:
         return fzero
     tp = (p & -p).bit_length() - 1
@@ -187,7 +187,7 @@ class RealBall:
         return self.lower() <= Fraction(q) <= self.upper()
 
     def contains_zero(self) -> bool:
-        return self.lower() <= 0 <= self.upper()
+        return not (self.is_negative() or self.is_positive())
 
     def is_negative(self) -> bool:
         """True when every point of the ball is < 0: mid < -rad, compared

@@ -21,13 +21,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+
+from mpmath.libmp import (from_int, from_man_exp, fzero, mpf_add, mpf_cmp,
+                          mpf_div, mpf_mul, mpf_pos, mpf_shift, mpf_sub)
 
 from . import check_precision
-from .balls import DEFAULT_PREC, ComplexBall, RealBall
+from .balls import DEFAULT_PREC, RADPREC, ComplexBall, RealBall
 from .rational import as_rat
 
 _HALF = Fraction(1, 2)
+_MANT = 64  # mantissa bits of the tail bound's floats
 
 
 def _as_real_ball(x, prec: int) -> RealBall:
@@ -42,54 +45,47 @@ def _as_complex_ball(x, prec: int) -> ComplexBall:
     return ComplexBall.from_real(_as_real_ball(x, prec))
 
 
-def bessel_tail_bound(x: ComplexBall, n: int) -> RealBall:
-    """Upper bound for the series tail of J0 or J1 truncated before term n.
-
-    Both tails are dominated by the geometric bound
-        (1 - |x|^2/(2n+2)^2)^(-1) * |x/2|^(2n) / n!^2,
-    computed here in exact rationals from an upper bound of |x|, where x
-    is a complex ball.  Requires |x| < 2(n+1).
+def _tail_bounds(x: ComplexBall):
+    """Yield (n, T_n) for every n >= 0 with |x| < 2(n+1), T_n a raw mpf
+    bounding the tail of J0 or J1 truncated before term n:
+        T_n >= (1 - |x/2|^2/(n+1)^2)^(-1) * |x/2|^(2n) / n!^2
+    at the ball's upper bound of |x/2|^2, which is compared exactly with
+    (n+1)^2.  The rest is carried in _MANT-bit floats rounded up (down in
+    the gap it divides by), within about 3n roundings of the exact bound,
+    so the cost does not grow with the digits of x.
     """
+    b = x.abs2()
+    q = mpf_shift(mpf_add(b.mid, b.rad), -2)  # exact: the sum is not rounded
+    q_up = mpf_pos(q, _MANT, "u")
+    term, n = from_int(1), 0  # |x/2|^(2n) / n!^2, rounded up
+    while True:
+        edge = from_int((n + 1) ** 2)
+        if mpf_cmp(q, edge) < 0:
+            gap = mpf_sub(edge, q, _MANT, "d")
+            yield n, mpf_mul(term, mpf_div(edge, gap, _MANT, "u"), _MANT, "u")
+        n += 1
+        term = mpf_div(mpf_mul(term, q_up, _MANT, "u"), from_int(n * n), _MANT, "u")
+
+
+def _terms_and_tail(x: ComplexBall, n_terms: int | None = None,
+                    prec: int = DEFAULT_PREC) -> tuple:
+    """(n, T_n) of one _tail_bounds pass at n = n_terms (ValueError if
+    |x| >= 2(n_terms + 1)), or at the first n >= 1 with T_n < 2^(10 - prec)."""
+    target = from_man_exp(1, 10 - prec)
+    for n, tail in _tail_bounds(x):
+        if (n_terms is None and n >= 1 and mpf_cmp(tail, target) < 0) or n == n_terms:
+            return n, tail
+        if n_terms is not None and n > n_terms:
+            break
+    raise ValueError(f"|x| >= 2(n+1) = {2 * (n_terms + 1)}; tail bound invalid")
+
+
+def bessel_tail_bound(x: ComplexBall, n: int) -> RealBall:
+    """Upper bound for the series tail of J0 or J1 truncated before term n,
+    at a complex ball x (_tail_bounds).  Requires |x| < 2(n+1)."""
     if n < 0:
         raise ValueError("negative term index")
-    xu = x.abs2().upper()  # |x|^2 upper bound, exact rational
-    if xu >= 4 * (n + 1) * (n + 1):
-        raise ValueError(f"|x| >= 2(n+1) = {2 * (n + 1)}; tail bound invalid")
-    return RealBall.from_rational(_tail_bound(xu, n))
-
-
-def _tail_bound(xu: Fraction, n: int) -> Fraction:
-    """The tail bound as an exact rational, from |x|^2 <= xu < 4(n+1)^2."""
-    first = (xu / 4) ** n / Fraction(factorial(n)) ** 2
-    geom = 1 / (1 - xu / Fraction(4 * (n + 1) * (n + 1)))
-    return first * geom
-
-
-def _auto_terms(x: ComplexBall, prec: int) -> int:
-    """Smallest n with tail bound below 2^(10 - prec).
-
-    The scan starts at the first n >= 1 with 4(n+1)^2 > |x|^2 (where the
-    bound becomes valid) and tests every n in turn; from there the bound
-    decreases in n, so the first n below the target is the answer.  With
-    |x|^2 <= p/s, each test is the exact integer comparison
-        p^n 4(n+1)^2 s 2^(prec-10) < (4s)^n n!^2 (4(n+1)^2 s - p),
-    and p^n, (4s)^n n!^2 are carried from n to n+1 by one product each
-    instead of rebuilding the bound.
-    """
-    xu2 = x.abs2().upper()
-    p, s = xu2.numerator, xu2.denominator
-    n = 1
-    while 4 * (n + 1) ** 2 <= xu2:
-        n += 1
-    num = p ** n
-    den = (4 * s) ** n * factorial(n) ** 2
-    while True:
-        m = 4 * (n + 1) ** 2 * s
-        if (num * m) << (prec - 10) < den * (m - p):
-            return n
-        n += 1
-        num *= p
-        den *= 4 * s * n * n
+    return RealBall(_terms_and_tail(x, n)[1], fzero)
 
 
 def bessel_j(nu: int, x, n_terms: int | None = None,
@@ -97,17 +93,17 @@ def bessel_j(nu: int, x, n_terms: int | None = None,
     """Enclosure of J_nu(x), nu in {0, 1}, for a complex ball argument.
 
     Partial sum of the ascending series in ball arithmetic, radius
-    inflated by bessel_tail_bound; the result contains the true value.
+    inflated by the tail bound (_tail_bounds) whose pass also picks the
+    default length; the result contains the true value.
     A prec outside MIN_PRECISION..MAX_PRECISION is refused (ValueError).
     """
     if nu not in (0, 1):
         raise ValueError("only orders 0 and 1 are implemented")
     check_precision(prec)
     x = _as_complex_ball(x, prec)
-    if n_terms is None:
-        n_terms = _auto_terms(x, prec)
-    if n_terms < 1:
+    if n_terms is not None and n_terms < 1:
         raise ValueError("need at least one term")
+    n_terms, tail = _terms_and_tail(x, n_terms, prec)
     half = x.mul_real(RealBall.from_rational(_HALF, prec), prec)
     q = half.mul(half, prec)
     if nu == 0:
@@ -120,8 +116,9 @@ def bessel_j(nu: int, x, n_terms: int | None = None,
         factor = RealBall.from_rational(Fraction(-1, den), prec)
         term = term.mul(q, prec).mul_real(factor, prec)
         acc = acc.add(term, prec)
-    tail = bessel_tail_bound(x, n_terms).upper()
-    return ComplexBall(acc.re.inflate(tail), acc.im.inflate(tail))
+    tail = mpf_pos(tail, RADPREC, "u")  # as RealBall.inflate rounds it
+    return ComplexBall(*(RealBall(b.mid, mpf_add(b.rad, tail, RADPREC, "u"))
+                         for b in (acc.re, acc.im)))
 
 
 @dataclass(frozen=True)
@@ -157,7 +154,7 @@ def series_terms(lam, constants: Constants) -> int:
     """Truncation length auto-selected for J at argument lambda*zeta."""
     prec = constants.prec
     x = _as_complex_ball(lam, prec).mul(constants.zeta, prec)
-    return _auto_terms(x, prec)
+    return _terms_and_tail(x, prec=prec)[0]
 
 
 def _remark_parts(lam, constants: Constants) -> tuple:

@@ -92,10 +92,10 @@ DEVELOPED_ORACLE_CAP = 60
 MIN_POLE_WIDTH = Fraction(1, 10 ** 100)
 # `bessel` point caps, timed on a 2-vCPU VM: the auto-selected series
 # needs more than |z|/2 terms, so at |z| = MAX_BESSEL_ABS `bessel` takes
-# about 0.9 s at 128 bits and 4.0 s (4.7 s for --nu 1) at MAX_PRECISION;
-# --terms MAX_BESSEL_TERMS takes about 0.7 s at |z| = 1 (0.9 s at
-# MAX_PRECISION), and its cost grows faster than linearly: 4000 terms
-# took 5.8 s, 20000 over 100 s
+# about 0.2 s at 128 bits and 0.7 s (either order) at MAX_PRECISION;
+# --terms MAX_BESSEL_TERMS takes about 0.2 s at |z| = 1 (0.3 s at
+# MAX_PRECISION); at a tiny point printing the radius costs the most:
+# --re 1e-4299 --terms 60 takes 4.6 s, nearly all in rational.decimal_up
 MAX_BESSEL_ABS = 1000
 MAX_BESSEL_TERMS = 1000
 # `bessel --pairing` cap, timed on a 2-vCPU VM: at |lambda| =

@@ -122,14 +122,17 @@ class PoleCertificate:
     @classmethod
     def from_json(cls, obj: dict) -> "PoleCertificate":
         lo, hi = (as_rat(s) for s in obj["bracket"])
+        for key in ("precision", "series_terms"):  # a bool, float or string is refused
+            if type(obj[key]) is not int:
+                raise ValueError(f"{key} must be a JSON integer, not {obj[key]!r}")
         return cls(
             bracket_lo=lo,
             bracket_hi=hi,
             d_lo=RealBall.from_json(obj["d_lo"]),
             d_hi=RealBall.from_json(obj["d_hi"]),
             numerator_bound=RealBall.from_json(obj["numerator_bound"]),
-            precision=int(obj["precision"]),
-            series_terms=int(obj["series_terms"]),
+            precision=obj["precision"],
+            series_terms=obj["series_terms"],
             target_width=as_rat(obj["target_width"]),
         )
 

@@ -36,6 +36,10 @@ computation the package does another way:
 - tensor_levels_bivariate solves the tensor hierarchy in the e-basis, one
   bivariate Poisson problem per word, against the univariate words in the
   letters f, fbar that hierarchy.HierarchyState.tensor_z expands;
+- bessel_tail_exact is the Bessel series' geometric tail bound as an exact
+  rational, and bessel_terms_exact scans it in exact integers for the
+  first length below 2^(10 - prec), against the rounded-up floats of
+  bessel._tail_bounds;
 - ball_bisection brackets the pole on ball signs of d at every midpoint,
   against the exact signs of exactseries.exact_bracket;
 - series_sign_integer takes the sign of E at a dyadic point from an
@@ -474,6 +478,34 @@ def tensor_levels_bivariate(n_max: int) -> list:
         assert not any(imag for _, imag in parts), n
         out.append(TensorPoly(n, [real for real, _ in parts]))
     return out
+
+
+def bessel_tail_exact(xu: Fraction, n: int) -> Fraction:
+    """(1 - xu/(2n+2)^2)^(-1) (xu/4)^n / n!^2, for |x|^2 <= xu < 4(n+1)^2."""
+    first = (xu / 4) ** n / Fraction(factorial(n)) ** 2
+    return first / (1 - xu / Fraction(4 * (n + 1) * (n + 1)))
+
+
+def bessel_terms_exact(xu: Fraction, prec: int) -> int:
+    """First n >= 1 with 4(n+1)^2 > xu and bessel_tail_exact(xu, n) below
+    2^(10 - prec).  From the first valid n the bound decreases in n; with
+    xu = p/s each test is the integer comparison
+        p^n 4(n+1)^2 s 2^(prec-10) < (4s)^n n!^2 (4(n+1)^2 s - p),
+    with p^n and (4s)^n n!^2 carried from n to n + 1 by one product each.
+    """
+    p, s = xu.numerator, xu.denominator
+    n = 1
+    while 4 * (n + 1) ** 2 <= xu:
+        n += 1
+    num = p ** n
+    den = (4 * s) ** n * factorial(n) ** 2
+    while True:
+        m = 4 * (n + 1) ** 2 * s
+        if (num * m) << (prec - 10) < den * (m - p):
+            return n
+        n += 1
+        num *= p
+        den *= 4 * s * n * n
 
 
 def ball_bisection(width: Fraction) -> tuple:

@@ -13,7 +13,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import from_rational
+from mpmath.libmp import from_man_exp, from_rational, fzero, mpf_neg
 
 from disksig import MAX_DIGITS
 from disksig.balls import ComplexBall, RealBall, _from_rational
@@ -116,6 +116,43 @@ def test_sign_predicates():
     assert pos.is_positive() and not pos.is_negative()
     assert not mixed.is_negative() and not mixed.is_positive()
     assert mixed.contains_zero()
+
+
+@pytest.mark.parametrize("mid,rad,want", [
+    ((0, 0), (0, 0), True),  # the point 0
+    ((3, -2), (0, 0), False),  # rad 0 off zero, either side
+    ((-3, -2), (0, 0), False),
+    ((3, -2), (3, -2), True),  # zero on the boundary: mid = +-rad
+    ((-3, -2), (3, -2), True),
+    ((3, -2), (1, -1), False),
+    ((-3, -2), (1, -1), False),
+])
+def test_contains_zero_at_the_sign_edges(mid, rad, want):
+    def mpf(man_exp):
+        man, exp = man_exp
+        value = from_man_exp(abs(man), exp) if man else fzero
+        return mpf_neg(value) if man < 0 else value
+
+    ball = RealBall(mpf(mid), mpf(rad))
+    assert ball.contains_zero() is want
+    assert (ball.lower() <= 0 <= ball.upper()) is want
+    assert ball.contains_zero() is not (ball.is_negative() or ball.is_positive())
+
+
+def test_contains_zero_builds_no_rational_at_huge_exponents():
+    # endpoints of a billion bits would take far longer than the bound
+    start = time.perf_counter()
+    for e in (10 ** 9, -10 ** 9):
+        far = from_man_exp(5, e)
+        assert RealBall(far, from_man_exp(5, e)).contains_zero()  # mid = rad
+        assert not RealBall(far, from_man_exp(3, e)).contains_zero()
+        assert RealBall(mpf_neg(far), from_man_exp(1, e + 3)).contains_zero()
+    one, huge, tiny = from_man_exp(1, 0), from_man_exp(1, 10 ** 9), from_man_exp(1, -10 ** 9)
+    assert not RealBall(one, tiny).contains_zero()
+    assert RealBall(tiny, one).contains_zero()
+    assert not RealBall(mpf_neg(huge), one).contains_zero()
+    assert RealBall(one, huge).contains_zero()
+    assert time.perf_counter() - start < 0.1
 
 
 def test_sqrt_rejects_possibly_negative():

@@ -1,18 +1,20 @@
 """Bessel series, the algebraic constants, and the closed-form triple."""
 
+import time
 from fractions import Fraction as F
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from disksig.balls import ComplexBall, RealBall, mpf_to_fraction
-from disksig.bessel import (_auto_terms, _tail_bound, abc_closed_form,
-                            bessel_j, bessel_tail_bound, d_lambda,
-                            make_constants, numerator_im, pairing,
-                            remark_product, series_terms)
+from disksig.bessel import (_terms_and_tail, abc_closed_form, bessel_j,
+                            bessel_tail_bound, d_lambda, make_constants,
+                            numerator_im, pairing, remark_product,
+                            series_terms)
 from disksig.radial import radial_levels
+from reference import bessel_tail_exact, bessel_terms_exact
 
 CONSTS = make_constants(128)
 
@@ -158,6 +160,39 @@ def test_numerator_interval_argument():
     assert num.is_negative()
 
 
+# |x| on a grid over [0, 40], which includes points where the geometric
+# factor of the bound decides; off the axes, tiny and non-dyadic moduli;
+# the smallest point the command line reads, a complex one, the largest
+# one it accepts, and the pole region
+_TAIL_POINTS = (
+    [(k * F(1, 4), F(0)) for k in range(161)]
+    + [point for mag in (F(1, 10 ** 6), F(1, 3), F(7, 2), F(19, 3), F(25))
+       for point in ((F(3, 5) * mag, F(-4, 5) * mag), (F(0), mag))]
+    + [(F(1, 10 ** 4299), F(0)), (F(1, 7), F(2, 3)), (F(1000), F(0)),
+       (F(600), F(-800)), (F(283, 100) * CONSTS.zeta.abs2().upper(), F(1, 7))])
+
+
+@given(st.sampled_from(_TAIL_POINTS), st.sampled_from([53, 128, 512, 1024, 8192]))
+@example((F(1, 10 ** 4299), F(0)), 8192)
+@example((F(1, 7), F(2, 3)), 8192)
+@example((F(40), F(0)), 8192)
+@example((F(1000), F(0)), 512)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_tail_bound_and_length_match_the_exact_scan(point, prec):
+    # the dyadic bound picks the exact scan's length, and at that length
+    # lies above the exact rational bound by at most 2^-50 relative; the
+    # exact reference is slow at |x| >= 200 above 1024 bits
+    x = ComplexBall.from_rationals(*point, prec)
+    xu = x.abs2().upper()
+    if xu >= 200 ** 2 and prec > 1024:
+        return
+    n = _terms_and_tail(x, prec=prec)[0]
+    assert n == bessel_terms_exact(xu, prec)
+    exact = bessel_tail_exact(xu, n)
+    bound = bessel_tail_bound(x, n).upper()
+    assert exact <= bound <= exact * (1 + F(1, 2 ** 50))
+
+
 def _auto_terms_linear_scan(x, prec):
     """The plain scan: rebuild the exact tail bound for n = n0, n0 + 1, ..."""
     target = F(1, 2 ** (prec - 10))
@@ -165,25 +200,45 @@ def _auto_terms_linear_scan(x, prec):
     n = 1
     while 4 * (n + 1) ** 2 <= xu2:
         n += 1
-    while _tail_bound(xu2, n) >= target:
+    while bessel_tail_exact(xu2, n) >= target:
         n += 1
     return n
 
 
 @pytest.mark.parametrize("prec", [53, 128, 512, 1024])
 def test_auto_terms_matches_linear_scan(prec):
-    # |x| on a grid over [0, 40] (finer where the reference scan is cheap),
-    # which includes points where the geometric factor of the bound decides
+    # the length the dyadic bound picks on its own equals the plain scan of
+    # the exact bound, over [0, 40] (finer where the scan is cheap), off the
+    # axes, at tiny and non-dyadic moduli, and in the pole region
     step = F(1, 4) if prec <= 128 else F(1)
     grid = [k * step for k in range(int(40 / step) + 1)]
     points = [(mag, F(0)) for mag in grid]
-    # off the axes, tiny and non-dyadic moduli, and the pole region
     for mag in (F(1, 10 ** 6), F(1, 3), F(7, 2), F(19, 3), F(25)):
         points += [(F(3, 5) * mag, F(-4, 5) * mag), (F(0), mag)]
     points.append((F(283, 100) * CONSTS.zeta.abs2().upper(), F(1, 7)))
     for re_q, im_q in points:
         x = ComplexBall.from_rationals(re_q, im_q, prec)
-        assert _auto_terms(x, prec) == _auto_terms_linear_scan(x, prec)
+        assert _terms_and_tail(x, prec=prec)[0] == _auto_terms_linear_scan(x, prec)
+
+
+def test_tail_bound_edge_is_exact():
+    # |x|^2 within 2^-80 relative of 4(n+1)^2 rounds up onto it at 64
+    # bits; the bound still holds there, and only |x| >= 2(n+1) is refused
+    x = ComplexBall.from_rationals(6 - F(1, 10 ** 26), F(0))
+    xu = x.abs2().upper()
+    exact = bessel_tail_exact(xu, 2)
+    assert exact <= bessel_tail_bound(x, 2).upper() <= exact * (1 + F(1, 2 ** 50))
+    with pytest.raises(ValueError, match="tail bound invalid"):
+        bessel_tail_bound(ComplexBall.from_rationals(F(6), F(0)), 2)
+
+
+def test_tail_bound_work_does_not_grow_with_the_digits_of_x():
+    # |x|^2 is about 2^-28563 here; its n-th power is carried as a float
+    # with a large exponent, not as a rational of 28563 n bits
+    start = time.perf_counter()
+    ball = bessel_j(1, F(1, 10 ** 4299), n_terms=1000)
+    assert time.perf_counter() - start < 1
+    assert ball.re.contains(F(1, 2 * 10 ** 4299))
 
 
 def test_d_and_numerator_equal_the_separate_routes():

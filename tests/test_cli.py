@@ -589,11 +589,11 @@ def test_ball_layer_caps_admit_documented_inputs():
     # the README's `bessel --re 3/2`, and --terms as long as the series
     # auto-selected there at the largest precision
     from disksig.balls import ComplexBall
-    from disksig.bessel import _auto_terms
+    from disksig.bessel import _terms_and_tail
 
     assert cli.MAX_BESSEL_ABS >= F(3, 2)
     point = ComplexBall.from_rationals(F(3, 2), F(0), disksig.MAX_PRECISION)
-    assert cli.MAX_BESSEL_TERMS >= _auto_terms(point, disksig.MAX_PRECISION)
+    assert cli.MAX_BESSEL_TERMS >= _terms_and_tail(point, prec=disksig.MAX_PRECISION)[0]
     # the README's `bessel --pairing 141/50`, and the whole (5/2, 3) the
     # pole search and the benchmark evaluate d on
     assert cli.MAX_PAIRING_ABS >= 3

@@ -312,6 +312,17 @@ def test_replay_of_a_numeric_ball_is_refused(ball):
         PoleCertificate.from_json(obj)
 
 
+@pytest.mark.parametrize("field", ["precision", "series_terms"])
+@pytest.mark.parametrize("raw", ["Infinity", "1.9", "true", '"128"'])
+def test_replay_of_a_non_integer_count_is_refused(field, raw):
+    # coerced with int(), Infinity raised OverflowError, 1.9 and true
+    # became 1 and "128" was read as 128
+    obj = locate_pole(F(1, 1000)).to_json()
+    obj[field] = json.loads(raw)
+    with pytest.raises(ValueError, match=f"{field} must be a JSON integer"):
+        PoleCertificate.from_json(obj)
+
+
 def test_verify_reports_an_uncertified_exact_sign(monkeypatch):
     # a non-dyadic endpoint has no exact sign of E; nor has one the series
     # cannot certify within its term cap: each is a failure line, not an

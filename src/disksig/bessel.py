@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath.libmp import (from_int, from_man_exp, fzero, mpf_add, mpf_cmp,
-                          mpf_div, mpf_mul, mpf_pos, mpf_shift, mpf_sub)
+from mpmath.libmp import (from_int, from_man_exp, mpf_add, mpf_cmp, mpf_div,
+                          mpf_mul, mpf_pos, mpf_shift, mpf_sub)
 
 from . import check_precision
 from .balls import DEFAULT_PREC, RADPREC, ComplexBall, RealBall
@@ -78,14 +78,6 @@ def _terms_and_tail(x: ComplexBall, n_terms: int | None = None,
         if n_terms is not None and n > n_terms:
             break
     raise ValueError(f"|x| >= 2(n+1) = {2 * (n_terms + 1)}; tail bound invalid")
-
-
-def bessel_tail_bound(x: ComplexBall, n: int) -> RealBall:
-    """Upper bound for the series tail of J0 or J1 truncated before term n,
-    at a complex ball x (_tail_bounds).  Requires |x| < 2(n+1)."""
-    if n < 0:
-        raise ValueError("negative term index")
-    return RealBall(_terms_and_tail(x, n)[1], fzero)
 
 
 def bessel_j(nu: int, x, n_terms: int | None = None,
@@ -158,7 +150,7 @@ def series_terms(lam, constants: Constants) -> int:
 
 
 def _remark_parts(lam, constants: Constants) -> tuple:
-    """(x0, x1, J1(x1), the remark product) at lambda.
+    """(x0, J0(x0), J1(x1), the remark product) at lambda.
 
     x0 = lambda zeta and x1 = lambda conj(zeta); this is the only
     evaluation of J0(x0) and J1(x1).
@@ -169,7 +161,7 @@ def _remark_parts(lam, constants: Constants) -> tuple:
     x1 = lamc.mul(constants.zeta.conj(), prec)
     j0 = bessel_j(0, x0, prec=prec)
     j1 = bessel_j(1, x1, prec=prec)
-    return x0, x1, j1, constants.alpha.conj().mul(j0, prec).mul(j1, prec)
+    return x0, j0, j1, constants.alpha.conj().mul(j0, prec).mul(j1, prec)
 
 
 def _numerator(j1: ComplexBall, constants: Constants) -> RealBall:
@@ -190,19 +182,22 @@ def d_lambda(lam, constants: Constants, prec: int | None = None) -> RealBall:
 
 
 def pairing(lam, constants: Constants) -> tuple:
-    """(d, d by the determinant route, numerator) at lambda.
+    """(d, d by the determinant route, numerator) at a real lambda.
 
     d and the numerator are the balls d_lambda and numerator_im return.
     The determinant route is Wronskian-style,
         2i d = conj(alpha) J0(lz) J1(lz~) - alpha J1(lz) J0(lz~),
-    whose first term is the remark product itself; the second term's two
-    factors are evaluated from their own series rather than by
-    conjugating the first, so its ball must intersect d's.
+    whose first term is the remark product itself.  For real lambda, lz~
+    is conj(lz) and J_nu(conj x) = conj(J_nu(x)) (DLMF 10.11.9); in this
+    arithmetic both hold bit for bit (midpoints round to nearest, radii
+    read only magnitudes), so the second term's factors are the exact
+    conjugates of J1(lz~) and J0(lz), and pairing sums two series, not
+    four.  lambda is read as a real ball (_as_real_ball), so a complex
+    one is refused.
     """
     prec = constants.prec
-    x0, x1, j1, product = _remark_parts(lam, constants)
-    second = constants.alpha.mul(bessel_j(1, x0, prec=prec), prec)
-    second = second.mul(bessel_j(0, x1, prec=prec), prec)
+    _, j0, j1, product = _remark_parts(_as_real_ball(lam, prec), constants)
+    second = constants.alpha.mul(j1.conj(), prec).mul(j0.conj(), prec)
     # (a + bi)/(2i) has real part b/2; for real lambda, a's ball straddles 0
     d_det = product.sub(second, prec).im.mul_2exp(-1)
     return product.im, d_det, _numerator(j1, constants)

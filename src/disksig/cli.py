@@ -93,13 +93,14 @@ MIN_POLE_WIDTH = Fraction(1, 10 ** 100)
 # `bessel` point caps, timed on a 2-vCPU VM: the auto-selected series
 # needs more than |z|/2 terms, so at |z| = MAX_BESSEL_ABS `bessel` takes
 # about 0.2 s at 128 bits and 0.7 s (either order) at MAX_PRECISION;
-# --terms MAX_BESSEL_TERMS takes about 0.2 s at |z| = 1 (0.3 s at
+# --terms MAX_BESSEL_TERMS takes about 0.2 s at |z| = 1 (0.5 s at
 # MAX_PRECISION); at a tiny point printing the radius costs the most:
-# --re 1e-4299 --terms 60 takes 4.6 s, nearly all in rational.decimal_up
+# --re 1e-4299 takes 0.2 s at --terms 60, 0.6 s at 200 and 5.1 s at
+# MAX_BESSEL_TERMS, 4.6 s of it in rational.decimal_up's power of ten
 MAX_BESSEL_ABS = 1000
 MAX_BESSEL_TERMS = 1000
 # `bessel --pairing` cap, timed on a 2-vCPU VM: at |lambda| =
-# MAX_PAIRING_ABS it takes about 0.3 s at 128 bits and 5.1 s at
+# MAX_PAIRING_ABS it takes about 0.1 s at 128 bits and 0.8 s at
 # MAX_PRECISION; uncapped, lambda = 1000 took 2.6 s at 128 bits
 MAX_PAIRING_ABS = 30
 _DIGITS_ERROR = (

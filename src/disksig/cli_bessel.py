@@ -64,7 +64,7 @@ def run(args) -> tuple:
     point = balls.ComplexBall.from_rationals(args.re, args.im, prec)
     if args.terms is not None:
         try:  # the series' own tail check, so the two cannot disagree
-            bessel.bessel_tail_bound(point, args.terms)
+            bessel._terms_and_tail(point, args.terms)
         except ValueError as exc:
             raise UsageError(
                 f"--terms {args.terms} is too few for this point: the tail "

@@ -46,10 +46,6 @@ BRACKET_HI = Fraction(3)
 # about that close to a zero of E could reach the cap.
 _FIRST_TERMS = 8
 _MAX_TERMS = 256
-# cap of the doubling in enclose_center: at the largest precision the
-# package admits (MAX_PRECISION, 8192 bits) the first count is at most
-# about 670 terms for lambda below the pole
-_MAX_CENTER_TERMS = 2048
 # guard bits of enclose_center beyond the requested relative width, and
 # of the exact sign route beyond the bits of mu
 _GUARD_BITS = 64
@@ -65,7 +61,8 @@ class NoSignChange(SignChangeError):
 
 class InconclusiveSign(SignChangeError):
     """No sign certified: an enclosure straddles zero (raising precision
-    may resolve it), or a series reached its term cap."""
+    may resolve it) or is wider than asked, or a series reached its term
+    cap."""
 
 
 def _coefficients(n: int, first: int, step) -> tuple:
@@ -258,13 +255,14 @@ def enclose_center(lam, precision: int) -> tuple:
 
     mu = lam^2 is rounded outward to a dyadic interval at precision +
     _GUARD_BITS bits, so the work depends on the precision and not on
-    lam's digits.  The first term count is the smallest one from
-    _FIRST_TERMS on whose tail bound is at most 2^-(precision +
-    _GUARD_BITS); G and E are enclosed (enclose), and their quotient is
-    taken once the E interval excludes zero.  While it is wider than
-    asked, the term count doubles; past _MAX_CENTER_TERMS this raises
-    InconclusiveSign.  A precision outside MIN_PRECISION..MAX_PRECISION
-    is refused (ValueError) before any series is built.
+    lam's digits.  The term count is the smallest one from _FIRST_TERMS
+    on whose tail bound is at most 2^-(precision + _GUARD_BITS), one
+    rounding unit of the enclosures, so more terms could narrow them by
+    no more than that; E and G are enclosed once (enclose) at that
+    count.  If E's interval holds zero or the quotient is wider than
+    asked, this raises InconclusiveSign.  A precision outside
+    MIN_PRECISION..MAX_PRECISION is refused (ValueError) before any
+    series is built.
     """
     check_precision(precision)
     lam = as_rat(lam)
@@ -273,15 +271,12 @@ def enclose_center(lam, precision: int) -> tuple:
     n = next(n for n, t in enumerate(_tail_bounds(p_hi, s, bits))
              if n >= _FIRST_TERMS and 3 * p_hi <= (n + 1) * (n + 2) << s
              and t <= 1)
-    while n <= _MAX_CENTER_TERMS:
-        e_lo, e_hi = enclose(_series_coefficients(n), p_lo, p_hi, s, bits)
-        if e_lo > 0 or e_hi < 0:
-            g_lo, g_hi = enclose(_numerator_coefficients(n), p_lo, p_hi, s, bits)
-            ends = [g / e for g in (g_lo, g_hi) for e in (e_lo, e_hi)]
-            lo, hi = min(ends), max(ends)
-            if (hi - lo) * 2 ** precision <= min(abs(lo), abs(hi)):
-                return lo, hi
-        n *= 2
+    e_lo, e_hi = enclose(_series_coefficients(n), p_lo, p_hi, s, bits)
+    if e_lo > 0 or e_hi < 0:
+        g_lo, g_hi = enclose(_numerator_coefficients(n), p_lo, p_hi, s, bits)
+        ends = [g / e for g in (g_lo, g_hi) for e in (e_lo, e_hi)]
+        lo, hi = min(ends), max(ends)
+        if (hi - lo) * 2 ** precision <= min(abs(lo), abs(hi)):
+            return lo, hi
     raise InconclusiveSign(
-        f"C({lam}, 0) not enclosed to 2^-{precision} by {_MAX_CENTER_TERMS} "
-        "series terms")
+        f"C({lam}, 0) not enclosed to 2^-{precision} by {n} series terms")

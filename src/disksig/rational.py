@@ -8,15 +8,17 @@ it is the one reader of text rationals: as_rat on strings and the
 command line's options read through it, so a file or an option costs
 bounded work (a ball's decimal strings are enclosed, not read exactly,
 by balls.RealBall.from_json).  as_rat coerces ints, Fractions and such
-strings; rat_str writes a rational as "num/den".  decimal_up, decimal_nearest and decimal_parts print exact
-values in decimal on the standard library's decimal division, which
-rounds the exact quotient correctly; decimal_digits is the digit count
+strings; rat_str writes a rational as "num/den".  decimal_up,
+decimal_nearest and decimal_parts print exact values in decimal,
+rounding the exact quotient correctly in integers (_divide), at the cost
+of a few integer products of its size; decimal_digits is the digit count
 printed for a given number of bits.  Every layer reads these from here,
 so a subcommand that only prints rationals executes no polynomial code.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import MAX_DIGITS
@@ -85,11 +87,34 @@ def decimal_digits(bits: int) -> int:
 
 
 def _divide(q: Fraction, digits: int, rounding: str):
-    """q correctly rounded to `digits` significant digits, as a Decimal."""
-    from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal  # printing only
+    """q rounded to `digits` significant digits, as a Decimal: up
+    (rounding "ROUND_CEILING", for q >= 0) or to nearest, ties away from
+    zero ("ROUND_HALF_UP").
 
-    ctx = Context(prec=digits, rounding=rounding, Emax=MAX_EMAX, Emin=MIN_EMIN)
-    return ctx.divide(Decimal(q.numerator), Decimal(q.denominator))
+    In integers: |q| > 2^(l - 1), l the bit length of its numerator less
+    that of its denominator, picks t with m = floor(|q| 10^t) >= 10^digits;
+    the digit count of m gives the decade of q, and the digits past the
+    first `digits` round it.  One power of ten and one division, so a
+    radius of 2^-k costs a few products of k-bit integers, where the
+    decimal module's Decimal(2^k) was quadratic in k.
+    """
+    from decimal import Decimal  # printing only
+
+    if not q:
+        return Decimal(0)
+    num, den = abs(q.numerator), q.denominator
+    # 10^t >= 10^digits 2^(1 - l), with a margin of one for the float
+    t = digits + 2 + math.ceil((den.bit_length() - num.bit_length()) * math.log10(2))
+    power = 5 ** abs(t) << abs(t)  # 10^|t|; the 2^|t| costs one shift
+    m, rest = divmod(num * power, den) if t >= 0 else divmod(num, den * power)
+    extra = len(str(m)) - digits
+    n, dropped = divmod(m, 10 ** extra)
+    if (2 * dropped >= 10 ** extra if rounding == "ROUND_HALF_UP"
+            else dropped or rest):
+        n += 1
+    if n == 10 ** digits:  # carry out of the leading digit
+        n, extra = n // 10, extra + 1
+    return Decimal((q < 0, tuple(map(int, str(n))), extra - t))
 
 
 def decimal_up(q: Fraction) -> str:

@@ -53,12 +53,16 @@ computation the package does another way:
   functions at 200 digits, against the rational series G/E of
   exactseries.enclose_center;
 - decimal_nearest_integer rounds a rational to decimal digits by an
-  integer decade search and one integer division, against the decimal
-  module's division in rational.decimal_nearest.
+  integer decade search and one integer division, against
+  rational.decimal_nearest;
+- divide_in_context rounds a rational to decimal digits by the decimal
+  module's division in a context of that precision, against the integer
+  rounding of rational._divide that decimal_up and decimal_nearest print.
 """
 
 import itertools
 import math
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -648,3 +652,12 @@ def decimal_nearest_integer(q: Fraction, dps: int) -> str:
         whole, frac = "0", "0" * (-e - 1) + digits
     sign = "-" if q < 0 else ""
     return f"{sign}{whole}.{frac.rstrip('0') or '0'}"
+
+
+def divide_in_context(q: Fraction, digits: int, rounding: str) -> Decimal:
+    """q correctly rounded to `digits` significant digits, as a Decimal,
+    by the decimal module's division of Decimal(numerator) by
+    Decimal(denominator), whose cost grows with the square of their
+    digits."""
+    ctx = Context(prec=digits, rounding=rounding, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    return ctx.divide(Decimal(q.numerator), Decimal(q.denominator))

@@ -17,8 +17,10 @@ from mpmath.libmp import from_man_exp, from_rational, fzero, mpf_neg
 
 from disksig import MAX_DIGITS
 from disksig.balls import ComplexBall, RealBall, _from_rational
-from disksig.rational import (decimal_digits, decimal_parts, decimal_up, parse_rat,
-                              rat_str)
+from disksig.bessel import bessel_j
+from disksig.rational import (_divide, decimal_digits, decimal_parts, decimal_up,
+                              parse_rat, rat_str)
+from reference import divide_in_context
 
 mids = st.fractions(min_value=-100, max_value=100, max_denominator=10 ** 6)
 rads = st.fractions(min_value=0, max_value=2, max_denominator=10 ** 4)
@@ -376,6 +378,12 @@ def test_radius_printing_matches_decade_scaling(num, den, k):
     assert decimal_up(q) == fraction_to_dec_up_by_scaling(q)
 
 
+def assert_rounds_as_the_decimal_context(q: F) -> None:
+    got = _divide(q, 3, "ROUND_CEILING")
+    want = divide_in_context(q, 3, "ROUND_CEILING")
+    assert got == want and f"{got:.2e}" == f"{want:.2e}"
+
+
 def test_radius_printing_edge_cases():
     tiny = F(1, 10 ** 60)
     cases = [F(10) ** k for k in range(-40, 41)]
@@ -386,10 +394,29 @@ def test_radius_printing_edge_cases():
     cases += [F(2 ** k, 3) for k in range(0, 400, 7)]
     for q in cases:
         assert decimal_up(q) == fraction_to_dec_up_by_scaling(q)
+        assert_rounds_as_the_decimal_context(q)
     assert decimal_up(F(0)) == "0"
     assert decimal_up(F(9995, 10 ** 7)) == "1.00e-3"
     with pytest.raises(ValueError):
         decimal_up(F(-1, 3))
+
+
+@given(st.integers(1, 10 ** 40), st.integers(1, 10 ** 40),
+       st.integers(-400, 400), st.integers(-5000, 5000))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_radius_rounding_matches_the_decimal_context(num, den, k, j):
+    # the integer rounding equals the decimal module's in value and in
+    # print, on the decade-scaling grid widened by 2^-5000 .. 2^5000
+    assert_rounds_as_the_decimal_context(F(num, den) * F(10) ** k * F(2) ** j)
+
+
+def test_a_radius_far_below_one_prints_in_bounded_time():
+    # the tail of 200 terms at 1e-4299 is about 2^-5715300; the decimal
+    # division of its denominator took about 50 s
+    ball = bessel_j(1, F(1, 10 ** 4299), n_terms=200)
+    start = time.perf_counter()
+    assert ball.im.to_json() == {"mid": "0.0", "rad": "6.23e-1720471"}
+    assert time.perf_counter() - start < 10
 
 
 @given(st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 30),

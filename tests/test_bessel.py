@@ -9,10 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from disksig.balls import ComplexBall, RealBall, mpf_to_fraction
-from disksig.bessel import (_terms_and_tail, abc_closed_form, bessel_j,
-                            bessel_tail_bound, d_lambda, make_constants,
-                            numerator_im, pairing, remark_product,
-                            series_terms)
+from disksig.bessel import (_as_real_ball, _terms_and_tail, abc_closed_form,
+                            bessel_j, d_lambda, make_constants, numerator_im,
+                            pairing, remark_product, series_terms)
 from disksig.radial import radial_levels
 from reference import bessel_tail_exact, bessel_terms_exact
 
@@ -93,15 +92,14 @@ def test_truncated_series_still_encloses():
 
 def test_tail_bound_fixture():
     x = ComplexBall.from_rationals(F(446, 125), F(0))
-    tail = bessel_tail_bound(x, 5)
-    assert tail.upper() <= F(25, 1000)
-    assert tail.upper() > 0
+    tail = mpf_to_fraction(_terms_and_tail(x, 5)[1])
+    assert 0 < tail <= F(25, 1000)
 
 
 def test_tail_bound_rejects_huge_argument():
     x = ComplexBall.from_rationals(F(100), F(0))
     with pytest.raises(ValueError):
-        bessel_tail_bound(x, 2)
+        _terms_and_tail(x, 2)
 
 
 @given(small_rats, small_rats)
@@ -116,6 +114,38 @@ def test_conjugate_symmetry(re_q, im_q):
         mirrored = b.im.neg()
         assert (a.im.lower() <= mirrored.upper()
                 and mirrored.lower() <= a.im.upper())
+
+
+def _raw(ball: ComplexBall) -> tuple:
+    return ball.re.mid, ball.re.rad, ball.im.mid, ball.im.rad
+
+
+@pytest.mark.parametrize("prec", [53, 128, 512, 8192])
+def test_conjugate_symmetry_is_exact_bit_for_bit(prec):
+    # midpoints round to nearest and radii read only magnitudes, so the
+    # series at conj(x) is the conjugate of the series at x in every bit;
+    # bessel.pairing reads its determinant route's factors that way.  For
+    # real lambda, rational or an interval, lambda conj(zeta) is
+    # conj(lambda zeta) in every bit as well
+    zeta = make_constants(prec).zeta
+    points = [ComplexBall.from_rationals(re, im, prec) for re, im in (
+        (F(1, 10 ** 4299), F(0)), (F(1, 7), F(2, 3)), (F(3), F(0)),
+        (F(0), F(100)), (F(1000), F(0)), (F(600), F(-800)))]
+    for lam in (F(141, 50), F(30), RealBall.from_interval(F(282, 100), F(283, 100))):
+        lam = ComplexBall.from_real(_as_real_ball(lam, prec))
+        x = lam.mul(zeta, prec)
+        assert _raw(lam.mul(zeta.conj(), prec)) == _raw(x.conj())
+        points.append(x)
+    for x in points:
+        for nu in (0, 1):
+            assert (_raw(bessel_j(nu, x.conj(), prec=prec))
+                    == _raw(bessel_j(nu, x, prec=prec).conj()))
+
+
+def test_pairing_refuses_a_complex_lambda():
+    # lambda conj(zeta) is conj(lambda zeta) only for real lambda
+    with pytest.raises(TypeError, match="not an exact rational"):
+        pairing(ComplexBall.from_rationals(F(1), F(1, 2)), CONSTS)
 
 
 def test_remark_products_match_pinned_decimals():
@@ -189,7 +219,7 @@ def test_tail_bound_and_length_match_the_exact_scan(point, prec):
     n = _terms_and_tail(x, prec=prec)[0]
     assert n == bessel_terms_exact(xu, prec)
     exact = bessel_tail_exact(xu, n)
-    bound = bessel_tail_bound(x, n).upper()
+    bound = mpf_to_fraction(_terms_and_tail(x, n)[1])
     assert exact <= bound <= exact * (1 + F(1, 2 ** 50))
 
 
@@ -227,9 +257,10 @@ def test_tail_bound_edge_is_exact():
     x = ComplexBall.from_rationals(6 - F(1, 10 ** 26), F(0))
     xu = x.abs2().upper()
     exact = bessel_tail_exact(xu, 2)
-    assert exact <= bessel_tail_bound(x, 2).upper() <= exact * (1 + F(1, 2 ** 50))
+    bound = mpf_to_fraction(_terms_and_tail(x, 2)[1])
+    assert exact <= bound <= exact * (1 + F(1, 2 ** 50))
     with pytest.raises(ValueError, match="tail bound invalid"):
-        bessel_tail_bound(ComplexBall.from_rationals(F(6), F(0)), 2)
+        _terms_and_tail(ComplexBall.from_rationals(F(6), F(0)), 2)
 
 
 def test_tail_bound_work_does_not_grow_with_the_digits_of_x():

@@ -518,20 +518,25 @@ def test_compare_bytes_are_pinned(tmp_path, lam, precision, digest):
 
 
 def test_bessel_pairing_evaluates_each_series_once(tmp_path, monkeypatch):
-    # J0 and J1 at lambda zeta and at lambda conj(zeta): four series, none
-    # of them evaluated twice
+    # two series, J0(lambda zeta) and J1(lambda conj(zeta)), each summed
+    # once; the determinant route's J1(lambda zeta) and J0(lambda
+    # conj(zeta)) are their exact conjugates
     real = disksig.bessel.bessel_j
     calls = []
 
+    def raw(nu, x):
+        return nu, x.re.mid, x.re.rad, x.im.mid, x.im.rad
+
     def recorded(nu, x, n_terms=None, prec=128):
-        calls.append((nu, x.re.mid, x.re.rad, x.im.mid, x.im.rad))
+        calls.append(raw(nu, x))
         return real(nu, x, n_terms=n_terms, prec=prec)
 
     monkeypatch.setattr(disksig.bessel, "bessel_j", recorded)
     rc, _ = run(tmp_path, "bessel", "--pairing", "141/50")
     assert rc == 0
-    assert len(calls) == 4
-    assert len(set(calls)) == 4
+    zeta = disksig.bessel.make_constants(128).zeta
+    x0 = disksig.bessel._as_complex_ball(F(141, 50), 128).mul(zeta, 128)
+    assert calls == [raw(0, x0), raw(1, x0.conj())]
 
 
 def test_pole_certificate_output(tmp_path):

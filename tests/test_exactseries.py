@@ -17,9 +17,10 @@ from disksig.exactseries import (enclose, enclose_center, exact_bracket,
                                  _numerator_coefficients, _series_coefficients,
                                  _series_sign)
 from disksig.radial import a_coefficients
-from disksig.rational import decimal_nearest, decimal_parts
+from disksig.rational import _divide, decimal_nearest, decimal_parts
 from reference import (closed_form_center, decimal_nearest_integer,
-                       series_coefficients_binomial, series_sign_integer)
+                       divide_in_context, series_coefficients_binomial,
+                       series_sign_integer)
 
 
 def test_closed_form_and_hierarchy_agree_exactly_to_level_200():
@@ -300,23 +301,20 @@ def test_dyadic_rounding_is_outward_and_narrow(q):
     assert F(p_hi - p_lo, 2 ** s) <= q / 2 ** 99
 
 
-def test_center_term_cap_is_inconclusive(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(exactseries, "_MAX_CENTER_TERMS", 8)
-    with pytest.raises(exactseries.InconclusiveSign, match="8 series terms"):
+def test_center_enclosure_too_wide_is_inconclusive(tmp_path, monkeypatch, capsys):
+    # mu rounded to 16 bits fewer than the asked width: the quotient is
+    # wider than asked, and `compare` reports it and writes nothing; its
+    # pole bracket is the one taken at the real guard bits, as the exact
+    # signs would take negative bits at the first midpoints
+    bracket = exactseries.exact_bracket(F(1, 100))
+    monkeypatch.setattr(exactseries, "exact_bracket", lambda width: bracket)
+    monkeypatch.setattr(exactseries, "_GUARD_BITS", -16)
+    with pytest.raises(exactseries.InconclusiveSign, match="not enclosed"):
         enclose_center(F(2), 128)
     out = tmp_path / "out.csv"
     assert main(["compare", "--lambda", "2", "--levels", "4", "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: C(2, 0) not enclosed")
     assert list(tmp_path.iterdir()) == []
-
-
-def test_center_enclosure_too_wide_is_inconclusive(monkeypatch):
-    # mu rounded to 16 bits fewer than the asked width: no term count
-    # narrows the quotient enough
-    monkeypatch.setattr(exactseries, "_GUARD_BITS", -16)
-    monkeypatch.setattr(exactseries, "_MAX_CENTER_TERMS", 128)
-    with pytest.raises(exactseries.InconclusiveSign, match="not enclosed"):
-        enclose_center(F(2), 128)
 
 
 def test_center_at_zero_is_exactly_one():
@@ -360,6 +358,13 @@ def midpoints(draw):
 def test_midpoint_printing_matches_integer_rounding(case):
     q, dps = case
     assert decimal_nearest(q, dps) == decimal_nearest_integer(q, dps)
+
+
+@given(midpoints())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_midpoint_rounding_matches_the_decimal_context(case):
+    q, dps = case
+    assert _divide(q, dps, "ROUND_HALF_UP") == divide_in_context(q, dps, "ROUND_HALF_UP")
 
 
 def test_printed_ball_contains_the_enclosure():

@@ -14,13 +14,14 @@ zero at a fixed short precision.  Balls never underflow or overflow: the
 underlying floats carry unbounded exponents, so a zero result of an exact
 operation is exactly zero and needs no error term.
 
-The floats themselves are mpmath's raw mpf tuples (sign, man, exp, bc),
-used only through the correctly rounded primitives add, sub, mul, div,
-sqrt and the exact ones neg, abs, shift.  All containment logic, radius
-bookkeeping, comparisons, and serialization live here and are exact
-(endpoint queries return Fractions, not floats); a printed radius is
-rounded up to decimal by rational.decimal_up, which the exact
-enclosures print with too.
+The floats themselves are disksig.bigfloat's (sign, man, exp, bc)
+tuples on Python integers (mpmath's raw mpf format, and the tuples its
+libmp returns), used only through the correctly rounded primitives add,
+sub, mul, div, sqrt and the exact ones neg, abs, shift, and printed by
+its to_str.  All containment logic, radius bookkeeping, comparisons,
+and serialization live here and are exact (endpoint queries return
+Fractions, not floats); a printed radius is rounded up to decimal by
+rational.decimal_up, which the exact enclosures print with too.
 
 ComplexBall is a rectangle: independent real and imaginary RealBalls.
 Complex square roots are principal-branch and refuse rectangles that
@@ -31,24 +32,23 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from mpmath.libmp import (from_int, from_man_exp, from_rational, fzero,
-                          mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_mul,
-                          mpf_neg, mpf_shift, mpf_sqrt, mpf_sub, to_str)
-
 from . import DEFAULT_PREC, MAX_DIGITS
+from .bigfloat import (from_int, from_man_exp, from_rational, fzero, mpf_abs,
+                       mpf_add, mpf_cmp, mpf_div, mpf_mul, mpf_neg, mpf_shift,
+                       mpf_sqrt, mpf_sub, pow10, to_str)
 from .rational import decimal_digits, decimal_up
 
 RADPREC = 30  # radii are coarse by design; only their upper bound matters
 
 
 def mpf_to_fraction(x) -> Fraction:
-    """Exact rational value of a raw mpf tuple (finite values only)."""
+    """Exact rational value of a float tuple (finite values only)."""
     sign, man, exp, _ = x
     if man == 0:
         if x == fzero:
             return Fraction(0)
         raise ValueError("non-finite float has no rational value")
-    v = Fraction(int(man)) * Fraction(2) ** exp
+    v = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
     return -v if sign else v
 
 
@@ -59,43 +59,17 @@ def _ulp(res, prec):
     return from_man_exp(1, res[2] + res[3] - prec)
 
 
-def _from_rational(p: int, q: int, prec: int, rnd: str):
-    """p/q (q > 0) correctly rounded, as mpmath's from_rational, with the
-    factors of 2 split off first: mpmath strips trailing zero bits a byte
-    at a time, which costs milliseconds per call on a huge power of ten
-    such as the denominator of a tiny argument 10^-4299."""
-    if p == 0:
-        return fzero
-    tp = (p & -p).bit_length() - 1
-    tq = (q & -q).bit_length() - 1
-    return mpf_shift(from_rational(p >> tp, q >> tq, prec, rnd), tp - tq)
-
-
-def _pow10(k: int, prec: int, rnd: str):
-    """10^k (k >= 0) with every product rounded in direction rnd ("d" or
-    "u") at prec bits, so it lies on that side of the exact power: the
-    factors are positive, so each rounding only moves the same way.  It
-    takes O(log k) products, whatever the size of k."""
-    power, square = from_int(1), from_int(10)
-    while k:
-        if k & 1:
-            power = mpf_mul(power, square, prec, rnd)
-        k >>= 1
-        square = mpf_mul(square, square, prec, rnd)
-    return power
-
-
 def _decimal_bounds(value, prec: int) -> tuple:
     """(lo, hi), floats of prec bits with lo <= value <= hi, for a finite
-    Decimal: its digits times a power of ten rounded outward (_pow10)."""
+    Decimal: its digits times a power of ten rounded outward (pow10)."""
     sign, digits, exponent = value.as_tuple()
     man = from_int(int("".join(map(str, digits))))
     if exponent >= 0:
-        lo = mpf_mul(man, _pow10(exponent, prec, "d"), prec, "d")
-        hi = mpf_mul(man, _pow10(exponent, prec, "u"), prec, "u")
+        lo = mpf_mul(man, pow10(exponent, prec, "d"), prec, "d")
+        hi = mpf_mul(man, pow10(exponent, prec, "u"), prec, "u")
     else:
-        lo = mpf_div(man, _pow10(-exponent, prec, "u"), prec, "d")
-        hi = mpf_div(man, _pow10(-exponent, prec, "d"), prec, "u")
+        lo = mpf_div(man, pow10(-exponent, prec, "u"), prec, "d")
+        hi = mpf_div(man, pow10(-exponent, prec, "d"), prec, "u")
     return (mpf_neg(hi), mpf_neg(lo)) if sign else (lo, hi)
 
 
@@ -146,8 +120,8 @@ class RealBall:
         q = Fraction(q)
         den = q.denominator
         if den & (den - 1) == 0 and abs(q.numerator).bit_length() <= prec:
-            return cls(_from_rational(q.numerator, den, prec, "n"), fzero)
-        m = _from_rational(q.numerator, den, prec, "n")
+            return cls(from_rational(q.numerator, den, prec, "n"), fzero)
+        m = from_rational(q.numerator, den, prec, "n")
         return cls(m, _ulp(m, prec))
 
     @classmethod
@@ -159,7 +133,7 @@ class RealBall:
         slack = rad_q + abs(mid_q - mpf_to_fraction(base.mid))
         if slack == 0:
             return base
-        r = _from_rational(slack.numerator, slack.denominator, RADPREC, "u")
+        r = from_rational(slack.numerator, slack.denominator, RADPREC, "u")
         return cls(base.mid, _rup_add(base.rad, r))
 
     @classmethod
@@ -268,7 +242,7 @@ class RealBall:
             raise ValueError("negative inflation")
         if extra_q == 0:
             return self
-        e = _from_rational(extra_q.numerator, extra_q.denominator, RADPREC, "u")
+        e = from_rational(extra_q.numerator, extra_q.denominator, RADPREC, "u")
         return RealBall(self.mid, _rup_add(self.rad, e))
 
     # -- presentation --------------------------------------------------------
@@ -310,8 +284,8 @@ class RealBall:
         mid, rad = (_ball_decimal(obj[key]) for key in ("mid", "rad"))
         if rad < 0:
             raise ValueError("negative radius")
-        # guard bits for the roundings of the power: fewer than 2^7 of them
-        # for any exponent a Decimal holds (|exponent| < 10^18)
+        # guard bits for the roundings of the power and of the product or
+        # quotient, a few units of the last of these bits
         prec = DEFAULT_PREC + 32
         base = cls._from_mpf_endpoints(*_decimal_bounds(mid, prec), DEFAULT_PREC)
         return cls(base.mid, _rup_add(base.rad, _decimal_bounds(rad, prec)[1]))
@@ -328,7 +302,7 @@ def _nonneg_part(b: RealBall, prec: int) -> RealBall:
     hi = b.upper()
     if hi < 0:
         raise ValueError("enclosure certifies a negative value")
-    half = _from_rational(hi.numerator, 2 * hi.denominator, prec, "u")
+    half = from_rational(hi.numerator, 2 * hi.denominator, prec, "u")
     return RealBall(half, half)
 
 

@@ -19,14 +19,12 @@ enters share one precision; bessel_j, which takes none, at its own prec.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-
-from mpmath.libmp import (from_int, from_man_exp, mpf_add, mpf_cmp, mpf_div,
-                          mpf_mul, mpf_pos, mpf_shift, mpf_sub)
 
 from . import check_precision
 from .balls import DEFAULT_PREC, RADPREC, ComplexBall, RealBall
+from .bigfloat import (from_int, from_man_exp, mpf_add, mpf_cmp, mpf_div, mpf_mul,
+                       mpf_pos, mpf_shift, mpf_sub)
 from .rational import as_rat
 
 _HALF = Fraction(1, 2)
@@ -46,7 +44,7 @@ def _as_complex_ball(x, prec: int) -> ComplexBall:
 
 
 def _tail_bounds(x: ComplexBall):
-    """Yield (n, T_n) for every n >= 0 with |x| < 2(n+1), T_n a raw mpf
+    """Yield (n, T_n) for every n >= 0 with |x| < 2(n+1), T_n a float
     bounding the tail of J0 or J1 truncated before term n:
         T_n >= (1 - |x/2|^2/(n+1)^2)^(-1) * |x/2|^(2n) / n!^2
     at the ball's upper bound of |x/2|^2, which is compared exactly with
@@ -113,13 +111,15 @@ def bessel_j(nu: int, x, n_terms: int | None = None,
                          for b in (acc.re, acc.im)))
 
 
-@dataclass(frozen=True)
 class Constants:
     """Certified enclosures of zeta and alpha at a stated precision."""
 
-    zeta: ComplexBall
-    alpha: ComplexBall
-    prec: int
+    __slots__ = ("zeta", "alpha", "prec")
+
+    def __init__(self, zeta: ComplexBall, alpha: ComplexBall, prec: int):
+        self.zeta = zeta
+        self.alpha = alpha
+        self.prec = prec
 
 
 def make_constants(prec: int = DEFAULT_PREC) -> Constants:

@@ -39,13 +39,15 @@ it calls: `radius` runs `radial` (the univariate recursion for a_n) and
 `exactseries`, whose exact rational series enclose the closed form;
 `develop` adds `development`, `hierarchy` and `exactpoly` for its point
 check against the tensor fold, and `hierarchy` runs those oracles.
-None of these four loads mpmath, `dataclasses`, `inspect` or
-`datetime`: the exact layers' records are plain classes, and the
-manifest timestamp is built from `time`.  `bessel` and `pole` run the
-ball layers (`balls` and `bessel` over `rational`, and `polefinder` for
-`pole`, with `exactseries` beneath it), the only ones that load mpmath
-(and `dataclasses`, for their records); only `mc` runs `montecarlo`,
-loads numpy (and with it `datetime`), and no mpmath.  `mc` calls
+None of these four loads `dataclasses`, `inspect` or `datetime`: the
+exact layers' records are plain classes, and the manifest timestamp is
+built from `time`.  `bessel` and `pole` run the ball layers (`balls`
+and `bessel` on `bigfloat`'s floats and over `rational`, and
+`polefinder` for `pole`, with `exactseries` beneath it); of them only
+`pole` loads `dataclasses`, for its certificate.  Only `mc` runs
+`montecarlo`, loads numpy (and with it `datetime`) and `dataclasses`
+for its records.  No subcommand loads mpmath, which the tests keep as
+a reference.  `mc` calls
 montecarlo.estimate_expected_sig as a library user does; the engine
 fixes its own malloc thresholds.
 """
@@ -94,9 +96,8 @@ MIN_POLE_WIDTH = Fraction(1, 10 ** 100)
 # needs more than |z|/2 terms, so at |z| = MAX_BESSEL_ABS `bessel` takes
 # about 0.2 s at 128 bits and 0.7 s (either order) at MAX_PRECISION;
 # --terms MAX_BESSEL_TERMS takes about 0.2 s at |z| = 1 (0.5 s at
-# MAX_PRECISION); at a tiny point printing the radius costs the most:
-# --re 1e-4299 takes 0.2 s at --terms 60, 0.6 s at 200 and 5.1 s at
-# MAX_BESSEL_TERMS, 4.6 s of it in rational.decimal_up's power of ten
+# MAX_PRECISION); at a tiny point --re 1e-4299 it takes about 0.4 s at
+# MAX_BESSEL_TERMS, whose radius 5.38e-8603738 prints in milliseconds
 MAX_BESSEL_ABS = 1000
 MAX_BESSEL_TERMS = 1000
 # `bessel --pairing` cap, timed on a 2-vCPU VM: at |lambda| =

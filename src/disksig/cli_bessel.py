@@ -1,7 +1,7 @@
 """Body of `disksig bessel`, imported only when disksig.cli dispatches it.
 
-It runs the ball layer (disksig.balls and disksig.bessel, which load
-mpmath) over disksig.rational.
+It runs the ball layer (disksig.balls and disksig.bessel, on the floats
+of disksig.bigfloat) over disksig.rational.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Body of `disksig pole`, imported only when disksig.cli dispatches it.
 
 It runs disksig.polefinder, which certifies the bracket of
-disksig.exactseries on the ball layer (mpmath).
+disksig.exactseries on the ball layer (disksig.balls on disksig.bigfloat).
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ bounded work (a ball's decimal strings are enclosed, not read exactly,
 by balls.RealBall.from_json).  as_rat coerces ints, Fractions and such
 strings; rat_str writes a rational as "num/den".  decimal_up,
 decimal_nearest and decimal_parts print exact values in decimal,
-rounding the exact quotient correctly in integers (_divide), at the cost
-of a few integer products of its size; decimal_digits is the digit count
+rounding the exact quotient correctly in integers (_divide), from short
+bounds where they decide it; decimal_digits is the digit count
 printed for a given number of bits.  Every layer reads these from here,
 so a subcommand that only prints rationals executes no polynomial code.
 """
@@ -86,17 +86,77 @@ def decimal_digits(bits: int) -> int:
     return max(5, int(bits * 0.30103) + 3)
 
 
+def _cut(lo: int, hi: int, exp: int, bits: int) -> tuple:
+    """(lo', hi', exp') with lo' 2^exp' <= lo 2^exp and hi 2^exp <=
+    hi' 2^exp', hi' of at most `bits` bits (lo <= hi, both >= 0)."""
+    drop = max(hi.bit_length() - bits, 0)
+    return lo >> drop, -(-hi >> drop), exp + drop
+
+
+def _pow5_bounds(k: int, bits: int) -> tuple:
+    """(lo, hi, exp) with lo 2^exp <= 5^k <= hi 2^exp, by squaring with
+    every product cut to `bits` bits, lo down and hi up."""
+    lo = hi = 1
+    exp = 0
+    base = (5, 5, 0)
+    while k:
+        if k & 1:
+            lo, hi, exp = _cut(lo * base[0], hi * base[1], exp + base[2], bits)
+        k >>= 1
+        if k:
+            base = _cut(base[0] ** 2, base[1] ** 2, 2 * base[2], bits)
+    return lo, hi, exp
+
+
+def _floor_rest(num: int, den: int, exp: int) -> tuple:
+    """(floor(x), whether x is not an integer) for x = num 2^exp / den."""
+    m, rest = divmod(num << exp, den) if exp >= 0 else divmod(num, den << -exp)
+    return m, rest != 0
+
+
+def _round_digits(m: int, rest: bool, digits: int, rounding: str) -> tuple:
+    """(n, e): x >= 10^digits, of floor m and fraction nonzero when rest,
+    rounded to n 10^e with 10^(digits - 1) <= n < 10^digits."""
+    extra = len(str(m)) - digits
+    n, dropped = divmod(m, 10 ** extra)
+    if (2 * dropped >= 10 ** extra if rounding == "ROUND_HALF_UP"
+            else dropped or rest):
+        n += 1
+    if n == 10 ** digits:  # carry out of the leading digit
+        n, extra = n // 10, extra + 1
+    return n, extra
+
+
+def _round_bracketed(num: int, den: int, t: int, digits: int, rounding: str):
+    """_round_digits of x = num 10^t / den from two bounds of x, its
+    operands and 5^|t| cut to 4 digits + 64 bits, or None when the two
+    round apart."""
+    bits = 4 * digits + 64
+    plo, phi, pexp = _pow5_bounds(abs(t), bits)
+    nlo, nhi, nexp = _cut(num, num, 0, bits)
+    dlo, dhi, dexp = _cut(den, den, 0, bits)
+    if t >= 0:  # x = num 5^t 2^t / den
+        nlo, nhi, nexp = nlo * plo, nhi * phi, nexp + pexp + t
+    else:  # x = num / (den 5^|t| 2^|t|)
+        dlo, dhi, dexp = dlo * plo, dhi * phi, dexp + pexp - t
+    low = _round_digits(*_floor_rest(nlo, dhi, nexp - dexp), digits, rounding)
+    high = _round_digits(*_floor_rest(nhi, dlo, nexp - dexp), digits, rounding)
+    return low if low == high else None
+
+
 def _divide(q: Fraction, digits: int, rounding: str):
     """q rounded to `digits` significant digits, as a Decimal: up
     (rounding "ROUND_CEILING", for q >= 0) or to nearest, ties away from
     zero ("ROUND_HALF_UP").
 
     In integers: |q| > 2^(l - 1), l the bit length of its numerator less
-    that of its denominator, picks t with m = floor(|q| 10^t) >= 10^digits;
-    the digit count of m gives the decade of q, and the digits past the
-    first `digits` round it.  One power of ten and one division, so a
-    radius of 2^-k costs a few products of k-bit integers, where the
-    decimal module's Decimal(2^k) was quadratic in k.
+    that of its denominator, picks t with x = |q| 10^t >= 10^digits, and
+    x rounded at its `digits` leading digits gives the result.  Rounding
+    is monotone in x, so where 10^|t| is longer than the digits need, x
+    is first bracketed (_round_bracketed): if both ends round alike, so
+    does x, and only an x that close to a digit or rounding boundary
+    builds 10^|t|.  A radius of 2^-k thus costs O(log k) short products,
+    not a power of five of 0.7 k bits.
     """
     from decimal import Decimal  # printing only
 
@@ -105,15 +165,14 @@ def _divide(q: Fraction, digits: int, rounding: str):
     num, den = abs(q.numerator), q.denominator
     # 10^t >= 10^digits 2^(1 - l), with a margin of one for the float
     t = digits + 2 + math.ceil((den.bit_length() - num.bit_length()) * math.log10(2))
-    power = 5 ** abs(t) << abs(t)  # 10^|t|; the 2^|t| costs one shift
-    m, rest = divmod(num * power, den) if t >= 0 else divmod(num, den * power)
-    extra = len(str(m)) - digits
-    n, dropped = divmod(m, 10 ** extra)
-    if (2 * dropped >= 10 ** extra if rounding == "ROUND_HALF_UP"
-            else dropped or rest):
-        n += 1
-    if n == 10 ** digits:  # carry out of the leading digit
-        n, extra = n // 10, extra + 1
+    rounded = None
+    if abs(t) > 4 * digits + 64:
+        rounded = _round_bracketed(num, den, t, digits, rounding)
+    if rounded is None:
+        power = 5 ** abs(t) << abs(t)  # 10^|t|; the 2^|t| costs one shift
+        m, rest = divmod(num * power, den) if t >= 0 else divmod(num, den * power)
+        rounded = _round_digits(m, rest != 0, digits, rounding)
+    n, extra = rounded
     return Decimal((q < 0, tuple(map(int, str(n))), extra - t))
 
 

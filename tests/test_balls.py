@@ -11,12 +11,14 @@ from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from mpmath import libmp
 from mpmath.libmp import from_man_exp, from_rational, fzero, mpf_neg
 
 from disksig import MAX_DIGITS
-from disksig.balls import ComplexBall, RealBall, _from_rational
+from disksig import bigfloat
+from disksig.balls import ComplexBall, RealBall
 from disksig.bessel import bessel_j
 from disksig.rational import (_divide, decimal_digits, decimal_parts, decimal_up,
                               parse_rat, rat_str)
@@ -410,6 +412,29 @@ def test_radius_rounding_matches_the_decimal_context(num, den, k, j):
     assert_rounds_as_the_decimal_context(F(num, den) * F(10) ** k * F(2) ** j)
 
 
+def test_a_radius_at_the_term_cap_prints_in_bounded_time():
+    # at --terms 1000 the tail is about 2^-28580000; the exact power of
+    # five its decade needed took 4.6 s, the bracket of _divide takes ms
+    ball = bessel_j(1, F(1, 10 ** 4299), n_terms=1000)
+    start = time.perf_counter()
+    assert ball.im.to_json() == {"mid": "0.0", "rad": "5.38e-8603738"}
+    assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize("k", [-3000, -1234, -200, 200, 777, 3000])
+def test_roundings_on_a_boundary_at_far_decades(k):
+    # x = q 10^t on or next to a rounding boundary: the bracket of
+    # _divide cannot decide, and the exact power must give the digits
+    tiny = F(1, 10 ** (abs(k) + 40))
+    for m in (1, 5, 15, 125, 999, 1005, 9995, 99995):
+        for q in (m * F(10) ** k, m * F(10) ** k + tiny, m * F(10) ** k - tiny):
+            assert_rounds_as_the_decimal_context(q)
+            for digits in (2, 3, 5):
+                got = _divide(q, digits, "ROUND_HALF_UP")
+                want = divide_in_context(q, digits, "ROUND_HALF_UP")
+                assert got == want and f"{got:.{digits - 1}e}" == f"{want:.{digits - 1}e}"
+
+
 def test_a_radius_far_below_one_prints_in_bounded_time():
     # the tail of 200 terms at 1e-4299 is about 2^-5715300; the decimal
     # division of its denominator took about 50 s
@@ -424,7 +449,94 @@ def test_a_radius_far_below_one_prints_in_bounded_time():
        st.sampled_from([30, 53, 128]), st.sampled_from(["n", "u", "d"]))
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_from_rational_matches_mpmath(p, q, i, j, prec, rnd):
-    # powers of 2 and 10 give the long runs of trailing zero bits that
-    # the helper splits off before rounding
+    # powers of 2 and 10 give long runs of trailing zero bits
     p, q = p * 10 ** i, q * 2 ** j
-    assert _from_rational(p, q, prec, rnd) == from_rational(p, q, prec, rnd)
+    assert bigfloat.from_rational(p, q, prec, rnd) == from_rational(p, q, prec, rnd)
+
+
+# the float kernel against mpmath's libmp, its independent reference:
+# every primitive must return the same (sign, man, exp, bc) tuple
+MODES = st.sampled_from("nfcdu")
+mantissas = st.integers(-(2 ** 700), 2 ** 700)
+raw_floats = st.builds(libmp.from_man_exp, mantissas, st.integers(-5000, 5000))
+# 0 asks add, sub and mul for the exact result
+KERNEL_PRECS = st.sampled_from([0, 1, 2, 5, 30, 53, 64, 128, 512, 1000])
+
+
+@given(raw_floats, mantissas, st.integers(-3000, 3000), KERNEL_PRECS, MODES)
+@example(from_man_exp(3, 0), 1, 200, 53, "d")  # offset past 100 and prec + 4
+@example(from_man_exp(3, 0), -1, 200, 53, "f")
+@example(from_man_exp(2 ** 200 + 1, 0), -(2 ** 150 - 1), 101, 53, "d")  # wide s
+@example(fzero, 5, 0, 53, "u")
+@example(from_man_exp(7, 3), 0, 0, 53, "c")
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_kernel_add_sub_mul_match_libmp(s, tman, offset, prec, rnd):
+    # t sits `offset` binary places below s, so exponent gaps over 100 and
+    # over prec + 4 bits (libmp's perturbation branch) come up often
+    t = from_man_exp(tman, s[2] - offset)
+    for name in ("mpf_add", "mpf_sub", "mpf_mul"):
+        for a, b in ((s, t), (t, s)):
+            assert (getattr(bigfloat, name)(a, b, prec, rnd)
+                    == getattr(libmp, name)(a, b, prec, rnd)), name
+
+
+@given(raw_floats, raw_floats, st.integers(1, 1000), MODES)
+@example(fzero, from_man_exp(3, 1), 53, "n")
+@example(from_man_exp(1, 8), from_man_exp(1, 0), 53, "n")  # sqrt of 2^even
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_kernel_div_sqrt_cmp_pos_match_libmp(s, t, prec, rnd):
+    assert bigfloat.mpf_cmp(s, t) == libmp.mpf_cmp(s, t)
+    assert bigfloat.mpf_cmp(s, s) == 0
+    if t != fzero:
+        assert bigfloat.mpf_div(s, t, prec, rnd) == libmp.mpf_div(s, t, prec, rnd)
+    for x in (libmp.mpf_abs(s), libmp.mpf_shift(libmp.mpf_abs(s), 1)):
+        # the shift flips the parity of the exponent
+        assert bigfloat.mpf_sqrt(x, prec, rnd) == libmp.mpf_sqrt(x, prec, rnd)
+    assert bigfloat.mpf_pos(s, prec, rnd) == libmp.mpf_pos(s, prec, rnd)
+    assert bigfloat.mpf_neg(s) == libmp.mpf_neg(s)
+    assert bigfloat.mpf_abs(s) == libmp.mpf_abs(s)
+    assert bigfloat.mpf_shift(s, -77) == libmp.mpf_shift(s, -77)
+
+
+@given(mantissas, st.integers(-5000, 5000))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_kernel_conversions_match_libmp(man, exp):
+    # from_rational: test_from_rational_matches_mpmath
+    assert bigfloat.from_int(man) == libmp.from_int(man)
+    assert bigfloat.from_man_exp(man, exp) == libmp.from_man_exp(man, exp)
+
+
+@given(st.integers(1, 2 ** 8192), st.one_of(st.integers(-3600, 3600),
+                                             st.integers(-(10 ** 9), 10 ** 9)),
+       st.booleans())
+@example(1, 3500, False)
+@example(1, 3501, True)
+@example(3, -3500, False)
+@example(2 ** 127 + 1, -3501, False)
+# 2^-45 above a tie at 7 digits: to_str's division by a power of ten
+# rounded down puts it below the tie, "7.206817e-1060", where the digits
+# read without the division would round up
+@example(from_rational(72068175 * (2 ** 45 + 1), 10 ** 1067 * 2 ** 45, 200, "n")[1],
+         -3518, False)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_kernel_to_str_matches_libmp(man, top, negative):
+    # top = exp + bc, the binary place of the leading bit; past 3500 either
+    # way to_str first divides by a power of ten rounded down
+    x = from_man_exp(-man if negative else man, top - man.bit_length())
+    dps = decimal_digits(x[3])
+    assert bigfloat.to_str(x, dps) == libmp.to_str(x, dps)
+    assert bigfloat.to_str(x, 7) == libmp.to_str(x, 7)
+    assert bigfloat.to_str(fzero, dps) == libmp.to_str(fzero, dps)
+
+
+def test_kernel_ln2_ln10_and_powers_of_ten_match_libmp():
+    from mpmath.libmp.libelefun import mpf_ln2, mpf_ln10
+    from mpmath.libmp.libmpf import ften, mpf_pow_int
+
+    for bits in range(6, 257):  # the precisions to_str takes them at
+        assert from_man_exp(bigfloat._LN2 >> (256 - bits), -bits) == mpf_ln2(bits)
+        assert (from_man_exp(bigfloat._LN10 >> (256 - bits), 2 - bits)
+                == mpf_ln10(bits))
+    for n in (*range(-400, 400, 7), -(10 ** 6) - 1, 10 ** 6 + 3, -(2 ** 40) + 1):
+        for rnd in "nfcdu":
+            assert bigfloat.pow10(n, 300, rnd) == mpf_pow_int(ften, n, 300, rnd)

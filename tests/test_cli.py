@@ -735,15 +735,15 @@ def run_fresh(tmp_path, *argv):
     return status, set(executed)
 
 
-LAYERS = {"balls", "bessel", "development", "exactpoly", "exactseries",
+LAYERS = {"balls", "bessel", "bigfloat", "development", "exactpoly", "exactseries",
           "hierarchy", "montecarlo", "polefinder", "radial", "rational"}
 # the radial route prints its rationals with `rational` and nothing else
 RADIAL = {"radial", "rational"}
 # the oracles, and the tensor fold of develop's point check
 ORACLES = RADIAL | {"exactpoly", "development", "hierarchy"}
-# balls prints its radii with rational's decimal rounding; only the pole
-# search runs the exact series
-BALL = {"rational", "balls", "bessel"}
+# balls computes on bigfloat's floats and prints its radii with rational's
+# decimal rounding; only the pole search runs the exact series
+BALL = {"rational", "bigfloat", "balls", "bessel"}
 
 
 @pytest.mark.parametrize("argv, layers, status", [
@@ -763,16 +763,39 @@ def test_subcommands_execute_only_their_layers(tmp_path, argv, layers, status):
     rc, executed = run_fresh(tmp_path, *argv)
     assert rc == status
     assert {name for name in LAYERS if "disksig." + name in executed} == layers
-    # mpmath comes in only with the ball layer, numpy only on first use
-    # inside the Monte Carlo engine
-    assert ("mpmath" in executed) == ("balls" in layers)
+    # no subcommand executes mpmath (the ball layer's floats are bigfloat's),
+    # and numpy comes in only on first use inside the Monte Carlo engine
+    assert "mpmath" not in executed
     assert ("numpy" in executed) == ("montecarlo" in layers)
     # only the layers with dataclass records load dataclasses (and with it
     # inspect); the manifest timestamp needs no datetime, which numpy loads
-    records = bool(layers & {"bessel", "polefinder", "montecarlo"})
+    records = bool(layers & {"polefinder", "montecarlo"})
     assert ("dataclasses" in executed) == records
     assert ("inspect" in executed) == records
     assert ("datetime" in executed) == ("montecarlo" in layers)
+
+
+# reads a certificate and verifies it in a fresh interpreter, then prints
+# the failures and whether mpmath was executed
+_REPLAY_PROBE = """\
+import json, sys, types
+from disksig.polefinder import PoleCertificate
+with open(sys.argv[1]) as handle:
+    failures = PoleCertificate.from_json(json.load(handle)).verify()
+print(json.dumps([failures, type(sys.modules.get("mpmath")) is types.ModuleType]))
+"""
+
+
+def test_certificate_replay_executes_no_mpmath(tmp_path):
+    rc, out = run(tmp_path, "pole", "--width", "1/10")
+    assert rc == 0
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", _REPLAY_PROBE, str(out)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[], False]
 
 
 # the parser gives arguments only to the subcommand argv names; each of

@@ -85,7 +85,7 @@ def mpf_abs(s):
     return (0, man, exp, bc) if sign else s
 
 
-def mpf_pos(s, prec: int = 0, rnd: str = "d"):
+def mpf_pos(s, prec: int, rnd: str):
     """s rounded to prec bits (s itself when prec is 0)."""
     sign, man, exp, _ = s
     return _normalize(sign, man, exp, prec, rnd) if prec else s
@@ -133,11 +133,11 @@ def mpf_add(s, t, prec: int = 0, rnd: str = "d"):
     return _normalize(int(man < 0), abs(man), texp, prec, rnd)
 
 
-def mpf_sub(s, t, prec: int = 0, rnd: str = "d"):
+def mpf_sub(s, t, prec: int, rnd: str):
     return mpf_add(s, mpf_neg(t), prec, rnd)
 
 
-def mpf_mul(s, t, prec: int = 0, rnd: str = "d"):
+def mpf_mul(s, t, prec: int, rnd: str):
     """s t rounded to prec bits (exact when prec is 0)."""
     ssign, sman, sexp, _ = s
     tsign, tman, texp, _ = t
